@@ -115,50 +115,20 @@ def _hull_embedding(universe, base):
     return hull.embedding
 
 
-_t_cache = {}
-
-
-def _t_of(universe, r):
-    key = (universe, r)
-    if key not in _t_cache:
-        _t_cache[key] = lr_induced_radical(
-            r, f"t_L[{r.name}]", universe.con_bound
-        )
-    return _t_cache[key]
-
-
-def _radical_class_coproduct_closed(universe, r, monoid):
-    """Bounded closure test for the radical class under binary coproducts.
+def _class_coproduct_closed(universe, r, monoid, member):
+    """Bounded closure test under binary coproducts for the class of acts
+    satisfying ``member(r, act)``: ``is_radical_act`` or ``is_semisimple_act``.
 
     Raises BoundExceeded when not a single pair fits inside the act-size
     bound, since the condition is then unevaluatable."""
-    members = [
-        a for a in universe.acts_over(monoid) if is_radical_act(r, a)
-    ]
+    members = [a for a in universe.acts_over(monoid) if member(r, a)]
     evaluated = 0
     closed = True
     for a in members:
         for b in members:
             if a.size + b.size <= universe.act_max:
                 evaluated += 1
-                if not is_radical_act(r, coproduct(a, b)[0]):
-                    closed = False
-    if evaluated == 0:
-        raise BoundExceeded("no coproduct pair fits inside the act bound")
-    return closed
-
-
-def _semisimple_class_coproduct_closed(universe, r, monoid):
-    members = [
-        a for a in universe.acts_over(monoid) if is_semisimple_act(r, a)
-    ]
-    evaluated = 0
-    closed = True
-    for a in members:
-        for b in members:
-            if a.size + b.size <= universe.act_max:
-                evaluated += 1
-                if not is_semisimple_act(r, coproduct(a, b)[0]):
+                if not member(r, coproduct(a, b)[0]):
                     closed = False
     if evaluated == 0:
         raise BoundExceeded("no coproduct pair fits inside the act bound")
@@ -403,7 +373,7 @@ register(
 
 
 def _t24_conditions(universe, r, monoid):
-    c1 = _radical_class_coproduct_closed(universe, r, monoid)
+    c1 = _class_coproduct_closed(universe, r, monoid, is_radical_act)
     acts = universe.acts_over(monoid)
     c2 = all(
         len(class_system(r.of(a)).blocks) <= 1 for a in acts
@@ -458,7 +428,7 @@ def _enum_t25(universe):
 
 def _holds_t25(universe, parts):
     r, monoid = parts
-    closed = _radical_class_coproduct_closed(universe, r, monoid)
+    closed = _class_coproduct_closed(universe, r, monoid, is_radical_act)
     factor_semisimple = True
     for act in universe.acts_over(monoid):
         for mask in subact_masks(act):
@@ -491,7 +461,7 @@ def _enum_c26(universe):
 
 def _holds_c26(universe, parts):
     r, monoid = parts
-    closed = _radical_class_coproduct_closed(universe, r, monoid)
+    closed = _class_coproduct_closed(universe, r, monoid, is_radical_act)
     target = True
     for act in universe.acts_over(monoid):
         zmask = 0
@@ -527,8 +497,8 @@ def _enum_p26(universe):
     for r in universe.radicals:
         for monoid in universe.monoids:
             try:
-                ss_closed = _semisimple_class_coproduct_closed(
-                    universe, r, monoid
+                ss_closed = _class_coproduct_closed(
+                    universe, r, monoid, is_semisimple_act
                 )
             except BoundExceeded:
                 yield "skip", (r, monoid)
@@ -875,8 +845,8 @@ def _enum_p217(universe):
         zh = classify_radical(r, universe).zero_hereditary
         for monoid in universe.monoids:
             try:
-                closed = _semisimple_class_coproduct_closed(
-                    universe, r, monoid
+                closed = _class_coproduct_closed(
+                    universe, r, monoid, is_semisimple_act
                 )
             except BoundExceeded:
                 yield "skip", (r, monoid)
@@ -1147,7 +1117,7 @@ def _enum_l43(universe):
 def _holds_l43(universe, parts):
     r, tag = parts[0], parts[1]
     if tag == "radical-class":
-        t = _t_of(universe, r)
+        t = lr_induced_radical(r, universe.con_bound)
         flags = classify_radical(t, universe)
         if not flags.kurosh_amitsur:
             return False
@@ -1183,7 +1153,7 @@ def _enum_t44(universe):
 
 def _holds_t44(universe, parts):
     r, act = parts
-    t = _t_of(universe, r)
+    t = lr_induced_radical(r, universe.con_bound)
     return is_r_injective(r, act, universe, "universe") == is_r_injective(
         t, act, universe, "universe"
     )
@@ -1206,7 +1176,7 @@ def _enum_t45(universe):
 
 def _holds_t45(universe, parts):
     r, act = parts
-    return is_semisimple_act(_t_of(universe, r), act)
+    return is_semisimple_act(lr_induced_radical(r, universe.con_bound), act)
 
 
 register(
@@ -1500,7 +1470,9 @@ def _enum_t61(universe):
     for r in universe.radicals:
         for monoid in universe.monoids:
             try:
-                closed = _radical_class_coproduct_closed(universe, r, monoid)
+                closed = _class_coproduct_closed(
+                    universe, r, monoid, is_radical_act
+                )
             except BoundExceeded:
                 yield "skip", (r, monoid)
                 continue

@@ -7,6 +7,7 @@ assert, 2 for usage and parse errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import catalog as cat
@@ -14,7 +15,12 @@ from . import injectivity as inj
 from . import radical as rd
 from . import verifier
 from .congruence import all_congruences
-from .core import ActHom, subact_act_by_mask, subact_from_members
+from .core import (
+    ActHom,
+    is_equivariant,
+    subact_act_by_mask,
+    subact_from_members,
+)
 from .errors import ParseError, RadactError, UnknownTheorem
 from .universe import default_universe
 from .verifier import to_json, to_text, verify_all
@@ -147,10 +153,7 @@ def _require_coverage(radical, universe):
             )
 
 
-def _resolve_act(args, catalog):
-    import os
-
-    spec = args.act
+def _resolve_act(spec, catalog):
     if os.path.exists(spec):
         with open(spec) as fh:
             return cat.parse_act(fh.read(), catalog.monoids)
@@ -170,9 +173,39 @@ def _print_act(act, out):
         print(" ".join(str(v) for v in row), file=out)
 
 
+def _ints(flag, text):
+    try:
+        return [int(tok) for tok in text.split()]
+    except ValueError:
+        raise ParseError(1, f"{flag} takes integers, got {text!r}") from None
+
+
 def _subact_of(act, members_text):
-    members = [int(tok) for tok in members_text.split()]
-    return subact_from_members(act, members)
+    """The subact named by --members: in-range, non-empty, action-closed."""
+    members = _ints("--members", members_text)
+    if not all(0 <= a < act.size for a in members):
+        raise ParseError(1, f"--members {members_text!r} is outside the "
+                            f"{act.size}-point act")
+    try:
+        return subact_from_members(act, members)
+    except ValueError as exc:  # empty or not action-closed
+        raise ParseError(1, f"--members {members_text!r}: {exc}") from None
+
+
+def _map_of(source, target, map_text):
+    """The homomorphism named by --map: one image per source element."""
+    images = tuple(_ints("--map", map_text))
+    if len(images) != source.size:
+        raise ParseError(
+            1, f"--map needs {source.size} images, got {len(images)}"
+        )
+    if not all(0 <= b < target.size for b in images):
+        raise ParseError(
+            1, f"--map {map_text!r} is outside the {target.size}-point act"
+        )
+    if not is_equivariant(source, target, images):
+        raise ParseError(1, f"--map {map_text!r} is not a homomorphism")
+    return ActHom(source, target, images)
 
 
 def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
@@ -197,7 +230,7 @@ def _dispatch(args, out, err) -> int:
     if cmd == "validate":
         catalog = _load_catalog(args)
         if args.act:
-            act = _resolve_act(args, catalog)
+            act = _resolve_act(args.act, catalog)
             print(f"ok act {act.name} over {act.monoid.name} "
                   f"elements={act.size}", file=out)
         else:
@@ -258,7 +291,7 @@ def _dispatch(args, out, err) -> int:
 
     # the remaining commands all need a catalog act
     catalog = _load_catalog(args)
-    act = _resolve_act(args, catalog) if hasattr(args, "act") and args.act \
+    act = _resolve_act(args.act, catalog) if getattr(args, "act", None) \
         else None
 
     if cmd == "congruences":
@@ -318,10 +351,7 @@ def _dispatch(args, out, err) -> int:
         r = _resolve_radical(args, u)
         sub = _subact_of(act, args.members)
         inner, incl = subact_act_by_mask(act, sub.mask)
-        target = cat.parse_act(open(args.into).read(), catalog.monoids) \
-            if _is_path(args.into) else catalog.acts[args.into]
-        images = [int(tok) for tok in args.map.split()]
-        f = ActHom(inner, target, tuple(images))
+        f = _map_of(inner, _resolve_act(args.into, catalog), args.map)
         d, ulab, vlab = inj.transfer_pushout(r, incl, f)
         _print_act(d, out)
         print("u " + " ".join(str(x) for x in ulab.map), file=out)
@@ -329,12 +359,7 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "limit":
-        names = args.acts.split(",")
-        acts = []
-        for name in names:
-            args_act = argparse.Namespace(**vars(args))
-            args_act.act = name
-            acts.append(_resolve_act(args_act, catalog))
+        acts = [_resolve_act(name, catalog) for name in args.acts.split(",")]
         maps = []
         for i, chunk in enumerate(args.maps.split(";")):
             images = tuple(int(tok) for tok in chunk.split())
@@ -347,12 +372,6 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     raise ParseError(1, f"unhandled command {cmd!r}")
-
-
-def _is_path(spec):
-    import os
-
-    return os.path.exists(spec)
 
 
 def main() -> None:

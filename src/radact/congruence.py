@@ -325,12 +325,6 @@ def relation_pairs(chi: Congruence) -> frozenset:
     return frozenset(out)
 
 
-def restrict_congruence(chi: Congruence, sub: Subact) -> Congruence:
-    """chi intersected with the subact, as a congruence of the subact's act."""
-    inner, incl = subact_act(sub)
-    return _make(inner, tuple(chi.index[incl.map[a]] for a in inner.elements))
-
-
 # ---------------------------------------------------------------------------
 # full enumeration
 

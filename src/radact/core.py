@@ -1,14 +1,17 @@
 """Finite monoids, acts over them, equivariant maps and elementary constructions.
 
 Carriers are index sets 0..size-1.  Every structure is immutable and hashable,
-so results of the more expensive operations are memoised on the values
-themselves.  Element sets are passed around as bitmasks in the hot paths.
+so results that depend only on these values are memoised in value-keyed
+``lru_cache``s, shared by every universe in the process.  Results that depend
+on a ``Universe`` or a ``Radical`` are memoised on that object (see
+``memo_on``), so they are freed together with it.
+Element sets are passed around as bitmasks in the hot paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import permutations
 
 from .errors import (
@@ -19,6 +22,29 @@ from .errors import (
     NotAssociative,
     NotDisjoint,
 )
+
+
+_MISSING = object()
+
+
+def memo_on(owner: int):
+    """Memoise a function in the ``memo`` dict of its ``owner``-th positional
+    argument, keyed by the function and the other arguments, so that entries
+    live exactly as long as that argument.  Call the result positionally."""
+
+    def decorate(fn):
+        @wraps(fn)
+        def memoised(*args):
+            memo = args[owner].memo
+            key = (fn, args[:owner] + args[owner + 1:])
+            got = memo.get(key, _MISSING)
+            if got is _MISSING:
+                got = memo[key] = fn(*args)
+            return got
+
+        return memoised
+
+    return decorate
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .core import (
     cyclic_mask,
     find_isomorphism,
     mask_members,
+    memo_on,
     product,
     relabel,
     subact_act_by_mask,
@@ -55,7 +56,9 @@ class ClassOracle:
 
 
 class Radical:
-    """Assignment act -> congruence; evaluation is memoised per act."""
+    """Assignment act -> congruence.  Results that depend on the radical are
+    memoised on it: congruences and closures in inline tables (the hot
+    paths), everything else in ``memo``."""
 
     def __init__(self, name, kind, *, oracle=None, table=None,
                  con_bound=cg.CON_BOUND_DEFAULT):
@@ -70,16 +73,17 @@ class Radical:
         self.oracle = oracle
         self.table = dict(table) if table else None
         self.con_bound = con_bound
-        self._cache = {}
+        self._of = {}
+        self._closure = {}
+        self.memo = {}
 
     def __repr__(self):
         return f"Radical({self.name!r}, {self.kind})"
 
     def of(self, act: FiniteAct) -> Congruence:
-        got = self._cache.get(act)
+        got = self._of.get(act)
         if got is None:
-            got = self._compute(act)
-            self._cache[act] = got
+            got = self._of[act] = self._compute(act)
         return got
 
     def _compute(self, act):
@@ -191,10 +195,11 @@ def in_Lr(r: Radical, act: FiniteAct) -> bool:
     return bool(zeros(act)) and is_radical_act(r, act)
 
 
-def lr_induced_radical(base: Radical, name=None,
-                       con_bound=cg.CON_BOUND_DEFAULT) -> Radical:
-    """The Kurosh-Amitsur radical induced by the dense-factor class of ``base``:
-    semisimple acts are those with no non-trivial subact in that class."""
+@memo_on(0)
+def lr_induced_radical(base: Radical, con_bound: int) -> Radical:
+    """The Kurosh-Amitsur radical ``t_L<base>`` induced by the dense-factor
+    class of ``base``: semisimple acts are those with no non-trivial subact in
+    that class.  Built once per base radical and bound."""
 
     def membership(act):
         for mask in subact_masks(act):
@@ -205,7 +210,7 @@ def lr_induced_radical(base: Radical, name=None,
                 return False
         return True
 
-    return induced_radical(name or f"t_L{base.name}", membership, con_bound)
+    return induced_radical(f"t_L{base.name}", membership, con_bound)
 
 
 def coproduct_closed_radical_class(r: Radical, monoid) -> bool:
@@ -262,8 +267,8 @@ def verify_semisimple_class(membership, universe):
 def closure_mask(r: Radical, act: FiniteAct, mask: int) -> int:
     """Preimage, under collapsing the subact, of the radical class of the
     collapsed point."""
-    key = (r, act, mask)
-    got = _closure_cache.get(key)
+    key = (act, mask)
+    got = r._closure.get(key)
     if got is not None:
         return got
     quo, pi = collapse_subact(act, mask)
@@ -273,11 +278,8 @@ def closure_mask(r: Radical, act: FiniteAct, mask: int) -> int:
     for a in act.elements:
         if rq.index[pi.map[a]] == zclass:
             out |= 1 << a
-    _closure_cache[key] = out
+    r._closure[key] = out
     return out
-
-
-_closure_cache = {}
 
 
 def closure(r: Radical, act: FiniteAct, sub: Subact) -> Subact:
@@ -317,19 +319,12 @@ def density_equivalent(r: Radical, act: FiniteAct, sub) -> bool:
     return is_radical_act(r, quo)
 
 
+@memo_on(0)
 def dense_subact_masks(r: Radical, act: FiniteAct) -> tuple[int, ...]:
-    key = (r, act)
-    got = _dense_cache.get(key)
-    if got is None:
-        got = tuple(
-            m for m in subact_masks(act)
-            if closure_mask(r, act, m) == act.full_mask()
-        )
-        _dense_cache[key] = got
-    return got
-
-
-_dense_cache = {}
+    return tuple(
+        m for m in subact_masks(act)
+        if closure_mask(r, act, m) == act.full_mask()
+    )
 
 
 def intersection_large(act: FiniteAct, sub: Subact) -> bool:
@@ -370,12 +365,9 @@ class RadicalTaxonomy:
         return {name: getattr(self, name) for name in self.FLAG_NAMES}
 
 
+@memo_on(1)
 def classify_radical(r: Radical, universe) -> RadicalTaxonomy:
     """Evaluate the taxonomy flags of a radical over every act of a universe."""
-    key = (r, universe)
-    got = _taxonomy_cache.get(key)
-    if got is not None:
-        return got
     hereditary = True
     pre_hereditary = True
     weakly_hereditary = True
@@ -414,7 +406,7 @@ def classify_radical(r: Radical, universe) -> RadicalTaxonomy:
                         pre_hereditary = False
                         if ymask & local_zeros:
                             zero_hereditary = False
-    got = RadicalTaxonomy(
+    return RadicalTaxonomy(
         r.name,
         hereditary,
         pre_hereditary,
@@ -423,8 +415,3 @@ def classify_radical(r: Radical, universe) -> RadicalTaxonomy:
         pre_kurosh,
         kurosh_amitsur,
     )
-    _taxonomy_cache[key] = got
-    return got
-
-
-_taxonomy_cache = {}

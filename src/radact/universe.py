@@ -159,7 +159,10 @@ def enumerate_acts(monoid: FiniteMonoid, max_size: int) -> tuple[FiniteAct, ...]
 
 
 class Universe:
-    """Catalog of monoids and acts within bounds, plus registered radicals."""
+    """Catalog of monoids and acts within bounds, plus registered radicals.
+
+    ``memo`` holds the results computed over this universe (taxonomy flags,
+    injectivity decisions, hull searches); see ``core.memo_on``."""
 
     def __init__(self, monoid_max=3, act_max=4, hull_bound=6,
                  con_bound=CON_BOUND_DEFAULT):
@@ -175,6 +178,7 @@ class Universe:
             a for m in self.monoids for a in self._acts_by_monoid[m]
         )
         self.radicals = []
+        self.memo = {}
         self._members = {}
         for m in self.monoids:
             for a in self._acts_by_monoid[m]:
@@ -225,5 +229,5 @@ def default_universe(monoid_max=3, act_max=4, hull_bound=6,
     u.register_radical(rd.delta_radical())
     u.register_radical(rd.nabla_radical())
     rg = u.register_radical(rd.rg_radical())
-    u.register_radical(rd.lr_induced_radical(rg, "t_LrG", con_bound))
+    u.register_radical(rd.lr_induced_radical(rg, con_bound))
     return u

@@ -241,11 +241,6 @@ def _ensure_registered():
         from . import checkers  # noqa: F401  (registers on import)
 
 
-def registered_ids() -> list[str]:
-    _ensure_registered()
-    return list(AXIOMS) + list(THEOREMS)
-
-
 def verify(theorem_id: str, universe) -> TheoremReport:
     _ensure_registered()
     table = THEOREMS if theorem_id in THEOREMS else AXIOMS

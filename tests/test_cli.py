@@ -127,6 +127,22 @@ def test_pushout_command(catalog_dir):
     assert lines[-2].startswith("u ") and lines[-1].startswith("v ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["closure", "--members", "x"],
+    ["closure", "--members", "0"],  # not action-closed in R2
+    ["closure", "--members", "5"],
+    ["dense", "--members", "5"],
+    ["pushout", "--members", "1", "--into", "R2", "--map", "7"],
+])
+def test_malformed_subact_or_map_is_usage_error(catalog_dir, argv):
+    code, out, err = invoke(
+        argv + ["--seed-catalog", catalog_dir, "--act", "R2"] + SMALL
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_limit_command(catalog_dir):
     code, out, _ = invoke(
         ["limit", "--seed-catalog", catalog_dir, "--acts", "R2,R2",

@@ -116,6 +116,11 @@ def test_lr_induced_matches_rg(U, rg):
         assert t.of(act) == rg.of(act)
 
 
+def test_lr_induced_from_rg_is_the_registered_t_lrg(U):
+    t = lr_induced_radical(U.radical("rG"), U.con_bound)
+    assert t is U.radical("t_LrG")
+
+
 def test_extensional_lookup_through_isomorphism(R2, rg):
     table = {R2: rg.of(R2)}
     r = extensional_radical("table", table)
@@ -220,7 +225,7 @@ def test_coproduct_closed_radical_class(U, E2):
 def test_dense_masks_are_cached_and_sound(U, rg):
     for act in U.acts[:20]:
         masks = dense_subact_masks(rg, act)
-        assert masks == dense_subact_masks(rg, act)
+        assert dense_subact_masks(rg, act) is masks
         for m in masks:
             assert closure_mask(rg, act, m) == act.full_mask()
 
@@ -233,7 +238,7 @@ def test_duplicate_radical_name_rejected(U):
 def test_lr_induced_radical_over_nabla_differs(U, T1):
     from radact.core import zeros
 
-    t = lr_induced_radical(U.radical("nabla"), "t_nabla", U.con_bound)
+    t = lr_induced_radical(U.radical("nabla"), U.con_bound)
     two = validate_act(T1, [[0, 1]])
     assert t.of(two) == total(two)  # both points are zeros
     zero_free = [a for a in U.acts if a.size == 2 and not zeros(a)]

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -144,6 +146,18 @@ def test_tiny_bounds_statuses():
     assert any(
         r["status"] == "skipped-out-of-bounds" for r in doc["results"]
     )
+
+
+def test_universe_and_radicals_freed_after_verify():
+    # memoised results live on their universe and radicals, so nothing
+    # module-level keeps them alive once the caller lets go
+    u = default_universe(monoid_max=1, act_max=3, hull_bound=3)
+    doc = verifier.verify_all(u)
+    assert doc["summary"]["violated"] == 0
+    refs = [weakref.ref(u)] + [weakref.ref(r) for r in u.radicals]
+    del u, doc
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_radical_table_parsing_feeds_verifier(small, tmp_path):
