@@ -68,7 +68,7 @@ from .injectivity import (
     r_injective_hull,
     skornjakov_injective,
     transfer_pushout,
-    _extends_along,
+    _maps_extend,
 )
 from .radical import (
     classify_radical,
@@ -1534,15 +1534,13 @@ register(
 
 
 def _large_cyclic_criterion(universe, r, q):
-    for cyc in universe.cyclic_acts(q.monoid):
-        for mask in dense_subact_masks(r, cyc):
-            if not is_large(cyc, mask, universe.con_bound):
-                continue
-            sub, _ = subact_act_by_mask(cyc, mask)
-            for f in all_homs(sub, q):
-                if not _extends_along(q, cyc, mask, f):
-                    return False
-    return True
+    return all(
+        _maps_extend(q, cyc, (
+            m for m in dense_subact_masks(r, cyc)
+            if is_large(cyc, m, universe.con_bound)
+        ))
+        for cyc in universe.cyclic_acts(q.monoid)
+    )
 
 
 def _holds_c63(universe, parts):
@@ -1572,25 +1570,9 @@ def _enum_t65(universe):
 def _holds_t65(universe, parts):
     r, act = parts
     reg = left_regular_act(act.monoid)
-    lhs = True
-    for mask in subact_masks(reg):
-        sub, _ = subact_act_by_mask(reg, mask)
-        for f in all_homs(sub, act):
-            if not _extends_along(act, reg, mask, f):
-                lhs = False
-                break
-        if not lhs:
-            break
     target, _ = quotient(reg, r.of(reg))
-    rhs = True
-    for mask in subact_masks(target):
-        sub, _ = subact_act_by_mask(target, mask)
-        for f in all_homs(sub, act):
-            if not _extends_along(act, target, mask, f):
-                rhs = False
-                break
-        if not rhs:
-            break
+    lhs = _maps_extend(act, reg, subact_masks(reg))
+    rhs = _maps_extend(act, target, subact_masks(target))
     return lhs == rhs
 
 

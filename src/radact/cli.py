@@ -192,20 +192,38 @@ def _subact_of(act, members_text):
         raise ParseError(1, f"--members {members_text!r}: {exc}") from None
 
 
-def _map_of(source, target, map_text):
-    """The homomorphism named by --map: one image per source element."""
-    images = tuple(_ints("--map", map_text))
+def _map_of(source, target, map_text, flag="--map"):
+    """The homomorphism named by a map flag: one image per source element."""
+    images = tuple(_ints(flag, map_text))
     if len(images) != source.size:
         raise ParseError(
-            1, f"--map needs {source.size} images, got {len(images)}"
+            1, f"{flag} needs {source.size} images, got {len(images)}"
         )
     if not all(0 <= b < target.size for b in images):
         raise ParseError(
-            1, f"--map {map_text!r} is outside the {target.size}-point act"
+            1, f"{flag} {map_text!r} is outside the {target.size}-point act"
         )
     if not is_equivariant(source, target, images):
-        raise ParseError(1, f"--map {map_text!r} is not a homomorphism")
+        raise ParseError(1, f"{flag} {map_text!r} is not a homomorphism")
     return ActHom(source, target, images)
+
+
+def _chain_of(acts, maps_text):
+    """The chain named by --maps: one injective link between consecutive
+    acts."""
+    chunks = maps_text.split(";") if maps_text.strip() else []
+    if len(chunks) != len(acts) - 1:
+        raise ParseError(
+            1, f"--maps needs {len(acts) - 1} links for {len(acts)} acts, "
+               f"got {len(chunks)}"
+        )
+    links = []
+    for i, chunk in enumerate(chunks):
+        link = _map_of(acts[i], acts[i + 1], chunk, "--maps")
+        if not link.is_injective():
+            raise ParseError(1, f"--maps link {chunk!r} is not injective")
+        links.append(link)
+    return inj.DirectedChain(tuple(acts), tuple(links))
 
 
 def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
@@ -360,11 +378,7 @@ def _dispatch(args, out, err) -> int:
 
     if cmd == "limit":
         acts = [_resolve_act(name, catalog) for name in args.acts.split(",")]
-        maps = []
-        for i, chunk in enumerate(args.maps.split(";")):
-            images = tuple(int(tok) for tok in chunk.split())
-            maps.append(ActHom(acts[i], acts[i + 1], images))
-        chain = inj.DirectedChain(tuple(acts), tuple(maps))
+        chain = _chain_of(acts, args.maps)
         limit, legs = inj.direct_limit(chain)
         _print_act(limit, out)
         for i, leg in enumerate(legs):

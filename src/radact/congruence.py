@@ -354,12 +354,25 @@ def all_congruences(act: FiniteAct, bound: int = CON_BOUND_DEFAULT) -> tuple[Con
 
 
 def is_essential(chi: Congruence, bound: int = CON_BOUND_DEFAULT) -> bool:
-    """Does chi meet every non-diagonal congruence non-trivially?"""
-    for theta in all_congruences(chi.act, bound):
-        if theta.is_diagonal():
-            continue
-        if not meets_nontrivially(chi, theta):
-            return False
+    """Does chi meet every non-diagonal congruence non-trivially?
+
+    Only principal congruences are tested.  Every non-diagonal congruence
+    contains some principal theta(a, b) with a != b, and meets are monotone,
+    so chi meets every non-diagonal congruence non-trivially iff it meets
+    every such theta(a, b) non-trivially.  When chi already relates a and b
+    the meet contains (a, b), so only the pairs chi separates are built.
+    Acts above the bound raise SizeBound, which marks an instance skipped.
+    """
+    act = chi.act
+    if act.size > bound:
+        raise SizeBound(f"carrier {act.size} exceeds lattice bound {bound}")
+    for a in act.elements:
+        for b in range(a + 1, act.size):
+            if chi.same(a, b):
+                continue
+            theta = generated_congruence(act, [(a, b)])
+            if not meets_nontrivially(chi, theta):
+                return False
     return True
 
 

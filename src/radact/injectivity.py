@@ -82,7 +82,11 @@ def collectively_large(act: FiniteAct, family, bound: int = 7) -> bool:
 def collectively_large_by_homs(act: FiniteAct, family, bound: int = 7) -> bool:
     """Definition-level test: every map injective on each family member is
     injective.  Quantifying over quotients of the act is exhaustive, since
-    every homomorphism factors through its kernel."""
+    every homomorphism factors through its kernel.
+
+    Deliberately built on the full congruence lattice, not on principal
+    congruences: it is the oracle that checker T3.4 compares
+    ``collectively_large`` (and so ``is_essential``) against."""
     masks = [s.mask if isinstance(s, Subact) else int(s) for s in family]
     for chi in all_congruences(act, bound):
         if chi.is_diagonal():
@@ -98,7 +102,11 @@ def _injective_on(chi: Congruence, mask: int) -> bool:
 
 
 def is_essential_mono(f: ActHom, bound: int = 7) -> bool:
-    """Monomorphism along which injectivity reflects, tested via quotients."""
+    """Monomorphism along which injectivity reflects, tested via quotients.
+
+    Deliberately built on the full congruence lattice, not on principal
+    congruences: it is the oracle that checker C3.5 compares ``is_essential``
+    of the image's Rees congruence against."""
     if not f.is_injective():
         return False
     for chi in all_congruences(f.target, bound):
@@ -276,12 +284,21 @@ def _extends_along(Q: FiniteAct, big: FiniteAct, mask: int, f: ActHom) -> bool:
 
 def _maps_extend(Q: FiniteAct, big: FiniteAct, masks) -> bool:
     """Does every map into Q from each of the subacts of big (given as masks)
-    extend to big?"""
+    extend to big?
+
+    A map from a subact extends exactly when it is the restriction of some
+    map big -> Q.  So the maps big -> Q are listed once, and each map from a
+    subact is looked up in the set of their restrictions to it, instead of
+    running one extension search per map."""
+    homs = None
     for mask in masks:
+        if homs is None:
+            homs = all_homs(big, Q)
+        members = mask_members(mask)
+        restrictions = {tuple(h.map[a] for a in members) for h in homs}
         sub, _ = subact_act_by_mask(big, mask)
-        for f in all_homs(sub, Q):
-            if not _extends_along(Q, big, mask, f):
-                return False
+        if any(f.map not in restrictions for f in all_homs(sub, Q)):
+            return False
     return True
 
 

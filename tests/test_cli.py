@@ -143,6 +143,34 @@ def test_malformed_subact_or_map_is_usage_error(catalog_dir, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("maps", [
+    "0 1;0 1",  # two links for a two-act chain
+    "1 1",  # a homomorphism, but not injective
+    "0 5",  # outside the target
+    "1 0",  # not a homomorphism
+    "0",  # too few images
+    "0 x",  # not an integer
+])
+def test_malformed_limit_maps_is_usage_error(catalog_dir, maps):
+    code, out, err = invoke(
+        ["limit", "--seed-catalog", catalog_dir, "--acts", "R2,R2",
+         "--maps", maps] + SMALL
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_limit_of_a_single_act(catalog_dir):
+    code, out, _ = invoke(
+        ["limit", "--seed-catalog", catalog_dir, "--acts", "R2",
+         "--maps", ""] + SMALL
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "elements 2"
+    assert "leg0 0 1" in out
+
+
 def test_limit_command(catalog_dir):
     code, out, _ = invoke(
         ["limit", "--seed-catalog", catalog_dir, "--acts", "R2,R2",

@@ -1,4 +1,4 @@
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 import pytest
 
@@ -14,6 +14,7 @@ from radact.congruence import (
     kernel,
     maximal_complement,
     meet,
+    meets_nontrivially,
     parse_partition,
     pull_congruence,
     push_congruence,
@@ -32,7 +33,8 @@ from radact.core import (
     subact_masks,
     validate_act,
 )
-from radact.errors import ActMismatch, NotDisjoint, SizeBound
+from radact.errors import ActMismatch, BoundExceeded, NotDisjoint, SizeBound
+from radact.injectivity import extension_acts, injective_hull
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +239,51 @@ def test_is_essential(T1, A3):
     assert is_essential(diagonal(one))  # vacuous: no other congruence
     assert not is_essential(parse_partition(A3, "0 1 | 2"))
     assert is_essential(total(A3))
+
+
+def _is_essential_by_lattice(chi, bound=7):
+    """Definition-level oracle: chi meets every non-diagonal congruence of
+    the full lattice non-trivially."""
+    return all(
+        meets_nontrivially(chi, theta)
+        for theta in all_congruences(chi.act, bound)
+        if not theta.is_diagonal()
+    )
+
+
+def _assert_essential_agrees(act, bound):
+    for chi in all_congruences(act, bound):
+        expected = _is_essential_by_lattice(chi, bound)
+        assert is_essential(chi, bound) == expected, (act, str(chi))
+
+
+def test_is_essential_matches_lattice_on_universe(U):
+    for act in U.acts:
+        _assert_essential_agrees(act, U.con_bound)
+
+
+def test_is_essential_matches_lattice_on_hull_candidates(U):
+    # hull search tests largeness on extensions of up to 6 points: check the
+    # first candidates of each monoid and every hull found at those sizes
+    for monoid in U.monoids:
+        base = max(U.acts_over(monoid), key=lambda a: a.size)
+        for size in (5, 6):
+            for ext in islice(extension_acts(base, size), 4):
+                _assert_essential_agrees(ext, U.con_bound)
+    for act in U.acts:
+        try:
+            hull = injective_hull(act, U.hull_bound, U).target
+        except BoundExceeded:
+            continue
+        if hull.size >= 5:
+            _assert_essential_agrees(hull, U.con_bound)
+
+
+def test_is_essential_respects_size_bound(T1):
+    big = validate_act(T1, [list(range(4))])
+    with pytest.raises(SizeBound):
+        is_essential(total(big), 3)
+    assert is_essential(total(big), 4)
 
 
 def test_maximal_complement_edges(A3, R2):

@@ -4,6 +4,7 @@ from radact.congruence import parse_partition, total
 from radact.core import (
     ActHom,
     Subact,
+    all_homs,
     coproduct,
     find_isomorphism,
     identity_hom,
@@ -36,6 +37,8 @@ from radact.injectivity import (
     r_injective_hull,
     skornjakov_injective,
     transfer_pushout,
+    _extends_along,
+    _maps_extend,
 )
 from radact.radical import extensional_radical, is_r_dense, is_r_mono, rg_radical
 from radact.universe import default_universe
@@ -203,6 +206,25 @@ def test_injectivity_cross_checks(U):
             expected = is_injective(act, U)
             assert skornjakov_injective(act, U) == expected
             assert is_r_injective(nabla, act, U, "universe") == expected
+
+
+def test_maps_extend_matches_per_map_search(U):
+    """The restriction-set lookup agrees with one extension search per map,
+    mask by mask and over all masks at once, along the cyclic acts and every
+    other universe act."""
+    for Q in U.acts:
+        bigs = set(U.cyclic_acts(Q.monoid)) | set(U.acts_over(Q.monoid))
+        for big in bigs:
+            masks = subact_masks(big)
+            per_mask = []
+            for mask in masks:
+                sub, _ = subact_act_by_mask(big, mask)
+                expected = all(
+                    _extends_along(Q, big, mask, f) for f in all_homs(sub, Q)
+                )
+                assert _maps_extend(Q, big, [mask]) == expected, (Q, big, mask)
+                per_mask.append(expected)
+            assert _maps_extend(Q, big, masks) == all(per_mask)
 
 
 def test_delta_injectivity_universe_mode(U):
