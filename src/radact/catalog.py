@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 
-from .congruence import Congruence, parse_partition
+from .congruence import parse_partition
 from .core import FiniteAct, FiniteMonoid, validate_act, validate_monoid
 from .errors import CatalogValidationError, ParseError, RadactError
 from .radical import Radical, extensional_radical

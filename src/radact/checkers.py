@@ -17,7 +17,6 @@ from __future__ import annotations
 from .congruence import (
     all_congruences,
     class_system,
-    congruence_from_index,
     is_essential,
     is_rees,
     join,
@@ -41,6 +40,7 @@ from .core import (
     is_closed_mask,
     left_regular_act,
     mask_members,
+    members_mask,
     product,
     relabel,
     subact_act_by_mask,
@@ -54,7 +54,6 @@ from .injectivity import (
     collectively_large,
     collectively_large_by_homs,
     direct_limit,
-    hom_extensions,
     injective_hull,
     is_essential_mono,
     is_injective,
@@ -82,6 +81,7 @@ from .radical import (
     is_radical_act,
     is_semisimple_act,
     lr_induced_radical,
+    RadicalTaxonomy,
 )
 from .verifier import register
 
@@ -98,6 +98,29 @@ def _pairs(universe):
     for r in universe.radicals:
         for act in universe.acts:
             yield r, act
+
+
+def _enum_radicals(universe):
+    for r in universe.radicals:
+        yield "inst", (r,)
+
+
+def _enum_pairs(universe):
+    for r, act in _pairs(universe):
+        yield "inst", (r, act)
+
+
+def _enum_pair_subacts(universe):
+    for r, act in _pairs(universe):
+        for mask in subact_masks(act):
+            yield "inst", (r, act, mask)
+
+
+def _enum_ka_monoid(universe):
+    for r in universe.radicals:
+        ka = classify_radical(r, universe).kurosh_amitsur
+        for monoid in universe.monoids:
+            yield ("inst" if ka else "filtered"), (r, monoid)
 
 
 def _extensions(universe, base):
@@ -183,11 +206,6 @@ register(
 )
 
 
-def _enum_h2(universe):
-    for r, act in _pairs(universe):
-        yield "inst", (r, act)
-
-
 def _holds_h2(universe, parts):
     r, act = parts
     quo, _ = quotient(act, r.of(act))
@@ -197,7 +215,7 @@ def _holds_h2(universe, parts):
 register(
     "AX-H2",
     "the radical of the factor by the radical congruence is the diagonal",
-    _enum_h2,
+    _enum_pairs,
     _holds_h2,
     axiom=True,
 )
@@ -205,11 +223,6 @@ register(
 
 # ---------------------------------------------------------------------------
 # section 1
-
-
-def _enum_r11(universe):
-    for r, act in _pairs(universe):
-        yield "inst", (r, act)
 
 
 def _holds_r11(universe, parts):
@@ -236,7 +249,7 @@ register(
     "R1.1",
     "non-trivial radical subacts sit inside radical classes, and classes "
     "containing subacts are subacts",
-    _enum_r11,
+    _enum_pairs,
     _holds_r11,
 )
 
@@ -326,7 +339,8 @@ def _enum_l22(universe):
 
 def _holds_l22(universe, parts):
     r, act, mask, chi = parts
-    ext = smallest_extension(chi, _sub(act, mask))
+    _, incl = subact_act_by_mask(act, mask)
+    ext = smallest_extension(chi, incl)
     quo, pi = quotient(act, ext)
     image = 0
     for x in mask_members(mask):
@@ -381,9 +395,7 @@ def _t24_conditions(universe, r, monoid):
     c3 = coproduct_closed_radical_class(r, monoid)
     c4 = True
     for a in acts:
-        zmask = 0
-        for z in zeros(a):
-            zmask |= 1 << z
+        zmask = members_mask(zeros(a))
         for m in subact_masks(a):
             if zmask & ~closure_mask(r, a, m):
                 c4 = False
@@ -391,13 +403,6 @@ def _t24_conditions(universe, r, monoid):
         if not c4:
             break
     return c1, c2, c3, c4
-
-
-def _enum_t24(universe):
-    for r in universe.radicals:
-        ka = classify_radical(r, universe).kurosh_amitsur
-        for monoid in universe.monoids:
-            yield ("inst" if ka else "filtered"), (r, monoid)
 
 
 def _holds_t24(universe, parts):
@@ -410,7 +415,7 @@ register(
     "four equivalent faces of coproduct closure of the radical class: "
     "closure itself, at most one radical class plus a non-trivial radical "
     "act, the doubled point act being radical, and closures absorbing zeros",
-    _enum_t24,
+    _enum_ka_monoid,
     _holds_t24,
 )
 
@@ -452,21 +457,12 @@ register(
 )
 
 
-def _enum_c26(universe):
-    for r in universe.radicals:
-        ka = classify_radical(r, universe).kurosh_amitsur
-        for monoid in universe.monoids:
-            yield ("inst" if ka else "filtered"), (r, monoid)
-
-
 def _holds_c26(universe, parts):
     r, monoid = parts
     closed = _class_coproduct_closed(universe, r, monoid, is_radical_act)
     target = True
     for act in universe.acts_over(monoid):
-        zmask = 0
-        for z in zeros(act):
-            zmask |= 1 << z
+        zmask = members_mask(zeros(act))
         ra = r.of(act)
         good = False
         for m in subact_masks(act):
@@ -488,7 +484,7 @@ register(
     "C2.6",
     "coproduct closure of the radical class amounts to every act having a "
     "radical subact that holds all zeros and generates the radical congruence",
-    _enum_c26,
+    _enum_ka_monoid,
     _holds_c26,
 )
 
@@ -530,18 +526,9 @@ register(
 )
 
 
-_EXPECTED_EDGES = (
-    ("hereditary", "pre_hereditary"),
-    ("pre_hereditary", "zero_hereditary"),
-    ("zero_hereditary", "weakly_hereditary"),
-    ("kurosh_amitsur", "pre_kurosh"),
-    ("pre_kurosh", "weakly_hereditary"),
-)
-
-
 def _enum_d27(universe):
     for r in universe.radicals:
-        for src, dst in _EXPECTED_EDGES:
+        for src, dst in RadicalTaxonomy.EXPECTED_EDGES:
             yield "inst", (r, src, dst)
 
 
@@ -578,11 +565,6 @@ def _closure_weakly_hereditary(universe, r):
     return True
 
 
-def _enum_t28(universe):
-    for r in universe.radicals:
-        yield "inst", (r,)
-
-
 def _holds_t28(universe, parts):
     (r,) = parts
     return (
@@ -595,7 +577,7 @@ register(
     "T2.8",
     "the closure operator is weakly hereditary exactly when the radical is, "
     "with both sides evaluated independently",
-    _enum_t28,
+    _enum_radicals,
     _holds_t28,
 )
 
@@ -647,9 +629,10 @@ register(
 )
 
 
-def _captures(r, big, emb, chi_ext):
-    """Do all embedded points land in one radical class of big/chi_ext?"""
-    quo, pi = quotient(big, chi_ext)
+def _captures(r, emb, chi):
+    """Do all embedded points land in one radical class of the target modulo
+    the smallest extension of chi (a congruence of the source) along emb?"""
+    quo, pi = quotient(emb.target, smallest_extension(chi, emb))
     rq = r.of(quo)
     labels = {rq.index[pi.map[emb.map[x]]] for x in emb.source.elements}
     return len(labels) == 1
@@ -666,23 +649,11 @@ def _holds_l211(universe, parts):
     # existential; the content is that a universe witness forces the hull
     r, base, chi = parts
     hull_emb = _hull_embedding(universe, base)
-    lhs = _captures(r, hull_emb.target, hull_emb, _push_chi(chi, hull_emb))
-    if lhs:
+    if _captures(r, hull_emb, chi):
         return True
     return not any(
-        _captures(r, emb.target, emb, _push_chi(chi, emb))
-        for emb in _extensions(universe, base)
+        _captures(r, emb, chi) for emb in _extensions(universe, base)
     )
-
-
-def _push_chi(chi, emb):
-    """Smallest extension along an embedding of a congruence on the source."""
-    index = list(emb.target.elements)
-    for block in chi.blocks:
-        rep = emb.map[block[0]]
-        for x in block:
-            index[emb.map[x]] = rep
-    return congruence_from_index(emb.target, index, check=False)
 
 
 register(
@@ -692,12 +663,6 @@ register(
     _enum_l211,
     _holds_l211,
 )
-
-
-def _enum_t212(universe):
-    for r, base in _pairs(universe):
-        for cmask in subact_masks(base):
-            yield "inst", (r, base, cmask)
 
 
 def _captured_in_some_extension(universe, r, base, cmask):
@@ -724,14 +689,9 @@ register(
     "T2.12",
     "an act lies in the closure of a subact inside its hull exactly when it "
     "does so inside some extension",
-    _enum_t212,
+    _enum_pair_subacts,
     _holds_t212,
 )
-
-
-def _enum_p213(universe):
-    for r in universe.radicals:
-        yield "inst", (r,)
 
 
 def _holds_p213(universe, parts):
@@ -763,7 +723,7 @@ register(
     "P2.13",
     "zero-heredity coincides with density being detectable in some "
     "extension (bounded-universe verification)",
-    _enum_p213,
+    _enum_radicals,
     _holds_p213,
 )
 
@@ -1008,12 +968,6 @@ register(
 )
 
 
-def _enum_d39(universe):
-    for r, act in _pairs(universe):
-        for mask in subact_masks(act):
-            yield "inst", (r, act, mask)
-
-
 def _holds_d39(universe, parts):
     r, act, mask = parts
     sub, incl = subact_act_by_mask(act, mask)
@@ -1027,7 +981,7 @@ register(
     "D3.9",
     "an embedding is large-and-dense exactly when its extension record "
     "says so",
-    _enum_d39,
+    _enum_pair_subacts,
     _holds_d39,
 )
 
@@ -1063,11 +1017,6 @@ register(
 # section 4
 
 
-def _enum_d41(universe):
-    for r, act in _pairs(universe):
-        yield "inst", (r, act)
-
-
 def _holds_d41(universe, parts):
     r, act = parts
     if is_orthogonal_r_injective(r, act, universe):
@@ -1078,7 +1027,7 @@ def _holds_d41(universe, parts):
 register(
     "D4.1",
     "orthogonal relative injectivity implies relative injectivity",
-    _enum_d41,
+    _enum_pairs,
     _holds_d41,
 )
 
@@ -1146,11 +1095,6 @@ register(
 )
 
 
-def _enum_t44(universe):
-    for r, act in _pairs(universe):
-        yield "inst", (r, act)
-
-
 def _holds_t44(universe, parts):
     r, act = parts
     t = lr_induced_radical(r, universe.con_bound)
@@ -1163,7 +1107,7 @@ register(
     "T4.4",
     "injectivity relative to a radical coincides with injectivity relative "
     "to the radical induced by its dense-factor class",
-    _enum_t44,
+    _enum_pairs,
     _holds_t44,
 )
 
@@ -1200,21 +1144,14 @@ def _enum_t46(universe):
 
 
 def _holds_t46(universe, parts):
+    # the (map, extension) pairs along the inclusion are exactly (h|sub, h)
+    # for the maps h: big -> q
     r, big, mask, q = parts
-    sub, _ = subact_act_by_mask(big, mask)
     members = mask_members(mask)
-    for f in all_homs(sub, q):
-        fmask = 0
-        for x in f.map:
-            fmask |= 1 << x
-        cap = closure_mask(r, q, fmask)
-        partial = {members[i]: f.map[i] for i in range(len(members))}
-        for ext in hom_extensions(q, big, partial):
-            out = 0
-            for x in ext:
-                out |= 1 << x
-            if out & ~cap:
-                return False
+    for h in all_homs(big, q):
+        fmask = members_mask(h.map[a] for a in members)
+        if h.image_mask() & ~closure_mask(r, q, fmask):
+            return False
     return True
 
 
@@ -1645,24 +1582,12 @@ def _t73_conditions(universe, r):
         for chi in all_congruences(base, universe.con_bound):
             quo, _ = quotient(base, chi)
             lhs = is_radical_act(r, quo)
-            rhs = False
-            for emb in _extensions(universe, base):
-                ext_chi = _push_chi(chi, emb)
-                if _captures(r, emb.target, emb, ext_chi):
-                    rhs = True
-                    break
+            rhs = any(
+                _captures(r, emb, chi) for emb in _extensions(universe, base)
+            )
             if not rhs:
                 try:
-                    hull_emb = _hull_embedding(universe, base)
-                    rhs = _captures(
-                        r,
-                        hull_emb.target,
-                        hull_emb,
-                        smallest_extension(
-                            chi,
-                            _sub(hull_emb.target, (1 << base.size) - 1),
-                        ),
-                    )
+                    rhs = _captures(r, _hull_embedding(universe, base), chi)
                 except BoundExceeded:
                     pass
             if lhs != rhs:

@@ -298,13 +298,7 @@ def _dispatch(args, out, err) -> int:
                 out.write(to_text(doc))
             else:
                 for rep in doc["results"]:
-                    line = (
-                        f"{rep['theorem_id']:<10} {rep['status']:<22}"
-                        f" checked={rep['instances_checked']}"
-                        f" filtered={rep['hypothesis_filtered']}"
-                        f" skipped={rep['instances_skipped']}"
-                    )
-                    print(line, file=out)
+                    print(verifier.report_line(rep), file=out)
         return 1 if violated else 0
 
     # the remaining commands all need a catalog act

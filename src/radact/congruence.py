@@ -13,7 +13,6 @@ from .core import (
     is_closed_mask,
     mask_members,
     members_mask,
-    subact_act,
 )
 from .errors import ActMismatch, NotDisjoint, SizeBound
 
@@ -261,17 +260,18 @@ def class_system(chi: Congruence) -> ClassSystem:
     return ClassSystem(chi, tuple(out))
 
 
-def smallest_extension(chi_b: Congruence, sub: Subact) -> Congruence:
-    """Extend a congruence of a subact to the whole act by adding singletons."""
-    inner, incl = subact_act(sub)
-    if chi_b.act != inner:
-        raise ActMismatch("congruence is not on the given subact")
-    index = list(sub.parent.elements)
-    for block in chi_b.blocks:
-        rep = incl.map[block[0]]
+def smallest_extension(chi: Congruence, emb: ActHom) -> Congruence:
+    """Push a congruence of an embedding's source to its target by adding
+    singletons: the smallest congruence on the target that relates the images
+    of chi-related points."""
+    if chi.act != emb.source:
+        raise ActMismatch("congruence is not on the embedding's source")
+    index = list(emb.target.elements)
+    for block in chi.blocks:
+        rep = emb.map[block[0]]
         for a in block:
-            index[incl.map[a]] = rep
-    return _make(sub.parent, tuple(index))
+            index[emb.map[a]] = rep
+    return _make(emb.target, tuple(index))
 
 
 # ---------------------------------------------------------------------------

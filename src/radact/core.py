@@ -542,14 +542,14 @@ def injective_homs(source: FiniteAct, target: FiniteAct) -> tuple[ActHom, ...]:
 
 
 def hom_extension_exists(target_act, big, partial) -> bool:
-    """Is there an equivariant map big -> target_act extending ``partial``?"""
+    """Is there an equivariant map big -> target_act extending ``partial``?
+
+    One backtracking search per partial map.  Kept only for the per-map
+    oracles (``skornjakov_injective`` and the tests): the deciders answer
+    extension questions from the restrictions of ``all_homs(big, Q)``."""
     for _ in _hom_search(big, target_act, partial, False, limit=1):
         return True
     return False
-
-
-def hom_extensions(target_act, big, partial) -> list[tuple[int, ...]]:
-    return list(_hom_search(big, target_act, partial, False))
 
 
 def find_isomorphism(a: FiniteAct, b: FiniteAct) -> ActHom | None:

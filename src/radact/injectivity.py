@@ -34,8 +34,9 @@ from .core import (
     compose,
     coproduct_many,
     hom_extension_exists,
-    hom_extensions,
     identity_hom,
+    injective_homs,
+    invert,
     left_regular_act,
     mask_members,
     memo_on,
@@ -277,25 +278,28 @@ def direct_limit(chain: DirectedChain):
 
 
 def _extends_along(Q: FiniteAct, big: FiniteAct, mask: int, f: ActHom) -> bool:
+    """One extension search for one map: the per-map oracle path."""
     incl_members = mask_members(mask)
     partial = {incl_members[i]: f.map[i] for i in range(len(incl_members))}
     return hom_extension_exists(Q, big, partial)
 
 
+def _restrictions(Q: FiniteAct, big: FiniteAct, mask: int) -> list:
+    """The restriction to the subact ``mask`` of every map big -> Q, as a
+    list of tuples over the subact's members, one entry per map.
+
+    A map from the subact extends to big exactly when it occurs in this list,
+    and the number of times it occurs is its number of extensions, so every
+    extension question along a subact inclusion is answered from it."""
+    members = mask_members(mask)
+    return [tuple(h.map[a] for a in members) for h in all_homs(big, Q)]
+
+
 def _maps_extend(Q: FiniteAct, big: FiniteAct, masks) -> bool:
     """Does every map into Q from each of the subacts of big (given as masks)
-    extend to big?
-
-    A map from a subact extends exactly when it is the restriction of some
-    map big -> Q.  So the maps big -> Q are listed once, and each map from a
-    subact is looked up in the set of their restrictions to it, instead of
-    running one extension search per map."""
-    homs = None
+    extend to big?"""
     for mask in masks:
-        if homs is None:
-            homs = all_homs(big, Q)
-        members = mask_members(mask)
-        restrictions = {tuple(h.map[a] for a in members) for h in homs}
+        restrictions = set(_restrictions(Q, big, mask))
         sub, _ = subact_act_by_mask(big, mask)
         if any(f.map not in restrictions for f in all_homs(sub, Q)):
             return False
@@ -352,15 +356,15 @@ def is_r_injective(r: Radical, Q: FiniteAct, universe, mode: str = "auto") -> bo
 
 
 def is_orthogonal_r_injective(r: Radical, Q: FiniteAct, universe) -> bool:
-    """Injective with a unique extension for every instance in the universe."""
+    """Injective with a unique extension for every instance in the universe:
+    restricting the maps big -> Q to each dense subact is a bijection onto
+    the maps from the subact."""
     for big in universe.acts_over(Q.monoid):
         for mask in dense_subact_masks(r, big):
+            rs = _restrictions(Q, big, mask)
             sub, _ = subact_act_by_mask(big, mask)
-            members = mask_members(mask)
-            for f in all_homs(sub, Q):
-                partial = {members[i]: f.map[i] for i in range(len(members))}
-                if len(hom_extensions(Q, big, partial)) != 1:
-                    return False
+            if not len(set(rs)) == len(rs) == len(all_homs(sub, Q)):
+                return False
     return True
 
 
@@ -413,26 +417,19 @@ def r_injective_bounded(r: Radical, Q: FiniteAct, universe) -> bool:
 
 
 def is_absolute_retract(r: Radical, Q: FiniteAct, universe) -> bool:
-    """Every dense mono out of Q splits, within the universe."""
+    """Every dense mono out of Q splits, within the universe: for each dense
+    subact isomorphic to Q, the inverse of every isomorphism Q -> subact
+    extends to big."""
     for big in universe.acts_over(Q.monoid):
         for mask in dense_subact_masks(r, big):
             sub, _ = subact_act_by_mask(big, mask)
-            members = mask_members(mask)
-            for iso in _iso_list(Q, sub):
-                partial = {
-                    members[iso.map[a]]: a for a in Q.elements
-                }
-                if not hom_extension_exists(Q, big, partial):
+            if sub.size != Q.size:
+                continue
+            restrictions = set(_restrictions(Q, big, mask))
+            for iso in injective_homs(Q, sub):
+                if invert(iso).map not in restrictions:
                     return False
     return True
-
-
-def _iso_list(a, b):
-    if a.size != b.size:
-        return ()
-    return tuple(
-        ActHom(a, b, m) for m in _hom_search(a, b, {}, True)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,15 @@ class RadicalTaxonomy:
         "kurosh_amitsur",
     )
 
+    # implications between the flags that hold for every radical
+    EXPECTED_EDGES = (
+        ("hereditary", "pre_hereditary"),
+        ("pre_hereditary", "zero_hereditary"),
+        ("zero_hereditary", "weakly_hereditary"),
+        ("kurosh_amitsur", "pre_kurosh"),
+        ("pre_kurosh", "weakly_hereditary"),
+    )
+
     def flags(self) -> dict:
         return {name: getattr(self, name) for name in self.FLAG_NAMES}
 

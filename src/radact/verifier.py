@@ -241,20 +241,20 @@ def _ensure_registered():
         from . import checkers  # noqa: F401  (registers on import)
 
 
-def verify(theorem_id: str, universe) -> TheoremReport:
+def _checker(theorem_id: str) -> Checker:
     _ensure_registered()
-    table = THEOREMS if theorem_id in THEOREMS else AXIOMS
-    if theorem_id not in table:
+    checker = THEOREMS.get(theorem_id) or AXIOMS.get(theorem_id)
+    if checker is None:
         raise UnknownTheorem(theorem_id)
-    return table[theorem_id].run(universe)
+    return checker
+
+
+def verify(theorem_id: str, universe) -> TheoremReport:
+    return _checker(theorem_id).run(universe)
 
 
 def recheck_witness(theorem_id: str, universe, witness) -> bool:
-    _ensure_registered()
-    table = THEOREMS if theorem_id in THEOREMS else AXIOMS
-    if theorem_id not in table:
-        raise UnknownTheorem(theorem_id)
-    return table[theorem_id].recheck(universe, witness)
+    return _checker(theorem_id).recheck(universe, witness)
 
 
 def taxonomy_section(universe) -> dict:
@@ -271,15 +271,8 @@ def taxonomy_section(universe) -> dict:
                 (not f[src]) or f[dst] for f in flags.values()
             )
             implications.append([src, dst, holds])
-    expected = [
-        ("hereditary", "pre_hereditary"),
-        ("pre_hereditary", "zero_hereditary"),
-        ("zero_hereditary", "weakly_hereditary"),
-        ("kurosh_amitsur", "pre_kurosh"),
-        ("pre_kurosh", "weakly_hereditary"),
-    ]
     broken = [
-        [s, d] for s, d in expected
+        [s, d] for s, d in RadicalTaxonomy.EXPECTED_EDGES
         if not all((not f[s]) or f[d] for f in flags.values())
     ]
     return {
@@ -342,6 +335,16 @@ def to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def report_line(rep: dict) -> str:
+    """One checker's line of the text report, from its payload."""
+    return (
+        f"{rep['theorem_id']:<10} {rep['status']:<22}"
+        f" checked={rep['instances_checked']}"
+        f" filtered={rep['hypothesis_filtered']}"
+        f" skipped={rep['instances_skipped']}"
+    )
+
+
 def to_text(doc: dict) -> str:
     lines = []
     bounds = doc["bounds"]
@@ -354,12 +357,7 @@ def to_text(doc: dict) -> str:
     for section, key in (("axioms", "axioms"), ("theorems", "results")):
         lines.append(f"# {section}")
         for rep in doc[key]:
-            lines.append(
-                f"{rep['theorem_id']:<10} {rep['status']:<22}"
-                f" checked={rep['instances_checked']}"
-                f" filtered={rep['hypothesis_filtered']}"
-                f" skipped={rep['instances_skipped']}"
-            )
+            lines.append(report_line(rep))
             if "witness" in rep:
                 lines.append("    witness: " + json.dumps(rep["witness"]))
     lines.append("# taxonomy")

@@ -191,13 +191,16 @@ def test_enumerate_command():
 
 
 def test_verify_single_theorem():
-    code, out, _ = invoke(
-        ["verify", "--theorem", "L1.2", "--monoid-max", "1",
-         "--act-max", "3", "--hull-bound", "3"]
-    )
+    bounds = ["--monoid-max", "1", "--act-max", "3", "--hull-bound", "3"]
+    code, out, _ = invoke(["verify", "--theorem", "L1.2"] + bounds)
     assert code == 0
     assert out.startswith("L1.2")
     assert "verified" in out
+    # the same line as in the full text report
+    _, full, _ = invoke(["verify", "--all"] + bounds)
+    assert out.splitlines() == [
+        line for line in full.splitlines() if line.startswith("L1.2 ")
+    ]
 
 
 def test_verify_all_small_universe_json():

@@ -156,14 +156,15 @@ def test_class_system(A3):
 
 
 def test_smallest_extension(A3):
-    sub = Subact(A3, (0, 1))
-    inner, _ = subact_act(sub)
-    assert smallest_extension(diagonal(inner), sub) == diagonal(A3)
+    inner, incl = subact_act(Subact(A3, (0, 1)))
+    assert smallest_extension(diagonal(inner), incl) == diagonal(A3)
     # the total congruence of the subact extends to its Rees congruence
-    assert smallest_extension(total(inner), sub) == rees_single(A3, 0b011)
-    full = Subact(A3, (0, 1, 2))
+    assert smallest_extension(total(inner), incl) == rees_single(A3, 0b011)
+    _, full = subact_act(Subact(A3, (0, 1, 2)))
     chi = parse_partition(A3, "0 1 | 2")
     assert smallest_extension(chi, full) == chi
+    with pytest.raises(ActMismatch):
+        smallest_extension(chi, incl)
 
 
 def test_all_congruences_counts(T1, A3):

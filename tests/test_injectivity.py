@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from radact.congruence import parse_partition, total
@@ -8,12 +10,17 @@ from radact.core import (
     coproduct,
     find_isomorphism,
     identity_hom,
+    injective_homs,
+    invert,
+    mask_members,
     subact_act_by_mask,
     subact_masks,
     trivial_act,
     validate_act,
     zeros,
+    _hom_search,
 )
+from radact.checkers import _holds_t46
 from radact.errors import BoundExceeded, ModeUnavailable, NotRMono
 from radact.injectivity import (
     DirectedChain,
@@ -39,8 +46,16 @@ from radact.injectivity import (
     transfer_pushout,
     _extends_along,
     _maps_extend,
+    _restrictions,
 )
-from radact.radical import extensional_radical, is_r_dense, is_r_mono, rg_radical
+from radact.radical import (
+    closure_mask,
+    dense_subact_masks,
+    extensional_radical,
+    is_r_dense,
+    is_r_mono,
+    rg_radical,
+)
 from radact.universe import default_universe
 
 
@@ -208,10 +223,19 @@ def test_injectivity_cross_checks(U):
             assert is_r_injective(nabla, act, U, "universe") == expected
 
 
+def _partial(mask, f):
+    return dict(zip(mask_members(mask), f.map))
+
+
+def _extension_count(Q, big, mask, f):
+    return len(list(_hom_search(big, Q, _partial(mask, f), False)))
+
+
 def test_maps_extend_matches_per_map_search(U):
     """The restriction-set lookup agrees with one extension search per map,
     mask by mask and over all masks at once, along the cyclic acts and every
-    other universe act."""
+    other universe act; and the multiplicity of a map among the restrictions
+    is its number of extensions."""
     for Q in U.acts:
         bigs = set(U.cyclic_acts(Q.monoid)) | set(U.acts_over(Q.monoid))
         for big in bigs:
@@ -219,12 +243,89 @@ def test_maps_extend_matches_per_map_search(U):
             per_mask = []
             for mask in masks:
                 sub, _ = subact_act_by_mask(big, mask)
-                expected = all(
-                    _extends_along(Q, big, mask, f) for f in all_homs(sub, Q)
-                )
+                maps = all_homs(sub, Q)
+                counts = Counter(_restrictions(Q, big, mask))
+                for f in maps:
+                    assert counts[f.map] == _extension_count(Q, big, mask, f)
+                # every restriction is one of the maps from the subact
+                assert sum(counts[f.map] for f in maps) == len(all_homs(big, Q))
+                expected = all(_extends_along(Q, big, mask, f) for f in maps)
                 assert _maps_extend(Q, big, [mask]) == expected, (Q, big, mask)
                 per_mask.append(expected)
             assert _maps_extend(Q, big, masks) == all(per_mask)
+
+
+def _orthogonal_by_search(r, Q, universe):
+    """Oracle: one full extension search per map from each dense subact."""
+    for big in universe.acts_over(Q.monoid):
+        for mask in dense_subact_masks(r, big):
+            sub, _ = subact_act_by_mask(big, mask)
+            for f in all_homs(sub, Q):
+                if _extension_count(Q, big, mask, f) != 1:
+                    return False
+    return True
+
+
+def _retract_by_search(r, Q, universe):
+    """Oracle: one extension search per isomorphism onto a dense subact."""
+    for big in universe.acts_over(Q.monoid):
+        for mask in dense_subact_masks(r, big):
+            sub, _ = subact_act_by_mask(big, mask)
+            if sub.size != Q.size:
+                continue
+            for iso in injective_homs(Q, sub):
+                if not _extends_along(Q, big, mask, invert(iso)):
+                    return False
+    return True
+
+
+def test_orthogonal_and_retract_match_per_map_search(U):
+    """Deciding uniqueness and retraction from the restriction list agrees
+    with the per-map searches for every radical and universe act, and both
+    answers occur for each."""
+    orthogonal, retract = set(), set()
+    for r in U.radicals:
+        for Q in U.acts:
+            expected = _orthogonal_by_search(r, Q, U)
+            assert is_orthogonal_r_injective(r, Q, U) == expected, (r, Q)
+            orthogonal.add(expected)
+            expected = _retract_by_search(r, Q, U)
+            assert is_absolute_retract(r, Q, U) == expected, (r, Q)
+            retract.add(expected)
+    assert orthogonal == retract == {True, False}
+
+
+def _t46_by_search(parts):
+    """Oracle for T4.6: every extension of every map from the subact,
+    found one search per map, lands inside the closure of the map's image."""
+    r, big, mask, q = parts
+    sub, _ = subact_act_by_mask(big, mask)
+    for f in all_homs(sub, q):
+        cap = closure_mask(r, q, sum(1 << x for x in set(f.map)))
+        for ext in _hom_search(big, q, _partial(mask, f), False):
+            if sum(1 << x for x in set(ext)) & ~cap:
+                return False
+    return True
+
+
+def test_t46_matches_per_map_search():
+    """The T4.6 predicate, run over all maps big -> q at once, agrees with
+    the per-map oracle on every instance T4.6 enumerates.  Along a dense
+    subact it always holds (the closure is continuous along maps), so the
+    sweep takes every subact and every target, where it can fail."""
+    small = default_universe(monoid_max=2, act_max=4, hull_bound=4)
+    outcomes = set()
+    for r in small.radicals:
+        for monoid in small.monoids:
+            acts = small.acts_over(monoid)
+            for big in acts:
+                for mask in subact_masks(big):
+                    for q in acts:
+                        parts = (r, big, mask, q)
+                        expected = _t46_by_search(parts)
+                        assert _holds_t46(small, parts) == expected, parts
+                        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_delta_injectivity_universe_mode(U):
