@@ -10,7 +10,6 @@ from .core import (
     ActHom,
     FiniteAct,
     FiniteMonoid,
-    Subact,
     validate_act,
     validate_monoid,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "FiniteAct",
     "FiniteMonoid",
     "Radical",
-    "Subact",
     "Universe",
     "default_universe",
     "validate_act",

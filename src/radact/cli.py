@@ -18,6 +18,7 @@ from .congruence import all_congruences
 from .core import (
     ActHom,
     is_equivariant,
+    mask_members,
     subact_act_by_mask,
     subact_from_members,
 )
@@ -181,7 +182,8 @@ def _ints(flag, text):
 
 
 def _subact_of(act, members_text):
-    """The subact named by --members: in-range, non-empty, action-closed."""
+    """The mask of the subact named by --members: in-range, non-empty,
+    action-closed."""
     members = _ints("--members", members_text)
     if not all(0 <= a < act.size for a in members):
         raise ParseError(1, f"--members {members_text!r} is outside the "
@@ -320,15 +322,14 @@ def _dispatch(args, out, err) -> int:
 
     if cmd == "closure":
         r = _resolve_radical(args, u)
-        sub = _subact_of(act, args.members)
-        closed = rd.closure(r, act, sub)
-        print(" ".join(str(x) for x in closed.members), file=out)
+        closed = rd.closure_mask(r, act, _subact_of(act, args.members))
+        print(" ".join(str(x) for x in mask_members(closed)), file=out)
         return 0
 
     if cmd == "dense":
         r = _resolve_radical(args, u)
-        sub = _subact_of(act, args.members)
-        print("true" if rd.is_r_dense(r, act, sub) else "false", file=out)
+        mask = _subact_of(act, args.members)
+        print("true" if rd.is_r_dense(r, act, mask) else "false", file=out)
         return 0
 
     if cmd == "injective":
@@ -361,8 +362,7 @@ def _dispatch(args, out, err) -> int:
 
     if cmd == "pushout":
         r = _resolve_radical(args, u)
-        sub = _subact_of(act, args.members)
-        inner, incl = subact_act_by_mask(act, sub.mask)
+        inner, incl = subact_act_by_mask(act, _subact_of(act, args.members))
         f = _map_of(inner, _resolve_act(args.into, catalog), args.map)
         d, ulab, vlab = inj.transfer_pushout(r, incl, f)
         _print_act(d, out)

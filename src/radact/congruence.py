@@ -6,14 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import (
-    ActHom,
-    FiniteAct,
-    Subact,
-    is_closed_mask,
-    mask_members,
-    members_mask,
-)
+from .core import ActHom, FiniteAct, is_closed_mask, mask_members, members_mask
 from .errors import ActMismatch, NotDisjoint, SizeBound
 
 CON_BOUND_DEFAULT = 7
@@ -215,12 +208,12 @@ def meets_nontrivially(chi1: Congruence, chi2: Congruence) -> bool:
     return False
 
 
-def rees_congruence(act: FiniteAct, parts) -> Congruence:
-    """Congruence whose non-singleton classes are the given disjoint subacts."""
+def rees_congruence(act: FiniteAct, masks) -> Congruence:
+    """Congruence whose non-singleton classes are the given disjoint subacts;
+    its quotient is the Rees factor collapsing each of them to a point."""
     index = list(act.elements)
     seen = 0
-    for part in parts:
-        mask = part.mask if isinstance(part, Subact) else int(part)
+    for mask in masks:
         if mask & seen:
             raise NotDisjoint("parts overlap")
         if not is_closed_mask(act, mask):
@@ -244,20 +237,10 @@ def is_rees(chi: Congruence) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ClassSystem:
-    """The classes of a congruence that are non-trivial subacts."""
-
-    congruence: Congruence
-    blocks: tuple[Subact, ...]
-
-
-def class_system(chi: Congruence) -> ClassSystem:
-    out = []
-    for block in chi.blocks:
-        if len(block) >= 2 and is_closed_mask(chi.act, members_mask(block)):
-            out.append(Subact(chi.act, block))
-    return ClassSystem(chi, tuple(out))
+def class_system(chi: Congruence) -> tuple[int, ...]:
+    """The classes of a congruence that are non-trivial subacts, as masks."""
+    masks = (members_mask(block) for block in chi.blocks if len(block) >= 2)
+    return tuple(m for m in masks if is_closed_mask(chi.act, m))
 
 
 def smallest_extension(chi: Congruence, emb: ActHom) -> Congruence:

@@ -5,7 +5,9 @@ so results that depend only on these values are memoised in value-keyed
 ``lru_cache``s, shared by every universe in the process.  Results that depend
 on a ``Universe`` or a ``Radical`` are memoised on that object (see
 ``memo_on``), so they are freed together with it.
-Element sets are passed around as bitmasks in the hot paths.
+A subact (a non-empty action-closed subset of a carrier) is always a bitmask
+over its parent's carrier: bit a is set when element a belongs to it.
+``subact_act_by_mask`` materialises one as an act plus its inclusion.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import (
     BadIdentity,
     IdentityAxiom,
     NotAssociative,
-    NotDisjoint,
 )
 
 
@@ -110,9 +111,6 @@ class ActHom:
     def is_injective(self) -> bool:
         return len(set(self.map)) == len(self.map)
 
-    def is_surjective(self) -> bool:
-        return len(set(self.map)) == self.target.size
-
     def is_bijective(self) -> bool:
         return self.is_injective() and self.source.size == self.target.size
 
@@ -124,31 +122,6 @@ class ActHom:
 
     def __hash__(self):
         return hash((self.source, self.target, self.map))
-
-
-@dataclass(frozen=True)
-class Subact:
-    """A non-empty action-closed subset of an act's carrier."""
-
-    parent: FiniteAct
-    members: tuple[int, ...]
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for a in self.members:
-            m |= 1 << a
-        return m
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def is_trivial(self) -> bool:
-        return len(self.members) <= 1
-
-    def __hash__(self):
-        return hash((self.parent, self.members))
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
@@ -253,11 +226,6 @@ def cyclic_mask(act: FiniteAct, a: int) -> int:
     return mask
 
 
-def cyclic_subact(act: FiniteAct, a: int) -> Subact:
-    """The subact S*a generated by one element."""
-    return Subact(act, mask_members(cyclic_mask(act, a)))
-
-
 def is_closed_mask(act: FiniteAct, mask: int) -> bool:
     probe = mask
     a = 0
@@ -291,59 +259,19 @@ def subact_masks(act: FiniteAct) -> tuple[int, ...]:
     return tuple(out)
 
 
-def subacts(act: FiniteAct) -> list[Subact]:
-    return [Subact(act, mask_members(m)) for m in subact_masks(act)]
-
-
-def subact_from_members(act: FiniteAct, members) -> Subact:
-    sub = Subact(act, tuple(sorted(set(members))))
-    if not sub.members:
+def subact_from_members(act: FiniteAct, members) -> int:
+    """The mask of the subact with the given members, checked to be a
+    non-empty action-closed subset."""
+    mask = members_mask(members)
+    if not mask:
         raise ValueError("subacts are non-empty")
-    if not is_closed_mask(act, sub.mask):
-        raise ValueError(f"{sub.members} is not action-closed")
-    return sub
+    if not is_closed_mask(act, mask):
+        raise ValueError(f"{mask_members(mask)} is not action-closed")
+    return mask
 
 
 # ---------------------------------------------------------------------------
-# quotients and sums
-
-
-def rees_quotient(act: FiniteAct, parts) -> tuple[FiniteAct, ActHom]:
-    """Collapse each subact in a disjoint system to a point.
-
-    Singleton parts are allowed (they relabel only).  Returns the quotient act
-    and the canonical surjection.
-    """
-    masks = []
-    for part in parts:
-        masks.append(part.mask if isinstance(part, Subact) else int(part))
-    seen = 0
-    for m in masks:
-        if m & seen:
-            raise NotDisjoint(f"overlapping parts in {masks}")
-        if not is_closed_mask(act, m):
-            raise ValueError("parts must be subacts")
-        seen |= m
-    blocks = [mask_members(m) for m in masks]
-    for a in act.elements:
-        if not (seen >> a) & 1:
-            blocks.append((a,))
-    blocks.sort(key=lambda b: b[0])
-    index = [0] * act.size
-    for i, block in enumerate(blocks):
-        for a in block:
-            index[a] = i
-    action = tuple(
-        tuple(index[row[block[0]]] for block in blocks) for row in act.action
-    )
-    quo = FiniteAct(act.monoid, action)
-    pi = ActHom(act, quo, tuple(index))
-    return quo, pi
-
-
-def collapse_subact(act: FiniteAct, mask: int) -> tuple[FiniteAct, ActHom]:
-    """Rees factor of the act over one subact (A/B)."""
-    return rees_quotient(act, [mask])
+# sums and products
 
 
 def coproduct(a: FiniteAct, b: FiniteAct) -> tuple[FiniteAct, ActHom, ActHom]:
@@ -588,7 +516,8 @@ def invert(iso: ActHom) -> ActHom:
 
 
 @lru_cache(maxsize=None)
-def _subact_act_cached(parent: FiniteAct, mask: int):
+def subact_act_by_mask(parent: FiniteAct, mask: int) -> tuple[FiniteAct, ActHom]:
+    """Materialise a subact as an act plus its inclusion."""
     members = mask_members(mask)
     pos = {a: i for i, a in enumerate(members)}
     action = tuple(
@@ -597,15 +526,6 @@ def _subact_act_cached(parent: FiniteAct, mask: int):
     inner = FiniteAct(parent.monoid, action)
     incl = ActHom(inner, parent, members)
     return inner, incl
-
-
-def subact_act(sub: Subact) -> tuple[FiniteAct, ActHom]:
-    """Materialise a subact as an act plus its inclusion."""
-    return _subact_act_cached(sub.parent, sub.mask)
-
-
-def subact_act_by_mask(parent: FiniteAct, mask: int) -> tuple[FiniteAct, ActHom]:
-    return _subact_act_cached(parent, mask)
 
 
 def relabel(act: FiniteAct, perm) -> FiniteAct:

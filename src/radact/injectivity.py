@@ -24,12 +24,12 @@ from .congruence import (
     is_essential,
     maximal_complement,
     quotient,
+    rees_congruence,
     rees_single,
 )
 from .core import (
     ActHom,
     FiniteAct,
-    Subact,
     all_homs,
     compose,
     coproduct_many,
@@ -63,24 +63,20 @@ from .universe import act_tables
 # largeness
 
 
-def is_large(act: FiniteAct, sub, bound: int = 7) -> bool:
+def is_large(act: FiniteAct, mask: int, bound: int = 7) -> bool:
     """A subact is large when its Rees congruence is essential; for trivial
     subacts that congruence is the diagonal, so the answer is almost always
     False."""
-    mask = sub.mask if isinstance(sub, Subact) else int(sub)
     return is_essential(rees_single(act, mask), bound)
 
 
-def collectively_large(act: FiniteAct, family, bound: int = 7) -> bool:
-    """A disjoint family is collectively large iff its Rees congruence is
-    essential.  The empty family means testing the diagonal."""
-    masks = [s.mask if isinstance(s, Subact) else int(s) for s in family]
-    from .congruence import rees_congruence
-
+def collectively_large(act: FiniteAct, masks, bound: int = 7) -> bool:
+    """A disjoint family of subacts is collectively large iff its Rees
+    congruence is essential.  The empty family means testing the diagonal."""
     return is_essential(rees_congruence(act, masks), bound)
 
 
-def collectively_large_by_homs(act: FiniteAct, family, bound: int = 7) -> bool:
+def collectively_large_by_homs(act: FiniteAct, masks, bound: int = 7) -> bool:
     """Definition-level test: every map injective on each family member is
     injective.  Quantifying over quotients of the act is exhaustive, since
     every homomorphism factors through its kernel.
@@ -88,7 +84,6 @@ def collectively_large_by_homs(act: FiniteAct, family, bound: int = 7) -> bool:
     Deliberately built on the full congruence lattice, not on principal
     congruences: it is the oracle that checker T3.4 compares
     ``collectively_large`` (and so ``is_essential``) against."""
-    masks = [s.mask if isinstance(s, Subact) else int(s) for s in family]
     for chi in all_congruences(act, bound):
         if chi.is_diagonal():
             continue
@@ -137,9 +132,6 @@ class Extension:
     @property
     def r_essential(self) -> bool:
         return bool(self.large and self.r_dense)
-
-    def is_proper(self) -> bool:
-        return self.source.size < self.target.size
 
 
 def make_extension(emb: ActHom, r: Radical | None = None, bound: int = 7,
@@ -255,9 +247,6 @@ class DirectedChain:
             h = compose(self.links[k], h)
         return h
 
-    def is_r_directed(self, r: Radical) -> bool:
-        return all(is_r_mono(r, ln) for ln in self.links)
-
 
 def direct_limit(chain: DirectedChain):
     """Coproduct of the chain modulo the identification congruence; returns
@@ -355,6 +344,7 @@ def is_r_injective(r: Radical, Q: FiniteAct, universe, mode: str = "auto") -> bo
     raise ValueError(f"unknown mode {mode!r}")
 
 
+@memo_on(2)
 def is_orthogonal_r_injective(r: Radical, Q: FiniteAct, universe) -> bool:
     """Injective with a unique extension for every instance in the universe:
     restricting the maps big -> Q to each dense subact is a bijection onto

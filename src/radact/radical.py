@@ -15,12 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import congruence as cg
-from .congruence import Congruence, all_congruences, class_system, quotient
+from .congruence import (
+    Congruence,
+    all_congruences,
+    class_system,
+    quotient,
+    rees_single,
+)
 from .core import (
     FiniteAct,
     ActHom,
-    Subact,
-    collapse_subact,
     coproduct,
     cyclic_mask,
     find_isomorphism,
@@ -243,8 +247,8 @@ def verify_semisimple_class(membership, universe):
                     raise ClassNotClosed("closed under subacts", (act, mask))
         for chi in all_congruences(act, universe.con_bound):
             if membership(quotient(act, chi)[0]) and all(
-                membership(subact_act_by_mask(act, block.mask)[0])
-                for block in class_system(chi).blocks
+                membership(subact_act_by_mask(act, block)[0])
+                for block in class_system(chi)
             ):
                 if not membership(act):
                     raise ClassNotClosed(
@@ -271,7 +275,7 @@ def closure_mask(r: Radical, act: FiniteAct, mask: int) -> int:
     got = r._closure.get(key)
     if got is not None:
         return got
-    quo, pi = collapse_subact(act, mask)
+    quo, pi = quotient(act, rees_single(act, mask))
     rq = r.of(quo)
     zclass = rq.index[pi.map[mask_members(mask)[0]]]
     out = 0
@@ -282,29 +286,11 @@ def closure_mask(r: Radical, act: FiniteAct, mask: int) -> int:
     return out
 
 
-def closure(r: Radical, act: FiniteAct, sub: Subact) -> Subact:
-    if sub.parent != act:
-        raise ValueError("subact does not live in the act")
-    return Subact(act, mask_members(closure_mask(r, act, sub.mask)))
-
-
-@dataclass(frozen=True)
-class ClosureOperator:
-    """The idempotent closure operator attached to a radical."""
-
-    radical: Radical
-
-    def of(self, act: FiniteAct, sub: Subact) -> Subact:
-        return closure(self.radical, act, sub)
-
-
-def is_r_dense(r: Radical, act: FiniteAct, sub) -> bool:
-    mask = sub.mask if isinstance(sub, Subact) else int(sub)
+def is_r_dense(r: Radical, act: FiniteAct, mask: int) -> bool:
     return closure_mask(r, act, mask) == act.full_mask()
 
 
-def is_r_closed(r: Radical, act: FiniteAct, sub) -> bool:
-    mask = sub.mask if isinstance(sub, Subact) else int(sub)
+def is_r_closed(r: Radical, act: FiniteAct, mask: int) -> bool:
     return closure_mask(r, act, mask) == mask
 
 
@@ -312,10 +298,9 @@ def is_r_mono(r: Radical, m: ActHom) -> bool:
     return m.is_injective() and is_r_dense(r, m.target, m.image_mask())
 
 
-def density_equivalent(r: Radical, act: FiniteAct, sub) -> bool:
+def density_equivalent(r: Radical, act: FiniteAct, mask: int) -> bool:
     """Independent density test: the Rees factor over the subact is radical."""
-    mask = sub.mask if isinstance(sub, Subact) else int(sub)
-    quo, _ = collapse_subact(act, mask)
+    quo, _ = quotient(act, rees_single(act, mask))
     return is_radical_act(r, quo)
 
 
@@ -327,11 +312,10 @@ def dense_subact_masks(r: Radical, act: FiniteAct) -> tuple[int, ...]:
     )
 
 
-def intersection_large(act: FiniteAct, sub: Subact) -> bool:
+def intersection_large(act: FiniteAct, mask: int) -> bool:
     """Does the subact meet every non-trivial subact in at least two points?"""
-    if sub.is_trivial():
+    if mask.bit_count() <= 1:
         raise ValueError("intersection-largeness is defined for non-trivial subacts")
-    mask = sub.mask
     for other in subact_masks(act):
         if other.bit_count() >= 2 and (mask & other).bit_count() < 2:
             return False
@@ -394,8 +378,7 @@ def classify_radical(r: Radical, universe) -> RadicalTaxonomy:
         if kurosh_amitsur and not cg.is_rees(ra):
             kurosh_amitsur = False
         zs = zeros(act)
-        for block in class_system(ra).blocks:
-            bmask = block.mask
+        for bmask in class_system(ra):
             sub, _ = subact_act_by_mask(act, bmask)
             block_radical = is_radical_act(r, sub)
             if not block_radical:
@@ -406,7 +389,7 @@ def classify_radical(r: Radical, universe) -> RadicalTaxonomy:
             if pre_hereditary or zero_hereditary:
                 # zeros of the act inside this class, in the class's own labels
                 local_zeros = 0
-                for i, a in enumerate(block.members):
+                for i, a in enumerate(mask_members(bmask)):
                     if a in zs:
                         local_zeros |= 1 << i
                 for ymask in subact_masks(sub):

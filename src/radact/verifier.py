@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .congruence import Congruence, parse_partition
-from .core import ActHom, FiniteAct, FiniteMonoid, Subact, validate_act, validate_monoid
+from .core import ActHom, FiniteAct, FiniteMonoid, validate_act, validate_monoid
 from .errors import (
     BoundExceeded,
     NotInUniverse,
@@ -162,13 +162,6 @@ def encode_part(obj):
                 "map": list(obj.map),
             }
         }
-    if isinstance(obj, Subact):
-        return {
-            "subact": {
-                "act": encode_part(obj.parent)["act"],
-                "members": list(obj.members),
-            }
-        }
     if isinstance(obj, DirectedChain):
         return {
             "chain": {
@@ -213,9 +206,6 @@ def decode_part(universe, data):
         src = _decode_act(payload["source"])
         tgt = _decode_act(payload["target"])
         return ActHom(src, tgt, tuple(payload["map"]))
-    if tag == "subact":
-        act = _decode_act(payload["act"])
-        return Subact(act, tuple(payload["members"]))
     if tag == "chain":
         acts = tuple(_decode_act(a) for a in payload["acts"])
         links = tuple(

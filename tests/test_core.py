@@ -2,13 +2,13 @@ from itertools import product as iproduct
 
 import pytest
 
+from radact.congruence import quotient, rees_congruence
 from radact.core import (
     ActHom,
-    Subact,
     all_homs,
     compose,
     coproduct,
-    cyclic_subact,
+    cyclic_mask,
     find_isomorphism,
     hom,
     identity_hom,
@@ -17,10 +17,9 @@ from radact.core import (
     left_regular_act,
     product,
     product_tuples,
-    rees_quotient,
     relabel,
     subact_from_members,
-    subacts,
+    subact_masks,
     trivial_act,
     validate_act,
     validate_monoid,
@@ -99,44 +98,53 @@ def test_zeros(T1, R2, C2):
 
 def test_cyclic_subacts(T1, R2):
     one = validate_act(T1, [[0, 1]])
-    assert cyclic_subact(one, 0).members == (0,)
-    assert cyclic_subact(R2, 0).members == (0, 1)
-    assert cyclic_subact(R2, 1).members == (1,)
+    assert cyclic_mask(one, 0) == 0b1
+    assert cyclic_mask(R2, 0) == 0b11
+    assert cyclic_mask(R2, 1) == 0b10
 
 
 def test_subacts(T1, R2):
     two = validate_act(T1, [[0, 1]])
-    assert [s.members for s in subacts(two)] == [(0,), (1,), (0, 1)]
-    assert [s.members for s in subacts(R2)] == [(1,), (0, 1)]
-    assert len(subacts(trivial_act(T1))) == 1
+    assert subact_masks(two) == (0b1, 0b10, 0b11)
+    assert subact_masks(R2) == (0b10, 0b11)
+    assert len(subact_masks(trivial_act(T1))) == 1
 
 
 def test_subact_from_members_rejects_open_sets(R2):
+    assert subact_from_members(R2, [1, 0, 1]) == 0b11
     with pytest.raises(ValueError):
         subact_from_members(R2, [0])
+    with pytest.raises(ValueError):
+        subact_from_members(R2, [])
+
+
+def _rees_factor(act, masks):
+    return quotient(act, rees_congruence(act, masks))
 
 
 def test_rees_quotient_empty_system(R2):
-    quo, pi = rees_quotient(R2, [])
+    quo, pi = _rees_factor(R2, [])
     assert pi.is_bijective()
     assert find_isomorphism(quo, R2) is not None
 
 
 def test_rees_quotient_whole_act(R2):
-    quo, _ = rees_quotient(R2, [Subact(R2, (0, 1))])
+    quo, _ = _rees_factor(R2, [0b11])
     assert quo.size == 1
 
 
 def test_rees_quotient_singleton_is_relabeling(R2):
-    quo, pi = rees_quotient(R2, [Subact(R2, (1,))])
+    quo, pi = _rees_factor(R2, [0b10])
     assert pi.is_bijective()
     assert find_isomorphism(quo, R2) is not None
 
 
-def test_rees_quotient_rejects_overlap(T1):
+def test_rees_quotient_rejects_overlap(T1, R2):
     act = validate_act(T1, [[0, 1, 2]])
     with pytest.raises(NotDisjoint):
-        rees_quotient(act, [Subact(act, (0, 1)), Subact(act, (1, 2))])
+        _rees_factor(act, [0b011, 0b110])
+    with pytest.raises(ValueError):
+        _rees_factor(R2, [0b01])
 
 
 def test_coproduct_two_trivial(E2):

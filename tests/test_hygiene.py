@@ -1,16 +1,24 @@
-"""Import hygiene: every name a module imports is used in that module.
+"""Source hygiene.
 
-A side-effect import is allowed when its line carries a ``# noqa`` comment
-(the verifier imports the checkers to register them).  The package's
-``__init__`` re-exports names and is not checked.
+Imports: every name a module imports is used in that module.  A side-effect
+import is allowed when its line carries a ``# noqa`` comment (the verifier
+imports the checkers to register them).  The package's ``__init__``
+re-exports names and is not checked.
+
+Definitions: every function, class and method defined in the package (dunders
+excepted) is named somewhere besides its own definition, in the package or in
+the tests.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "radact"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "radact"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -48,3 +56,34 @@ def test_unused_import_is_reported():
         "print(sep)\n"
     )
     assert unused_imports(source) == ["line 1: path", "line 2: json"]
+
+
+def unreferenced_definitions(sources, others) -> list[str]:
+    """Names defined in ``sources`` that occur only once, as a word, in
+    ``sources`` and ``others`` together (that once being the definition)."""
+    words = Counter(re.findall(r"\w+", "\n".join(sources + others)))
+    defined = {
+        node.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    return sorted(name for name in defined if words[name] < 2)
+
+
+def test_no_unreferenced_definitions():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert unreferenced_definitions(sources, tests) == []
+
+
+def test_unreferenced_definition_is_reported():
+    source = (
+        "class Box:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def dead(self): pass\n"
+        "def helper(): return Box().used()\n"
+    )
+    assert unreferenced_definitions([source], ["helper()"]) == ["dead"]

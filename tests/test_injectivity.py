@@ -2,10 +2,9 @@ from collections import Counter
 
 import pytest
 
-from radact.congruence import parse_partition, total
+from radact.congruence import parse_partition, quotient, rees_single, total
 from radact.core import (
     ActHom,
-    Subact,
     all_homs,
     coproduct,
     find_isomorphism,
@@ -74,11 +73,11 @@ def test_is_large_edges(T1, R2):
 
 
 def test_collectively_large(T1, R2):
-    assert collectively_large(R2, [Subact(R2, (0, 1))])
+    assert collectively_large(R2, [0b11])
     three = validate_act(T1, [[0, 1, 2]])
     assert not collectively_large(three, [])
-    assert not collectively_large(three, [Subact(three, (0,)), Subact(three, (1,))])
-    assert collectively_large(three, [Subact(three, (0, 1, 2))])
+    assert not collectively_large(three, [0b001, 0b010])
+    assert collectively_large(three, [0b111])
 
 
 def test_collectively_large_matches_hom_definition(U):
@@ -100,8 +99,6 @@ def test_pushout_identity_mono(R2, rg):
 
 
 def test_pushout_into_point_is_rees_factor(U, rg):
-    from radact.core import rees_quotient
-
     for act in U.acts_over(U.monoids[2])[:8]:
         theta = trivial_act(act.monoid)
         for mask in subact_masks(act):
@@ -110,7 +107,7 @@ def test_pushout_into_point_is_rees_factor(U, rg):
             sub, incl = subact_act_by_mask(act, mask)
             f = ActHom(sub, theta, (0,) * sub.size)
             d, u, v = transfer_pushout(rg, incl, f)
-            collapsed, _ = rees_quotient(act, [mask])
+            collapsed, _ = quotient(act, rees_single(act, mask))
             assert find_isomorphism(d, collapsed) is not None
 
 

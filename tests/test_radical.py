@@ -2,7 +2,6 @@ import pytest
 
 from radact.congruence import diagonal, parse_partition, total
 from radact.core import (
-    Subact,
     coproduct,
     relabel,
     subact_act_by_mask,
@@ -12,10 +11,8 @@ from radact.core import (
 )
 from radact.errors import ClassNotClosed, NotInUniverse, RadactError
 from radact.radical import (
-    ClosureOperator,
     annihilator_union_mask,
     classify_radical,
-    closure,
     closure_mask,
     coproduct_closed_radical_class,
     delta_radical,
@@ -150,17 +147,17 @@ def test_closure_constant_radicals(U):
 
 
 def test_closure_rg_dense_point(R2, rg):
-    sub = Subact(R2, (1,))
-    assert closure(rg, R2, sub).members == (0, 1)
-    assert is_r_dense(rg, R2, sub)
-    assert density_equivalent(rg, R2, sub)
-    assert ClosureOperator(rg).of(R2, sub).members == (0, 1)
+    point = 0b10
+    assert closure_mask(rg, R2, point) == 0b11
+    assert is_r_dense(rg, R2, point)
+    assert density_equivalent(rg, R2, point)
+    assert not is_r_closed(rg, R2, point)
 
 
 def test_whole_act_dense_and_closed(U):
     for r in U.radicals:
         for act in U.acts[:15]:
-            full = Subact(act, tuple(act.elements))
+            full = act.full_mask()
             assert is_r_dense(r, act, full)
             assert is_r_closed(r, act, full)
 
@@ -186,12 +183,12 @@ def test_density_equivalent_sweep(U):
 
 def test_intersection_large(T1, R2):
     three = validate_act(T1, [[0, 1, 2]])
-    assert intersection_large(three, Subact(three, (0, 1, 2)))
+    assert intersection_large(three, 0b111)
     # over the identity-only monoid any proper subset misses some pair
-    assert not intersection_large(three, Subact(three, (0, 1)))
-    assert intersection_large(R2, Subact(R2, (0, 1)))
+    assert not intersection_large(three, 0b011)
+    assert intersection_large(R2, 0b11)
     with pytest.raises(ValueError):
-        intersection_large(R2, Subact(R2, (1,)))
+        intersection_large(R2, 0b10)
 
 
 def test_default_radicals_are_hereditary_kurosh_amitsur(U):

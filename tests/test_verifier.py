@@ -6,8 +6,8 @@ import pytest
 
 from radact.catalog import parse_radical_table
 from radact.congruence import diagonal, parse_partition
-from radact.core import ActHom, Subact, validate_act
-from radact.errors import UnknownTheorem
+from radact.core import ActHom, validate_act
+from radact.errors import PostconditionError, UnknownTheorem
 from radact.injectivity import DirectedChain
 from radact.radical import extensional_radical
 from radact.universe import default_universe
@@ -70,11 +70,10 @@ def test_unknown_theorem(small):
 def test_witness_round_trip(small, E2, R2):
     theta = small.acts[0]
     chi = diagonal(R2)
-    sub = Subact(R2, (1,))
     hom = ActHom(R2, R2, (0, 1))
     chain = DirectedChain((R2,), ())
     parts = (
-        small.radical("rG"), E2, R2, chi, sub, hom, chain, 3, "tag", True,
+        small.radical("rG"), E2, R2, chi, hom, chain, 3, "tag", True,
     )
     encoded = verifier.encode_parts(parts)
     json.dumps(encoded)  # must be serialisable
@@ -83,10 +82,9 @@ def test_witness_round_trip(small, E2, R2):
     assert decoded[1] == E2
     assert decoded[2] == R2
     assert decoded[3] == chi
-    assert decoded[4] == sub
-    assert decoded[5] == hom
-    assert decoded[6].acts == chain.acts
-    assert decoded[7:] == (3, "tag", True)
+    assert decoded[4] == hom
+    assert decoded[5].acts == chain.acts
+    assert decoded[6:] == (3, "tag", True)
     del theta
 
 
@@ -105,6 +103,22 @@ def test_axiom_two_violated_by_mutant(mutant_universe):
     assert rep.witness is not None
     # the witness re-checks: feeding it back reproduces the violation
     assert verifier.recheck_witness("AX-H2", mutant_universe, rep.witness)
+
+
+def test_pushout_postcondition_failure_violates_l51(monkeypatch):
+    # L5.1 leaves the commuting-square check to transfer_pushout; a raised
+    # PostconditionError must surface as a violation with its note
+    from radact import checkers
+
+    def broken_pushout(r, m, f):
+        raise PostconditionError("pushout square does not commute")
+
+    monkeypatch.setattr(checkers, "transfer_pushout", broken_pushout)
+    u = default_universe(monoid_max=2)
+    rep = verifier.verify("L5.1", u)
+    assert rep.status == "violated"
+    assert rep.witness["note"] == "pushout square does not commute"
+    assert verifier.recheck_witness("L5.1", u, rep.witness)
 
 
 def test_mutant_leaves_a_violated_report_in_full_run(mutant_universe):
