@@ -40,13 +40,14 @@ from .core import (
     left_regular_act,
     mask_members,
     members_mask,
+    memo_on,
     product,
     relabel,
     subact_act_by_mask,
     subact_masks,
     zeros,
 )
-from .errors import BoundExceeded
+from .errors import BOUND_ERRORS, BoundExceeded
 from .injectivity import (
     DirectedChain,
     banaschewski_reduce,
@@ -71,6 +72,7 @@ from .injectivity import (
 from .radical import (
     classify_radical,
     closure_mask,
+    closure_table,
     coproduct_closed_radical_class,
     dense_subact_masks,
     in_Lr,
@@ -308,13 +310,14 @@ def _holds_d21(universe, parts):
         act, m1, m2 = parts[2], parts[3], parts[4]
         return closure_mask(r, act, m1) & ~closure_mask(r, act, m2) == 0
     f, m = parts[2], parts[3]
-    image = 0
-    for x in mask_members(closure_mask(r, f.source, m)):
-        image |= 1 << f.map[x]
-    fm = 0
-    for x in mask_members(m):
-        fm |= 1 << f.map[x]
-    return image & ~closure_mask(r, f.target, fm) == 0
+    c = closure_table(r, f.source)[m]
+    image = fm = 0
+    for x, y in enumerate(f.map):
+        if c >> x & 1:
+            image |= 1 << y
+        if m >> x & 1:
+            fm |= 1 << y
+    return image & ~closure_table(r, f.target)[fm] == 0
 
 
 register(
@@ -1214,14 +1217,53 @@ def _enum_l51(universe):
                         yield "inst", (r, big, mask, c)
 
 
+@memo_on(0)
+def _l51_verdict(universe, big, mask, c):
+    """L5.1 on the span (subact ``mask`` of ``big``, target ``c``) for every
+    registered radical at once: bit i is set when ``mask`` is dense in ``big``
+    for radical i and every pushout leg u: c -> D is a dense mono for it.  A
+    radical whose density test on some D hits a bound is left out of the
+    bitmask; the result is then the pair (bitmask, {i: error}).
+
+    The pushout along a map does not depend on the radical, so each is built
+    once.  ``transfer_pushout`` checks that the square commutes; a failure
+    raises PostconditionError, which Checker.run reports as violated."""
+    alive = [
+        (i, q) for i, q in enumerate(universe.radicals)
+        if mask in dense_subact_masks(q, big)
+    ]
+    if not alive:
+        return 0
+    first = alive[0][1]
+    sub, incl = subact_act_by_mask(big, mask)
+    errors = {}
+    for f in all_homs(sub, c):
+        u = transfer_pushout(first, incl, f)[1]
+        still = []
+        for i, q in alive:
+            try:
+                if is_r_mono(q, u):
+                    still.append((i, q))
+            except BOUND_ERRORS as err:
+                errors[i] = err
+        alive = still
+        if not alive:
+            break
+    verdict = 0
+    for i, _ in alive:
+        verdict |= 1 << i
+    return (verdict, errors) if errors else verdict
+
+
 def _holds_l51(universe, parts):
     r, big, mask, c = parts
-    sub, incl = subact_act_by_mask(big, mask)
-    # transfer_pushout checks that the square commutes; a failure raises
-    # PostconditionError, which Checker.run reports as violated
-    return all(
-        is_r_mono(r, transfer_pushout(r, incl, f)[1]) for f in all_homs(sub, c)
-    )
+    i = universe.radicals.index(r)
+    verdict = _l51_verdict(universe, big, mask, c)
+    if isinstance(verdict, tuple):
+        verdict, errors = verdict
+        if i in errors:
+            raise errors[i]
+    return bool(verdict >> i & 1)
 
 
 register(

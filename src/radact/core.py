@@ -2,9 +2,12 @@
 
 Carriers are index sets 0..size-1.  Every structure is immutable and hashable,
 so results that depend only on these values are memoised in value-keyed
-``lru_cache``s, shared by every universe in the process.  Results that depend
-on a ``Universe`` or a ``Radical`` are memoised on that object (see
-``memo_on``), so they are freed together with it.
+``lru_cache``s, shared by every universe in the process.  ``FiniteMonoid`` and
+``FiniteAct`` compute their hash once, at construction, from the fields that
+equality compares; names take part in neither.  Results that depend on a
+``Universe`` or a ``Radical`` are memoised on that object (see ``memo_on``),
+so they are freed together with it: the universe keeps, among others, the
+L5.1 verdict of each pushout span, and a radical its closure tables.
 A subact (a non-empty action-closed subset of a carrier) is always a bitmask
 over its parent's carrier: bit a is set when element a belongs to it.
 ``subact_act_by_mask`` materialises one as an act plus its inclusion.
@@ -55,6 +58,10 @@ class FiniteMonoid:
     mul: tuple[tuple[int, ...], ...]
     identity: int
     name: str = field(default="", compare=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.mul, self.identity)))
 
     @property
     def size(self) -> int:
@@ -65,7 +72,7 @@ class FiniteMonoid:
         return range(len(self.mul))
 
     def __hash__(self):
-        return hash((self.mul, self.identity))
+        return self._hash
 
     def __repr__(self):
         return f"FiniteMonoid({self.name or self.mul}, identity={self.identity})"
@@ -78,6 +85,10 @@ class FiniteAct:
     monoid: FiniteMonoid
     action: tuple[tuple[int, ...], ...]
     name: str = field(default="", compare=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.monoid, self.action)))
 
     @property
     def size(self) -> int:
@@ -91,7 +102,7 @@ class FiniteAct:
         return (1 << self.size) - 1
 
     def __hash__(self):
-        return hash((self.monoid, self.action))
+        return self._hash
 
     def __repr__(self):
         return f"FiniteAct({self.name or self.action}, over={self.monoid.name or '?'})"

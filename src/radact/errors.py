@@ -86,3 +86,7 @@ class CatalogValidationError(RadactError):
     def __init__(self, line, message):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+# errors that mark a checker instance skipped, never verified or violated
+BOUND_ERRORS = (SizeBound, BoundExceeded, NotInUniverse)

@@ -192,7 +192,7 @@ def transfer_pushout(r: Radical, m: ActHom, f: ActHom):
         for b in B.elements
     ]
     v = ActHom(B, D, tuple(v_map))
-    if compose(v, m).map != compose(u, f).map:
+    if any(v.map[m.map[a]] != u.map[f.map[a]] for a in m.source.elements):
         raise PostconditionError("pushout square does not commute")
     return D, u, v
 

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 from .congruence import Congruence, parse_partition
 from .core import ActHom, FiniteAct, FiniteMonoid, validate_act, validate_monoid
-from .errors import (
-    BoundExceeded,
-    NotInUniverse,
-    PostconditionError,
-    SizeBound,
-    UnknownTheorem,
-)
+from .errors import BOUND_ERRORS, PostconditionError, UnknownTheorem
 from .injectivity import DirectedChain
 from .radical import Radical, RadicalTaxonomy, classify_radical
 
@@ -75,7 +69,7 @@ class Checker:
                 continue
             try:
                 ok = self.holds(universe, parts)
-            except (SizeBound, BoundExceeded, NotInUniverse):
+            except BOUND_ERRORS:
                 skipped += 1
                 continue
             except PostconditionError as err:

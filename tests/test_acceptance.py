@@ -7,7 +7,11 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from radact.cli import run as cli_run
 from radact.core import subact_masks
 from radact.radical import density_equivalent, is_r_dense
 from radact.universe import default_universe
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def report(criterion, ok, detail=""):
@@ -212,13 +218,23 @@ def test_criterion_10_mutation_sensitivity(tmp_path):
 
 
 def test_criterion_11_determinism():
-    argv = ["verify", "--all", "--report", "json"]
-    outputs = []
-    codes = []
-    for _ in range(2):
-        out = io.StringIO()
-        codes.append(cli_run(argv, out=out, err=io.StringIO()))
-        outputs.append(out.getvalue())
+    # two cold processes, started together, under different hash seeds: the
+    # report may depend neither on warm caches nor on hash-seed order
+    argv = [sys.executable, "-m", "radact.cli", "verify", "--all",
+            "--report", "json"]
+    procs = [
+        subprocess.Popen(
+            argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            cwd=ROOT,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": "src"},
+        )
+        for seed in ("1", "2")
+    ]
+    outputs = [proc.communicate()[0] for proc in procs]
+    codes = [proc.returncode for proc in procs]
     docs = [json.loads(text) for text in outputs]
     stripped = [verifier.strip_volatile(doc) for doc in docs]
     payload_bytes = [

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from itertools import product as iproduct
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from radact.congruence import quotient, rees_congruence
 from radact.core import (
     ActHom,
+    FiniteAct,
     all_homs,
     compose,
     coproduct,
@@ -264,3 +268,37 @@ def test_injective_homs_subset_of_all(R2):
 def test_left_regular_act(E2):
     reg = left_regular_act(E2)
     assert reg.action == E2.mul
+
+
+def test_stored_hashes_match_the_compared_fields(U):
+    for monoid in U.monoids:
+        assert hash(monoid) == hash((monoid.mul, monoid.identity))
+    for act in U.acts:
+        assert hash(act) == hash((act.monoid, act.action))
+
+
+def test_names_stay_outside_equality_and_hash(R2):
+    renamed = FiniteAct(R2.monoid, R2.action, "other")
+    assert renamed == R2 and hash(renamed) == hash(R2)
+    assert repr(renamed) != repr(R2)
+    monoid = dataclasses.replace(R2.monoid, name="other")
+    assert monoid == R2.monoid and hash(monoid) == hash(R2.monoid)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [
+        dataclasses.replace,
+        copy.copy,
+        lambda x: pickle.loads(pickle.dumps(x)),
+    ],
+    ids=["replace", "copy", "pickle"],
+)
+def test_copies_keep_hash_and_repr(R2, clone):
+    for obj in (R2, R2.monoid):
+        twin = clone(obj)
+        assert twin == obj and twin is not obj
+        assert hash(twin) == hash(obj)
+        assert repr(twin) == repr(obj)
+    changed = dataclasses.replace(R2, action=((0, 1), (0, 0)))
+    assert hash(changed) == hash((R2.monoid, ((0, 1), (0, 0))))

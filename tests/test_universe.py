@@ -47,6 +47,14 @@ def test_monoid_counts():
     assert len(enumerate_monoids(3)) == 10  # 1 + 2 + 7 iso classes
 
 
+def test_monoid_counts_per_order_match_oeis():
+    # OEIS A058129: monoids of order n up to isomorphism
+    monoids = enumerate_monoids(4)
+    assert tuple(
+        sum(1 for m in monoids if m.size == n) for n in range(1, 5)
+    ) == (1, 2, 7, 35)
+
+
 def test_order_two_monoids_match_brute_force():
     brute = brute_monoids_of_order_2()
     assert len(brute) == 2

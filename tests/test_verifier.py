@@ -6,12 +6,24 @@ import pytest
 
 from radact.catalog import parse_radical_table
 from radact.congruence import diagonal, parse_partition
-from radact.core import ActHom, validate_act
-from radact.errors import PostconditionError, UnknownTheorem
+from radact.core import (
+    ActHom,
+    all_homs,
+    mask_members,
+    subact_act_by_mask,
+    subact_masks,
+    validate_act,
+)
+from radact.errors import (
+    BOUND_ERRORS,
+    NotInUniverse,
+    PostconditionError,
+    UnknownTheorem,
+)
 from radact.injectivity import DirectedChain
-from radact.radical import extensional_radical
+from radact.radical import closure_mask, closure_table, extensional_radical
 from radact.universe import default_universe
-from radact import verifier
+from radact import checkers, verifier
 
 # every numbered result the suite certifies; the registry must cover exactly
 # these (axioms are tracked separately)
@@ -119,6 +131,121 @@ def test_pushout_postcondition_failure_violates_l51(monkeypatch):
     assert rep.status == "violated"
     assert rep.witness["note"] == "pushout square does not commute"
     assert verifier.recheck_witness("L5.1", u, rep.witness)
+
+
+def _l51_by_pushouts(r, big, mask, c):
+    # the per-radical loop that the span verdicts replace, kept as an oracle;
+    # it reads checkers' names at call time so that patches reach it
+    sub, incl = subact_act_by_mask(big, mask)
+    return all(
+        checkers.is_r_mono(r, checkers.transfer_pushout(r, incl, f)[1])
+        for f in all_homs(sub, c)
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BOUND_ERRORS as err:
+        return type(err)
+
+
+def _l51_instances(u):
+    return [parts for kind, parts in checkers._enum_l51(u) if kind == "inst"]
+
+
+def test_l51_verdicts_match_per_radical_pushouts():
+    u = default_universe(monoid_max=2)
+    instances = _l51_instances(u)
+    assert {parts[0].name for parts in instances} == {
+        r.name for r in u.radicals
+    }
+    for parts in instances:
+        assert checkers._holds_l51(u, parts) == _l51_by_pushouts(*parts)
+
+
+def test_l51_verdicts_keep_radicals_apart(monkeypatch):
+    # a density test that fails for rG and hits a bound for t_LrG on some
+    # pushouts must change the answers of those radicals only
+    real = checkers.is_r_mono
+
+    def flaky(r, m):
+        if r.name == "rG" and m.target.size == 5:
+            return False
+        if r.name == "t_LrG" and m.target.size == 6:
+            raise NotInUniverse("pushout outside the table")
+        return real(r, m)
+
+    monkeypatch.setattr(checkers, "is_r_mono", flaky)
+    u = default_universe(monoid_max=2)
+    seen = set()
+    for parts in _l51_instances(u):
+        got = _outcome(checkers._holds_l51, u, parts)
+        assert got == _outcome(_l51_by_pushouts, *parts)
+        seen.add((parts[0].name, got))
+    assert {("rG", False), ("t_LrG", NotInUniverse), ("nabla", True)} <= seen
+    assert ("nabla", False) not in seen and ("delta", False) not in seen
+
+
+def test_l51_builds_each_pushout_once(monkeypatch):
+    real = checkers.transfer_pushout
+    built = []
+
+    def counting(r, m, f):
+        built.append((m.target, m.image_mask(), f.target, f.map))
+        return real(r, m, f)
+
+    monkeypatch.setattr(checkers, "transfer_pushout", counting)
+    u = default_universe(monoid_max=2)
+    rep = verifier.verify("L5.1", u)
+    assert rep.status == "verified"
+    per_radical = [
+        (big, mask, c, f.map)
+        for _, big, mask, c in _l51_instances(u)
+        for f in all_homs(subact_act_by_mask(big, mask)[0], c)
+    ]
+    assert len(built) == len(set(built)) == len(set(per_radical))
+    assert len(built) < len(per_radical)
+
+
+def _c3_by_members(r, f, m):
+    # the D2.1 continuity test before closure tables, kept as an oracle
+    image = 0
+    for x in mask_members(closure_mask(r, f.source, m)):
+        image |= 1 << f.map[x]
+    fm = 0
+    for x in mask_members(m):
+        fm |= 1 << f.map[x]
+    return image & ~closure_mask(r, f.target, fm) == 0
+
+
+def test_closure_table_matches_closure_mask():
+    u = default_universe(monoid_max=2)
+    for r in u.radicals:
+        for act in u.acts:
+            subacts = set(subact_masks(act))
+            table = closure_table(r, act)
+            assert len(table) == 1 << act.size
+            for m, closed in enumerate(table):
+                assert closed == (
+                    closure_mask(r, act, m) if m in subacts else 0
+                )
+
+
+def test_d21_continuity_matches_member_loop(mutant_universe):
+    seen = set()
+    for u in (default_universe(monoid_max=2), mutant_universe):
+        for r in u.radicals:
+            for monoid in u.monoids:
+                acts = u.acts_over(monoid)
+                for a in acts:
+                    for b in acts:
+                        for f in all_homs(a, b):
+                            for m in subact_masks(a):
+                                got = checkers._holds_d21(u, (r, "c3", f, m))
+                                assert got == _c3_by_members(r, f, m)
+                                seen.add(got)
+    assert seen == {True, False}
 
 
 def test_mutant_leaves_a_violated_report_in_full_run(mutant_universe):
