@@ -72,7 +72,6 @@ from .injectivity import (
 from .radical import (
     classify_radical,
     closure_mask,
-    closure_table,
     coproduct_closed_radical_class,
     dense_subact_masks,
     in_Lr,
@@ -310,14 +309,14 @@ def _holds_d21(universe, parts):
         act, m1, m2 = parts[2], parts[3], parts[4]
         return closure_mask(r, act, m1) & ~closure_mask(r, act, m2) == 0
     f, m = parts[2], parts[3]
-    c = closure_table(r, f.source)[m]
+    c = closure_mask(r, f.source, m)
     image = fm = 0
     for x, y in enumerate(f.map):
         if c >> x & 1:
             image |= 1 << y
         if m >> x & 1:
             fm |= 1 << y
-    return image & ~closure_table(r, f.target)[fm] == 0
+    return image & ~closure_mask(r, f.target, fm) == 0
 
 
 register(
@@ -1218,52 +1217,48 @@ def _enum_l51(universe):
 
 
 @memo_on(0)
-def _l51_verdict(universe, big, mask, c):
+def _l51_verdict(universe, radicals, big, mask, c):
     """L5.1 on the span (subact ``mask`` of ``big``, target ``c``) for every
-    registered radical at once: bit i is set when ``mask`` is dense in ``big``
-    for radical i and every pushout leg u: c -> D is a dense mono for it.  A
-    radical whose density test on some D hits a bound is left out of the
-    bitmask; the result is then the pair (bitmask, {i: error}).
+    radical of ``radicals`` at once, as one outcome per position: True when
+    ``mask`` is dense in ``big`` and every pushout leg u: c -> D is a dense
+    mono, False when not, and (error type, message) when the density test on
+    some D hits a bound.  ``radicals`` is the universe's registered tuple and
+    part of the memo key, so a radical registered later gets fresh verdicts.
 
     The pushout along a map does not depend on the radical, so each is built
     once.  ``transfer_pushout`` checks that the square commutes; a failure
     raises PostconditionError, which Checker.run reports as violated."""
-    alive = [
-        (i, q) for i, q in enumerate(universe.radicals)
-        if mask in dense_subact_masks(q, big)
-    ]
-    if not alive:
-        return 0
-    first = alive[0][1]
-    sub, incl = subact_act_by_mask(big, mask)
-    errors = {}
-    for f in all_homs(sub, c):
-        u = transfer_pushout(first, incl, f)[1]
-        still = []
-        for i, q in alive:
-            try:
-                if is_r_mono(q, u):
-                    still.append((i, q))
-            except BOUND_ERRORS as err:
-                errors[i] = err
-        alive = still
-        if not alive:
-            break
-    verdict = 0
-    for i, _ in alive:
-        verdict |= 1 << i
-    return (verdict, errors) if errors else verdict
+    outcome = [mask in dense_subact_masks(q, big) for q in radicals]
+    alive = [i for i, dense in enumerate(outcome) if dense]
+    if alive:
+        sub, incl = subact_act_by_mask(big, mask)
+        for f in all_homs(sub, c):
+            u = transfer_pushout(radicals[alive[0]], incl, f)[1]
+            still = []
+            for i in alive:
+                try:
+                    if is_r_mono(radicals[i], u):
+                        still.append(i)
+                    else:
+                        outcome[i] = False
+                except BOUND_ERRORS as err:
+                    outcome[i] = (type(err), str(err))
+            alive = still
+            if not alive:
+                break
+    outcome = tuple(outcome)
+    # spans far outnumber the distinct outcomes: keep one copy of each
+    return universe.memo.setdefault(outcome, outcome)
 
 
 def _holds_l51(universe, parts):
     r, big, mask, c = parts
-    i = universe.radicals.index(r)
-    verdict = _l51_verdict(universe, big, mask, c)
-    if isinstance(verdict, tuple):
-        verdict, errors = verdict
-        if i in errors:
-            raise errors[i]
-    return bool(verdict >> i & 1)
+    radicals = universe.radicals
+    outcome = _l51_verdict(universe, radicals, big, mask, c)[radicals.index(r)]
+    if isinstance(outcome, bool):
+        return outcome
+    err_type, message = outcome
+    raise err_type(message)
 
 
 register(

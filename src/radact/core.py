@@ -7,7 +7,7 @@ so results that depend only on these values are memoised in value-keyed
 equality compares; names take part in neither.  Results that depend on a
 ``Universe`` or a ``Radical`` are memoised on that object (see ``memo_on``),
 so they are freed together with it: the universe keeps, among others, the
-L5.1 verdict of each pushout span, and a radical its closure tables.
+L5.1 verdict of each pushout span, and a radical its closures.
 A subact (a non-empty action-closed subset of a carrier) is always a bitmask
 over its parent's carrier: bit a is set when element a belongs to it.
 ``subact_act_by_mask`` materialises one as an act plus its inclusion.

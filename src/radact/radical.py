@@ -286,16 +286,6 @@ def closure_mask(r: Radical, act: FiniteAct, mask: int) -> int:
     return out
 
 
-@memo_on(0)
-def closure_table(r: Radical, act: FiniteAct) -> tuple[int, ...]:
-    """Closures of every subact of the act, indexed by subact mask; 0 at
-    every mask that is not a subact."""
-    table = [0] * (1 << act.size)
-    for m in subact_masks(act):
-        table[m] = closure_mask(r, act, m)
-    return tuple(table)
-
-
 def is_r_dense(r: Radical, act: FiniteAct, mask: int) -> bool:
     return closure_mask(r, act, mask) == act.full_mask()
 

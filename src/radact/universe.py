@@ -162,7 +162,10 @@ class Universe:
     """Catalog of monoids and acts within bounds, plus registered radicals.
 
     ``memo`` holds the results computed over this universe (taxonomy flags,
-    injectivity decisions, hull searches); see ``core.memo_on``."""
+    injectivity decisions, hull searches, L5.1 span verdicts); see
+    ``core.memo_on``.  ``radicals`` is a tuple that each registration
+    replaces, so a memo entry keyed by it is never read for another set of
+    radicals."""
 
     def __init__(self, monoid_max=3, act_max=4, hull_bound=6,
                  con_bound=CON_BOUND_DEFAULT):
@@ -177,7 +180,7 @@ class Universe:
         self.acts = tuple(
             a for m in self.monoids for a in self._acts_by_monoid[m]
         )
-        self.radicals = []
+        self.radicals = ()
         self.memo = {}
         self._members = {}
         for m in self.monoids:
@@ -200,7 +203,7 @@ class Universe:
             raise RadactError(f"radical named {r.name!r} already registered")
         if r.kind == "induced-from-semisimple-class":
             rd.verify_semisimple_class(r.oracle.membership, self)
-        self.radicals.append(r)
+        self.radicals += (r,)
         return r
 
     def radical(self, name: str) -> rd.Radical:

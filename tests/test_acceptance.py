@@ -222,19 +222,29 @@ def test_criterion_11_determinism():
     # report may depend neither on warm caches nor on hash-seed order
     argv = [sys.executable, "-m", "radact.cli", "verify", "--all",
             "--report", "json"]
+    path = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
     procs = [
         subprocess.Popen(
             argv,
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
             text=True,
             cwd=ROOT,
-            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": "src"},
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
         )
         for seed in ("1", "2")
     ]
-    outputs = [proc.communicate()[0] for proc in procs]
+    try:
+        results = [proc.communicate(timeout=900) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    outputs = [out for out, _ in results]
     codes = [proc.returncode for proc in procs]
+    assert codes == [0, 0], "\n".join(err for _, err in results)
     docs = [json.loads(text) for text in outputs]
     stripped = [verifier.strip_volatile(doc) for doc in docs]
     payload_bytes = [

@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from radact.catalog import parse_radical_table
-from radact.congruence import diagonal, parse_partition
+from radact.congruence import diagonal, parse_partition, total
 from radact.core import (
     ActHom,
     all_homs,
@@ -21,7 +21,7 @@ from radact.errors import (
     UnknownTheorem,
 )
 from radact.injectivity import DirectedChain
-from radact.radical import closure_mask, closure_table, extensional_radical
+from radact.radical import closure_mask, extensional_radical
 from radact.universe import default_universe
 from radact import checkers, verifier
 
@@ -208,8 +208,27 @@ def test_l51_builds_each_pushout_once(monkeypatch):
     assert len(built) < len(per_radical)
 
 
+def test_l51_verdicts_follow_a_radical_registered_later():
+    # span verdicts are memoised per registered set of radicals, so a radical
+    # added after a run gets verdicts of its own
+    u = default_universe(monoid_max=2)
+    first = verifier.verify("L5.1", u)
+    assert first.status == "verified"
+    late = u.register_radical(
+        extensional_radical("nabla_table", {a: total(a) for a in u.acts})
+    )
+    rep = verifier.verify("L5.1", u)
+    assert rep.status == "verified"
+    assert rep.instances_checked > first.instances_checked
+    for parts in _l51_instances(u):
+        if parts[0] is late:
+            got = _outcome(checkers._holds_l51, u, parts)
+            assert got == _outcome(_l51_by_pushouts, *parts)
+
+
 def _c3_by_members(r, f, m):
-    # the D2.1 continuity test before closure tables, kept as an oracle
+    # the D2.1 continuity test before the one-pass image loop, kept as an
+    # oracle
     image = 0
     for x in mask_members(closure_mask(r, f.source, m)):
         image |= 1 << f.map[x]
@@ -217,19 +236,6 @@ def _c3_by_members(r, f, m):
     for x in mask_members(m):
         fm |= 1 << f.map[x]
     return image & ~closure_mask(r, f.target, fm) == 0
-
-
-def test_closure_table_matches_closure_mask():
-    u = default_universe(monoid_max=2)
-    for r in u.radicals:
-        for act in u.acts:
-            subacts = set(subact_masks(act))
-            table = closure_table(r, act)
-            assert len(table) == 1 << act.size
-            for m, closed in enumerate(table):
-                assert closed == (
-                    closure_mask(r, act, m) if m in subacts else 0
-                )
 
 
 def test_d21_continuity_matches_member_loop(mutant_universe):
