@@ -66,7 +66,7 @@ from .injectivity import (
     r_injective_bounded,
     r_injective_hull,
     skornjakov_injective,
-    transfer_pushout,
+    transfer_pushouts,
     _maps_extend,
 )
 from .radical import (
@@ -1226,14 +1226,15 @@ def _l51_verdict(universe, radicals, big, mask, c):
     part of the memo key, so a radical registered later gets fresh verdicts.
 
     The pushout along a map does not depend on the radical, so each is built
-    once.  ``transfer_pushout`` checks that the square commutes; a failure
-    raises PostconditionError, which Checker.run reports as violated."""
+    once, and all pushouts along the span share one layout.
+    ``transfer_pushouts`` checks that each square commutes; a failure raises
+    PostconditionError, which Checker.run reports as violated."""
     outcome = [mask in dense_subact_masks(q, big) for q in radicals]
     alive = [i for i, dense in enumerate(outcome) if dense]
     if alive:
         sub, incl = subact_act_by_mask(big, mask)
-        for f in all_homs(sub, c):
-            u = transfer_pushout(radicals[alive[0]], incl, f)[1]
+        squares = transfer_pushouts(radicals[alive[0]], incl, all_homs(sub, c))
+        for _, u, _ in squares:
             still = []
             for i in alive:
                 try:

@@ -20,19 +20,19 @@ from dataclasses import dataclass
 from .congruence import (
     Congruence,
     all_congruences,
-    generated_congruence,
+    closure_roots,
     is_essential,
     maximal_complement,
     quotient,
     rees_congruence,
     rees_single,
+    _canonical,
 )
 from .core import (
     ActHom,
     FiniteAct,
     all_homs,
     compose,
-    coproduct_many,
     hom_extension_exists,
     identity_hom,
     injective_homs,
@@ -42,11 +42,16 @@ from .core import (
     memo_on,
     subact_act_by_mask,
     subact_masks,
-    validate_act,
     zeros,
     _hom_search,
 )
-from .errors import BoundExceeded, ModeUnavailable, NotRMono, PostconditionError
+from .errors import (
+    ActMismatch,
+    BoundExceeded,
+    ModeUnavailable,
+    NotRMono,
+    PostconditionError,
+)
 from .radical import (
     Radical,
     classify_radical,
@@ -152,49 +157,62 @@ def make_extension(emb: ActHom, r: Radical | None = None, bound: int = 7,
 # the transfer pushout
 
 
-def transfer_pushout(r: Radical, m: ActHom, f: ActHom):
-    """Complete a span (dense mono m: A -> B, map f: A -> C) to a commuting
-    square whose new leg u: C -> D is again a dense mono.
+def transfer_pushouts(r: Radical, m: ActHom, fs):
+    """Complete the span (dense mono m: A -> B, map f: A -> C) for each map f
+    of ``fs`` to a commuting square whose new leg u: C -> D is again a dense
+    mono; yields (D, u, v) per map, where v: B -> D is the other new leg.
 
     D's carrier is B minus the image of m, followed by C.  The action sends a
     leftover element of B into C through f whenever multiplication lands in
-    the image of m.
+    the image of m.  What does not depend on f is laid out once per span: an
+    entry of a leftover row or of v is either a leftover tag or the image
+    under f of an element of A, so it is stored as an index into the vector
+    ``tags + images of f``.  The C part of the rows and u's map are laid out
+    once per target C.  D satisfies the act axioms by construction, so it is
+    built as a plain act; a test runs ``validate_act`` on every D of the
+    small universe.
     """
-    if m.source != f.source:
-        raise ValueError("pushout legs must share their source")
     if not is_r_mono(r, m):
         raise NotRMono(f"{m.map} is not a dense monomorphism for {r.name}")
-    B, C = m.target, f.target
-    image = m.image_mask()
-    minv = {}
-    for a, b in enumerate(m.map):
-        minv[b] = a
-    rest = [b for b in B.elements if not (image >> b) & 1]
-    tag_rest = {b: i for i, b in enumerate(rest)}
-    off = len(rest)
+    A, B = m.source, m.target
     monoid = B.monoid
-    action = []
-    for s in monoid.elements:
-        row = []
-        for b in rest:
-            y = B.action[s][b]
-            if (image >> y) & 1:
-                row.append(off + f.map[minv[y]])
-            else:
-                row.append(tag_rest[y])
-        for c in C.elements:
-            row.append(off + C.action[s][c])
-        action.append(tuple(row))
-    D = validate_act(monoid, action)
-    u = ActHom(C, D, tuple(range(off, off + C.size)))
-    v_map = [
-        off + f.map[minv[b]] if (image >> b) & 1 else tag_rest[b]
-        for b in B.elements
-    ]
-    v = ActHom(B, D, tuple(v_map))
-    if any(v.map[m.map[a]] != u.map[f.map[a]] for a in m.source.elements):
-        raise PostconditionError("pushout square does not commute")
-    return D, u, v
+    image = m.image_mask()
+    minv = {b: a for a, b in enumerate(m.map)}
+    rest = [b for b in B.elements if not (image >> b) & 1]
+    off = len(rest)
+    tag_rest = {b: i for i, b in enumerate(rest)}
+
+    def slot(b):
+        return off + minv[b] if (image >> b) & 1 else tag_rest[b]
+
+    rest_rows = [[slot(row[b]) for b in rest] for row in B.action]
+    v_slots = [slot(b) for b in B.elements]
+    tags = list(range(off))
+    C = None
+    for f in fs:
+        if f.source != A:
+            raise ValueError("pushout legs must share their source")
+        if f.target is not C:
+            C = f.target
+            if C.monoid != monoid:
+                raise ActMismatch("pushout map lands in an act over another "
+                                  "monoid")
+            c_rows = [tuple(off + y for y in row) for row in C.action]
+            u_map = tuple(range(off, off + C.size))
+        vals = tags + [off + y for y in f.map]
+        get = vals.__getitem__
+        D = FiniteAct(monoid, tuple(
+            tuple(map(get, rr)) + cr for rr, cr in zip(rest_rows, c_rows)
+        ))
+        v_map = tuple(map(get, v_slots))
+        if any(v_map[m.map[a]] != u_map[f.map[a]] for a in A.elements):
+            raise PostconditionError("pushout square does not commute")
+        yield D, ActHom(C, D, u_map), ActHom(B, D, v_map)
+
+
+def transfer_pushout(r: Radical, m: ActHom, f: ActHom):
+    """The square of ``transfer_pushouts`` for the one map f."""
+    return next(transfer_pushouts(r, m, (f,)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +267,41 @@ class DirectedChain:
 
 
 def direct_limit(chain: DirectedChain):
-    """Coproduct of the chain modulo the identification congruence; returns
-    the limit together with the legs from each chain member."""
-    total, injections = coproduct_many(chain.acts)
-    pairs = []
-    for i, ln in enumerate(chain.links):
-        for a in chain.acts[i].elements:
-            pairs.append((injections[i].map[a], injections[i + 1].map[ln.map[a]]))
-    chi = generated_congruence(total, pairs)
-    limit, pi = quotient(total, chi)
-    legs = [compose(pi, inj) for inj in injections]
+    """The limit of the chain together with the legs from each chain member.
+
+    The limit is the coproduct of the chain modulo the congruence generated
+    by identifying each element with its image under the next link.  The
+    closure runs on the concatenated action rows.  Classes are labelled in
+    first-use order and represented by their least elements (the roots), as
+    ``quotient`` does, and each leg is a slice of the label vector."""
+    acts = chain.acts
+    monoid = acts[0].monoid
+    if any(x.monoid != monoid for x in acts):
+        raise ActMismatch("direct limit requires a common monoid")
+    offsets = []
+    size = 0
+    for x in acts:
+        offsets.append(size)
+        size += x.size
+    rows = [
+        [off + y for x, off in zip(acts, offsets) for y in x.action[s]]
+        for s in monoid.elements
+    ]
+    pairs = [
+        (off + a, nxt + b)
+        for ln, off, nxt in zip(chain.links, offsets, offsets[1:])
+        for a, b in enumerate(ln.map)
+    ]
+    roots = closure_roots(rows, size, pairs)
+    index = _canonical(roots)
+    reps = [a for a in range(size) if roots[a] == a]
+    limit = FiniteAct(monoid, tuple(
+        tuple(index[row[a]] for a in reps) for row in rows
+    ))
+    legs = [
+        ActHom(x, limit, tuple(index[off:off + x.size]))
+        for x, off in zip(acts, offsets)
+    ]
     return limit, legs
 
 

@@ -2,11 +2,19 @@ from collections import Counter
 
 import pytest
 
-from radact.congruence import parse_partition, quotient, rees_single, total
+from radact.congruence import (
+    generated_congruence,
+    parse_partition,
+    quotient,
+    rees_single,
+    total,
+)
 from radact.core import (
     ActHom,
     all_homs,
+    compose,
     coproduct,
+    coproduct_many,
     find_isomorphism,
     identity_hom,
     injective_homs,
@@ -19,8 +27,15 @@ from radact.core import (
     zeros,
     _hom_search,
 )
+from radact import checkers
 from radact.checkers import _holds_t46
-from radact.errors import BoundExceeded, ModeUnavailable, NotRMono
+from radact.errors import (
+    ActMismatch,
+    BoundExceeded,
+    ModeUnavailable,
+    NotRMono,
+    PostconditionError,
+)
 from radact.injectivity import (
     DirectedChain,
     banaschewski_reduce,
@@ -43,6 +58,7 @@ from radact.injectivity import (
     r_injective_hull,
     skornjakov_injective,
     transfer_pushout,
+    transfer_pushouts,
     _extends_along,
     _maps_extend,
     _restrictions,
@@ -126,6 +142,95 @@ def test_pushout_requires_dense_mono(R2, U):
     f = ActHom(sub, trivial_act(R2.monoid), (0,))
     with pytest.raises(NotRMono):
         transfer_pushout(delta, incl, f)
+    # the precondition is checked once per span, before any map is read
+    with pytest.raises(NotRMono):
+        list(transfer_pushouts(delta, incl, ()))
+
+
+def _pushout_by_definition(r, m, f):
+    # the one-map construction that transfer_pushouts lays out once per span,
+    # kept as an oracle; D is built through validate_act
+    if m.source != f.source:
+        raise ValueError("pushout legs must share their source")
+    if not is_r_mono(r, m):
+        raise NotRMono(f"{m.map} is not a dense monomorphism for {r.name}")
+    B, C = m.target, f.target
+    image = m.image_mask()
+    minv = {}
+    for a, b in enumerate(m.map):
+        minv[b] = a
+    rest = [b for b in B.elements if not (image >> b) & 1]
+    tag_rest = {b: i for i, b in enumerate(rest)}
+    off = len(rest)
+    monoid = B.monoid
+    action = []
+    for s in monoid.elements:
+        row = []
+        for b in rest:
+            y = B.action[s][b]
+            if (image >> y) & 1:
+                row.append(off + f.map[minv[y]])
+            else:
+                row.append(tag_rest[y])
+        for c in C.elements:
+            row.append(off + C.action[s][c])
+        action.append(tuple(row))
+    D = validate_act(monoid, action)
+    u = ActHom(C, D, tuple(range(off, off + C.size)))
+    v_map = [
+        off + f.map[minv[b]] if (image >> b) & 1 else tag_rest[b]
+        for b in B.elements
+    ]
+    v = ActHom(B, D, tuple(v_map))
+    if any(v.map[m.map[a]] != u.map[f.map[a]] for a in m.source.elements):
+        raise PostconditionError("pushout square does not commute")
+    return D, u, v
+
+
+def test_pushouts_match_definition_on_every_l51_span():
+    # every span that some radical makes dense, every map out of its subact:
+    # one layout per span gives the oracle's D, u and v, and every D passes
+    # validate_act, which transfer_pushouts no longer runs
+    u = default_universe(monoid_max=2)
+    squares = 0
+    for monoid in u.monoids:
+        acts = u.acts_over(monoid)
+        for big in acts:
+            for mask in subact_masks(big):
+                dense = [r for r in u.radicals
+                         if mask in dense_subact_masks(r, big)]
+                if not dense:
+                    continue
+                sub, incl = subact_act_by_mask(big, mask)
+                for c in acts:
+                    fs = all_homs(sub, c)
+                    got = list(transfer_pushouts(dense[0], incl, fs))
+                    assert len(got) == len(fs)
+                    for f, (d, uu, v) in zip(fs, got):
+                        want_d, want_u, want_v = _pushout_by_definition(
+                            dense[0], incl, f
+                        )
+                        assert d.action == want_d.action
+                        assert uu.map == want_u.map and v.map == want_v.map
+                        assert (uu.source, uu.target) == (c, d)
+                        assert (v.source, v.target) == (big, d)
+                        assert validate_act(d.monoid, d.action) == d
+                        squares += 1
+    assert squares > 1000
+
+
+def test_pushout_rejects_maps_off_the_span(R2, T1, rg):
+    sub, incl = subact_act_by_mask(R2, 0b10)
+    point = ActHom(sub, trivial_act(R2.monoid), (0,))
+    other = ActHom(sub, trivial_act(T1), (0,))
+    with pytest.raises(ActMismatch):
+        transfer_pushout(rg, incl, other)
+    # checked for each new target, also after a good one
+    with pytest.raises(ActMismatch):
+        list(transfer_pushouts(rg, incl, (point, other)))
+    stray = ActHom(R2, trivial_act(R2.monoid), (0, 0))
+    with pytest.raises(ValueError):
+        transfer_pushout(rg, incl, stray)
 
 
 def test_banaschewski_identity(R2, rg):
@@ -187,6 +292,51 @@ def test_direct_limit_point_into_regular(R2, rg):
     limit, legs = direct_limit(DirectedChain((sub, R2), (incl,)))
     assert find_isomorphism(limit, R2) is not None
     assert all(is_r_mono(rg, leg) for leg in legs)
+
+
+def _direct_limit_by_quotient(chain):
+    # the coproduct -> generated congruence -> quotient construction that
+    # direct_limit runs without building the intermediate acts, kept as an
+    # oracle
+    total_act, injections = coproduct_many(chain.acts)
+    pairs = []
+    for i, ln in enumerate(chain.links):
+        for a in chain.acts[i].elements:
+            pairs.append(
+                (injections[i].map[a], injections[i + 1].map[ln.map[a]])
+            )
+    chi = generated_congruence(total_act, pairs)
+    limit, pi = quotient(total_act, chi)
+    return limit, [compose(pi, inj) for inj in injections]
+
+
+def test_direct_limit_matches_quotient_on_every_chain():
+    u = default_universe(monoid_max=2)
+    chains = [
+        parts[1] for kind, parts in checkers._enum_l53(u) if kind == "inst"
+    ]
+    chains += [
+        checkers._chain_from_parts(u, parts)[1]
+        for kind, parts in checkers._enum_chains(u) if kind == "inst"
+    ]
+    assert max(len(chain.acts) for chain in chains) == 3
+    for chain in chains:
+        limit, legs = direct_limit(chain)
+        want, want_legs = _direct_limit_by_quotient(chain)
+        assert limit.monoid == want.monoid
+        assert limit.action == want.action
+        assert len(legs) == len(want_legs)
+        for leg, want_leg in zip(legs, want_legs):
+            assert leg.source == want_leg.source
+            assert leg.target == limit
+            assert leg.map == want_leg.map
+
+
+def test_direct_limit_rejects_mixed_monoids(T1, E2):
+    link = ActHom(trivial_act(T1), trivial_act(E2), (0,))
+    chain = DirectedChain((link.source, link.target), (link,))
+    with pytest.raises(ActMismatch):
+        direct_limit(chain)
 
 
 def test_direct_limit_is_top_of_injective_chain(U):

@@ -20,7 +20,7 @@ from radact.errors import (
     PostconditionError,
     UnknownTheorem,
 )
-from radact.injectivity import DirectedChain
+from radact.injectivity import DirectedChain, transfer_pushout
 from radact.radical import closure_mask, extensional_radical
 from radact.universe import default_universe
 from radact import checkers, verifier
@@ -118,14 +118,14 @@ def test_axiom_two_violated_by_mutant(mutant_universe):
 
 
 def test_pushout_postcondition_failure_violates_l51(monkeypatch):
-    # L5.1 leaves the commuting-square check to transfer_pushout; a raised
+    # L5.1 leaves the commuting-square check to transfer_pushouts; a raised
     # PostconditionError must surface as a violation with its note
     from radact import checkers
 
-    def broken_pushout(r, m, f):
+    def broken_pushouts(r, m, fs):
         raise PostconditionError("pushout square does not commute")
 
-    monkeypatch.setattr(checkers, "transfer_pushout", broken_pushout)
+    monkeypatch.setattr(checkers, "transfer_pushouts", broken_pushouts)
     u = default_universe(monoid_max=2)
     rep = verifier.verify("L5.1", u)
     assert rep.status == "violated"
@@ -135,10 +135,10 @@ def test_pushout_postcondition_failure_violates_l51(monkeypatch):
 
 def _l51_by_pushouts(r, big, mask, c):
     # the per-radical loop that the span verdicts replace, kept as an oracle;
-    # it reads checkers' names at call time so that patches reach it
+    # it reads checkers.is_r_mono at call time so that patches reach it
     sub, incl = subact_act_by_mask(big, mask)
     return all(
-        checkers.is_r_mono(r, checkers.transfer_pushout(r, incl, f)[1])
+        checkers.is_r_mono(r, transfer_pushout(r, incl, f)[1])
         for f in all_homs(sub, c)
     )
 
@@ -188,14 +188,16 @@ def test_l51_verdicts_keep_radicals_apart(monkeypatch):
 
 
 def test_l51_builds_each_pushout_once(monkeypatch):
-    real = checkers.transfer_pushout
+    real = checkers.transfer_pushouts
     built = []
 
-    def counting(r, m, f):
-        built.append((m.target, m.image_mask(), f.target, f.map))
-        return real(r, m, f)
+    def counting(r, m, fs):
+        fs = tuple(fs)
+        for f, square in zip(fs, real(r, m, fs)):
+            built.append((m.target, m.image_mask(), f.target, f.map))
+            yield square
 
-    monkeypatch.setattr(checkers, "transfer_pushout", counting)
+    monkeypatch.setattr(checkers, "transfer_pushouts", counting)
     u = default_universe(monoid_max=2)
     rep = verifier.verify("L5.1", u)
     assert rep.status == "verified"
