@@ -136,7 +136,7 @@ def _universe(args):
             text = fh.read()
         c = _load_catalog(args)
         name, table = cat.parse_radical_table(text, c.acts)
-        r = rd.extensional_radical(name, table, args.con_bound)
+        r = rd.extensional_radical(name, table)
         _require_coverage(r, u)
         u.register_radical(r)
     return u

@@ -159,28 +159,24 @@ class _UnionFind:
         return True
 
 
-def closure_roots(rows, size: int, pairs) -> list[int]:
-    """Union-find closure of ``pairs`` on the carrier ``range(size)`` under
-    the action ``rows``: whenever two elements merge, their images under every
-    row merge as well, until a fixpoint.  Returns each element's root, the
-    least element of its class."""
-    uf = _UnionFind(size)
+def generated_congruence(act: FiniteAct, pairs) -> Congruence:
+    """Least congruence containing the given pairs.
+
+    Union-find closure: whenever two elements merge, their images under every
+    monoid element merge as well, until a fixpoint.
+    """
+    uf = _UnionFind(act.size)
     work = []
     for a, b in pairs:
         if uf.union(a, b):
             work.append((a, b))
     while work:
         a, b = work.pop()
-        for row in rows:
+        for row in act.action:
             x, y = row[a], row[b]
             if uf.union(x, y):
                 work.append((x, y))
-    return [uf.find(a) for a in range(size)]
-
-
-def generated_congruence(act: FiniteAct, pairs) -> Congruence:
-    """Least congruence containing the given pairs."""
-    return _make(act, tuple(closure_roots(act.action, act.size, pairs)))
+    return _make(act, tuple(uf.find(a) for a in act.elements))
 
 
 def meet(chi1: Congruence, chi2: Congruence) -> Congruence:

@@ -326,9 +326,7 @@ def product(*acts: FiniteAct) -> FiniteAct:
     monoid = acts[0].monoid
     if any(x.monoid != monoid for x in acts):
         raise ActMismatch("product requires a common monoid")
-    tuples = [()]
-    for x in acts:
-        tuples = [t + (a,) for t in tuples for a in x.elements]
+    tuples = product_tuples(*acts)
     index = {t: i for i, t in enumerate(tuples)}
     action = tuple(
         tuple(
@@ -561,7 +559,6 @@ def canonical_form(act: FiniteAct) -> FiniteAct:
     return FiniteAct(act.monoid, best)
 
 
-@lru_cache(maxsize=None)
 def canonical_monoid(monoid: FiniteMonoid) -> FiniteMonoid:
     """Least relabeling among permutations fixing the identity."""
     others = [x for x in monoid.elements if x != monoid.identity]

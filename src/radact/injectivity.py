@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .congruence import (
     Congruence,
     all_congruences,
-    closure_roots,
     is_essential,
     maximal_complement,
     quotient,
@@ -34,7 +33,6 @@ from .core import (
     all_homs,
     compose,
     hom_extension_exists,
-    identity_hom,
     injective_homs,
     invert,
     left_regular_act,
@@ -245,7 +243,8 @@ def banaschewski_reduce(r: Radical, f: ActHom, bound: int = 7):
 
 @dataclass(frozen=True)
 class DirectedChain:
-    """Finite chain of acts with injective links; composites are derived."""
+    """Finite chain of acts over one monoid with injective links; composites
+    are derived."""
 
     acts: tuple[FiniteAct, ...]
     links: tuple[ActHom, ...]
@@ -253,6 +252,9 @@ class DirectedChain:
     def __post_init__(self):
         if len(self.links) != len(self.acts) - 1:
             raise ValueError("need one link between consecutive acts")
+        monoid = self.acts[0].monoid
+        if any(x.monoid != monoid for x in self.acts):
+            raise ActMismatch("a chain's acts must share their monoid")
         for i, ln in enumerate(self.links):
             if ln.source != self.acts[i] or ln.target != self.acts[i + 1]:
                 raise ValueError(f"link {i} does not connect the chain")
@@ -260,48 +262,39 @@ class DirectedChain:
                 raise ValueError(f"link {i} is not injective")
 
     def link(self, i: int, j: int) -> ActHom:
-        h = identity_hom(self.acts[i])
-        for k in range(i, j):
-            h = compose(self.links[k], h)
-        return h
+        """The composite of the links from act i to act j."""
+        images = tuple(self.acts[i].elements)
+        for ln in self.links[i:j]:
+            images = tuple(map(ln.map.__getitem__, images))
+        return ActHom(self.acts[i], self.acts[j], images)
 
 
 def direct_limit(chain: DirectedChain):
     """The limit of the chain together with the legs from each chain member.
 
-    The limit is the coproduct of the chain modulo the congruence generated
-    by identifying each element with its image under the next link.  The
-    closure runs on the concatenated action rows.  Classes are labelled in
-    first-use order and represented by their least elements (the roots), as
-    ``quotient`` does, and each leg is a slice of the label vector."""
+    A finite chain ends in its last act An, so the limit is An: two elements
+    of the chain are identified exactly when the links carry them to the same
+    point of An.  Every element is labelled by that point, labels numbered in
+    first-use order as the quotient of the coproduct numbers its classes, and
+    each leg is a slice of the label vector."""
     acts = chain.acts
-    monoid = acts[0].monoid
-    if any(x.monoid != monoid for x in acts):
-        raise ActMismatch("direct limit requires a common monoid")
-    offsets = []
-    size = 0
+    top = len(acts) - 1
+    index = _canonical(
+        [y for i in range(top + 1) for y in chain.link(i, top).map]
+    )
+    labels = index[len(index) - acts[top].size:]
+    action = []
+    for row in acts[top].action:
+        out = [0] * len(labels)
+        for p, q in zip(labels, row):
+            out[p] = labels[q]
+        action.append(tuple(out))
+    limit = FiniteAct(acts[top].monoid, tuple(action))
+    legs = []
+    off = 0
     for x in acts:
-        offsets.append(size)
-        size += x.size
-    rows = [
-        [off + y for x, off in zip(acts, offsets) for y in x.action[s]]
-        for s in monoid.elements
-    ]
-    pairs = [
-        (off + a, nxt + b)
-        for ln, off, nxt in zip(chain.links, offsets, offsets[1:])
-        for a, b in enumerate(ln.map)
-    ]
-    roots = closure_roots(rows, size, pairs)
-    index = _canonical(roots)
-    reps = [a for a in range(size) if roots[a] == a]
-    limit = FiniteAct(monoid, tuple(
-        tuple(index[row[a]] for a in reps) for row in rows
-    ))
-    legs = [
-        ActHom(x, limit, tuple(index[off:off + x.size]))
-        for x, off in zip(acts, offsets)
-    ]
+        legs.append(ActHom(x, limit, index[off:off + x.size]))
+        off += x.size
     return limit, legs
 
 
@@ -437,6 +430,7 @@ def is_weakly_injective(Q: FiniteAct, universe) -> bool:
     return _maps_extend(Q, reg, subact_masks(reg))
 
 
+@memo_on(2)
 def r_injective_bounded(r: Radical, Q: FiniteAct, universe) -> bool:
     """Conjunction of every decidable necessary condition for injectivity
     relative to the radical's dense monos; used by hull search and by the

@@ -1,13 +1,13 @@
 """Hoehnke radicals, radical/semisimple classes, the induced closure operator
 and density machinery, plus the taxonomy flags (hereditary, pre-Kurosh, ...).
 
-A radical assigns to every act a congruence on it.  Built-ins: the constant
-diagonal and total radicals, and the zero-annihilator radical rG (join, over
-each zero, of the Rees congruence collapsing the union of all cyclic subacts
-whose every element maps into that zero).  Induced radicals come from a
-semisimple-class membership oracle via the meet formula; extensional radicals
-are tables over a fixed catalog of acts, evaluated on other acts through an
-isomorphism.
+A radical assigns to every act a congruence on it, through one function.
+The stock ones: the constant diagonal and total radicals, and the
+zero-annihilator radical rG (join, over each zero, of the Rees congruence
+collapsing the union of all cyclic subacts whose every element maps into that
+zero).  Induced radicals come from a semisimple-class membership predicate via
+the meet formula; extensional radicals are tables over a fixed catalog of
+acts, evaluated on other acts through an isomorphism.
 """
 
 from __future__ import annotations
@@ -39,110 +39,74 @@ from .core import (
 )
 from .errors import ClassNotClosed, NotInUniverse
 
-KINDS = (
-    "builtin-delta",
-    "builtin-nabla",
-    "builtin-rG",
-    "induced-from-semisimple-class",
-    "extensional-table",
-)
-
-
-@dataclass(frozen=True)
-class ClassOracle:
-    """Named decidable membership predicate on finite acts."""
-
-    name: str
-    membership: object  # callable FiniteAct -> bool
-
-    def __contains__(self, act: FiniteAct) -> bool:
-        return bool(self.membership(act))
-
 
 class Radical:
-    """Assignment act -> congruence.  Results that depend on the radical are
-    memoised on it: congruences and closures in inline tables (the hot
-    paths), everything else in ``memo``."""
+    """Assignment act -> congruence, computed by ``congruence_of``.  An
+    induced radical also carries the ``membership`` predicate of its
+    semisimple class, which registration verifies.  Results that depend on
+    the radical are memoised on it: congruences and closures in inline tables
+    (the hot paths), everything else in ``memo``."""
 
-    def __init__(self, name, kind, *, oracle=None, table=None,
-                 con_bound=cg.CON_BOUND_DEFAULT):
-        if kind not in KINDS:
-            raise ValueError(f"unknown radical kind {kind!r}")
-        if kind == "induced-from-semisimple-class" and oracle is None:
-            raise ValueError("induced radicals need a class oracle")
-        if kind == "extensional-table" and table is None:
-            raise ValueError("extensional radicals need a table")
+    def __init__(self, name, congruence_of, *, membership=None):
         self.name = name
-        self.kind = kind
-        self.oracle = oracle
-        self.table = dict(table) if table else None
-        self.con_bound = con_bound
+        self.congruence_of = congruence_of
+        self.membership = membership
         self._of = {}
         self._closure = {}
         self.memo = {}
 
     def __repr__(self):
-        return f"Radical({self.name!r}, {self.kind})"
+        return f"Radical({self.name!r})"
 
     def of(self, act: FiniteAct) -> Congruence:
         got = self._of.get(act)
         if got is None:
-            got = self._of[act] = self._compute(act)
+            got = self._of[act] = self.congruence_of(act)
         return got
-
-    def _compute(self, act):
-        if self.kind == "builtin-delta":
-            return cg.diagonal(act)
-        if self.kind == "builtin-nabla":
-            return cg.total(act)
-        if self.kind == "builtin-rG":
-            return _rg_congruence(act)
-        if self.kind == "induced-from-semisimple-class":
-            return self._induced(act)
-        return self._lookup(act)
-
-    def _induced(self, act):
-        member = self.oracle.membership
-        result = cg.total(act)
-        for chi in all_congruences(act, self.con_bound):
-            if member(quotient(act, chi)[0]):
-                result = cg.meet(result, chi)
-        return result
-
-    def _lookup(self, act):
-        direct = self.table.get(act)
-        if direct is not None:
-            return direct
-        for member, value in self.table.items():
-            iso = find_isomorphism(act, member)
-            if iso is not None:
-                return cg.pull_congruence(iso, value)
-        raise NotInUniverse(f"{self.name} has no table entry matching the act")
 
 
 def delta_radical() -> Radical:
-    return Radical("delta", "builtin-delta")
+    return Radical("delta", cg.diagonal)
 
 
 def nabla_radical() -> Radical:
-    return Radical("nabla", "builtin-nabla")
+    return Radical("nabla", cg.total)
 
 
 def rg_radical() -> Radical:
-    return Radical("rG", "builtin-rG")
+    return Radical("rG", _rg_congruence)
 
 
 def induced_radical(name, membership, con_bound=cg.CON_BOUND_DEFAULT) -> Radical:
-    return Radical(
-        name,
-        "induced-from-semisimple-class",
-        oracle=ClassOracle(name + ".class", membership),
-        con_bound=con_bound,
-    )
+    """The radical whose congruence on an act is the meet of the congruences
+    with a quotient in the semisimple class."""
+
+    def congruence_of(act):
+        result = cg.total(act)
+        for chi in all_congruences(act, con_bound):
+            if membership(quotient(act, chi)[0]):
+                result = cg.meet(result, chi)
+        return result
+
+    return Radical(name, congruence_of, membership=membership)
 
 
-def extensional_radical(name, table, con_bound=cg.CON_BOUND_DEFAULT) -> Radical:
-    return Radical(name, "extensional-table", table=table, con_bound=con_bound)
+def extensional_radical(name, table) -> Radical:
+    """A table over a fixed catalog of acts, evaluated on other acts through
+    an isomorphism."""
+    table = dict(table)
+
+    def congruence_of(act):
+        direct = table.get(act)
+        if direct is not None:
+            return direct
+        for member, value in table.items():
+            iso = find_isomorphism(act, member)
+            if iso is not None:
+                return cg.pull_congruence(iso, value)
+        raise NotInUniverse(f"{name} has no table entry matching the act")
+
+    return Radical(name, congruence_of)
 
 
 # ---------------------------------------------------------------------------

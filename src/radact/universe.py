@@ -201,8 +201,8 @@ class Universe:
         closure checks, otherwise registration is refused with a witness."""
         if any(existing.name == r.name for existing in self.radicals):
             raise RadactError(f"radical named {r.name!r} already registered")
-        if r.kind == "induced-from-semisimple-class":
-            rd.verify_semisimple_class(r.oracle.membership, self)
+        if r.membership is not None:
+            rd.verify_semisimple_class(r.membership, self)
         self.radicals += (r,)
         return r
 

@@ -19,6 +19,7 @@ from radact.core import (
     identity_hom,
     injective_homs,
     invert,
+    is_equivariant,
     mask_members,
     subact_act_by_mask,
     subact_masks,
@@ -27,7 +28,7 @@ from radact.core import (
     zeros,
     _hom_search,
 )
-from radact import checkers
+from radact import checkers, injectivity
 from radact.checkers import _holds_t46
 from radact.errors import (
     ActMismatch,
@@ -332,11 +333,55 @@ def test_direct_limit_matches_quotient_on_every_chain():
             assert leg.map == want_leg.map
 
 
+def _link_by_compose(chain, i, j):
+    # the fold of compose over identity_hom that DirectedChain.link replaces,
+    # kept as an oracle
+    h = identity_hom(chain.acts[i])
+    for k in range(i, j):
+        h = compose(chain.links[k], h)
+    return h
+
+
+@pytest.fixture(scope="module")
+def small_chains():
+    u = default_universe(monoid_max=2)
+    chains = [
+        parts[1] for kind, parts in checkers._enum_l53(u) if kind == "inst"
+    ]
+    chains += [
+        checkers._chain_from_parts(u, parts)[1]
+        for kind, parts in checkers._enum_chains(u) if kind == "inst"
+    ]
+    return chains
+
+
+def test_link_matches_composite_on_every_chain(small_chains):
+    for chain in small_chains:
+        k = len(chain.acts)
+        for i in range(k):
+            for j in range(i, k):
+                got = chain.link(i, j)
+                want = _link_by_compose(chain, i, j)
+                assert got.source == want.source
+                assert got.target == want.target
+                assert got.map == want.map
+
+
+def test_direct_limit_legs_commute_with_links(small_chains):
+    for chain in small_chains:
+        limit, legs = direct_limit(chain)
+        for leg in legs:
+            assert is_equivariant(leg.source, limit, leg.map)
+        for i, ln in enumerate(chain.links):
+            for a in chain.acts[i].elements:
+                assert legs[i + 1].map[ln.map[a]] == legs[i].map[a]
+        assert legs[-1].is_bijective()
+
+
 def test_direct_limit_rejects_mixed_monoids(T1, E2):
     link = ActHom(trivial_act(T1), trivial_act(E2), (0,))
-    chain = DirectedChain((link.source, link.target), (link,))
     with pytest.raises(ActMismatch):
-        direct_limit(chain)
+        DirectedChain((link.source, link.target), (link,))
 
 
 def test_direct_limit_is_top_of_injective_chain(U):
@@ -616,6 +661,23 @@ def test_first_well_behaviour_sample(U):
                 r, act, 5, U
             )
             assert inj == retract == no_proper, (r.name, act.name)
+
+
+def test_r_injective_bounded_is_memoised(monkeypatch):
+    u = default_universe(monoid_max=2, act_max=2)
+    r = u.radical("nabla")
+    act = trivial_act(u.monoids[1])
+    calls = []
+    real = injectivity.baer_tests
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(injectivity, "baer_tests", counting)
+    first = r_injective_bounded(r, act, u)
+    assert r_injective_bounded(r, act, u) == first
+    assert len(calls) == 1
 
 
 def test_extension_record_flags(R2, rg):
