@@ -17,7 +17,7 @@ from .congruence import Congruence
 from .radical import Radical
 from .universe import Universe, default_universe
 
-__all__ = [
+__all__ = (
     "ActHom",
     "Congruence",
     "FiniteAct",
@@ -27,4 +27,4 @@ __all__ = [
     "default_universe",
     "validate_act",
     "validate_monoid",
-]
+)

@@ -550,20 +550,41 @@ def relabel(act: FiniteAct, perm) -> FiniteAct:
 
 @lru_cache(maxsize=None)
 def canonical_form(act: FiniteAct) -> FiniteAct:
-    """Lexicographically least relabeling of the action table."""
+    """Lexicographically least relabeling of the action table.
+
+    Every carrier permutation is tried, but a relabeled table is compared
+    with the least one found so far entry by entry, in row-major order (the
+    order of tuple comparison), and the comparison stops at the first entry
+    that differs.  A table that is larger there, or equal throughout, cannot
+    be the least one, so only a strictly smaller table is built in full.
+    The minimum is the same as when every relabeling is built and compared.
+    """
+    rows = act.action
     best = None
     for perm in permutations(act.elements):
-        cand = relabel(act, perm).action
-        if best is None or cand < best:
-            best = cand
+        inv = [0] * len(perm)
+        for a, b in enumerate(perm):
+            inv[b] = a
+        if best is None or _relabels_below(rows, perm, inv, best):
+            best = tuple(tuple(perm[row[a]] for a in inv) for row in rows)
     return FiniteAct(act.monoid, best)
+
+
+def _relabels_below(rows, perm, inv, best) -> bool:
+    """Whether relabeling ``rows`` along ``perm`` (with inverse ``inv``)
+    gives a table below ``best``, decided at the first entry that differs."""
+    for row, best_row in zip(rows, best):
+        for a, w in zip(inv, best_row):
+            v = perm[row[a]]
+            if v != w:
+                return v < w
+    return False
 
 
 def canonical_monoid(monoid: FiniteMonoid) -> FiniteMonoid:
     """Least relabeling among permutations fixing the identity."""
     others = [x for x in monoid.elements if x != monoid.identity]
     best = None
-    best_identity = 0
     for phi in permutations(range(len(others))):
         perm = [0] * monoid.size
         perm[monoid.identity] = 0
@@ -576,5 +597,4 @@ def canonical_monoid(monoid: FiniteMonoid) -> FiniteMonoid:
         cand = tuple(tuple(row) for row in mul)
         if best is None or cand < best:
             best = cand
-            best_identity = 0
-    return FiniteMonoid(best, best_identity)
+    return FiniteMonoid(best, 0)

@@ -90,7 +90,12 @@ def enumerate_monoids(max_order: int) -> tuple[FiniteMonoid, ...]:
 def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None):
     """All action tables of the given carrier size, optionally extending an
     act placed on the first carrier indices.  Deterministic lexicographic
-    order of the free cells."""
+    order of the free cells.
+
+    Every act equation t*(u*x) = (tu)*x whose three cells are filled holds
+    before a cell is filled (a prefix must be an act), so after filling cell
+    (s, a) only the equations in which it is the inner cell u*x, the outer
+    cell t*(u*x) or the right-hand cell (tu)*x are checked."""
     n = monoid.size
     m = size
     mul = monoid.mul
@@ -111,22 +116,36 @@ def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None)
         for s in range(n)
         if s != monoid.identity
     ]
+    # factors[s]: the pairs (t, u) with tu = s
+    factors = [[] for _ in range(n)]
+    for t in range(n):
+        for u in range(n):
+            factors[mul[t][u]].append((t, u))
 
-    def consistent():
+    def consistent(s, a):
+        v = table[s][a]
+        # inner: t*(s*a) = (ts)*a
         for t in range(n):
-            trow = table[t]
-            for s in range(n):
-                ts = mul[t][s]
-                srow = table[s]
-                tsrow = table[ts]
-                for a in range(m):
-                    sa = srow[a]
-                    if sa == -1:
-                        continue
-                    lhs = trow[sa]
-                    rhs = tsrow[a]
-                    if lhs != -1 and rhs != -1 and lhs != rhs:
+            lhs = table[t][v]
+            rhs = table[mul[t][s]][a]
+            if lhs != -1 and rhs != -1 and lhs != rhs:
+                return False
+        # outer: s*(u*x) = (su)*x wherever u*x = a
+        for u in range(n):
+            urow = table[u]
+            surow = table[mul[s][u]]
+            for x in range(m):
+                if urow[x] == a:
+                    rhs = surow[x]
+                    if rhs != -1 and rhs != v:
                         return False
+        # right-hand: t*(u*a) = s*a wherever tu = s
+        for t, u in factors[s]:
+            ua = table[u][a]
+            if ua != -1:
+                lhs = table[t][ua]
+                if lhs != -1 and lhs != v:
+                    return False
         return True
 
     def rec(i):
@@ -136,7 +155,7 @@ def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None)
         s, a = cells[i]
         for v in range(m):
             table[s][a] = v
-            if consistent():
+            if consistent(s, a):
                 yield from rec(i + 1)
         table[s][a] = -1
 
@@ -182,10 +201,11 @@ class Universe:
         )
         self.radicals = ()
         self.memo = {}
+        # enumerated acts are already in canonical form
         self._members = {}
         for m in self.monoids:
             for a in self._acts_by_monoid[m]:
-                self._members[(m, canonical_form(a).action)] = a
+                self._members[(m, a.action)] = a
 
     def acts_over(self, monoid: FiniteMonoid) -> tuple[FiniteAct, ...]:
         return self._acts_by_monoid[monoid]

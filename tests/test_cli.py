@@ -190,6 +190,14 @@ def test_enumerate_command():
     assert "radicals delta nabla rG t_LrG" in out
 
 
+def test_enumerate_order_four():
+    # counts frozen from the enumeration; 1 + 2 + 7 + 35 monoids (OEIS A058129)
+    code, out, _ = invoke(["enumerate", "--monoid-max", "4", "--act-max", "4"])
+    assert code == 0
+    assert out.splitlines()[0] == "monoids 45"
+    assert "acts 1205" in out.splitlines()
+
+
 def test_verify_single_theorem():
     bounds = ["--monoid-max", "1", "--act-max", "3", "--hull-bound", "3"]
     code, out, _ = invoke(["verify", "--theorem", "L1.2"] + bounds)

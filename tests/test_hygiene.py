@@ -8,6 +8,10 @@ re-exports names and is not checked.
 Definitions: every function, class and method defined in the package (dunders
 excepted) is named somewhere besides its own definition, in the package or in
 the tests.
+
+State: no module of the package binds a mutable container at module level,
+so that no cache outlives the universe it belongs to.  The checker registries
+``THEOREMS`` and ``AXIOMS`` are the only exceptions.
 """
 
 import ast
@@ -87,3 +91,62 @@ def test_unreferenced_definition_is_reported():
         "def helper(): return Box().used()\n"
     )
     assert unreferenced_definitions([source], ["helper()"]) == ["dead"]
+
+
+MUTABLE_CALLS = {
+    "Counter", "OrderedDict", "bytearray", "defaultdict", "deque", "dict",
+    "list", "set",
+}
+REGISTRIES = {"THEOREMS", "AXIOMS"}
+
+
+def module_level_containers(source: str) -> list[str]:
+    """Names bound at module level to a mutable container: a list, dict or
+    set display or comprehension, or a call of a mutable container type."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        mutable = isinstance(value, (
+            ast.Dict, ast.DictComp, ast.List, ast.ListComp, ast.Set,
+            ast.SetComp,
+        )) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in MUTABLE_CALLS
+        )
+        if not mutable:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id not in REGISTRIES:
+                    found.append(f"line {node.lineno}: {name.id}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_level_mutable_containers(path):
+    assert module_level_containers(path.read_text()) == []
+
+
+def test_module_level_container_is_reported():
+    source = (
+        "A = {}\n"
+        "B: list = []\n"
+        "C = set()\n"
+        "D = dict(x=1)\n"
+        "E = (1, 2)\n"
+        "F = frozenset()\n"
+        "THEOREMS: dict = {}\n"
+        "def f():\n"
+        "    g = {}\n"
+    )
+    assert module_level_containers(source) == [
+        "line 1: A", "line 2: B", "line 3: C", "line 4: D",
+    ]

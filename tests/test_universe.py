@@ -1,12 +1,14 @@
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 
 from radact.congruence import all_congruences, quotient
 from radact.core import (
+    FiniteAct,
     canonical_form,
     find_isomorphism,
     left_regular_act,
+    relabel,
     subact_act_by_mask,
     subact_masks,
     validate_monoid,
@@ -15,6 +17,7 @@ from radact.errors import ClassNotClosed, RadactError
 from radact.radical import induced_radical
 from radact.universe import (
     Universe,
+    act_tables,
     default_universe,
     enumerate_acts,
     enumerate_monoids,
@@ -39,6 +42,113 @@ def brute_monoids_of_order_2():
         if ok:
             found.add(table)
     return found
+
+
+def _canonical_form_by_permutations(act):
+    """Oracle for ``canonical_form``: build every relabelling in full and
+    keep the least table."""
+    best = None
+    for perm in permutations(act.elements):
+        cand = relabel(act, perm).action
+        if best is None or cand < best:
+            best = cand
+    return FiniteAct(act.monoid, best)
+
+
+def _act_tables_by_sweep(monoid, size, prefix=None):
+    """Oracle for ``act_tables``: the same backtracking, but after every
+    cell it fills it re-checks every act equation whose cells are filled."""
+    n = monoid.size
+    m = size
+    mul = monoid.mul
+    table = [[-1] * m for _ in range(n)]
+    for a in range(m):
+        table[monoid.identity][a] = a
+    start = 0
+    if prefix is not None:
+        start = prefix.size
+        for s in range(n):
+            for a in range(start):
+                table[s][a] = prefix.action[s][a]
+    cells = [
+        (s, a)
+        for a in range(start, m)
+        for s in range(n)
+        if s != monoid.identity
+    ]
+
+    def consistent():
+        for t in range(n):
+            for s in range(n):
+                for a in range(m):
+                    sa = table[s][a]
+                    if sa == -1:
+                        continue
+                    lhs = table[t][sa]
+                    rhs = table[mul[t][s]][a]
+                    if lhs != -1 and rhs != -1 and lhs != rhs:
+                        return False
+        return True
+
+    def rec(i):
+        if i == len(cells):
+            yield tuple(tuple(row) for row in table)
+            return
+        s, a = cells[i]
+        for v in range(m):
+            table[s][a] = v
+            if consistent():
+                yield from rec(i + 1)
+        table[s][a] = -1
+
+    yield from rec(0)
+
+
+def _oracle_sizes():
+    """(monoid, size): sizes 1-4 over monoids of order <= 3, and size 5
+    over monoids of order <= 2."""
+    for monoid in enumerate_monoids(3):
+        top = 5 if monoid.size <= 2 else 4
+        for size in range(1, top + 1):
+            yield monoid, size
+
+
+def test_canonical_form_matches_permutation_oracle():
+    # every table the enumeration sees, including acts with non-trivial
+    # automorphisms, where several permutations give the least table
+    checked = 0
+    for monoid, size in _oracle_sizes():
+        for table in act_tables(monoid, size):
+            act = FiniteAct(monoid, table)
+            assert canonical_form(act) == _canonical_form_by_permutations(act)
+            checked += 1
+    assert checked == 1011 + 223
+
+
+def test_act_tables_match_sweep_oracle():
+    for monoid, size in _oracle_sizes():
+        assert list(act_tables(monoid, size)) == list(
+            _act_tables_by_sweep(monoid, size)
+        ), (monoid.name, size)
+
+
+def test_act_tables_with_prefix_match_sweep_oracle(U):
+    extensions = 0
+    for act in U.acts:
+        if act.size > 3:
+            continue
+        for size in (act.size + 1, act.size + 2):
+            got = list(act_tables(act.monoid, size, prefix=act))
+            assert got == list(
+                _act_tables_by_sweep(act.monoid, size, prefix=act)
+            ), (act.name, size)
+            extensions += len(got)
+    assert extensions == 1229
+
+
+def test_universe_acts_are_canonical(U):
+    for act in U.acts:
+        assert canonical_form(act) == act
 
 
 def test_monoid_counts():
