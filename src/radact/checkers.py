@@ -753,7 +753,7 @@ def _enum_l215(universe):
     for act in universe.acts:
         for mask in subact_masks(act):
             nontrivial = mask.bit_count() >= 2
-            large = is_large(act, mask, universe.con_bound)
+            large = is_large(act, mask)
             yield ("inst" if nontrivial and large else "filtered"), (act, mask)
 
 
@@ -849,7 +849,7 @@ def _holds_t34(universe, parts):
     act = parts[0]
     family = parts[1:]
     lhs = collectively_large_by_homs(act, family, universe.con_bound)
-    rhs = collectively_large(act, family, universe.con_bound)
+    rhs = collectively_large(act, family)
     return lhs == rhs
 
 
@@ -874,7 +874,7 @@ def _enum_c35(universe):
 def _holds_c35(universe, parts):
     (f,) = parts
     return is_essential_mono(f, universe.con_bound) == is_essential(
-        rees_single(f.target, f.image_mask()), universe.con_bound
+        rees_single(f.target, f.image_mask())
     )
 
 
@@ -895,10 +895,10 @@ def _enum_t36(universe):
 
 def _holds_t36(universe, parts):
     act, chi = parts
-    kappa = maximal_complement(act, chi, universe.con_bound)
+    kappa = maximal_complement(act, chi)
     quo, pi = quotient(act, kappa)
     lifted = push_congruence(pi, join(chi, kappa))
-    return is_essential(lifted, universe.con_bound)
+    return is_essential(lifted)
 
 
 register(
@@ -919,7 +919,7 @@ def _enum_l37(universe):
 
 def _holds_l37(universe, parts):
     act, chi, block = parts
-    kappa = maximal_complement(act, chi, universe.con_bound)
+    kappa = maximal_complement(act, chi)
     members = mask_members(block)
     return len({kappa.index[x] for x in members}) == len(members)
 
@@ -942,7 +942,7 @@ def _enum_l38(universe):
 def _holds_l38(universe, parts):
     act, mask = parts
     rho = rees_single(act, mask)
-    kappa = maximal_complement(act, rho, universe.con_bound)
+    kappa = maximal_complement(act, rho)
     quo, pi = quotient(act, kappa)
     image = set()
     for a in act.elements:
@@ -965,9 +965,9 @@ register(
 def _holds_d39(universe, parts):
     r, act, mask = parts
     sub, incl = subact_act_by_mask(act, mask)
-    ext = make_extension(incl, r, universe.con_bound)
+    ext = make_extension(incl, r)
     return ext.r_essential == (
-        is_large(act, mask, universe.con_bound) and is_r_dense(r, act, mask)
+        is_large(act, mask) and is_r_dense(r, act, mask)
     )
 
 
@@ -989,12 +989,12 @@ def _enum_t310(universe):
 def _holds_t310(universe, parts):
     r, act, mask = parts
     _, incl = subact_act_by_mask(act, mask)
-    pi, comp = banaschewski_reduce(r, incl, universe.con_bound)
+    pi, comp = banaschewski_reduce(r, incl)
     target = comp.target
     image = comp.image_mask()
     return (
         comp.is_injective()
-        and is_large(target, image, universe.con_bound)
+        and is_large(target, image)
         and is_r_dense(r, target, image)
     )
 
@@ -1498,7 +1498,7 @@ def _large_cyclic_criterion(universe, r, q):
     return all(
         _maps_extend(q, cyc, (
             m for m in dense_subact_masks(r, cyc)
-            if is_large(cyc, m, universe.con_bound)
+            if is_large(cyc, m)
         ))
         for cyc in universe.cyclic_acts(q.monoid)
     )
@@ -1651,7 +1651,7 @@ def _t73_conditions(universe, r):
             if not family:
                 continue
             rho = rees_congruence(act, family)
-            if not is_essential(rho, universe.con_bound):
+            if not is_essential(rho):
                 continue
             blocks_ok = all(
                 is_semisimple_act(r, subact_act_by_mask(act, m)[0])
@@ -1692,17 +1692,17 @@ register(
 
 def _holds_l74(universe, parts):
     r, act = parts
-    if is_radical_act(r, act) and is_semisimple_act(r, act) and act.size > 1:
+    radical = is_radical_act(r, act)
+    semisimple = is_semisimple_act(r, act)
+    if radical and semisimple and act.size > 1:
         return False
-    for chi in all_congruences(act, universe.con_bound):
-        if is_radical_act(r, act):
-            quo, _ = quotient(act, chi)
-            if not is_radical_act(r, quo):
+    if radical:
+        for chi in all_congruences(act, universe.con_bound):
+            if not is_radical_act(r, quotient(act, chi)[0]):
                 return False
-    for mask in subact_masks(act):
-        if is_semisimple_act(r, act):
-            sub, _ = subact_act_by_mask(act, mask)
-            if not is_semisimple_act(r, sub):
+    if semisimple:
+        for mask in subact_masks(act):
+            if not is_semisimple_act(r, subact_act_by_mask(act, mask)[0]):
                 return False
     ra = r.of(act)
     if not is_rees(ra):

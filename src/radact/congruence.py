@@ -1,5 +1,14 @@
-"""Congruences of a finite act: lattice operations, Rees congruences,
-class systems, essentiality, and bounded full enumeration."""
+"""Congruences of a finite act: lattice operations, Rees congruences, class
+systems, quotients, essentiality and maximal complements, all built from
+principal congruences theta(a, b) with no size bound; and the full lattice,
+which only ``all_congruences`` builds, under the bound ``con_bound`` (it
+alone raises ``SizeBound``).  The lattice is read only where a question
+ranges over every congruence: the checkers L1.2, L2.2, L2.11, T3.6, L3.7,
+T7.3 (condition c2) and L7.4 (quotients of radical acts); the meet formula
+of ``induced_radical``; ``verify_semisimple_class`` (quotients of
+non-members); cyclic acts; the CLI ``congruences`` command; and the oracles
+``collectively_large_by_homs`` and ``is_essential_mono``.
+"""
 
 from __future__ import annotations
 
@@ -50,12 +59,6 @@ class Congruence:
     def is_total(self) -> bool:
         return len(self.blocks) == 1
 
-    def pairs(self):
-        for block in self.blocks:
-            for i, a in enumerate(block):
-                for b in block[i + 1:]:
-                    yield a, b
-
     def leq(self, other: "Congruence") -> bool:
         """Refinement order: every block of self sits inside a block of other."""
         oi = other.index
@@ -73,23 +76,20 @@ class Congruence:
     def __str__(self):
         return " | ".join(" ".join(str(a) for a in blk) for blk in self.blocks)
 
-    def __hash__(self):
-        return hash((self.act, self.index))
-
 
 def _make(act, index) -> Congruence:
     idx = _canonical(index)
     return Congruence(act, idx, _blocks_of(idx))
 
 
-def congruence_from_index(act: FiniteAct, index, check: bool = True) -> Congruence:
+def congruence_from_index(act: FiniteAct, index) -> Congruence:
     chi = _make(act, tuple(index))
-    if check and not _compatible(act, chi.index):
+    if not _compatible(act, chi.index):
         raise ValueError("partition is not action-compatible")
     return chi
 
 
-def congruence_from_blocks(act: FiniteAct, blocks, check: bool = True) -> Congruence:
+def congruence_from_blocks(act: FiniteAct, blocks) -> Congruence:
     index = [-1] * act.size
     for i, block in enumerate(blocks):
         for a in block:
@@ -100,7 +100,7 @@ def congruence_from_blocks(act: FiniteAct, blocks, check: bool = True) -> Congru
             index[a] = i
     if -1 in index:
         raise ValueError("blocks do not cover the carrier")
-    return congruence_from_index(act, index, check)
+    return congruence_from_index(act, index)
 
 
 def _compatible(act, index) -> bool:
@@ -124,14 +124,14 @@ def total(act: FiniteAct) -> Congruence:
     return _make(act, (0,) * act.size)
 
 
-def parse_partition(act: FiniteAct, text: str, check: bool = True) -> Congruence:
+def parse_partition(act: FiniteAct, text: str) -> Congruence:
     blocks = []
     for chunk in text.split("|"):
         items = chunk.split()
         if not items:
             raise ValueError(f"empty block in partition {text!r}")
         blocks.append([int(x) for x in items])
-    return congruence_from_blocks(act, blocks, check)
+    return congruence_from_blocks(act, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +309,56 @@ def relation_pairs(chi: Congruence) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# essentiality and complements, from principal congruences
+
+
+def is_essential(chi: Congruence) -> bool:
+    """Does chi meet every non-diagonal congruence non-trivially?
+
+    Only principal congruences are tested.  Every non-diagonal congruence
+    contains some principal theta(a, b) with a != b, and meets are monotone,
+    so chi meets every non-diagonal congruence non-trivially iff it meets
+    every such theta(a, b) non-trivially.  When chi already relates a and b
+    the meet contains (a, b), so only the pairs chi separates are built.
+    """
+    act = chi.act
+    for a in act.elements:
+        for b in range(a + 1, act.size):
+            if chi.same(a, b):
+                continue
+            theta = generated_congruence(act, [(a, b)])
+            if not meets_nontrivially(chi, theta):
+                return False
+    return True
+
+
+def maximal_complement(act: FiniteAct, chi: Congruence) -> Congruence:
+    """Of the congruences maximal among those meeting chi in the diagonal,
+    the one with the least canonical index vector.
+
+    From the diagonal kappa, for each x in carrier order and each y < x that
+    kappa does not relate, take kappa v theta(y, x), generated by the merges
+    taken and (y, x), if it meets chi in the diagonal.  A proper enlargement
+    has a smaller index vector (where they first differ it joins an earlier
+    block), so the least complement L is maximal; complements are
+    down-closed.  With kappa <= L agreeing with L before x: if L puts x in
+    an earlier block with least point m, kappa v theta(m, x) <= L is taken;
+    any other merge is coarser than L before x or gives x a smaller block
+    label, so it is below L, no complement, and refused.  So kappa ends as L.
+    """
+    kappa, taken = diagonal(act), []
+    for x in act.elements:
+        for y in range(x):
+            if kappa.same(y, x):
+                continue
+            grown = generated_congruence(act, taken + [(y, x)])
+            if not meets_nontrivially(chi, grown):
+                kappa = grown
+                taken.append((y, x))
+    return kappa
+
+
+# ---------------------------------------------------------------------------
 # full enumeration
 
 
@@ -334,42 +384,3 @@ def all_congruences(act: FiniteAct, bound: int = CON_BOUND_DEFAULT) -> tuple[Con
                     fresh.append(j)
         frontier = fresh
     return tuple(sorted(found, key=lambda c: c.index))
-
-
-def is_essential(chi: Congruence, bound: int = CON_BOUND_DEFAULT) -> bool:
-    """Does chi meet every non-diagonal congruence non-trivially?
-
-    Only principal congruences are tested.  Every non-diagonal congruence
-    contains some principal theta(a, b) with a != b, and meets are monotone,
-    so chi meets every non-diagonal congruence non-trivially iff it meets
-    every such theta(a, b) non-trivially.  When chi already relates a and b
-    the meet contains (a, b), so only the pairs chi separates are built.
-    Acts above the bound raise SizeBound, which marks an instance skipped.
-    """
-    act = chi.act
-    if act.size > bound:
-        raise SizeBound(f"carrier {act.size} exceeds lattice bound {bound}")
-    for a in act.elements:
-        for b in range(a + 1, act.size):
-            if chi.same(a, b):
-                continue
-            theta = generated_congruence(act, [(a, b)])
-            if not meets_nontrivially(chi, theta):
-                return False
-    return True
-
-
-def maximal_complement(act: FiniteAct, chi: Congruence,
-                       bound: int = CON_BOUND_DEFAULT) -> Congruence:
-    """A congruence maximal among those meeting chi in the diagonal.
-
-    Among all inclusion-maximal candidates the one with the least canonical
-    index vector is returned.
-    """
-    lattice = all_congruences(act, bound)
-    candidates = [k for k in lattice if not meets_nontrivially(chi, k)]
-    maximal = [
-        k for k in candidates
-        if not any(k != other and k.leq(other) for other in candidates)
-    ]
-    return min(maximal, key=lambda c: c.index)

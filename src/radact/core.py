@@ -548,7 +548,6 @@ def relabel(act: FiniteAct, perm) -> FiniteAct:
     return FiniteAct(act.monoid, action)
 
 
-@lru_cache(maxsize=None)
 def canonical_form(act: FiniteAct) -> FiniteAct:
     """Lexicographically least relabeling of the action table.
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import (
+    CON_BOUND_DEFAULT,
     Congruence,
     all_congruences,
     is_essential,
@@ -66,20 +67,21 @@ from .universe import act_tables
 # largeness
 
 
-def is_large(act: FiniteAct, mask: int, bound: int = 7) -> bool:
+def is_large(act: FiniteAct, mask: int) -> bool:
     """A subact is large when its Rees congruence is essential; for trivial
     subacts that congruence is the diagonal, so the answer is almost always
     False."""
-    return is_essential(rees_single(act, mask), bound)
+    return is_essential(rees_single(act, mask))
 
 
-def collectively_large(act: FiniteAct, masks, bound: int = 7) -> bool:
+def collectively_large(act: FiniteAct, masks) -> bool:
     """A disjoint family of subacts is collectively large iff its Rees
     congruence is essential.  The empty family means testing the diagonal."""
-    return is_essential(rees_congruence(act, masks), bound)
+    return is_essential(rees_congruence(act, masks))
 
 
-def collectively_large_by_homs(act: FiniteAct, masks, bound: int = 7) -> bool:
+def collectively_large_by_homs(act: FiniteAct, masks,
+                               bound: int = CON_BOUND_DEFAULT) -> bool:
     """Definition-level test: every map injective on each family member is
     injective.  Quantifying over quotients of the act is exhaustive, since
     every homomorphism factors through its kernel.
@@ -100,7 +102,7 @@ def _injective_on(chi: Congruence, mask: int) -> bool:
     return len({chi.index[a] for a in members}) == len(members)
 
 
-def is_essential_mono(f: ActHom, bound: int = 7) -> bool:
+def is_essential_mono(f: ActHom, bound: int = CON_BOUND_DEFAULT) -> bool:
     """Monomorphism along which injectivity reflects, tested via quotients.
 
     Deliberately built on the full congruence lattice, not on principal
@@ -125,29 +127,21 @@ class Extension:
     embedding: ActHom
     large: bool
     r_dense: bool | None = None
-    radical: str | None = None
     method: str = "direct"
-
-    @property
-    def essential(self) -> bool:
-        return self.large
 
     @property
     def r_essential(self) -> bool:
         return bool(self.large and self.r_dense)
 
 
-def make_extension(emb: ActHom, r: Radical | None = None, bound: int = 7,
-                   method: str = "direct") -> Extension:
+def make_extension(emb: ActHom, r: Radical | None = None) -> Extension:
     mask = emb.image_mask()
     return Extension(
         emb.source,
         emb.target,
         emb,
-        large=is_large(emb.target, mask, bound),
+        large=is_large(emb.target, mask),
         r_dense=None if r is None else is_r_dense(r, emb.target, mask),
-        radical=None if r is None else r.name,
-        method=method,
     )
 
 
@@ -217,20 +211,20 @@ def transfer_pushout(r: Radical, m: ActHom, f: ActHom):
 # reduction to an essential image
 
 
-def banaschewski_reduce(r: Radical, f: ActHom, bound: int = 7):
+def banaschewski_reduce(r: Radical, f: ActHom):
     """Given a dense mono f: B -> A, project A by a maximal congruence meeting
     the image's Rees congruence trivially.  The composite B -> A/kappa is then
     an embedding that is both large and dense."""
     if not is_r_mono(r, f):
         raise NotRMono(f"{f.map} is not a dense monomorphism for {r.name}")
     A = f.target
-    kappa = maximal_complement(A, rees_single(A, f.image_mask()), bound)
+    kappa = maximal_complement(A, rees_single(A, f.image_mask()))
     X, pi = quotient(A, kappa)
     composite = compose(pi, f)
     if not composite.is_injective():
         raise PostconditionError("reduction collapsed the embedded act")
     mask = composite.image_mask()
-    if not is_large(X, mask, bound):
+    if not is_large(X, mask):
         raise PostconditionError("reduced image is not large")
     if not is_r_dense(r, X, mask):
         raise PostconditionError("reduced image is not dense")
@@ -401,7 +395,7 @@ def is_injective(Q: FiniteAct, universe) -> bool:
     return bool(zeros(Q)) and all(
         _maps_extend(Q, cyc, (
             m for m in subact_masks(cyc)
-            if is_large(cyc, m, universe.con_bound)
+            if is_large(cyc, m)
         ))
         for cyc in universe.cyclic_acts(Q.monoid)
     )
@@ -491,7 +485,7 @@ def _hull_search(act: FiniteAct, size_bound: int, universe):
     prefix_mask = act.full_mask()
     for size in range(act.size, size_bound + 1):
         for ext in extension_acts(act, size):
-            if not is_large(ext, prefix_mask, universe.con_bound):
+            if not is_large(ext, prefix_mask):
                 continue
             if is_injective(ext, universe):
                 return Extension(
@@ -523,9 +517,8 @@ def r_injective_hull(r: Radical, act: FiniteAct, size_bound: int,
         act,
         inner,
         emb,
-        large=is_large(inner, act.full_mask(), universe.con_bound),
+        large=is_large(inner, act.full_mask()),
         r_dense=is_r_dense(r, inner, act.full_mask()),
-        radical=r.name,
         method="closure-of-hull",
     )
     if not r_injective_bounded(r, inner, universe):
@@ -543,7 +536,7 @@ def _maximal_r_essential_extension(r, act, size_bound, universe) -> Extension:
         for ext in extension_acts(act, size):
             if not is_r_dense(r, ext, prefix_mask):
                 continue
-            if not is_large(ext, prefix_mask, universe.con_bound):
+            if not is_large(ext, prefix_mask):
                 continue
             best = ext
             break  # first in table order at this size; larger sizes override
@@ -555,7 +548,6 @@ def _maximal_r_essential_extension(r, act, size_bound, universe) -> Extension:
         _prefix_embedding(act, best),
         large=True,
         r_dense=True,
-        radical=r.name,
         method="essential-search-fallback",
     )
 
@@ -576,9 +568,7 @@ def has_proper_r_essential_extension(r: Radical, act: FiniteAct,
     prefix_mask = act.full_mask()
     for size in range(act.size + 1, size_bound + 1):
         for ext in extension_acts(act, size):
-            if is_r_dense(r, ext, prefix_mask) and is_large(
-                ext, prefix_mask, universe.con_bound
-            ):
+            if is_r_dense(r, ext, prefix_mask) and is_large(ext, prefix_mask):
                 return True
     return False
 

@@ -194,7 +194,8 @@ def verify_semisimple_class(membership, universe):
     universe.  Returns None, or raises ClassNotClosed with a witness.
 
     Binary products are checked only while they stay within the universe's
-    act-size bound (a finite approximation of the product condition).
+    act-size bound (a finite approximation of the product condition), and
+    congruence extensions only on non-members (their conclusion is membership).
     """
     for monoid in universe.monoids:
         if not membership(trivial_act(monoid)):
@@ -209,15 +210,15 @@ def verify_semisimple_class(membership, universe):
                 sub, _ = subact_act_by_mask(act, mask)
                 if not membership(sub):
                     raise ClassNotClosed("closed under subacts", (act, mask))
+            continue
         for chi in all_congruences(act, universe.con_bound):
             if membership(quotient(act, chi)[0]) and all(
                 membership(subact_act_by_mask(act, block)[0])
                 for block in class_system(chi)
             ):
-                if not membership(act):
-                    raise ClassNotClosed(
-                        "closed under congruence extensions", (act, str(chi))
-                    )
+                raise ClassNotClosed(
+                    "closed under congruence extensions", (act, str(chi))
+                )
     for monoid in universe.monoids:
         members = [a for a in universe.acts_over(monoid) if membership(a)]
         for a in members:

@@ -3,8 +3,6 @@ isomorphism, with the radicals registered for verification sweeps."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import radical as rd
 from .congruence import CON_BOUND_DEFAULT, all_congruences, quotient
 from .core import (
@@ -13,6 +11,7 @@ from .core import (
     canonical_form,
     canonical_monoid,
     left_regular_act,
+    memo_on,
     validate_act,
     validate_monoid,
 )
@@ -180,11 +179,11 @@ def enumerate_acts(monoid: FiniteMonoid, max_size: int) -> tuple[FiniteAct, ...]
 class Universe:
     """Catalog of monoids and acts within bounds, plus registered radicals.
 
-    ``memo`` holds the results computed over this universe (taxonomy flags,
-    injectivity decisions, hull searches, L5.1 span verdicts); see
-    ``core.memo_on``.  ``radicals`` is a tuple that each registration
-    replaces, so a memo entry keyed by it is never read for another set of
-    radicals."""
+    ``memo`` holds the results computed over this universe (cyclic acts,
+    taxonomy flags, injectivity decisions, hull searches, L5.1 span
+    verdicts); see ``core.memo_on``.  ``radicals`` is a tuple that each
+    registration replaces, so a memo entry keyed by it is never read for
+    another set of radicals."""
 
     def __init__(self, monoid_max=3, act_max=4, hull_bound=6,
                  con_bound=CON_BOUND_DEFAULT):
@@ -232,17 +231,15 @@ class Universe:
                 return r
         raise RadactError(f"no radical named {name!r} is registered")
 
+    @memo_on(0)
     def cyclic_acts(self, monoid: FiniteMonoid) -> tuple[FiniteAct, ...]:
-        return _cyclic_acts(monoid, self.con_bound)
-
-
-@lru_cache(maxsize=None)
-def _cyclic_acts(monoid: FiniteMonoid, con_bound: int) -> tuple[FiniteAct, ...]:
-    """Quotients of the left regular act: every cyclic act up to iso."""
-    reg = left_regular_act(monoid)
-    return tuple(
-        quotient(reg, chi)[0] for chi in all_congruences(reg, con_bound)
-    )
+        """The quotients of the left regular act by each of its congruences:
+        every cyclic act, isomorphic copies included."""
+        reg = left_regular_act(monoid)
+        return tuple(
+            quotient(reg, chi)[0]
+            for chi in all_congruences(reg, self.con_bound)
+        )
 
 
 def default_universe(monoid_max=3, act_max=4, hull_bound=6,

@@ -3,6 +3,7 @@ from itertools import islice, product as iproduct
 import pytest
 
 from radact.congruence import (
+    CON_BOUND_DEFAULT,
     all_congruences,
     class_system,
     congruence_from_blocks,
@@ -30,9 +31,10 @@ from radact.core import (
     subact_act_by_mask,
     subact_masks,
     validate_act,
+    validate_monoid,
 )
 from radact.errors import ActMismatch, BoundExceeded, NotDisjoint, SizeBound
-from radact.injectivity import extension_acts, injective_hull
+from radact.injectivity import extension_acts, injective_hull, is_large
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +236,7 @@ def test_is_essential(T1, A3):
     assert is_essential(total(A3))
 
 
-def _is_essential_by_lattice(chi, bound=7):
+def _is_essential_by_lattice(chi, bound=CON_BOUND_DEFAULT):
     """Definition-level oracle: chi meets every non-diagonal congruence of
     the full lattice non-trivially."""
     return all(
@@ -244,39 +246,55 @@ def _is_essential_by_lattice(chi, bound=7):
     )
 
 
-def _assert_essential_agrees(act, bound):
+def _assert_essential_agrees(act, bound=CON_BOUND_DEFAULT):
     for chi in all_congruences(act, bound):
         expected = _is_essential_by_lattice(chi, bound)
-        assert is_essential(chi, bound) == expected, (act, str(chi))
+        assert is_essential(chi) == expected, (act, str(chi))
 
 
 def test_is_essential_matches_lattice_on_universe(U):
     for act in U.acts:
-        _assert_essential_agrees(act, U.con_bound)
+        _assert_essential_agrees(act)
 
 
-def test_is_essential_matches_lattice_on_hull_candidates(U):
-    # hull search tests largeness on extensions of up to 6 points: check the
-    # first candidates of each monoid and every hull found at those sizes
+def _hull_candidate_sample(U):
+    """Hull search tests largeness on extensions of up to 6 points: the
+    first candidates of each monoid at sizes 5 and 6, and every hull found
+    at those sizes."""
     for monoid in U.monoids:
         base = max(U.acts_over(monoid), key=lambda a: a.size)
         for size in (5, 6):
-            for ext in islice(extension_acts(base, size), 4):
-                _assert_essential_agrees(ext, U.con_bound)
+            yield from islice(extension_acts(base, size), 4)
     for act in U.acts:
         try:
             hull = injective_hull(act, U.hull_bound, U).target
         except BoundExceeded:
             continue
         if hull.size >= 5:
-            _assert_essential_agrees(hull, U.con_bound)
+            yield hull
 
 
-def test_is_essential_respects_size_bound(T1):
-    big = validate_act(T1, [list(range(4))])
-    with pytest.raises(SizeBound):
-        is_essential(total(big), 3)
-    assert is_essential(total(big), 4)
+def test_is_essential_matches_lattice_on_hull_candidates(U):
+    for ext in _hull_candidate_sample(U):
+        _assert_essential_agrees(ext)
+
+
+def test_is_essential_decides_acts_above_lattice_bound():
+    # no lattice is built, so an act above the lattice bound is decided:
+    # two copies of a 4-point act over {1, a, b} with xy = y for x, y != 1,
+    # where 52 of the 120 congruences are essential and 16 of the 48 subacts
+    # large
+    monoid = validate_monoid([[0, 1, 2], [1, 1, 2], [2, 1, 2]], 0)
+    big = validate_act(monoid, [
+        list(range(8)), [0, 0, 2, 2, 4, 4, 6, 6], [0, 2, 2, 0, 4, 6, 6, 4],
+    ])
+    assert big.size > CON_BOUND_DEFAULT
+    for chi in all_congruences(big, big.size):
+        expected = _is_essential_by_lattice(chi, big.size)
+        assert is_essential(chi) == expected, str(chi)
+    for mask in subact_masks(big):
+        expected = _is_essential_by_lattice(rees_single(big, mask), big.size)
+        assert is_large(big, mask) == expected, bin(mask)
 
 
 def test_maximal_complement_edges(A3, R2):
@@ -295,11 +313,46 @@ def test_maximal_complement_is_maximal(U):
     for act in sample:
         lattice = all_congruences(act, U.con_bound)
         for chi in lattice:
-            kappa = maximal_complement(act, chi, U.con_bound)
+            kappa = maximal_complement(act, chi)
             assert meet(chi, kappa) == diagonal(act)
             for other in lattice:
                 if kappa != other and kappa.leq(other):
                     assert meet(chi, other) != diagonal(act)
+
+
+def _maximal_complement_by_lattice(act, chi, bound=CON_BOUND_DEFAULT):
+    """Oracle for ``maximal_complement``: build the whole lattice, keep the
+    congruences meeting chi in the diagonal, keep the inclusion-maximal ones
+    among those, and return the one with the least canonical index vector."""
+    lattice = all_congruences(act, bound)
+    candidates = [k for k in lattice if not meets_nontrivially(chi, k)]
+    maximal = [
+        k for k in candidates
+        if not any(k != other and k.leq(other) for other in candidates)
+    ]
+    return min(maximal, key=lambda c: c.index)
+
+
+def _assert_complement_agrees(act):
+    for chi in all_congruences(act):
+        expected = _maximal_complement_by_lattice(act, chi)
+        assert maximal_complement(act, chi) == expected, (act, str(chi))
+
+
+def test_maximal_complement_matches_lattice_on_universe(U):
+    for act in U.acts:
+        _assert_complement_agrees(act)
+
+
+def test_maximal_complement_matches_lattice_on_hull_candidates(U):
+    # both sides read the act only through its lattice (theta(y, x) is the
+    # least member relating y and x), so each lattice is checked once
+    seen = set()
+    for ext in _hull_candidate_sample(U):
+        lattice = tuple(chi.index for chi in all_congruences(ext))
+        if lattice not in seen:
+            seen.add(lattice)
+            _assert_complement_agrees(ext)
 
 
 def test_class_system_round_trip_on_rees(U):

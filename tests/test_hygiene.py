@@ -12,6 +12,11 @@ the tests.
 State: no module of the package binds a mutable container at module level,
 so that no cache outlives the universe it belongs to.  The checker registries
 ``THEOREMS`` and ``AXIOMS`` are the only exceptions.
+
+Lattice: only the functions named in the ``congruence`` module docstring
+build a full congruence lattice (call ``all_congruences``), and only
+``all_congruences`` raises ``SizeBound``; everything else is built from
+principal congruences and takes no lattice bound.
 """
 
 import ast
@@ -150,3 +155,116 @@ def test_module_level_container_is_reported():
     assert module_level_containers(source) == [
         "line 1: A", "line 2: B", "line 3: C", "line 4: D",
     ]
+
+
+def _name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def functions_where(source, module, match) -> list[str]:
+    """Qualified names (``module.outer.inner``) of the innermost functions
+    whose body holds a node for which ``match`` is true; ``module`` alone
+    for a match at module level."""
+    found = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if match(child):
+                found.add(".".join(path))
+            visit(child, path)
+
+    visit(ast.parse(source), [module])
+    return sorted(found)
+
+
+def lattice_callers(source, module) -> list[str]:
+    return functions_where(
+        source, module,
+        lambda n: isinstance(n, ast.Call) and _name(n) == "all_congruences",
+    )
+
+
+def size_bound_raisers(source, module) -> list[str]:
+    return functions_where(
+        source, module,
+        lambda n: isinstance(n, ast.Raise) and n.exc is not None
+        and _name(n.exc) == "SizeBound",
+    )
+
+
+# the callers of all_congruences that the congruence module docstring names
+LATTICE_USERS = (
+    "checkers._enum_l12",
+    "checkers._enum_l22",
+    "checkers._enum_l211",
+    "checkers._enum_t36",
+    "checkers._enum_l37",
+    "checkers._t73_conditions",
+    "checkers._holds_l74",
+    "cli._dispatch",
+    "injectivity.collectively_large_by_homs",
+    "injectivity.is_essential_mono",
+    "radical.induced_radical.congruence_of",
+    "radical.verify_semisimple_class",
+    "universe.Universe.cyclic_acts",
+)
+
+
+def test_only_lattice_users_build_lattices():
+    found = [
+        name for p in MODULES
+        for name in lattice_callers(p.read_text(), p.stem)
+    ]
+    assert sorted(found) == sorted(LATTICE_USERS)
+
+
+def test_only_all_congruences_raises_size_bound():
+    found = [
+        name for p in MODULES
+        for name in size_bound_raisers(p.read_text(), p.stem)
+    ]
+    assert found == ["congruence.all_congruences"]
+
+
+def test_lattice_caller_is_reported():
+    source = (
+        "from .congruence import all_congruences\n"
+        "from . import congruence as cg\n"
+        "lattice = all_congruences(a)\n"
+        "class Box:\n"
+        "    def users(self):\n"
+        "        def inner():\n"
+        "            return cg.all_congruences(b, 3)\n"
+        "        return [c for c in all_congruences(a)], inner\n"
+        "def bystander(all_congruences):\n"
+        "    return all_congruences\n"
+    )
+    assert lattice_callers(source, "m") == [
+        "m", "m.Box.users", "m.Box.users.inner",
+    ]
+
+
+def test_size_bound_raiser_is_reported():
+    source = (
+        "from .errors import SizeBound\n"
+        "def check(n):\n"
+        "    if n > 7:\n"
+        "        raise SizeBound(f'{n} points')\n"
+        "def bare():\n"
+        "    raise SizeBound\n"
+        "def passes_on():\n"
+        "    try:\n"
+        "        check(9)\n"
+        "    except SizeBound:\n"
+        "        raise\n"
+    )
+    assert size_bound_raisers(source, "m") == ["m.bare", "m.check"]

@@ -685,4 +685,3 @@ def test_extension_record_flags(R2, rg):
     ext = make_extension(incl, rg)
     assert ext.r_dense and not ext.large
     assert not ext.r_essential
-    assert ext.essential == ext.large

@@ -1,8 +1,16 @@
 import pytest
 
-from radact.congruence import diagonal, parse_partition, total
+from radact.congruence import (
+    all_congruences,
+    class_system,
+    diagonal,
+    parse_partition,
+    quotient,
+    total,
+)
 from radact.core import (
     coproduct,
+    product,
     relabel,
     subact_act_by_mask,
     subact_masks,
@@ -32,6 +40,7 @@ from radact.radical import (
     rg_radical,
     verify_semisimple_class,
 )
+from radact.universe import default_universe
 
 
 @pytest.fixture(scope="module")
@@ -127,15 +136,77 @@ def test_extensional_lookup_through_isomorphism(R2, rg):
         r.of(coproduct(R2, R2)[0])
 
 
-def test_class_oracle_rejection(U):
-    # "at most one non-fixed point" fails product closure over E2
-    def few_moving(act):
-        fixed = [a for a in act.elements
-                 if all(row[a] == a for row in act.action)]
-        return act.size - len(fixed) <= 1
+def few_moving(act):
+    """At most one non-fixed point: not a semisimple class (it fails closure
+    under congruence extensions).  It is also the class ``bad`` that
+    ``test_register_refuses_non_closed_class`` registers."""
+    fixed = [a for a in act.elements
+             if all(row[a] == a for row in act.action)]
+    return act.size - len(fixed) <= 1
 
+
+def test_class_oracle_rejection(U):
     with pytest.raises(ClassNotClosed):
         verify_semisimple_class(few_moving, U)
+
+
+def _verify_semisimple_class_on_every_act(membership, universe):
+    """Oracle for ``verify_semisimple_class``: the same checks in the same
+    order, with the congruence-extension condition tried on every act of
+    the universe, members of the class included."""
+    for monoid in universe.monoids:
+        if not membership(trivial_act(monoid)):
+            raise ClassNotClosed("contains trivial acts", monoid)
+    for act in universe.acts:
+        inside = membership(act)
+        mirrored = relabel(act, tuple(reversed(range(act.size))))
+        if membership(mirrored) != inside:
+            raise ClassNotClosed("closed under isomorphic copies", act)
+        if inside:
+            for mask in subact_masks(act):
+                sub, _ = subact_act_by_mask(act, mask)
+                if not membership(sub):
+                    raise ClassNotClosed("closed under subacts", (act, mask))
+        for chi in all_congruences(act, universe.con_bound):
+            if membership(quotient(act, chi)[0]) and all(
+                membership(subact_act_by_mask(act, block)[0])
+                for block in class_system(chi)
+            ):
+                if not membership(act):
+                    raise ClassNotClosed(
+                        "closed under congruence extensions", (act, str(chi))
+                    )
+    for monoid in universe.monoids:
+        members = [a for a in universe.acts_over(monoid) if membership(a)]
+        for a in members:
+            for b in members:
+                if a.size * b.size <= universe.act_max:
+                    if not membership(product(a, b)):
+                        raise ClassNotClosed("closed under products", (a, b))
+    return None
+
+
+def _class_check_outcome(check, membership, universe):
+    try:
+        return check(membership, universe)
+    except ClassNotClosed as exc:
+        return exc.condition, exc.witness
+
+
+def test_semisimple_class_check_matches_every_act_oracle():
+    small = default_universe(monoid_max=2)
+    t_lrg = small.radical("t_LrG").membership
+    outcomes = {}
+    for name, membership in (("t_LrG", t_lrg), ("few_moving", few_moving)):
+        got = _class_check_outcome(verify_semisimple_class, membership, small)
+        want = _class_check_outcome(
+            _verify_semisimple_class_on_every_act, membership, small
+        )
+        assert got == want, name
+        outcomes[name] = got and got[0]
+    assert outcomes == {
+        "t_LrG": None, "few_moving": "closed under congruence extensions",
+    }
 
 
 def test_closure_constant_radicals(U):

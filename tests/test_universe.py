@@ -240,6 +240,8 @@ def test_cyclic_acts(U, T1, E2):
     assert sizes == [1, 2]
     reg = left_regular_act(E2)
     assert any(find_isomorphism(c, reg) for c in U.cyclic_acts(E2))
+    # memoised on the universe
+    assert U.cyclic_acts(E2) is U.cyclic_acts(E2)
 
 
 def test_default_radicals(U):
