@@ -2,14 +2,18 @@
 
 Conventions.  Enumerators yield ("inst", parts) for hypothesis-satisfying
 instances and ("filtered", parts) otherwise; predicates may raise SizeBound
-or BoundExceeded to mark an instance skipped.  Sweeps over monomorphisms are
-collapsed along images: a mono A -> B with image M poses exactly the problems
-of the subact inclusion M -> B, composed with an isomorphism, so enumerating
-(B, M) pairs plus maps out of M covers every mono without relabeling noise.
-Quantifiers the theory ranges over all extensions are approximated by the
-universe's embeddings plus the bounded injective hull; coproduct/product
-closure of a class is checked for pairs whose sum/product stays within the
-act-size bound.
+or BoundExceeded to mark an instance skipped.  A taxonomy flag the result
+assumes of the radical is declared by ``register(..., assumes=FLAG)`` and
+filtered on by ``Checker.run``; only checkers whose statement compares flags
+call ``classify_radical``.
+
+Sweeps over monomorphisms are collapsed along images: a mono A -> B with
+image M poses exactly the problems of the subact inclusion M -> B, composed
+with an isomorphism, so enumerating (B, M) pairs plus maps out of M covers
+every mono without relabeling noise.  Quantifiers the theory ranges over all
+extensions are approximated by the universe's embeddings plus the bounded
+injective hull; coproduct/product closure of a class is checked for pairs
+whose sum/product stays within the act-size bound.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .injectivity import (
     is_large,
     is_r_injective,
     is_orthogonal_r_injective,
+    is_weakly_injective,
     iso_over_source,
     make_extension,
     minimal_r_injective_extension,
@@ -117,11 +122,17 @@ def _enum_pair_subacts(universe):
             yield "inst", (r, act, mask)
 
 
-def _enum_ka_monoid(universe):
+def _enum_radical_monoids(universe):
     for r in universe.radicals:
-        ka = classify_radical(r, universe).kurosh_amitsur
         for monoid in universe.monoids:
-            yield ("inst" if ka else "filtered"), (r, monoid)
+            yield "inst", (r, monoid)
+
+
+def _enum_closed_subacts(universe):
+    for r, act in _pairs(universe):
+        for mask in subact_masks(act):
+            closed = closure_mask(r, act, mask) == mask
+            yield ("inst" if closed else "filtered"), (r, act, mask)
 
 
 def _extensions(universe, base):
@@ -356,15 +367,6 @@ register(
 )
 
 
-def _enum_p23(universe):
-    for r, act in _pairs(universe):
-        for mask in subact_masks(act):
-            if closure_mask(r, act, mask) == mask:
-                yield "inst", (r, act, mask)
-            else:
-                yield "filtered", (r, act, mask)
-
-
 def _holds_p23(universe, parts):
     r, act, mask = parts
     outer = class_system(r.of(act))
@@ -380,7 +382,7 @@ register(
     "P2.3",
     "for a closed subact, radical classes of the subact nest inside those "
     "of the act whenever they meet",
-    _enum_p23,
+    _enum_closed_subacts,
     _holds_p23,
 )
 
@@ -414,20 +416,20 @@ register(
     "four equivalent faces of coproduct closure of the radical class: "
     "closure itself, at most one radical class plus a non-trivial radical "
     "act, the doubled point act being radical, and closures absorbing zeros",
-    _enum_ka_monoid,
+    _enum_radical_monoids,
     _holds_t24,
+    assumes="kurosh_amitsur",
 )
 
 
 def _enum_t25(universe):
     for r in universe.radicals:
-        ka = classify_radical(r, universe).kurosh_amitsur
         for monoid in universe.monoids:
             nontrivial = any(
                 a.size >= 2 and is_radical_act(r, a)
                 for a in universe.acts_over(monoid)
             )
-            yield ("inst" if ka and nontrivial else "filtered"), (r, monoid)
+            yield ("inst" if nontrivial else "filtered"), (r, monoid)
 
 
 def _holds_t25(universe, parts):
@@ -453,6 +455,7 @@ register(
     "a closed subact is semisimple (needs some non-trivial radical act)",
     _enum_t25,
     _holds_t25,
+    assumes="kurosh_amitsur",
 )
 
 
@@ -483,8 +486,9 @@ register(
     "C2.6",
     "coproduct closure of the radical class amounts to every act having a "
     "radical subact that holds all zeros and generates the radical congruence",
-    _enum_ka_monoid,
+    _enum_radical_monoids,
     _holds_c26,
+    assumes="kurosh_amitsur",
 )
 
 
@@ -581,15 +585,6 @@ register(
 )
 
 
-def _enum_p29(universe):
-    for r in universe.radicals:
-        pk = classify_radical(r, universe).pre_kurosh
-        for act in universe.acts:
-            for mask in subact_masks(act):
-                closed = closure_mask(r, act, mask) == mask
-                yield ("inst" if pk and closed else "filtered"), (r, act, mask)
-
-
 def _holds_p29(universe, parts):
     r, act, mask = parts
     outer = set(class_system(r.of(act)))
@@ -600,18 +595,10 @@ register(
     "P2.9",
     "for a pre-Kurosh radical, radical classes of a closed subact are "
     "radical classes of the whole act",
-    _enum_p29,
+    _enum_closed_subacts,
     _holds_p29,
+    assumes="pre_kurosh",
 )
-
-
-def _enum_c210(universe):
-    for r in universe.radicals:
-        ka = classify_radical(r, universe).kurosh_amitsur
-        for act in universe.acts:
-            for mask in subact_masks(act):
-                closed = closure_mask(r, act, mask) == mask
-                yield ("inst" if ka and closed else "filtered"), (r, act, mask)
 
 
 def _holds_c210(universe, parts):
@@ -623,8 +610,9 @@ def _holds_c210(universe, parts):
 register(
     "C2.10",
     "a Kurosh-Amitsur radical restricts to closed subacts",
-    _enum_c210,
+    _enum_closed_subacts,
     _holds_c210,
+    assumes="kurosh_amitsur",
 )
 
 
@@ -771,13 +759,11 @@ register(
 
 
 def _enum_t216(universe):
-    for r in universe.radicals:
-        ph = classify_radical(r, universe).pre_hereditary
-        for act in universe.acts:
-            ss = is_semisimple_act(r, act)
-            for mask in dense_subact_masks(r, act):
-                ok = ph and ss and mask.bit_count() >= 2
-                yield ("inst" if ok else "filtered"), (r, act, mask)
+    for r, act in _pairs(universe):
+        ss = is_semisimple_act(r, act)
+        for mask in dense_subact_masks(r, act):
+            ok = ss and mask.bit_count() >= 2
+            yield ("inst" if ok else "filtered"), (r, act, mask)
 
 
 def _holds_t216(universe, parts):
@@ -791,12 +777,12 @@ register(
     "every non-trivial subact twice",
     _enum_t216,
     _holds_t216,
+    assumes="pre_hereditary",
 )
 
 
 def _enum_p217(universe):
     for r in universe.radicals:
-        zh = classify_radical(r, universe).zero_hereditary
         for monoid in universe.monoids:
             try:
                 closed = _class_coproduct_closed(
@@ -808,7 +794,7 @@ def _enum_p217(universe):
             for act in universe.acts_over(monoid):
                 ss = is_semisimple_act(r, act)
                 for mask in dense_subact_masks(r, act):
-                    ok = zh and closed and ss and mask.bit_count() >= 2
+                    ok = closed and ss and mask.bit_count() >= 2
                     yield ("inst" if ok else "filtered"), (r, act, mask)
 
 
@@ -818,6 +804,7 @@ register(
     "dense subacts of semisimple acts meet every non-trivial subact twice",
     _enum_p217,
     _holds_t216,
+    assumes="zero_hereditary",
 )
 
 
@@ -1471,11 +1458,8 @@ register(
 
 
 def _enum_t62(universe):
-    for r in universe.radicals:
-        zh = classify_radical(r, universe).zero_hereditary
-        for act in universe.acts:
-            ok = zh and bool(zeros(act))
-            yield ("inst" if ok else "filtered"), (r, act)
+    for r, act in _pairs(universe):
+        yield ("inst" if zeros(act) else "filtered"), (r, act)
 
 
 def _holds_t62(universe, parts):
@@ -1491,6 +1475,7 @@ register(
     "decides relative injectivity of acts with a zero",
     _enum_t62,
     _holds_t62,
+    assumes="zero_hereditary",
 )
 
 
@@ -1517,24 +1502,21 @@ register(
     "acts suffices",
     _enum_t62,
     _holds_c63,
+    assumes="zero_hereditary",
 )
 
 
 def _enum_t65(universe):
-    for r in universe.radicals:
-        hered = classify_radical(r, universe).hereditary
-        for act in universe.acts:
-            ok = hered and is_semisimple_act(r, act)
-            yield ("inst" if ok else "filtered"), (r, act)
+    for r, act in _pairs(universe):
+        yield ("inst" if is_semisimple_act(r, act) else "filtered"), (r, act)
 
 
 def _holds_t65(universe, parts):
     r, act = parts
     reg = left_regular_act(act.monoid)
     target, _ = quotient(reg, r.of(reg))
-    lhs = _maps_extend(act, reg, subact_masks(reg))
     rhs = _maps_extend(act, target, subact_masks(target))
-    return lhs == rhs
+    return is_weakly_injective(act, universe) == rhs
 
 
 register(
@@ -1544,18 +1526,12 @@ register(
     "factor",
     _enum_t65,
     _holds_t65,
+    assumes="hereditary",
 )
 
 
 # ---------------------------------------------------------------------------
 # section 7
-
-
-def _enum_ka_act(universe):
-    for r in universe.radicals:
-        ka = classify_radical(r, universe).kurosh_amitsur
-        for act in universe.acts:
-            yield ("inst" if ka else "filtered"), (r, act)
 
 
 def _holds_p71(universe, parts):
@@ -1577,8 +1553,9 @@ register(
     "P7.1",
     "the closure of an act inside its hull is its minimal injective "
     "extension (relative to the radical) and an essential dense one",
-    _enum_ka_act,
+    _enum_pairs,
     _holds_p71,
+    assumes="kurosh_amitsur",
 )
 
 
@@ -1593,8 +1570,9 @@ register(
     "C7.2",
     "an act is injective relative to the radical exactly when it is closed "
     "in its injective hull",
-    _enum_ka_act,
+    _enum_pairs,
     _holds_c72,
+    assumes="kurosh_amitsur",
 )
 
 
@@ -1668,12 +1646,6 @@ def _t73_conditions(universe, r):
     return c1, c2, c3, c4, c5, c6
 
 
-def _enum_t73(universe):
-    for r in universe.radicals:
-        ka = classify_radical(r, universe).kurosh_amitsur
-        yield ("inst" if ka else "filtered"), (r,)
-
-
 def _holds_t73(universe, parts):
     (r,) = parts
     return len(set(_t73_conditions(universe, r))) == 1
@@ -1685,8 +1657,9 @@ register(
     "restriction, image detection through extensions, subact-closed radical "
     "class, hull-closed semisimple class (both hull kinds), and essential "
     "Rees extensions",
-    _enum_t73,
+    _enum_radicals,
     _holds_t73,
+    assumes="kurosh_amitsur",
 )
 
 
@@ -1720,17 +1693,16 @@ register(
     "the radical/semisimple pair of a Kurosh-Amitsur radical: trivial "
     "overlap, image-closed radical class, subact-closed semisimple class, "
     "and a radical system with semisimple factor in every act",
-    _enum_ka_act,
+    _enum_pairs,
     _holds_l74,
+    assumes="kurosh_amitsur",
 )
 
 
 def _enum_t75(universe):
-    for r in universe.radicals:
-        ka = classify_radical(r, universe).kurosh_amitsur
-        for act in universe.acts:
-            ok = ka and r_injective_bounded(r, act, universe)
-            yield ("inst" if ok else "filtered"), (r, act)
+    for r, act in _pairs(universe):
+        ok = r_injective_bounded(r, act, universe)
+        yield ("inst" if ok else "filtered"), (r, act)
 
 
 def _holds_t75(universe, parts):
@@ -1745,17 +1717,16 @@ register(
     "its injective hull is",
     _enum_t75,
     _holds_t75,
+    assumes="kurosh_amitsur",
 )
 
 
 def _enum_t76(universe):
-    for r in universe.radicals:
-        ka = classify_radical(r, universe).kurosh_amitsur
-        for act in universe.acts:
-            radical = ka and is_radical_act(r, act)
-            yield ("inst" if radical else "filtered"), (r, "hulls", act)
-            inj = ka and r_injective_bounded(r, act, universe)
-            yield ("inst" if inj else "filtered"), (r, "classes", act)
+    for r, act in _pairs(universe):
+        radical = is_radical_act(r, act)
+        yield ("inst" if radical else "filtered"), (r, "hulls", act)
+        inj = r_injective_bounded(r, act, universe)
+        yield ("inst" if inj else "filtered"), (r, "classes", act)
 
 
 def _holds_t76(universe, parts):
@@ -1776,6 +1747,7 @@ register(
     "radical classes of an injective act are injective",
     _enum_t76,
     _holds_t76,
+    assumes="kurosh_amitsur",
 )
 
 

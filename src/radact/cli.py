@@ -124,7 +124,19 @@ def _load_catalog(args):
     return c
 
 
+def _check_bounds(args):
+    """Every size bound is at least 1."""
+    for name in ("monoid_max", "act_max", "hull_bound", "con_bound", "bound"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ParseError(1, f"{flag} must be at least 1, got {value}")
+
+
 def _universe(args):
+    # the class check of t_LrG builds the congruence lattice of every act
+    if args.con_bound < args.act_max:
+        raise ParseError(1, f"--con-bound is below --act-max {args.act_max}")
     u = default_universe(
         monoid_max=args.monoid_max,
         act_max=args.act_max,
@@ -235,6 +247,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        _check_bounds(args)
         return _dispatch(args, out, err)
     except (ParseError, UnknownTheorem) as exc:
         print(f"error: {exc}", file=err)
@@ -289,19 +302,18 @@ def _dispatch(args, out, err) -> int:
                     r.theorem_id: round(r.duration_ms, 3) for r in reports
                 },
             }
-            violated = any(r.status == "violated" for r in reports)
+            code = 1 if any(r.status == "violated" for r in reports) else 0
         else:
             doc = verify_all(u)
-            violated = bool(doc["summary"]["violated"])
+            code = verifier.exit_code(doc)
         if args.report == "json":
             out.write(to_json(doc))
+        elif "summary" in doc:
+            out.write(to_text(doc))
         else:
-            if "summary" in doc:
-                out.write(to_text(doc))
-            else:
-                for rep in doc["results"]:
-                    print(verifier.report_line(rep), file=out)
-        return 1 if violated else 0
+            for rep in doc["results"]:
+                print(verifier.report_line(rep), file=out)
+        return code
 
     # the remaining commands all need a catalog act
     catalog = _load_catalog(args)
@@ -347,14 +359,14 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "hull":
-        bound = args.bound or args.hull_bound
+        bound = args.hull_bound if args.bound is None else args.bound
         ext = inj.injective_hull(act, bound, u)
         _print_act(ext.target, out)
         return 0
 
     if cmd == "r-hull":
         r = _resolve_radical(args, u)
-        bound = args.bound or args.hull_bound
+        bound = args.hull_bound if args.bound is None else args.bound
         ext = inj.r_injective_hull(r, act, bound, u)
         print(f"method {ext.method}", file=out)
         _print_act(ext.target, out)

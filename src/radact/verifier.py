@@ -4,8 +4,11 @@ and emits deterministic machine-readable reports with re-checkable witnesses.
 Each checker pairs an instance enumerator with a pure per-instance predicate.
 The enumerator yields ("inst", parts) for instances satisfying the property's
 hypotheses and ("filtered", parts) for enumerated instances that fail them,
-so vacuous verification stays visible in the counts.  Bound errors raised by
-the predicate mark the instance skipped, never verified.
+so vacuous verification stays visible in the counts.  A checker may also
+declare the taxonomy flag its result assumes of the radical (``assumes=``,
+one of ``RadicalTaxonomy.FLAG_NAMES``); an "inst" instance whose radical,
+``parts[0]``, lacks that flag is counted as filtered too.  Bound errors raised
+by the predicate mark the instance skipped, never verified.
 """
 
 from __future__ import annotations
@@ -49,18 +52,27 @@ class TheoremReport:
 
 
 class Checker:
-    def __init__(self, cid, description, enumerate_fn, holds_fn):
+    def __init__(self, cid, description, enumerate_fn, holds_fn, assumes=None):
+        if assumes is not None and assumes not in RadicalTaxonomy.FLAG_NAMES:
+            raise ValueError(f"checker {cid} assumes unknown flag {assumes!r}")
         self.id = cid
         self.description = description
         self.enumerate = enumerate_fn
         self.holds = holds_fn
+        self.assumes = assumes
 
     def run(self, universe) -> TheoremReport:
         t0 = time.perf_counter()
         checked = filtered = skipped = 0
         witness = None
         status = None
+        lacking = self.assumes and {
+            r for r in universe.radicals
+            if not getattr(classify_radical(r, universe), self.assumes)
+        }
         for kind, parts in self.enumerate(universe):
+            if lacking and kind == "inst" and parts[0] in lacking:
+                kind = "filtered"
             if kind == "filtered":
                 filtered += 1
                 continue
@@ -111,11 +123,12 @@ THEOREMS: dict[str, Checker] = {}
 AXIOMS: dict[str, Checker] = {}
 
 
-def register(cid, description, enumerate_fn, holds_fn, axiom=False):
+def register(cid, description, enumerate_fn, holds_fn, axiom=False,
+             assumes=None):
     table = AXIOMS if axiom else THEOREMS
     if cid in table:
         raise ValueError(f"duplicate checker id {cid}")
-    table[cid] = Checker(cid, description, enumerate_fn, holds_fn)
+    table[cid] = Checker(cid, description, enumerate_fn, holds_fn, assumes)
 
 
 # ---------------------------------------------------------------------------

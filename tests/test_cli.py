@@ -143,6 +143,23 @@ def test_malformed_subact_or_map_is_usage_error(catalog_dir, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--all", "--monoid-max", "0"],
+    ["enumerate", "--act-max", "-1"],
+    ["enumerate", "--hull-bound", "0"],
+    ["congruences", "--act", "R2", "--con-bound", "0"],
+    ["hull", "--act", "R2", "--bound", "0"],
+    ["r-hull", "--act", "R2", "--bound", "-2"],
+    # the class check of t_LrG builds the lattice of every universe act
+    ["verify", "--all", "--monoid-max", "2", "--con-bound", "3"],
+])
+def test_bound_below_one_or_below_act_max_is_usage_error(catalog_dir, argv):
+    code, out, err = invoke(argv + ["--seed-catalog", catalog_dir])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("maps", [
     "0 1;0 1",  # two links for a two-act chain
     "1 1",  # a homomorphism, but not injective

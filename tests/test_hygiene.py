@@ -17,6 +17,10 @@ Lattice: only the functions named in the ``congruence`` module docstring
 build a full congruence lattice (call ``all_congruences``), and only
 ``all_congruences`` raises ``SizeBound``; everything else is built from
 principal congruences and takes no lattice bound.
+
+Flags: in ``checkers``, only the checkers whose statement compares taxonomy
+flags call ``classify_radical``; every other checker that assumes a flag
+declares it on ``register(...)`` and ``Checker.run`` filters on it.
 """
 
 import ast
@@ -268,3 +272,39 @@ def test_size_bound_raiser_is_reported():
         "        raise\n"
     )
     assert size_bound_raisers(source, "m") == ["m.bare", "m.check"]
+
+
+def flag_readers(source, module) -> list[str]:
+    return functions_where(
+        source, module,
+        lambda n: isinstance(n, ast.Call) and _name(n) == "classify_radical",
+    )
+
+
+# the checkers whose statement compares taxonomy flags
+FLAG_READERS = (
+    "checkers._holds_d27",
+    "checkers._holds_l43",
+    "checkers._holds_p213",
+    "checkers._holds_t28",
+    "checkers._t73_conditions",
+)
+
+
+def test_only_flag_comparing_checkers_read_flags():
+    source = (SRC / "checkers.py").read_text()
+    assert flag_readers(source, "checkers") == sorted(FLAG_READERS)
+
+
+def test_flag_reader_is_reported():
+    source = (
+        "from .radical import classify_radical\n"
+        "from . import radical as rd\n"
+        "def _enum(universe):\n"
+        "    for r in universe.radicals:\n"
+        "        if rd.classify_radical(r, universe).hereditary:\n"
+        "            yield r\n"
+        "def _holds(universe, parts):\n"
+        "    return classify_radical\n"
+    )
+    assert flag_readers(source, "m") == ["m._enum"]

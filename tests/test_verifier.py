@@ -5,7 +5,13 @@ import weakref
 import pytest
 
 from radact.catalog import parse_radical_table
-from radact.congruence import diagonal, parse_partition, total
+from radact.congruence import (
+    all_congruences,
+    diagonal,
+    is_rees,
+    parse_partition,
+    total,
+)
 from radact.core import (
     ActHom,
     all_homs,
@@ -13,15 +19,31 @@ from radact.core import (
     subact_act_by_mask,
     subact_masks,
     validate_act,
+    validate_monoid,
+    zeros,
 )
 from radact.errors import (
     BOUND_ERRORS,
+    BoundExceeded,
     NotInUniverse,
     PostconditionError,
     UnknownTheorem,
 )
-from radact.injectivity import DirectedChain, transfer_pushout
-from radact.radical import closure_mask, extensional_radical
+from radact.injectivity import (
+    DirectedChain,
+    r_injective_bounded,
+    transfer_pushout,
+)
+from radact.radical import (
+    classify_radical,
+    closure_mask,
+    dense_subact_masks,
+    extensional_radical,
+    is_radical_act,
+    is_semisimple_act,
+    rg_radical,
+    RadicalTaxonomy,
+)
 from radact.universe import default_universe
 from radact import checkers, verifier
 
@@ -57,6 +79,22 @@ def mutant_universe():
         acts[3]: parse_partition(acts[3], "0 1 | 2"),
     }
     u.register_radical(extensional_radical("mut", table))
+    return u
+
+
+@pytest.fixture(scope="module")
+def non_ka_universe():
+    # rG with one value replaced by a non-Rees congruence: the radical "non-ka"
+    # lacks all six taxonomy flags (the universe of the r-hull fallback test)
+    u = default_universe(monoid_max=2, act_max=4, hull_bound=4)
+    e2 = validate_monoid([[0, 1], [1, 1]], 0, "E2")
+    member = u.find_member(validate_act(e2, [[0, 1, 2, 3], [2, 3, 2, 3]]))
+    rg = rg_radical()
+    table = {act: rg.of(act) for act in u.acts}
+    table[member] = next(
+        chi for chi in all_congruences(member) if not is_rees(chi)
+    )
+    u.register_radical(extensional_radical("non-ka", table))
     return u
 
 
@@ -324,3 +362,196 @@ def test_radical_table_parsing_feeds_verifier(small, tmp_path):
     u.register_radical(extensional_radical(name, table))
     rep = verifier.verify("AX-H2", u)
     assert rep.status == "violated"
+
+
+# ---------------------------------------------------------------------------
+# the declared taxonomy gate: the enumerators as they read the flags
+# themselves before Checker.run did, kept as the oracle
+
+
+def _by_hand_ka_monoid(universe):
+    for r in universe.radicals:
+        ka = classify_radical(r, universe).kurosh_amitsur
+        for monoid in universe.monoids:
+            yield ("inst" if ka else "filtered"), (r, monoid)
+
+
+def _by_hand_t25(universe):
+    for r in universe.radicals:
+        ka = classify_radical(r, universe).kurosh_amitsur
+        for monoid in universe.monoids:
+            nontrivial = any(
+                a.size >= 2 and is_radical_act(r, a)
+                for a in universe.acts_over(monoid)
+            )
+            yield ("inst" if ka and nontrivial else "filtered"), (r, monoid)
+
+
+def _by_hand_p29(universe):
+    for r in universe.radicals:
+        pk = classify_radical(r, universe).pre_kurosh
+        for act in universe.acts:
+            for mask in subact_masks(act):
+                closed = closure_mask(r, act, mask) == mask
+                yield ("inst" if pk and closed else "filtered"), (r, act, mask)
+
+
+def _by_hand_c210(universe):
+    for r in universe.radicals:
+        ka = classify_radical(r, universe).kurosh_amitsur
+        for act in universe.acts:
+            for mask in subact_masks(act):
+                closed = closure_mask(r, act, mask) == mask
+                yield ("inst" if ka and closed else "filtered"), (r, act, mask)
+
+
+def _by_hand_t216(universe):
+    for r in universe.radicals:
+        ph = classify_radical(r, universe).pre_hereditary
+        for act in universe.acts:
+            ss = is_semisimple_act(r, act)
+            for mask in dense_subact_masks(r, act):
+                ok = ph and ss and mask.bit_count() >= 2
+                yield ("inst" if ok else "filtered"), (r, act, mask)
+
+
+def _by_hand_p217(universe):
+    for r in universe.radicals:
+        zh = classify_radical(r, universe).zero_hereditary
+        for monoid in universe.monoids:
+            try:
+                closed = checkers._class_coproduct_closed(
+                    universe, r, monoid, is_semisimple_act
+                )
+            except BoundExceeded:
+                yield "skip", (r, monoid)
+                continue
+            for act in universe.acts_over(monoid):
+                ss = is_semisimple_act(r, act)
+                for mask in dense_subact_masks(r, act):
+                    ok = zh and closed and ss and mask.bit_count() >= 2
+                    yield ("inst" if ok else "filtered"), (r, act, mask)
+
+
+def _by_hand_t62(universe):
+    for r in universe.radicals:
+        zh = classify_radical(r, universe).zero_hereditary
+        for act in universe.acts:
+            ok = zh and bool(zeros(act))
+            yield ("inst" if ok else "filtered"), (r, act)
+
+
+def _by_hand_t65(universe):
+    for r in universe.radicals:
+        hered = classify_radical(r, universe).hereditary
+        for act in universe.acts:
+            ok = hered and is_semisimple_act(r, act)
+            yield ("inst" if ok else "filtered"), (r, act)
+
+
+def _by_hand_ka_act(universe):
+    for r in universe.radicals:
+        ka = classify_radical(r, universe).kurosh_amitsur
+        for act in universe.acts:
+            yield ("inst" if ka else "filtered"), (r, act)
+
+
+def _by_hand_t73(universe):
+    for r in universe.radicals:
+        ka = classify_radical(r, universe).kurosh_amitsur
+        yield ("inst" if ka else "filtered"), (r,)
+
+
+def _by_hand_t75(universe):
+    for r in universe.radicals:
+        ka = classify_radical(r, universe).kurosh_amitsur
+        for act in universe.acts:
+            ok = ka and r_injective_bounded(r, act, universe)
+            yield ("inst" if ok else "filtered"), (r, act)
+
+
+def _by_hand_t76(universe):
+    for r in universe.radicals:
+        ka = classify_radical(r, universe).kurosh_amitsur
+        for act in universe.acts:
+            radical = ka and is_radical_act(r, act)
+            yield ("inst" if radical else "filtered"), (r, "hulls", act)
+            inj = ka and r_injective_bounded(r, act, universe)
+            yield ("inst" if inj else "filtered"), (r, "classes", act)
+
+
+# checker id -> (declared flag, flag-reading enumerator)
+GATED = {
+    "T2.4": ("kurosh_amitsur", _by_hand_ka_monoid),
+    "T2.5": ("kurosh_amitsur", _by_hand_t25),
+    "C2.6": ("kurosh_amitsur", _by_hand_ka_monoid),
+    "P2.9": ("pre_kurosh", _by_hand_p29),
+    "C2.10": ("kurosh_amitsur", _by_hand_c210),
+    "T2.16": ("pre_hereditary", _by_hand_t216),
+    "P2.17": ("zero_hereditary", _by_hand_p217),
+    "T6.2": ("zero_hereditary", _by_hand_t62),
+    "C6.3": ("zero_hereditary", _by_hand_t62),
+    "T6.5": ("hereditary", _by_hand_t65),
+    "P7.1": ("kurosh_amitsur", _by_hand_ka_act),
+    "C7.2": ("kurosh_amitsur", _by_hand_ka_act),
+    "T7.3": ("kurosh_amitsur", _by_hand_t73),
+    "L7.4": ("kurosh_amitsur", _by_hand_ka_act),
+    "T7.5": ("kurosh_amitsur", _by_hand_t75),
+    "T7.6": ("kurosh_amitsur", _by_hand_t76),
+}
+
+
+def test_checkers_declare_the_flags_they_assume():
+    verifier._ensure_registered()
+    declared = {
+        cid: c.assumes
+        for cid, c in {**verifier.AXIOMS, **verifier.THEOREMS}.items()
+        if c.assumes is not None
+    }
+    assert declared == {cid: flag for cid, (flag, _) in GATED.items()}
+
+
+def test_flag_varying_universes(mutant_universe, non_ka_universe):
+    def lacking(u):
+        flags = {r.name: classify_radical(r, u).flags() for r in u.radicals}
+        return {
+            name: [k for k, v in f.items() if not v]
+            for name, f in flags.items() if not all(f.values())
+        }
+
+    assert lacking(mutant_universe) == {"mut": ["hereditary"]}
+    assert lacking(non_ka_universe) == {
+        "non-ka": list(RadicalTaxonomy.FLAG_NAMES)
+    }
+
+
+def _report_outcome(rep):
+    return (
+        rep.status,
+        rep.instances_checked,
+        rep.hypothesis_filtered,
+        rep.instances_skipped,
+        rep.witness,
+    )
+
+
+@pytest.mark.parametrize("universe_name", ["mutant_universe", "non_ka_universe"])
+@pytest.mark.parametrize("cid", sorted(GATED))
+def test_gate_matches_flag_reading_enumerators(request, universe_name, cid):
+    u = request.getfixturevalue(universe_name)
+    verifier._ensure_registered()
+    checker = verifier.THEOREMS[cid]
+    oracle = verifier.Checker(
+        cid, checker.description, GATED[cid][1], checker.holds
+    )
+    assert _report_outcome(checker.run(u)) == _report_outcome(oracle.run(u))
+
+
+def test_register_rejects_unknown_flag():
+    verifier._ensure_registered()
+    with pytest.raises(ValueError, match="unknown flag"):
+        verifier.register(
+            "X9.9", "never registered", checkers._enum_radicals,
+            lambda universe, parts: True, assumes="kurosh",
+        )
+    assert "X9.9" not in verifier.THEOREMS
