@@ -146,7 +146,7 @@ def _extensions(universe, base):
 
 
 def _hull_embedding(universe, base):
-    hull = injective_hull(base, universe.hull_bound, universe)
+    hull = injective_hull(base, universe)
     return hull.embedding
 
 
@@ -1536,14 +1536,12 @@ register(
 
 def _holds_p71(universe, parts):
     r, act = parts
-    ext = r_injective_hull(r, act, universe.hull_bound, universe)
+    ext = r_injective_hull(r, act, universe)
     if not r_injective_bounded(r, ext.target, universe):
         return False
     if not ext.r_essential:
         return False
-    minimal = minimal_r_injective_extension(
-        r, act, universe.hull_bound, universe
-    )
+    minimal = minimal_r_injective_extension(r, act, universe)
     return minimal.size == ext.target.size and iso_over_source(
         act, ext.target, minimal
     )
@@ -1732,7 +1730,7 @@ def _enum_t76(universe):
 def _holds_t76(universe, parts):
     r, tag, act = parts
     if tag == "hulls":
-        ext = r_injective_hull(r, act, universe.hull_bound, universe)
+        ext = r_injective_hull(r, act, universe)
         return is_radical_act(r, ext.target)
     for block in class_system(r.of(act)):
         sub, _ = subact_act_by_mask(act, block)

@@ -22,7 +22,7 @@ from .core import (
     subact_act_by_mask,
     subact_from_members,
 )
-from .errors import ParseError, RadactError, UnknownTheorem
+from .errors import ParseError, RadactError, UsageError
 from .universe import default_universe
 from .verifier import to_json, to_text, verify_all
 
@@ -85,13 +85,11 @@ def build_parser():
     p = add("weakly-injective", help="decide weak injectivity")
     p.add_argument("--act", required=True)
 
-    p = add("hull", help="search the bounded injective hull")
+    p = add("hull", help="search the injective hull up to --hull-bound")
     p.add_argument("--act", required=True)
-    p.add_argument("--bound", type=int, default=None)
 
     p = add("r-hull", help="relative injective hull via the closure operator")
     p.add_argument("--act", required=True)
-    p.add_argument("--bound", type=int, default=None)
 
     p = add("pushout", help="transfer pushout of a subact inclusion and a map")
     p.add_argument("--act", required=True, help="the mono's target act")
@@ -126,27 +124,24 @@ def _load_catalog(args):
 
 def _check_bounds(args):
     """Every size bound is at least 1."""
-    for name in ("monoid_max", "act_max", "hull_bound", "con_bound", "bound"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
+    for name in ("monoid_max", "act_max", "hull_bound", "con_bound"):
+        value = getattr(args, name)
+        if value < 1:
             flag = "--" + name.replace("_", "-")
             raise ParseError(1, f"{flag} must be at least 1, got {value}")
 
 
 def _universe(args):
-    # the class check of t_LrG builds the congruence lattice of every act
-    if args.con_bound < args.act_max:
-        raise ParseError(1, f"--con-bound is below --act-max {args.act_max}")
     u = default_universe(
         monoid_max=args.monoid_max,
         act_max=args.act_max,
         hull_bound=args.hull_bound,
         con_bound=args.con_bound,
     )
+    c = _load_catalog(args) if args.radical_file else None
     for path in args.radical_file:
         with open(path) as fh:
             text = fh.read()
-        c = _load_catalog(args)
         name, table = cat.parse_radical_table(text, c.acts)
         r = rd.extensional_radical(name, table)
         _require_coverage(r, u)
@@ -173,10 +168,6 @@ def _resolve_act(spec, catalog):
     if spec in catalog.acts:
         return catalog.acts[spec]
     raise ParseError(1, f"cannot resolve act {spec!r}")
-
-
-def _resolve_radical(args, universe):
-    return universe.radical(args.radical)
 
 
 def _print_act(act, out):
@@ -249,7 +240,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     try:
         _check_bounds(args)
         return _dispatch(args, out, err)
-    except (ParseError, UnknownTheorem) as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except RadactError as exc:
@@ -284,7 +275,7 @@ def _dispatch(args, out, err) -> int:
 
     if cmd == "classify":
         u = _universe(args)
-        r = _resolve_radical(args, u)
+        r = u.radical(args.radical)
         flags = rd.classify_radical(r, u).flags()
         for k, v in flags.items():
             print(f"{k} {'true' if v else 'false'}", file=out)
@@ -328,18 +319,18 @@ def _dispatch(args, out, err) -> int:
     u = _universe(args)
 
     if cmd == "radical":
-        r = _resolve_radical(args, u)
+        r = u.radical(args.radical)
         print(str(r.of(act)), file=out)
         return 0
 
     if cmd == "closure":
-        r = _resolve_radical(args, u)
+        r = u.radical(args.radical)
         closed = rd.closure_mask(r, act, _subact_of(act, args.members))
         print(" ".join(str(x) for x in mask_members(closed)), file=out)
         return 0
 
     if cmd == "dense":
-        r = _resolve_radical(args, u)
+        r = u.radical(args.radical)
         mask = _subact_of(act, args.members)
         print("true" if rd.is_r_dense(r, act, mask) else "false", file=out)
         return 0
@@ -349,7 +340,7 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "r-injective":
-        r = _resolve_radical(args, u)
+        r = u.radical(args.radical)
         value = inj.is_r_injective(r, act, u, args.mode)
         print("true" if value else "false", file=out)
         return 0
@@ -359,21 +350,19 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "hull":
-        bound = args.hull_bound if args.bound is None else args.bound
-        ext = inj.injective_hull(act, bound, u)
+        ext = inj.injective_hull(act, u)
         _print_act(ext.target, out)
         return 0
 
     if cmd == "r-hull":
-        r = _resolve_radical(args, u)
-        bound = args.hull_bound if args.bound is None else args.bound
-        ext = inj.r_injective_hull(r, act, bound, u)
+        r = u.radical(args.radical)
+        ext = inj.r_injective_hull(r, act, u)
         print(f"method {ext.method}", file=out)
         _print_act(ext.target, out)
         return 0
 
     if cmd == "pushout":
-        r = _resolve_radical(args, u)
+        r = u.radical(args.radical)
         inner, incl = subact_act_by_mask(act, _subact_of(act, args.members))
         f = _map_of(inner, _resolve_act(args.into, catalog), args.map)
         d, ulab, vlab = inj.transfer_pushout(r, incl, f)

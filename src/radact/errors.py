@@ -57,7 +57,12 @@ class NotInUniverse(RadactError):
     pass
 
 
-class UnknownTheorem(RadactError):
+class UsageError(RadactError):
+    """The caller asked for something that does not exist or cannot be
+    built: an unknown theorem or radical, or inconsistent bounds."""
+
+
+class UnknownTheorem(UsageError):
     pass
 
 

@@ -11,6 +11,9 @@ Hull search uses the conjunction of every decidable necessary condition
 (criterion tests, universe tests, and the zero requirement when the radical
 class is coproduct-closed); this is the sharpest bounded approximation of the
 unbounded notion available here.
+
+Every hull search tries the extensions of an act up to the universe's
+``hull_bound`` points and takes no bound of its own.
 """
 
 from __future__ import annotations
@@ -464,42 +467,41 @@ def extension_acts(act: FiniteAct, size: int):
         yield FiniteAct(act.monoid, table)
 
 
+def _extensions(act: FiniteAct, universe):
+    """Every act of at most ``universe.hull_bound`` points containing the act
+    on its first indices, by size and then in table order: the candidates of
+    every hull search."""
+    for size in range(act.size, universe.hull_bound + 1):
+        yield from extension_acts(act, size)
+
+
 def _prefix_embedding(act: FiniteAct, ext: FiniteAct) -> ActHom:
     return ActHom(act, ext, tuple(range(act.size)))
 
 
-def injective_hull(act: FiniteAct, size_bound: int, universe) -> Extension:
+def injective_hull(act: FiniteAct, universe) -> Extension:
     """Smallest injective extension in which the act sits large; unique up to
     isomorphism over the act, searched by size then table order."""
-    found = _hull_search(act, size_bound, universe)
+    found = _hull_search(act, universe)
     if found is None:
         raise BoundExceeded(
-            f"no injective hull within {size_bound} points for a "
+            f"no injective hull within {universe.hull_bound} points for a "
             f"{act.size}-point act"
         )
     return found
 
 
-@memo_on(2)
-def _hull_search(act: FiniteAct, size_bound: int, universe):
+@memo_on(1)
+def _hull_search(act: FiniteAct, universe):
     prefix_mask = act.full_mask()
-    for size in range(act.size, size_bound + 1):
-        for ext in extension_acts(act, size):
-            if not is_large(ext, prefix_mask):
-                continue
-            if is_injective(ext, universe):
-                return Extension(
-                    act,
-                    ext,
-                    _prefix_embedding(act, ext),
-                    large=True,
-                    method="hull-search",
-                )
+    for ext in _extensions(act, universe):
+        if is_large(ext, prefix_mask) and is_injective(ext, universe):
+            return Extension(act, ext, _prefix_embedding(act, ext),
+                             large=True, method="hull-search")
     return None
 
 
-def r_injective_hull(r: Radical, act: FiniteAct, size_bound: int,
-                     universe) -> Extension:
+def r_injective_hull(r: Radical, act: FiniteAct, universe) -> Extension:
     """Relative hull: the closure of the act inside its injective hull.
 
     Requires a Kurosh-Amitsur radical; otherwise falls back to a bounded
@@ -508,15 +510,14 @@ def r_injective_hull(r: Radical, act: FiniteAct, size_bound: int,
     """
     flags = classify_radical(r, universe)
     if not flags.kurosh_amitsur:
-        return _maximal_r_essential_extension(r, act, size_bound, universe)
-    hull = injective_hull(act, size_bound, universe)
+        return _maximal_r_essential_extension(r, act, universe)
+    hull = injective_hull(act, universe)
     cmask = closure_mask(r, hull.target, act.full_mask())
     inner, _ = subact_act_by_mask(hull.target, cmask)
-    emb = ActHom(act, inner, tuple(range(act.size)))
     ext = Extension(
         act,
         inner,
-        emb,
+        _prefix_embedding(act, inner),
         large=is_large(inner, act.full_mask()),
         r_dense=is_r_dense(r, inner, act.full_mask()),
         method="closure-of-hull",
@@ -529,48 +530,37 @@ def r_injective_hull(r: Radical, act: FiniteAct, size_bound: int,
     return ext
 
 
-def _maximal_r_essential_extension(r, act, size_bound, universe) -> Extension:
-    best = None
-    prefix_mask = act.full_mask()
-    for size in range(act.size, size_bound + 1):
-        for ext in extension_acts(act, size):
-            if not is_r_dense(r, ext, prefix_mask):
-                continue
-            if not is_large(ext, prefix_mask):
-                continue
+def _r_essential(r: Radical, act: FiniteAct, ext: FiniteAct) -> bool:
+    mask = act.full_mask()
+    return is_r_dense(r, ext, mask) and is_large(ext, mask)
+
+
+def _maximal_r_essential_extension(r, act, universe) -> Extension:
+    best = None  # the first in table order of the largest size that has one
+    for ext in _extensions(act, universe):
+        if (best is None or ext.size > best.size) and _r_essential(r, act, ext):
             best = ext
-            break  # first in table order at this size; larger sizes override
     if best is None:
         raise BoundExceeded("no large dense extension within the bound")
-    return Extension(
-        act,
-        best,
-        _prefix_embedding(act, best),
-        large=True,
-        r_dense=True,
-        method="essential-search-fallback",
-    )
+    return Extension(act, best, _prefix_embedding(act, best), large=True,
+                     r_dense=True, method="essential-search-fallback")
 
 
-def minimal_r_injective_extension(r: Radical, act: FiniteAct, size_bound: int,
-                                  universe):
+def minimal_r_injective_extension(r: Radical, act: FiniteAct, universe):
     """Exhaustive search for the smallest extension passing every decidable
     injectivity test; independent of the closure construction."""
-    for size in range(act.size, size_bound + 1):
-        for ext in extension_acts(act, size):
-            if r_injective_bounded(r, ext, universe):
-                return ext
+    for ext in _extensions(act, universe):
+        if r_injective_bounded(r, ext, universe):
+            return ext
     raise BoundExceeded("no injective extension within the bound")
 
 
 def has_proper_r_essential_extension(r: Radical, act: FiniteAct,
-                                     size_bound: int, universe) -> bool:
-    prefix_mask = act.full_mask()
-    for size in range(act.size + 1, size_bound + 1):
-        for ext in extension_acts(act, size):
-            if is_r_dense(r, ext, prefix_mask) and is_large(ext, prefix_mask):
-                return True
-    return False
+                                     universe) -> bool:
+    return any(
+        ext.size > act.size and _r_essential(r, act, ext)
+        for ext in _extensions(act, universe)
+    )
 
 
 def iso_over_source(act: FiniteAct, q1: FiniteAct, q2: FiniteAct) -> bool:

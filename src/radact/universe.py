@@ -15,7 +15,7 @@ from .core import (
     validate_act,
     validate_monoid,
 )
-from .errors import RadactError
+from .errors import RadactError, UsageError
 
 
 def _monoid_tables(order):
@@ -183,10 +183,19 @@ class Universe:
     taxonomy flags, injectivity decisions, hull searches, L5.1 span
     verdicts); see ``core.memo_on``.  ``radicals`` is a tuple that each
     registration replaces, so a memo entry keyed by it is never read for
-    another set of radicals."""
+    another set of radicals.
+
+    The universe owns its bounds: hull searches read ``hull_bound``.  Every
+    bound is at least 1, and ``con_bound`` covers the lattice of every act
+    and of every cyclic act, a quotient of the |S|-point left regular act."""
 
     def __init__(self, monoid_max=3, act_max=4, hull_bound=6,
                  con_bound=CON_BOUND_DEFAULT):
+        if min(monoid_max, act_max, hull_bound, con_bound) < 1:
+            raise UsageError("every bound must be at least 1")
+        if con_bound < max(act_max, monoid_max):
+            raise UsageError(f"con_bound {con_bound} is below max(act_max, "
+                             f"monoid_max) = {max(act_max, monoid_max)}")
         self.monoid_max = monoid_max
         self.act_max = act_max
         self.hull_bound = hull_bound
@@ -229,7 +238,7 @@ class Universe:
         for r in self.radicals:
             if r.name == name:
                 return r
-        raise RadactError(f"no radical named {name!r} is registered")
+        raise UsageError(f"no radical named {name!r} is registered")
 
     @memo_on(0)
     def cyclic_acts(self, monoid: FiniteMonoid) -> tuple[FiniteAct, ...]:

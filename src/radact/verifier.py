@@ -242,7 +242,7 @@ def _checker(theorem_id: str) -> Checker:
     _ensure_registered()
     checker = THEOREMS.get(theorem_id) or AXIOMS.get(theorem_id)
     if checker is None:
-        raise UnknownTheorem(theorem_id)
+        raise UnknownTheorem(f"unknown theorem {theorem_id!r}")
     return checker
 
 

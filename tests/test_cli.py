@@ -1,9 +1,11 @@
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from radact.cli import run
+from radact.cli import _shared, build_parser, run
 
 
 E2_TEXT = """monoid E2
@@ -148,10 +150,14 @@ def test_malformed_subact_or_map_is_usage_error(catalog_dir, argv):
     ["enumerate", "--act-max", "-1"],
     ["enumerate", "--hull-bound", "0"],
     ["congruences", "--act", "R2", "--con-bound", "0"],
-    ["hull", "--act", "R2", "--bound", "0"],
-    ["r-hull", "--act", "R2", "--bound", "-2"],
+    ["hull", "--act", "R2", "--hull-bound", "0"],
+    ["r-hull", "--act", "R2", "--hull-bound", "-2"],
     # the class check of t_LrG builds the lattice of every universe act
     ["verify", "--all", "--monoid-max", "2", "--con-bound", "3"],
+    # every cyclic act is a quotient of the |S|-point left regular act
+    ["verify", "--all", "--monoid-max", "2", "--act-max", "1",
+     "--hull-bound", "1", "--con-bound", "1"],
+    ["enumerate", "--monoid-max", "3", "--act-max", "2", "--con-bound", "2"],
 ])
 def test_bound_below_one_or_below_act_max_is_usage_error(catalog_dir, argv):
     code, out, err = invoke(argv + ["--seed-catalog", catalog_dir])
@@ -246,4 +252,56 @@ def test_unknown_theorem_is_usage_error():
          "--act-max", "2", "--hull-bound", "2"]
     )
     assert code == 2
-    assert "T9.9" in err
+    assert err == "error: unknown theorem 'T9.9'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["radical", "--act", "R2"],
+    ["classify"],
+    ["closure", "--act", "R2", "--members", "1"],
+])
+def test_unknown_radical_is_usage_error(catalog_dir, argv):
+    code, out, err = invoke(
+        argv + ["--seed-catalog", catalog_dir, "--radical", "nope"] + SMALL
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: no radical named 'nope' is registered\n"
+
+
+@pytest.mark.parametrize("command", ["hull", "r-hull"])
+def test_hull_commands_take_no_bound_flag(catalog_dir, command):
+    # the search bound is the universe's --hull-bound
+    code, out, _ = invoke(
+        [command, "--seed-catalog", catalog_dir, "--act", "R2",
+         "--bound", "3"]
+    )
+    assert code == 2
+    assert out == ""
+
+
+def _readme():
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+class _FlagRecorder:
+    def __init__(self):
+        self.flags = []
+
+    def add_argument(self, *names, **kwargs):
+        self.flags += names
+
+
+def test_readme_synopsis_names_every_shared_flag():
+    synopsis = re.search(r"```\nradact <command>(.*?)```", _readme(), re.S)
+    recorder = _FlagRecorder()
+    _shared(recorder)
+    named = set(re.findall(r"--[a-z-]+", synopsis.group(1)))
+    assert set(recorder.flags) - named == set()
+
+
+def test_readme_lists_exactly_the_commands():
+    listed = re.search(r"Commands: (.*?)\.\n", _readme(), re.S).group(1)
+    usage = build_parser().format_usage()
+    commands = re.search(r"\{([a-z,-]+)\}", usage).group(1).split(",")
+    assert sorted(re.findall(r"`([a-z-]+)`", listed)) == sorted(commands)

@@ -18,6 +18,10 @@ build a full congruence lattice (call ``all_congruences``), and only
 ``all_congruences`` raises ``SizeBound``; everything else is built from
 principal congruences and takes no lattice bound.
 
+Bounds: the universe owns its bounds.  Only ``Universe.__init__`` and
+``default_universe`` have a parameter named ``size_bound`` or
+``hull_bound``; every hull search reads ``universe.hull_bound``.
+
 Flags: in ``checkers``, only the checkers whose statement compares taxonomy
 flags call ``classify_radical``; every other checker that assumes a flag
 declares it on ``register(...)`` and ``Checker.run`` filters on it.
@@ -272,6 +276,45 @@ def test_size_bound_raiser_is_reported():
         "        raise\n"
     )
     assert size_bound_raisers(source, "m") == ["m.bare", "m.check"]
+
+
+HULL_BOUND_NAMES = {"size_bound", "hull_bound"}
+
+
+def hull_bound_takers(source, module) -> list[str]:
+    """The functions with a parameter named ``size_bound`` or
+    ``hull_bound``."""
+    return functions_where(
+        source, module,
+        lambda n: isinstance(n, ast.arg) and n.arg in HULL_BOUND_NAMES,
+    )
+
+
+def test_only_the_universe_takes_a_hull_bound():
+    found = [
+        name for p in MODULES
+        for name in hull_bound_takers(p.read_text(), p.stem)
+    ]
+    assert sorted(found) == [
+        "universe.Universe.__init__", "universe.default_universe",
+    ]
+
+
+def test_hull_bound_taker_is_reported():
+    source = (
+        "class Box:\n"
+        "    def __init__(self, hull_bound=6):\n"
+        "        self.hull_bound = hull_bound\n"
+        "def search(act, universe):\n"
+        "    return universe.hull_bound\n"
+        "def legacy(act, size_bound, universe):\n"
+        "    def inner(*, hull_bound):\n"
+        "        return hull_bound\n"
+        "    return inner\n"
+    )
+    assert hull_bound_takers(source, "m") == [
+        "m.Box.__init__", "m.legacy", "m.legacy.inner",
+    ]
 
 
 def flag_readers(source, module) -> list[str]:

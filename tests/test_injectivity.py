@@ -570,28 +570,29 @@ def test_weakly_injective(U, T1):
 def test_hull_of_injective_act_is_itself(U):
     for act in U.acts[:30]:
         if is_injective(act, U):
-            ext = injective_hull(act, U.hull_bound, U)
+            ext = injective_hull(act, U)
             assert ext.target == act
             assert ext.large
 
 
 def test_hull_over_identity_monoid(U, T1):
     for act in U.acts_over(T1):
-        assert injective_hull(act, U.hull_bound, U).target == act
+        assert injective_hull(act, U).target == act
 
 
 def test_hull_of_free_orbit(U, C2):
     member = U.find_member(C2)
-    ext = injective_hull(member, U.hull_bound, U)
+    ext = injective_hull(member, U)
     assert ext.target.size == 3
     assert ext.large
     assert is_injective(ext.target, U)
 
 
-def test_hull_bound_exceeded(U, C2):
-    member = U.find_member(C2)
+def test_hull_bound_exceeded(C2):
+    tight = default_universe(monoid_max=2, hull_bound=2)
+    member = tight.find_member(C2)
     with pytest.raises(BoundExceeded):
-        injective_hull(member, 2, U)
+        injective_hull(member, tight)
 
 
 def test_extension_acts_grow_from_prefix(R2):
@@ -605,20 +606,20 @@ def test_r_hull_constant_radicals(U):
     delta, nabla = U.radical("delta"), U.radical("nabla")
     for act in U.acts[:20]:
         try:
-            plain = injective_hull(act, U.hull_bound, U)
+            plain = injective_hull(act, U)
         except BoundExceeded:
             continue
-        assert r_injective_hull(delta, act, U.hull_bound, U).target == act
-        assert r_injective_hull(nabla, act, U.hull_bound, U).target == plain.target
+        assert r_injective_hull(delta, act, U).target == act
+        assert r_injective_hull(nabla, act, U).target == plain.target
 
 
 def test_r_hull_matches_minimal_search_sample(U, rg):
     for act in U.acts_over(U.monoids[2]):
         try:
-            ext = r_injective_hull(rg, act, U.hull_bound, U)
+            ext = r_injective_hull(rg, act, U)
         except BoundExceeded:
             continue
-        minimal = minimal_r_injective_extension(rg, act, U.hull_bound, U)
+        minimal = minimal_r_injective_extension(rg, act, U)
         assert minimal.size == ext.target.size
         assert iso_over_source(act, ext.target, minimal)
 
@@ -644,22 +645,19 @@ def test_r_hull_fallback_for_non_kurosh_amitsur(E2):
     assert not classify_radical(mutant, small).kurosh_amitsur
     theta = small.acts_over(small.monoids[2])[0]
     assert theta.size == 1
-    ext = r_injective_hull(mutant, theta, small.hull_bound, small)
+    ext = r_injective_hull(mutant, theta, small)
     assert ext.method == "essential-search-fallback"
     assert ext.large and ext.r_dense
 
 
-def test_first_well_behaviour_sample(U):
-    small_acts = [
-        a for m in U.monoids[:3] for a in U.acts_over(m) if a.size <= 3
-    ]
-    for r in U.radicals:
+def test_first_well_behaviour_sample():
+    small = default_universe(monoid_max=2, hull_bound=5)
+    small_acts = [a for a in small.acts if a.size <= 3]
+    for r in small.radicals:
         for act in small_acts:
-            inj = r_injective_bounded(r, act, U)
-            retract = is_absolute_retract(r, act, U)
-            no_proper = not has_proper_r_essential_extension(
-                r, act, 5, U
-            )
+            inj = r_injective_bounded(r, act, small)
+            retract = is_absolute_retract(r, act, small)
+            no_proper = not has_proper_r_essential_extension(r, act, small)
             assert inj == retract == no_proper, (r.name, act.name)
 
 

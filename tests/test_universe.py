@@ -13,7 +13,7 @@ from radact.core import (
     subact_masks,
     validate_monoid,
 )
-from radact.errors import ClassNotClosed, RadactError
+from radact.errors import ClassNotClosed, RadactError, UsageError
 from radact.radical import induced_radical
 from radact.universe import (
     Universe,
@@ -246,8 +246,21 @@ def test_cyclic_acts(U, T1, E2):
 
 def test_default_radicals(U):
     assert [r.name for r in U.radicals] == ["delta", "nabla", "rG", "t_LrG"]
-    with pytest.raises(RadactError):
+    with pytest.raises(UsageError):
         U.radical("unknown")
+
+
+@pytest.mark.parametrize("bounds", [
+    # a cyclic act over a 2-element monoid needs a 2-point lattice
+    dict(monoid_max=2, act_max=1, hull_bound=1, con_bound=1),
+    dict(monoid_max=3, act_max=2, con_bound=2),
+    dict(act_max=4, con_bound=3),
+    dict(monoid_max=0),
+    dict(hull_bound=0),
+])
+def test_inconsistent_bounds_are_refused(bounds):
+    with pytest.raises(UsageError):
+        default_universe(**bounds)
 
 
 def test_register_refuses_non_closed_class():
