@@ -616,13 +616,73 @@ register(
 )
 
 
-def _captures(r, emb, chi):
-    """Do all embedded points land in one radical class of the target modulo
-    the smallest extension of chi (a congruence of the source) along emb?"""
-    quo, pi = quotient(emb.target, smallest_extension(chi, emb))
-    rq = r.of(quo)
-    labels = {rq.index[pi.map[emb.map[x]]] for x in emb.source.elements}
-    return len(labels) == 1
+def _decided(outcome) -> bool:
+    """A memoised per-radical outcome: a bool, or the (error type, message)
+    of a bound hit while deciding it, raised again here."""
+    if isinstance(outcome, bool):
+        return outcome
+    err_type, message = outcome
+    raise err_type(message)
+
+
+@memo_on(0)
+def _capture_verdicts(universe, radicals, base, chi):
+    """Capture of ``base`` modulo its congruence ``chi`` for every radical of
+    ``radicals`` at once, as one (hull, some) pair of outcomes per position.
+
+    An embedding captures when all embedded points land in one radical
+    class of the target modulo the smallest extension of chi along it.
+    ``hull`` is the outcome on the injective hull's embedding, ``some``
+    whether an embedding of ``_extensions`` captures: each radical stops at
+    its first capture or bound error, as ``any`` would.  An outcome is a
+    bool, or the (error type, message) of a bound hit while deciding it
+    (for ``hull``, also the hull search's BoundExceeded).  ``radicals`` is
+    the universe's registered tuple and part of the memo key, so a radical
+    registered later gets fresh verdicts.
+
+    The quotient by the extended congruence does not depend on the radical,
+    so each embedding's quotient is built once for all radicals."""
+
+    def captured(emb, positions):
+        quo, pi = quotient(emb.target, smallest_extension(chi, emb))
+        points = {pi.map[y] for y in emb.map}
+        out = {}
+        for i in positions:
+            try:
+                index = radicals[i].of(quo).index
+            except BOUND_ERRORS as err:
+                out[i] = (type(err), str(err))
+            else:
+                out[i] = len({index[p] for p in points}) == 1
+        return out
+
+    everyone = range(len(radicals))
+    try:
+        hull_emb = _hull_embedding(universe, base)
+    except BoundExceeded as err:
+        hull_emb, on_hull = None, {}
+        hull = [(BoundExceeded, str(err))] * len(radicals)
+    else:
+        on_hull = captured(hull_emb, everyone)
+        hull = list(on_hull.values())
+    some = [False] * len(radicals)
+    undecided = list(everyone)
+    for emb in _extensions(universe, base):
+        # an injective act is its own hull: its identity is built once
+        got = on_hull if emb == hull_emb else captured(emb, undecided)
+        for i in undecided:
+            some[i] = got[i]
+        undecided = [i for i in undecided if some[i] is False]
+        if not undecided:
+            break
+    outcome = tuple(zip(hull, some))
+    # instances far outnumber the distinct outcomes: keep one copy of each
+    return universe.memo.setdefault(outcome, outcome)
+
+
+def _capture_verdict(universe, r, base, chi):
+    radicals = universe.radicals
+    return _capture_verdicts(universe, radicals, base, chi)[radicals.index(r)]
 
 
 def _enum_l211(universe):
@@ -635,12 +695,8 @@ def _holds_l211(universe, parts):
     # the hull is itself an extension, so capture there implies the
     # existential; the content is that a universe witness forces the hull
     r, base, chi = parts
-    hull_emb = _hull_embedding(universe, base)
-    if _captures(r, hull_emb, chi):
-        return True
-    return not any(
-        _captures(r, emb, chi) for emb in _extensions(universe, base)
-    )
+    hull, some = _capture_verdict(universe, r, base, chi)
+    return _decided(hull) or not _decided(some)
 
 
 register(
@@ -874,6 +930,13 @@ register(
 )
 
 
+@memo_on(0)
+def _complement(universe, act, chi):
+    """``maximal_complement`` of chi, computed once per (act, chi) for T3.6,
+    L3.7 (which asks once per class) and L3.8 together."""
+    return maximal_complement(act, chi)
+
+
 def _enum_t36(universe):
     for act in universe.acts:
         for chi in all_congruences(act, universe.con_bound):
@@ -882,7 +945,7 @@ def _enum_t36(universe):
 
 def _holds_t36(universe, parts):
     act, chi = parts
-    kappa = maximal_complement(act, chi)
+    kappa = _complement(universe, act, chi)
     quo, pi = quotient(act, kappa)
     lifted = push_congruence(pi, join(chi, kappa))
     return is_essential(lifted)
@@ -906,7 +969,7 @@ def _enum_l37(universe):
 
 def _holds_l37(universe, parts):
     act, chi, block = parts
-    kappa = maximal_complement(act, chi)
+    kappa = _complement(universe, act, chi)
     members = mask_members(block)
     return len({kappa.index[x] for x in members}) == len(members)
 
@@ -929,7 +992,7 @@ def _enum_l38(universe):
 def _holds_l38(universe, parts):
     act, mask = parts
     rho = rees_single(act, mask)
-    kappa = maximal_complement(act, rho)
+    kappa = _complement(universe, act, rho)
     quo, pi = quotient(act, kappa)
     image = set()
     for a in act.elements:
@@ -1242,11 +1305,9 @@ def _l51_verdict(universe, radicals, big, mask, c):
 def _holds_l51(universe, parts):
     r, big, mask, c = parts
     radicals = universe.radicals
-    outcome = _l51_verdict(universe, radicals, big, mask, c)[radicals.index(r)]
-    if isinstance(outcome, bool):
-        return outcome
-    err_type, message = outcome
-    raise err_type(message)
+    return _decided(
+        _l51_verdict(universe, radicals, big, mask, c)[radicals.index(r)]
+    )
 
 
 register(
@@ -1484,7 +1545,7 @@ def _large_cyclic_criterion(universe, r, q):
         _maps_extend(q, cyc, (
             m for m in dense_subact_masks(r, cyc)
             if is_large(cyc, m)
-        ))
+        ), universe)
         for cyc in universe.cyclic_acts(q.monoid)
     )
 
@@ -1515,7 +1576,7 @@ def _holds_t65(universe, parts):
     r, act = parts
     reg = left_regular_act(act.monoid)
     target, _ = quotient(reg, r.of(reg))
-    rhs = _maps_extend(act, target, subact_masks(target))
+    rhs = _maps_extend(act, target, subact_masks(target), universe)
     return is_weakly_injective(act, universe) == rhs
 
 
@@ -1574,27 +1635,30 @@ register(
 )
 
 
-def _t73_conditions(universe, r):
-    flags = classify_radical(r, universe)
-    c1 = flags.hereditary
-    c2 = True
+def _t73_c2(universe, r):
+    """Condition c2 of T7.3: a factor of an act is radical exactly when the
+    act is captured modulo its congruence in some extension or in the hull
+    (a hull beyond the bound counts as no capture)."""
     for base in universe.acts:
         for chi in all_congruences(base, universe.con_bound):
             quo, _ = quotient(base, chi)
             lhs = is_radical_act(r, quo)
-            rhs = any(
-                _captures(r, emb, chi) for emb in _extensions(universe, base)
-            )
+            hull, some = _capture_verdict(universe, r, base, chi)
+            rhs = _decided(some)
             if not rhs:
                 try:
-                    rhs = _captures(r, _hull_embedding(universe, base), chi)
+                    rhs = _decided(hull)
                 except BoundExceeded:
                     pass
             if lhs != rhs:
-                c2 = False
-                break
-        if not c2:
-            break
+                return False
+    return True
+
+
+def _t73_conditions(universe, r):
+    flags = classify_radical(r, universe)
+    c1 = flags.hereditary
+    c2 = _t73_c2(universe, r)
     c3 = True
     for act in universe.acts:
         if not is_radical_act(r, act):

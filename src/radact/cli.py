@@ -128,7 +128,7 @@ def _check_bounds(args):
         value = getattr(args, name)
         if value < 1:
             flag = "--" + name.replace("_", "-")
-            raise ParseError(1, f"{flag} must be at least 1, got {value}")
+            raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
 def _universe(args):
@@ -167,7 +167,7 @@ def _resolve_act(spec, catalog):
             return cat.parse_act(fh.read(), catalog.monoids)
     if spec in catalog.acts:
         return catalog.acts[spec]
-    raise ParseError(1, f"cannot resolve act {spec!r}")
+    raise UsageError(f"cannot resolve act {spec!r}")
 
 
 def _print_act(act, out):
@@ -181,7 +181,7 @@ def _ints(flag, text):
     try:
         return [int(tok) for tok in text.split()]
     except ValueError:
-        raise ParseError(1, f"{flag} takes integers, got {text!r}") from None
+        raise UsageError(f"{flag} takes integers, got {text!r}") from None
 
 
 def _subact_of(act, members_text):
@@ -189,27 +189,25 @@ def _subact_of(act, members_text):
     action-closed."""
     members = _ints("--members", members_text)
     if not all(0 <= a < act.size for a in members):
-        raise ParseError(1, f"--members {members_text!r} is outside the "
-                            f"{act.size}-point act")
+        raise UsageError(f"--members {members_text!r} is outside the "
+                         f"{act.size}-point act")
     try:
         return subact_from_members(act, members)
     except ValueError as exc:  # empty or not action-closed
-        raise ParseError(1, f"--members {members_text!r}: {exc}") from None
+        raise UsageError(f"--members {members_text!r}: {exc}") from None
 
 
 def _map_of(source, target, map_text, flag="--map"):
     """The homomorphism named by a map flag: one image per source element."""
     images = tuple(_ints(flag, map_text))
     if len(images) != source.size:
-        raise ParseError(
-            1, f"{flag} needs {source.size} images, got {len(images)}"
-        )
+        raise UsageError(f"{flag} needs {source.size} images, got "
+                         f"{len(images)}")
     if not all(0 <= b < target.size for b in images):
-        raise ParseError(
-            1, f"{flag} {map_text!r} is outside the {target.size}-point act"
-        )
+        raise UsageError(f"{flag} {map_text!r} is outside the "
+                         f"{target.size}-point act")
     if not is_equivariant(source, target, images):
-        raise ParseError(1, f"{flag} {map_text!r} is not a homomorphism")
+        raise UsageError(f"{flag} {map_text!r} is not a homomorphism")
     return ActHom(source, target, images)
 
 
@@ -218,15 +216,13 @@ def _chain_of(acts, maps_text):
     acts."""
     chunks = maps_text.split(";") if maps_text.strip() else []
     if len(chunks) != len(acts) - 1:
-        raise ParseError(
-            1, f"--maps needs {len(acts) - 1} links for {len(acts)} acts, "
-               f"got {len(chunks)}"
-        )
+        raise UsageError(f"--maps needs {len(acts) - 1} links for "
+                         f"{len(acts)} acts, got {len(chunks)}")
     links = []
     for i, chunk in enumerate(chunks):
         link = _map_of(acts[i], acts[i + 1], chunk, "--maps")
         if not link.is_injective():
-            raise ParseError(1, f"--maps link {chunk!r} is not injective")
+            raise UsageError(f"--maps link {chunk!r} is not injective")
         links.append(link)
     return inj.DirectedChain(tuple(acts), tuple(links))
 

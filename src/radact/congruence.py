@@ -8,14 +8,24 @@ T7.3 (condition c2) and L7.4 (quotients of radical acts); the meet formula
 of ``induced_radical``; ``verify_semisimple_class`` (quotients of
 non-members); cyclic acts; the CLI ``congruences`` command; and the oracles
 ``collectively_large_by_homs`` and ``is_essential_mono``.
+
+A ``Congruence`` is its act and its canonical index vector.  Joins,
+extensions, quotients and the total/diagonal tests read the index; the
+block tuples are built only when something asks for ``blocks``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import ActHom, FiniteAct, is_closed_mask, mask_members, members_mask
+from .core import (
+    ActHom,
+    FiniteAct,
+    Frozen,
+    is_closed_mask,
+    mask_members,
+    members_mask,
+)
 from .errors import ActMismatch, NotDisjoint, SizeBound
 
 CON_BOUND_DEFAULT = 7
@@ -39,13 +49,44 @@ def _blocks_of(index):
     return tuple(tuple(blocks[b]) for b in sorted(blocks))
 
 
-@dataclass(frozen=True)
-class Congruence:
-    """Act-compatible partition, canonicalised: blocks sorted by least element."""
+class Congruence(Frozen):
+    """Act-compatible partition, canonicalised: ``index`` maps each element
+    to its block id, ids numbered in first-use order, so blocks are sorted
+    by least element.
 
-    act: FiniteAct
-    index: tuple[int, ...]  # element -> block id, first-use order
-    blocks: tuple[tuple[int, ...], ...] = field(compare=False)
+    A value: equality and hash read (act, index).  ``blocks`` is computed on
+    first use; most congruences are only ever compared or read through
+    ``index``."""
+
+    __slots__ = ("act", "index", "_blocks")
+
+    def __init__(self, act: FiniteAct, index: tuple[int, ...]):
+        _set_act(self, act)
+        _set_index(self, index)
+
+    def __reduce__(self):
+        return Congruence, (self.act, self.index)
+
+    def __eq__(self, other):
+        if other.__class__ is not Congruence:
+            return NotImplemented
+        return self.index == other.index and self.act == other.act
+
+    def __hash__(self):
+        return hash((self.act, self.index))
+
+    def __repr__(self):
+        return (f"Congruence(act={self.act!r}, index={self.index!r}, "
+                f"blocks={self.blocks!r})")
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        try:
+            return self._blocks
+        except AttributeError:
+            blocks = _blocks_of(self.index)
+            _set_blocks(self, blocks)
+            return blocks
 
     def same(self, a: int, b: int) -> bool:
         return self.index[a] == self.index[b]
@@ -54,10 +95,12 @@ class Congruence:
         return self.blocks[self.index[a]]
 
     def is_diagonal(self) -> bool:
-        return len(self.blocks) == self.act.size
+        # ids are numbered in first-use order, so the last element has id
+        # size - 1 only when every element opened a block of its own
+        return self.index[-1] == len(self.index) - 1
 
     def is_total(self) -> bool:
-        return len(self.blocks) == 1
+        return not any(self.index)
 
     def leq(self, other: "Congruence") -> bool:
         """Refinement order: every block of self sits inside a block of other."""
@@ -77,9 +120,22 @@ class Congruence:
         return " | ".join(" ".join(str(a) for a in blk) for blk in self.blocks)
 
 
+_set_act = Congruence.act.__set__
+_set_index = Congruence.index.__set__
+_set_blocks = Congruence._blocks.__set__
+
+
+def _representatives(index):
+    """The least element of each block, in block id order."""
+    reps = []
+    for a, b in enumerate(index):
+        if b == len(reps):
+            reps.append(a)
+    return reps
+
+
 def _make(act, index) -> Congruence:
-    idx = _canonical(index)
-    return Congruence(act, idx, _blocks_of(idx))
+    return Congruence(act, _canonical(index))
 
 
 def congruence_from_index(act: FiniteAct, index) -> Congruence:
@@ -191,9 +247,9 @@ def join(chi1: Congruence, chi2: Congruence) -> Congruence:
     # the equivalence join of two congruences is already action-compatible
     uf = _UnionFind(chi1.act.size)
     for chi in (chi1, chi2):
-        for block in chi.blocks:
-            for b in block[1:]:
-                uf.union(block[0], b)
+        reps = _representatives(chi.index)
+        for a, b in enumerate(chi.index):
+            uf.union(reps[b], a)
     return _make(chi1.act, tuple(uf.find(a) for a in chi1.act.elements))
 
 
@@ -250,10 +306,9 @@ def smallest_extension(chi: Congruence, emb: ActHom) -> Congruence:
     if chi.act != emb.source:
         raise ActMismatch("congruence is not on the embedding's source")
     index = list(emb.target.elements)
-    for block in chi.blocks:
-        rep = emb.map[block[0]]
-        for a in block:
-            index[emb.map[a]] = rep
+    reps = [emb.map[a] for a in _representatives(chi.index)]
+    for a, b in enumerate(chi.index):
+        index[emb.map[a]] = reps[b]
     return _make(emb.target, tuple(index))
 
 
@@ -265,7 +320,7 @@ def quotient(act: FiniteAct, chi: Congruence) -> tuple[FiniteAct, ActHom]:
     """Carrier = classes of chi; action induced by compatibility."""
     if chi.act != act:
         raise ActMismatch("congruence is not on this act")
-    reps = [block[0] for block in chi.blocks]
+    reps = _representatives(chi.index)
     action = tuple(
         tuple(chi.index[row[r]] for r in reps) for row in act.action
     )

@@ -3,11 +3,17 @@
 Carriers are index sets 0..size-1.  Every structure is immutable and hashable,
 so results that depend only on these values are memoised in value-keyed
 ``lru_cache``s, shared by every universe in the process.  ``FiniteMonoid`` and
-``FiniteAct`` compute their hash once, at construction, from the fields that
-equality compares; names take part in neither.  Results that depend on a
-``Universe`` or a ``Radical`` are memoised on that object (see ``memo_on``),
-so they are freed together with it: the universe keeps, among others, the
-L5.1 verdict of each pushout span, and a radical its closures.
+``FiniteAct`` are frozen dataclasses that store their size, their elements
+and their hash once, at construction; hash and equality read the table
+fields only (names take part in neither), and equality answers at once for
+the same object and compares the stored hashes before the tables.
+``ActHom`` is a slotted value with the same guarantees: maps are built by
+the hundred thousand, and a frozen dataclass's ``__init__`` was their
+largest cost.  Results that depend on a ``Universe`` or a ``Radical`` are
+memoised on that object (see ``memo_on``), so they are freed together with
+it: the universe keeps, among others, the L5.1 verdict of each pushout span,
+the L2.11/T7.3 capture verdicts and the extension answers of the injectivity
+deciders, and a radical its closures.
 A subact (a non-empty action-closed subset of a carrier) is always a bitmask
 over its parent's carrier: bit a is set when element a belongs to it.
 ``subact_act_by_mask`` materialises one as an act plus its inclusion.
@@ -15,7 +21,7 @@ over its parent's carrier: bit a is set when element a belongs to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache, wraps
 from itertools import permutations
 
@@ -29,18 +35,20 @@ from .errors import (
 
 
 _MISSING = object()
+_setattr = object.__setattr__
 
 
 def memo_on(owner: int):
     """Memoise a function in the ``memo`` dict of its ``owner``-th positional
-    argument, keyed by the function and the other arguments, so that entries
-    live exactly as long as that argument.  Call the result positionally."""
+    argument, keyed by one flat tuple of the function and the other
+    arguments, so that entries live exactly as long as that argument.  Call
+    the result positionally."""
 
     def decorate(fn):
         @wraps(fn)
         def memoised(*args):
             memo = args[owner].memo
-            key = (fn, args[:owner] + args[owner + 1:])
+            key = (fn, *args[:owner], *args[owner + 1:])
             got = memo.get(key, _MISSING)
             if got is _MISSING:
                 got = memo[key] = fn(*args)
@@ -58,18 +66,28 @@ class FiniteMonoid:
     mul: tuple[tuple[int, ...], ...]
     identity: int
     name: str = field(default="", compare=False)
+    size: int = field(init=False, compare=False, repr=False)
+    elements: range = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.mul, self.identity)))
+    def __init__(self, mul, identity, name=""):
+        # frozen, so fields are set through object.__setattr__, as the
+        # generated __init__ does; writing to __dict__ directly would be
+        # faster here but turn every later attribute read into a dict lookup
+        _setattr(self, "mul", mul)
+        _setattr(self, "identity", identity)
+        _setattr(self, "name", name)
+        _setattr(self, "size", len(mul))
+        _setattr(self, "elements", range(len(mul)))
+        _setattr(self, "_hash", hash((mul, identity)))
 
-    @property
-    def size(self) -> int:
-        return len(self.mul)
-
-    @property
-    def elements(self) -> range:
-        return range(len(self.mul))
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.mul == other.mul
+                and self.identity == other.identity)
 
     def __hash__(self):
         return self._hash
@@ -85,21 +103,30 @@ class FiniteAct:
     monoid: FiniteMonoid
     action: tuple[tuple[int, ...], ...]
     name: str = field(default="", compare=False)
+    size: int = field(init=False, compare=False, repr=False)
+    elements: range = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.monoid, self.action)))
-
-    @property
-    def size(self) -> int:
-        return len(self.action[0])
-
-    @property
-    def elements(self) -> range:
-        return range(len(self.action[0]))
+    def __init__(self, monoid, action, name=""):
+        # as for monoids; one call instead of the generated __init__ and a
+        # __post_init__
+        _setattr(self, "monoid", monoid)
+        _setattr(self, "action", action)
+        _setattr(self, "name", name)
+        _setattr(self, "size", len(action[0]))
+        _setattr(self, "elements", range(len(action[0])))
+        _setattr(self, "_hash", hash((monoid, action)))
 
     def full_mask(self) -> int:
         return (1 << self.size) - 1
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.action == other.action
+                and (self.monoid is other.monoid or self.monoid == other.monoid))
 
     def __hash__(self):
         return self._hash
@@ -108,13 +135,51 @@ class FiniteAct:
         return f"FiniteAct({self.name or self.action}, over={self.monoid.name or '?'})"
 
 
-@dataclass(frozen=True)
-class ActHom:
-    """Equivariant map between two acts over the same monoid."""
+class Frozen:
+    """Base of the slotted value classes: assignment and deletion raise
+    ``FrozenInstanceError``, as on a frozen dataclass.  A subclass sets its
+    slots in ``__init__`` through the slot descriptors, which is about twice
+    as fast as a frozen dataclass's ``__init__``, and defines ``__reduce__``
+    so that copies and pickles rebuild it."""
 
-    source: FiniteAct
-    target: FiniteAct
-    map: tuple[int, ...]
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ActHom(Frozen):
+    """Equivariant map between two acts over the same monoid.
+
+    A value: equality, hash and repr read (source, target, map), and copies
+    and pickles rebuild it from those three fields."""
+
+    __slots__ = ("source", "target", "map")
+
+    def __init__(self, source: FiniteAct, target: FiniteAct,
+                 map: tuple[int, ...]):
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_map(self, map)
+
+    def __reduce__(self):
+        return ActHom, (self.source, self.target, self.map)
+
+    def __eq__(self, other):
+        if other.__class__ is not ActHom:
+            return NotImplemented
+        return (self.map == other.map and self.source == other.source
+                and self.target == other.target)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.map))
+
+    def __repr__(self):
+        return (f"ActHom(source={self.source!r}, target={self.target!r}, "
+                f"map={self.map!r})")
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -131,8 +196,10 @@ class ActHom:
             mask |= 1 << b
         return mask
 
-    def __hash__(self):
-        return hash((self.source, self.target, self.map))
+
+_set_source = ActHom.source.__set__
+_set_target = ActHom.target.__set__
+_set_map = ActHom.map.__set__
 
 
 def mask_members(mask: int) -> tuple[int, ...]:

@@ -12,6 +12,12 @@ Hull search uses the conjunction of every decidable necessary condition
 class is coproduct-closed); this is the sharpest bounded approximation of the
 unbounded notion available here.
 
+Every extension test along a subact inclusion, "does every map from the
+subact of big into Q extend to big, and uniquely?", is answered once per
+universe and (Q, big, subact) from the restrictions of the maps big -> Q:
+the answer does not depend on a radical, so every radical, both relative
+modes, plain and weak injectivity and the orthogonality test share it.
+
 Every hull search tries the extensions of an act up to the universe's
 ``hull_bound`` points and takes no bound of its own.
 """
@@ -276,9 +282,12 @@ def direct_limit(chain: DirectedChain):
     each leg is a slice of the label vector."""
     acts = chain.acts
     top = len(acts) - 1
-    index = _canonical(
-        [y for i in range(top + 1) for y in chain.link(i, top).map]
-    )
+    # the image of chain member i in An is its link into i + 1 followed by
+    # the image of member i + 1, built from the top down
+    images = [tuple(acts[top].elements)]
+    for ln in reversed(chain.links):
+        images.append(tuple(map(images[-1].__getitem__, ln.map)))
+    index = _canonical([y for img in reversed(images) for y in img])
     labels = index[len(index) - acts[top].size:]
     action = []
     for row in acts[top].action:
@@ -317,21 +326,40 @@ def _restrictions(Q: FiniteAct, big: FiniteAct, mask: int) -> list:
     return [tuple(h.map[a] for a in members) for h in all_homs(big, Q)]
 
 
-def _maps_extend(Q: FiniteAct, big: FiniteAct, masks) -> bool:
+# how the maps from a subact into Q extend to big: some map does not extend,
+# every map extends, or every map extends in exactly one way
+SOME_FAIL, ALL_EXTEND, ALL_UNIQUE = 0, 1, 2
+
+
+@memo_on(3)
+def _extension_kind(Q: FiniteAct, big: FiniteAct, mask: int, universe) -> int:
+    """SOME_FAIL, ALL_EXTEND or ALL_UNIQUE for the maps from the subact
+    ``mask`` of big into Q, decided once per universe from the restrictions.
+
+    The answer does not depend on a radical, so every radical and both
+    relative modes (criterion and universe), plain injectivity and the
+    orthogonality test share it.  Every restriction is a map from the
+    subact, so all maps extend when each occurs among the restrictions, and
+    uniquely when, moreover, there are no more restrictions than maps."""
+    restrictions = _restrictions(Q, big, mask)
+    sub, _ = subact_act_by_mask(big, mask)
+    maps = all_homs(sub, Q)
+    present = set(restrictions)
+    if any(f.map not in present for f in maps):
+        return SOME_FAIL
+    return ALL_UNIQUE if len(restrictions) == len(maps) else ALL_EXTEND
+
+
+def _maps_extend(Q: FiniteAct, big: FiniteAct, masks, universe) -> bool:
     """Does every map into Q from each of the subacts of big (given as masks)
     extend to big?"""
-    for mask in masks:
-        restrictions = set(_restrictions(Q, big, mask))
-        sub, _ = subact_act_by_mask(big, mask)
-        if any(f.map not in restrictions for f in all_homs(sub, Q)):
-            return False
-    return True
+    return all(_extension_kind(Q, big, mask, universe) for mask in masks)
 
 
 def baer_tests(r: Radical, Q: FiniteAct, universe) -> bool:
     """Extension tests along dense subacts of the cyclic acts."""
     return all(
-        _maps_extend(Q, cyc, dense_subact_masks(r, cyc))
+        _maps_extend(Q, cyc, dense_subact_masks(r, cyc), universe)
         for cyc in universe.cyclic_acts(Q.monoid)
     )
 
@@ -348,7 +376,7 @@ def _universe_r_injective(r: Radical, Q: FiniteAct, universe) -> bool:
     M -> B against the homomorphisms M -> Q, so images are enumerated
     directly."""
     return all(
-        _maps_extend(Q, big, dense_subact_masks(r, big))
+        _maps_extend(Q, big, dense_subact_masks(r, big), universe)
         for big in universe.acts_over(Q.monoid)
     )
 
@@ -382,13 +410,11 @@ def is_orthogonal_r_injective(r: Radical, Q: FiniteAct, universe) -> bool:
     """Injective with a unique extension for every instance in the universe:
     restricting the maps big -> Q to each dense subact is a bijection onto
     the maps from the subact."""
-    for big in universe.acts_over(Q.monoid):
-        for mask in dense_subact_masks(r, big):
-            rs = _restrictions(Q, big, mask)
-            sub, _ = subact_act_by_mask(big, mask)
-            if not len(set(rs)) == len(rs) == len(all_homs(sub, Q)):
-                return False
-    return True
+    return all(
+        _extension_kind(Q, big, mask, universe) == ALL_UNIQUE
+        for big in universe.acts_over(Q.monoid)
+        for mask in dense_subact_masks(r, big)
+    )
 
 
 @memo_on(1)
@@ -399,7 +425,7 @@ def is_injective(Q: FiniteAct, universe) -> bool:
         _maps_extend(Q, cyc, (
             m for m in subact_masks(cyc)
             if is_large(cyc, m)
-        ))
+        ), universe)
         for cyc in universe.cyclic_acts(Q.monoid)
     )
 
@@ -424,7 +450,7 @@ def skornjakov_injective(Q: FiniteAct, universe) -> bool:
 def is_weakly_injective(Q: FiniteAct, universe) -> bool:
     """Extension along the subact inclusions of the left regular act."""
     reg = left_regular_act(Q.monoid)
-    return _maps_extend(Q, reg, subact_masks(reg))
+    return _maps_extend(Q, reg, subact_masks(reg), universe)
 
 
 @memo_on(2)

@@ -180,8 +180,9 @@ class Universe:
     """Catalog of monoids and acts within bounds, plus registered radicals.
 
     ``memo`` holds the results computed over this universe (cyclic acts,
-    taxonomy flags, injectivity decisions, hull searches, L5.1 span
-    verdicts); see ``core.memo_on``.  ``radicals`` is a tuple that each
+    taxonomy flags, injectivity decisions and the extension answers behind
+    them, hull searches, maximal complements, L5.1 span verdicts and
+    L2.11/T7.3 capture verdicts); see ``core.memo_on``.  ``radicals`` is a tuple that each
     registration replaces, so a memo entry keyed by it is never read for
     another set of radicals.
 

@@ -166,6 +166,21 @@ def test_bound_below_one_or_below_act_max_is_usage_error(catalog_dir, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--hull-bound", "0"], "--hull-bound must be at least 1, got 0"),
+    (["closure", "--act", "R2", "--members", "5"] + SMALL,
+     "--members '5' is outside the 2-point act"),
+    (["closure", "--act", "R2", "--members", "x"] + SMALL,
+     "--members takes integers, got 'x'"),
+    (["closure", "--act", "R9", "--members", "1"] + SMALL,
+     "cannot resolve act 'R9'"),
+])
+def test_flag_mistakes_name_no_file_line(catalog_dir, argv, message):
+    # a mistake in a flag is the caller's, not a line of a file that was read
+    code, out, err = invoke(argv + ["--seed-catalog", catalog_dir])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("maps", [
     "0 1;0 1",  # two links for a two-act chain
     "1 1",  # a homomorphism, but not injective

@@ -1,9 +1,14 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from itertools import islice, product as iproduct
 
 import pytest
 
 from radact.congruence import (
     CON_BOUND_DEFAULT,
+    Congruence,
+    _blocks_of,
     all_congruences,
     class_system,
     congruence_from_blocks,
@@ -35,6 +40,7 @@ from radact.core import (
 )
 from radact.errors import ActMismatch, BoundExceeded, NotDisjoint, SizeBound
 from radact.injectivity import extension_acts, injective_hull, is_large
+from radact.universe import default_universe
 
 
 @pytest.fixture(scope="module")
@@ -373,3 +379,47 @@ def test_partition_string_round_trip(U):
     for act in U.acts[:30]:
         for chi in all_congruences(act, U.con_bound):
             assert parse_partition(act, str(chi)) == chi
+
+
+def test_index_readers_and_lazy_blocks_match_blocks_of():
+    # is_total, is_diagonal and quotient read the index vector only, and
+    # blocks is computed on first use: all agree with the blocks of the index
+    small = default_universe(monoid_max=2)
+    for act in small.acts:
+        for chi in all_congruences(act):
+            blocks = _blocks_of(chi.index)
+            fresh = Congruence(act, chi.index)
+            assert fresh.is_total() == (len(blocks) == 1)
+            assert fresh.is_diagonal() == (len(blocks) == act.size)
+            quo, pi = quotient(act, fresh)
+            assert quo.action == tuple(
+                tuple(chi.index[row[block[0]]] for block in blocks)
+                for row in act.action
+            )
+            assert pi.map == chi.index
+            assert fresh.blocks == blocks
+            assert fresh.block_of(act.size - 1) == blocks[chi.index[-1]]
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_congruence_copies_keep_value(A3, clone):
+    chi = generated_congruence(A3, [(0, 2)])
+    twin = clone(chi)
+    assert twin == chi and twin is not chi
+    assert hash(twin) == hash(chi) == hash((A3, chi.index))
+    assert repr(twin) == repr(chi)
+    assert twin.blocks == ((0, 2), (1,))
+
+
+def test_congruence_refuses_assignment(A3):
+    chi = diagonal(A3)
+    for name in ("act", "index", "blocks", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(chi, name, None)
+    with pytest.raises(FrozenInstanceError):
+        del chi.index
+    assert chi.index == (0, 1, 2)

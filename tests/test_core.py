@@ -302,3 +302,39 @@ def test_copies_keep_hash_and_repr(R2, clone):
         assert repr(twin) == repr(obj)
     changed = dataclasses.replace(R2, action=((0, 1), (0, 0)))
     assert hash(changed) == hash((R2.monoid, ((0, 1), (0, 0))))
+
+
+def test_values_refuse_assignment(R2):
+    f = hom(R2, R2, (1, 1))
+    for obj, name in ((R2.monoid, "identity"), (R2, "action"), (R2, "size"),
+                      (f, "map"), (f, "source"), (f, "other")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del f.map
+    assert f.map == (1, 1) and R2.size == 2
+
+
+def test_stored_sizes_and_elements(U, R2):
+    for monoid in U.monoids:
+        assert monoid.elements == range(len(monoid.mul)) == range(monoid.size)
+    for act in U.acts:
+        assert act.elements == range(len(act.action[0])) == range(act.size)
+    wider = dataclasses.replace(R2, action=((0, 1, 2), (1, 1, 2)))
+    assert wider.size == 3 and wider.elements == range(3)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_hom_copies_keep_value(R2, clone):
+    f = hom(R2, R2, (1, 1))
+    twin = clone(f)
+    assert twin == f and twin is not f
+    assert hash(twin) == hash(f) == hash((R2, R2, (1, 1)))
+    assert repr(twin) == repr(f) == (
+        f"ActHom(source={R2!r}, target={R2!r}, map=(1, 1))"
+    )
+    assert twin != ActHom(R2, R2, (0, 1)) and twin != (R2, R2, (1, 1))

@@ -216,7 +216,7 @@ LATTICE_USERS = (
     "checkers._enum_l211",
     "checkers._enum_t36",
     "checkers._enum_l37",
-    "checkers._t73_conditions",
+    "checkers._t73_c2",
     "checkers._holds_l74",
     "cli._dispatch",
     "injectivity.collectively_large_by_homs",

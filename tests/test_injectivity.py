@@ -66,6 +66,7 @@ from radact.injectivity import (
 )
 from radact.radical import (
     closure_mask,
+    coproduct_closed_radical_class,
     dense_subact_masks,
     extensional_radical,
     is_r_dense,
@@ -442,9 +443,51 @@ def test_maps_extend_matches_per_map_search(U):
                 # every restriction is one of the maps from the subact
                 assert sum(counts[f.map] for f in maps) == len(all_homs(big, Q))
                 expected = all(_extends_along(Q, big, mask, f) for f in maps)
-                assert _maps_extend(Q, big, [mask]) == expected, (Q, big, mask)
+                assert _maps_extend(Q, big, [mask], U) == expected, (Q, big, mask)
                 per_mask.append(expected)
-            assert _maps_extend(Q, big, masks) == all(per_mask)
+            assert _maps_extend(Q, big, masks, U) == all(per_mask)
+
+
+def _maps_extend_alone(Q, big, masks):
+    """The extension test of one radical's call, before the answers were
+    shared across radicals and modes, kept as an oracle."""
+    for mask in masks:
+        restrictions = set(_restrictions(Q, big, mask))
+        sub, _ = subact_act_by_mask(big, mask)
+        if any(f.map not in restrictions for f in all_homs(sub, Q)):
+            return False
+    return True
+
+
+def test_shared_extension_answers_match_per_radical_path():
+    """Criterion mode, universe mode and the bounded conjunction read the
+    shared extension answers and agree with one test per radical and call,
+    on every universe act and every injective hull."""
+    u = default_universe(monoid_max=2)
+    hulls = [injectivity._hull_search(a, u) for a in u.acts]
+    targets = list(u.acts) + [h.target for h in hulls if h is not None]
+    seen = set()
+    for r in u.radicals:
+        for Q in targets:
+            baer = all(
+                _maps_extend_alone(Q, cyc, dense_subact_masks(r, cyc))
+                for cyc in u.cyclic_acts(Q.monoid)
+            )
+            inside = all(
+                _maps_extend_alone(Q, big, dense_subact_masks(r, big))
+                for big in u.acts_over(Q.monoid)
+            )
+            zero_needed = coproduct_closed_radical_class(r, Q.monoid)
+            assert injectivity._criterion_r_injective(r, Q, u) == (
+                bool(zeros(Q)) and baer
+            ), (r, Q)
+            assert injectivity._universe_r_injective(r, Q, u) == inside, (r, Q)
+            assert r_injective_bounded(r, Q, u) == (
+                (bool(zeros(Q)) or not zero_needed) and baer and inside
+            ), (r, Q)
+            seen.add((injectivity._criterion_r_injective(r, Q, u), inside,
+                      r_injective_bounded(r, Q, u)))
+    assert all({row[i] for row in seen} == {True, False} for i in range(3))
 
 
 def _orthogonal_by_search(r, Q, universe):

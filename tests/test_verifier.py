@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,8 @@ from radact.congruence import (
     diagonal,
     is_rees,
     parse_partition,
+    quotient,
+    smallest_extension,
     total,
 )
 from radact.core import (
@@ -45,7 +48,7 @@ from radact.radical import (
     RadicalTaxonomy,
 )
 from radact.universe import default_universe
-from radact import checkers, verifier
+from radact import checkers, injectivity, verifier
 
 # every numbered result the suite certifies; the registry must cover exactly
 # these (axioms are tracked separately)
@@ -264,6 +267,139 @@ def test_l51_verdicts_follow_a_radical_registered_later():
         if parts[0] is late:
             got = _outcome(checkers._holds_l51, u, parts)
             assert got == _outcome(_l51_by_pushouts, *parts)
+
+
+def _captures(r, emb, chi):
+    # capture along one embedding for one radical, as L2.11 and T7.3 decided
+    # it before the shared verdicts, kept as an oracle
+    quo, pi = quotient(emb.target, smallest_extension(chi, emb))
+    rq = r.of(quo)
+    labels = {rq.index[pi.map[emb.map[x]]] for x in emb.source.elements}
+    return len(labels) == 1
+
+
+def _on_hull(universe, r, base, chi):
+    return _captures(r, checkers._hull_embedding(universe, base), chi)
+
+
+def _in_some_extension(universe, r, base, chi):
+    return any(
+        _captures(r, emb, chi)
+        for emb in checkers._extensions(universe, base)
+    )
+
+
+def _l211_by_radical(universe, parts):
+    if _on_hull(universe, *parts):
+        return True
+    return not _in_some_extension(universe, *parts)
+
+
+def _t73_c2_by_radical(universe, r):
+    for base in universe.acts:
+        for chi in all_congruences(base, universe.con_bound):
+            quo, _ = quotient(base, chi)
+            lhs = is_radical_act(r, quo)
+            rhs = any(
+                _captures(r, emb, chi)
+                for emb in checkers._extensions(universe, base)
+            )
+            if not rhs:
+                try:
+                    rhs = _captures(r, checkers._hull_embedding(universe, base),
+                                    chi)
+                except BoundExceeded:
+                    pass
+            if lhs != rhs:
+                return False
+    return True
+
+
+def _partial_rg_universe():
+    # hull bound 4 leaves one act without a hull, and an rG table without
+    # the acts of three points fails on their quotients, also between two
+    # extensions that it decides: every kind of outcome the shared verdicts
+    # keep occurs, in every order
+    u = default_universe(monoid_max=2, hull_bound=4)
+    rg = rg_radical()
+    u.register_radical(extensional_radical(
+        "rG-no3", {a: rg.of(a) for a in u.acts if a.size != 3}
+    ))
+    return u
+
+
+@pytest.mark.parametrize("make", [
+    lambda: default_universe(monoid_max=2), _partial_rg_universe,
+], ids=["small", "partial-rG"])
+def test_capture_verdicts_match_per_radical_captures(make):
+    u = make()
+    seen = set()
+    for kind, parts in checkers._enum_l211(u):
+        hull, some = checkers._capture_verdict(u, *parts)
+        got = (_outcome(checkers._decided, hull),
+               _outcome(checkers._decided, some))
+        assert got == (_outcome(_on_hull, u, *parts),
+                       _outcome(_in_some_extension, u, *parts)), parts
+        assert _outcome(checkers._holds_l211, u, parts) == _outcome(
+            _l211_by_radical, u, parts
+        ), parts
+        seen.add(got)
+    for r in u.radicals:
+        assert _outcome(checkers._t73_c2, u, r) == _outcome(
+            _t73_c2_by_radical, u, r
+        ), r
+    hulls, somes = {h for h, _ in seen}, {s for _, s in seen}
+    assert {True, False} <= hulls & somes
+    if make is _partial_rg_universe:
+        assert {BoundExceeded, NotInUniverse} <= hulls
+        assert NotInUniverse in somes
+
+
+def test_capture_verdicts_follow_a_radical_registered_later():
+    u = default_universe(monoid_max=2)
+    first = verifier.verify("L2.11", u)
+    assert verifier.verify("T7.3", u).status == "verified"
+    late = u.register_radical(
+        extensional_radical("delta_table", {a: diagonal(a) for a in u.acts})
+    )
+    rep = verifier.verify("L2.11", u)
+    assert rep.status == "verified"
+    assert rep.instances_checked > first.instances_checked
+    for kind, parts in checkers._enum_l211(u):
+        if parts[0] is late:
+            assert _outcome(checkers._holds_l211, u, parts) == _outcome(
+                _l211_by_radical, u, parts
+            )
+    assert _outcome(checkers._t73_c2, u, late) == _outcome(
+        _t73_c2_by_radical, u, late
+    )
+
+
+def test_shared_verdicts_build_each_quotient_and_restriction_once(monkeypatch):
+    # L2.11 and T7.3 build each (embedding, chi) quotient at most once between
+    # them, and a whole run restricts the maps big -> Q to each subact of big
+    # at most once
+    built, restricted = Counter(), Counter()
+    real_extension = checkers.smallest_extension
+    real_restrictions = injectivity._restrictions
+
+    def extending(chi, emb):
+        built[emb, chi] += 1
+        return real_extension(chi, emb)
+
+    def restricting(Q, big, mask):
+        restricted[Q, big, mask] += 1
+        return real_restrictions(Q, big, mask)
+
+    monkeypatch.setattr(checkers, "smallest_extension", extending)
+    u = default_universe(monoid_max=2)
+    for cid in ("L2.11", "T7.3"):
+        assert verifier.verify(cid, u).status == "verified"
+    assert built and max(built.values()) == 1
+    monkeypatch.setattr(injectivity, "_restrictions", restricting)
+    doc = verifier.verify_all(default_universe(monoid_max=2))
+    assert doc["summary"]["violated"] == 0
+    assert restricted and max(restricted.values()) == 1
 
 
 def _c3_by_members(r, f, m):
