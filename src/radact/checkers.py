@@ -59,7 +59,6 @@ from .injectivity import (
     collectively_large_by_homs,
     direct_limit,
     injective_hull,
-    is_essential_mono,
     is_injective,
     is_large,
     is_r_injective,
@@ -79,8 +78,10 @@ from .radical import (
     closure_mask,
     coproduct_closed_radical_class,
     dense_subact_masks,
+    density_equivalent,
     in_Lr,
     intersection_large,
+    is_r_closed,
     is_r_dense,
     is_r_mono,
     is_radical_act,
@@ -131,7 +132,7 @@ def _enum_radical_monoids(universe):
 def _enum_closed_subacts(universe):
     for r, act in _pairs(universe):
         for mask in subact_masks(act):
-            closed = closure_mask(r, act, mask) == mask
+            closed = is_r_closed(r, act, mask)
             yield ("inst" if closed else "filtered"), (r, act, mask)
 
 
@@ -143,11 +144,6 @@ def _extensions(universe, base):
             if target == base and emb.map == tuple(base.elements):
                 continue
             yield emb
-
-
-def _hull_embedding(universe, base):
-    hull = injective_hull(base, universe)
-    return hull.embedding
 
 
 def _class_coproduct_closed(universe, r, monoid, member):
@@ -438,7 +434,7 @@ def _holds_t25(universe, parts):
     factor_semisimple = True
     for act in universe.acts_over(monoid):
         for mask in subact_masks(act):
-            if closure_mask(r, act, mask) != mask:
+            if not is_r_closed(r, act, mask):
                 continue
             quo, _ = quotient(act, rees_single(act, mask))
             if not is_semisimple_act(r, quo):
@@ -658,7 +654,7 @@ def _capture_verdicts(universe, radicals, base, chi):
 
     everyone = range(len(radicals))
     try:
-        hull_emb = _hull_embedding(universe, base)
+        hull_emb = injective_hull(base, universe).embedding
     except BoundExceeded as err:
         hull_emb, on_hull = None, {}
         hull = [(BoundExceeded, str(err))] * len(radicals)
@@ -685,6 +681,23 @@ def _capture_verdict(universe, r, base, chi):
     return _capture_verdicts(universe, radicals, base, chi)[radicals.index(r)]
 
 
+def _detected(universe, r, base, chi):
+    """Condition c2 of T7.3 for one congruence: does "the factor by chi is
+    radical" agree with "the act is captured modulo chi in some extension or
+    in the hull"?  A hull beyond the bound counts as no capture.  P2.13 asks
+    it of Rees congruences."""
+    quo, _ = quotient(base, chi)
+    lhs = is_radical_act(r, quo)
+    hull, some = _capture_verdict(universe, r, base, chi)
+    rhs = _decided(some)
+    if not rhs:
+        try:
+            rhs = _decided(hull)
+        except BoundExceeded:
+            pass
+    return lhs == rhs
+
+
 def _enum_l211(universe):
     for r, base in _pairs(universe):
         for chi in all_congruences(base, universe.con_bound):
@@ -708,24 +721,12 @@ register(
 )
 
 
-def _captured_in_some_extension(universe, r, base, cmask):
-    for emb in _extensions(universe, base):
-        emb_c = 0
-        for x in mask_members(cmask):
-            emb_c |= 1 << emb.map[x]
-        if emb.image_mask() & ~closure_mask(r, emb.target, emb_c) == 0:
-            return True
-    return False
-
-
 def _holds_t212(universe, parts):
+    # L2.11 on Rees congruences: the smallest extension of rho_C along an
+    # embedding is rho of C's image, and the closure of C is the preimage of
+    # the collapsed point's class, so "in the closure" is "captured"
     r, base, cmask = parts
-    hull_emb = _hull_embedding(universe, base)
-    base_mask = (1 << base.size) - 1
-    lhs = base_mask & ~closure_mask(r, hull_emb.target, cmask) == 0
-    if lhs:
-        return True
-    return not _captured_in_some_extension(universe, r, base, cmask)
+    return _holds_l211(universe, (r, base, rees_single(base, cmask)))
 
 
 register(
@@ -738,28 +739,15 @@ register(
 
 
 def _holds_p213(universe, parts):
+    # T7.3's condition c2 on Rees congruences: a subact is dense exactly
+    # when its Rees factor is radical
     (r,) = parts
     flag = classify_radical(r, universe).zero_hereditary
-    condition = True
-    for base in universe.acts:
-        for cmask in subact_masks(base):
-            dense = is_r_dense(r, base, cmask)
-            exists = _captured_in_some_extension(universe, r, base, cmask)
-            if not exists:
-                try:
-                    hull_emb = _hull_embedding(universe, base)
-                    full = (1 << base.size) - 1
-                    exists = (
-                        full & ~closure_mask(r, hull_emb.target, cmask) == 0
-                    )
-                except BoundExceeded:
-                    pass
-            if dense != exists:
-                condition = False
-                break
-        if not condition:
-            break
-    return flag == condition
+    return flag == all(
+        _detected(universe, r, base, rees_single(base, cmask))
+        for base in universe.acts
+        for cmask in subact_masks(base)
+    )
 
 
 register(
@@ -915,10 +903,9 @@ def _enum_c35(universe):
 
 
 def _holds_c35(universe, parts):
+    # T3.4 on the family whose one member is the embedding's image
     (f,) = parts
-    return is_essential_mono(f, universe.con_bound) == is_essential(
-        rees_single(f.target, f.image_mask())
-    )
+    return _holds_t34(universe, (f.target, f.image_mask()))
 
 
 register(
@@ -1017,7 +1004,8 @@ def _holds_d39(universe, parts):
     sub, incl = subact_act_by_mask(act, mask)
     ext = make_extension(incl, r)
     return ext.r_essential == (
-        is_large(act, mask) and is_r_dense(r, act, mask)
+        collectively_large_by_homs(act, (mask,), universe.con_bound)
+        and density_equivalent(r, act, mask)
     )
 
 
@@ -1226,14 +1214,14 @@ def _holds_c47(universe, parts):
         sub, _ = subact_act_by_mask(act, cmask)
         return r_injective_bounded(r, sub, universe)
     if tag == "hull-closure":
-        emb = _hull_embedding(universe, act)
+        emb = injective_hull(act, universe).embedding
         cmask = closure_mask(r, emb.target, emb.image_mask())
         sub, _ = subact_act_by_mask(emb.target, cmask)
         return r_injective_bounded(r, sub, universe)
     lhs = r_injective_bounded(r, act, universe)
     rhs = True
     for mask in subact_masks(act):
-        if closure_mask(r, act, mask) != mask:
+        if not is_r_closed(r, act, mask):
             continue
         sub, _ = subact_act_by_mask(act, mask)
         if not r_injective_bounded(r, sub, universe):
@@ -1597,11 +1585,9 @@ register(
 
 def _holds_p71(universe, parts):
     r, act = parts
+    # r_injective_hull raises PostconditionError, reported as a violation,
+    # when the closure of the hull is not injective or not essential dense
     ext = r_injective_hull(r, act, universe)
-    if not r_injective_bounded(r, ext.target, universe):
-        return False
-    if not ext.r_essential:
-        return False
     minimal = minimal_r_injective_extension(r, act, universe)
     return minimal.size == ext.target.size and iso_over_source(
         act, ext.target, minimal
@@ -1620,8 +1606,8 @@ register(
 
 def _holds_c72(universe, parts):
     r, act = parts
-    emb = _hull_embedding(universe, act)
-    closed = closure_mask(r, emb.target, emb.image_mask()) == emb.image_mask()
+    emb = injective_hull(act, universe).embedding
+    closed = is_r_closed(r, emb.target, emb.image_mask())
     return r_injective_bounded(r, act, universe) == closed
 
 
@@ -1636,23 +1622,12 @@ register(
 
 
 def _t73_c2(universe, r):
-    """Condition c2 of T7.3: a factor of an act is radical exactly when the
-    act is captured modulo its congruence in some extension or in the hull
-    (a hull beyond the bound counts as no capture)."""
-    for base in universe.acts:
-        for chi in all_congruences(base, universe.con_bound):
-            quo, _ = quotient(base, chi)
-            lhs = is_radical_act(r, quo)
-            hull, some = _capture_verdict(universe, r, base, chi)
-            rhs = _decided(some)
-            if not rhs:
-                try:
-                    rhs = _decided(hull)
-                except BoundExceeded:
-                    pass
-            if lhs != rhs:
-                return False
-    return True
+    """Condition c2 of T7.3: ``_detected`` for each congruence of each act."""
+    return all(
+        _detected(universe, r, base, chi)
+        for base in universe.acts
+        for chi in all_congruences(base, universe.con_bound)
+    )
 
 
 def _t73_conditions(universe, r):
@@ -1676,7 +1651,7 @@ def _t73_conditions(universe, r):
         if not is_semisimple_act(r, act):
             continue
         try:
-            emb = _hull_embedding(universe, act)
+            emb = injective_hull(act, universe).embedding
         except BoundExceeded:
             continue
         if not is_semisimple_act(r, emb.target):
@@ -1769,7 +1744,7 @@ def _enum_t75(universe):
 
 def _holds_t75(universe, parts):
     r, act = parts
-    emb = _hull_embedding(universe, act)
+    emb = injective_hull(act, universe).embedding
     return is_semisimple_act(r, act) == is_semisimple_act(r, emb.target)
 
 

@@ -154,10 +154,9 @@ def _require_coverage(radical, universe):
         try:
             radical.of(act)
         except RadactError:
-            raise ParseError(
-                1,
+            raise UsageError(
                 f"extensional radical {radical.name!r} has no entry matching "
-                f"universe act {act.name}",
+                f"universe act {act.name}"
             )
 
 

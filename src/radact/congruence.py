@@ -6,8 +6,8 @@ alone raises ``SizeBound``).  The lattice is read only where a question
 ranges over every congruence: the checkers L1.2, L2.2, L2.11, T3.6, L3.7,
 T7.3 (condition c2) and L7.4 (quotients of radical acts); the meet formula
 of ``induced_radical``; ``verify_semisimple_class`` (quotients of
-non-members); cyclic acts; the CLI ``congruences`` command; and the oracles
-``collectively_large_by_homs`` and ``is_essential_mono``.
+non-members); cyclic acts; the CLI ``congruences`` command; and the oracle
+``collectively_large_by_homs``.
 
 A ``Congruence`` is its act and its canonical index vector.  Joins,
 extensions, quotients and the total/diagonal tests read the index; the

@@ -97,7 +97,8 @@ def collectively_large_by_homs(act: FiniteAct, masks,
 
     Deliberately built on the full congruence lattice, not on principal
     congruences: it is the oracle that checker T3.4 compares
-    ``collectively_large`` (and so ``is_essential``) against."""
+    ``collectively_large`` (and so ``is_essential``) against; C3.5 asks it
+    of an embedding's image and D3.9 of a subact."""
     for chi in all_congruences(act, bound):
         if chi.is_diagonal():
             continue
@@ -109,22 +110,6 @@ def collectively_large_by_homs(act: FiniteAct, masks,
 def _injective_on(chi: Congruence, mask: int) -> bool:
     members = mask_members(mask)
     return len({chi.index[a] for a in members}) == len(members)
-
-
-def is_essential_mono(f: ActHom, bound: int = CON_BOUND_DEFAULT) -> bool:
-    """Monomorphism along which injectivity reflects, tested via quotients.
-
-    Deliberately built on the full congruence lattice, not on principal
-    congruences: it is the oracle that checker C3.5 compares ``is_essential``
-    of the image's Rees congruence against."""
-    if not f.is_injective():
-        return False
-    for chi in all_congruences(f.target, bound):
-        if chi.is_diagonal():
-            continue
-        if _injective_on(chi, f.image_mask()):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,24 @@ def test_flag_mistakes_name_no_file_line(catalog_dir, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_radical_file_missing_an_act_names_no_file_line(tmp_path):
+    # every line of the file parses; it just does not cover the universe
+    (tmp_path / "T1.monoid").write_text(
+        "monoid T1\nelements 1\nidentity 0\ntable\n0\n"
+    )
+    (tmp_path / "S1.act").write_text("act S1 over T1\nelements 1\naction\n0\n")
+    radical_file = tmp_path / "part.radical"
+    radical_file.write_text("radical part extensional\nact S1 partition 0\n")
+    code, out, err = invoke([
+        "enumerate", "--monoid-max", "1", "--act-max", "2", "--con-bound", "2",
+        "--seed-catalog", str(tmp_path), "--radical-file", str(radical_file),
+    ])
+    assert (code, out, err) == (
+        2, "", "error: extensional radical 'part' has no entry matching "
+        "universe act M1.0.a2.0\n",
+    )
+
+
 @pytest.mark.parametrize("maps", [
     "0 1;0 1",  # two links for a two-act chain
     "1 1",  # a homomorphism, but not injective

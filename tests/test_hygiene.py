@@ -220,7 +220,6 @@ LATTICE_USERS = (
     "checkers._holds_l74",
     "cli._dispatch",
     "injectivity.collectively_large_by_homs",
-    "injectivity.is_essential_mono",
     "radical.induced_radical.congruence_of",
     "radical.verify_semisimple_class",
     "universe.Universe.cyclic_acts",

@@ -9,9 +9,11 @@ from radact.catalog import parse_radical_table
 from radact.congruence import (
     all_congruences,
     diagonal,
+    is_essential,
     is_rees,
     parse_partition,
     quotient,
+    rees_single,
     smallest_extension,
     total,
 )
@@ -34,6 +36,7 @@ from radact.errors import (
 )
 from radact.injectivity import (
     DirectedChain,
+    injective_hull,
     r_injective_bounded,
     transfer_pushout,
 )
@@ -42,6 +45,7 @@ from radact.radical import (
     closure_mask,
     dense_subact_masks,
     extensional_radical,
+    is_r_dense,
     is_radical_act,
     is_semisimple_act,
     rg_radical,
@@ -279,7 +283,7 @@ def _captures(r, emb, chi):
 
 
 def _on_hull(universe, r, base, chi):
-    return _captures(r, checkers._hull_embedding(universe, base), chi)
+    return _captures(r, injective_hull(base, universe).embedding, chi)
 
 
 def _in_some_extension(universe, r, base, chi):
@@ -306,8 +310,9 @@ def _t73_c2_by_radical(universe, r):
             )
             if not rhs:
                 try:
-                    rhs = _captures(r, checkers._hull_embedding(universe, base),
-                                    chi)
+                    rhs = _captures(
+                        r, injective_hull(base, universe).embedding, chi
+                    )
                 except BoundExceeded:
                     pass
             if lhs != rhs:
@@ -375,6 +380,123 @@ def test_capture_verdicts_follow_a_radical_registered_later():
     )
 
 
+def _captured_in_some_extension(universe, r, base, cmask):
+    # T2.12 and P2.13's existential by closures, before both read the L2.11
+    # verdicts on Rees congruences, kept as an oracle
+    for emb in checkers._extensions(universe, base):
+        emb_c = 0
+        for x in mask_members(cmask):
+            emb_c |= 1 << emb.map[x]
+        if emb.image_mask() & ~closure_mask(r, emb.target, emb_c) == 0:
+            return True
+    return False
+
+
+def _t212_by_closures(universe, parts):
+    r, base, cmask = parts
+    hull_emb = injective_hull(base, universe).embedding
+    base_mask = (1 << base.size) - 1
+    if base_mask & ~closure_mask(r, hull_emb.target, cmask) == 0:
+        return True
+    return not _captured_in_some_extension(universe, r, base, cmask)
+
+
+def _detected_by_closures(universe, r, base, cmask):
+    dense = is_r_dense(r, base, cmask)
+    exists = _captured_in_some_extension(universe, r, base, cmask)
+    if not exists:
+        try:
+            hull_emb = injective_hull(base, universe).embedding
+            full = (1 << base.size) - 1
+            exists = full & ~closure_mask(r, hull_emb.target, cmask) == 0
+        except BoundExceeded:
+            pass
+    return dense == exists
+
+
+def _p213_by_closures(universe, r):
+    flag = classify_radical(r, universe).zero_hereditary
+    return flag == all(
+        _detected_by_closures(universe, r, base, cmask)
+        for base in universe.acts
+        for cmask in subact_masks(base)
+    )
+
+
+@pytest.mark.parametrize("which", ["small", "partial-rG", "non-ka"])
+def test_rees_corollaries_match_closure_oracles(which, request):
+    # non-ka lacks zero-heredity and has a subact whose density no extension
+    # detects, so P2.13's condition reads False there
+    if which == "non-ka":
+        u = request.getfixturevalue("non_ka_universe")
+    else:
+        u = _partial_rg_universe() if which == "partial-rG" else (
+            default_universe(monoid_max=2)
+        )
+    held, detected = set(), set()
+    for kind, parts in checkers._enum_pair_subacts(u):
+        got = _outcome(checkers._holds_t212, u, parts)
+        assert got == _outcome(_t212_by_closures, u, parts), parts
+        held.add(got)
+        r, base, cmask = parts
+        rho = rees_single(base, cmask)
+        got = _outcome(checkers._detected, u, r, base, rho)
+        assert got == _outcome(_detected_by_closures, u, *parts), parts
+        detected.add(got)
+    for r in u.radicals:
+        assert _outcome(checkers._holds_p213, u, (r,)) == _outcome(
+            _p213_by_closures, u, r
+        ), r
+    assert True in held and True in detected
+    if which == "partial-rG":
+        assert {BoundExceeded, NotInUniverse} <= held
+        assert NotInUniverse in detected
+    if which == "non-ka":
+        assert False in detected
+
+
+def _essential_mono_by_quotients(f, bound):
+    # is_essential_mono, which C3.5 compared is_essential against before it
+    # read T3.4 on the image, kept as an oracle
+    if not f.is_injective():
+        return False
+    image = mask_members(f.image_mask())
+    for chi in all_congruences(f.target, bound):
+        if chi.is_diagonal():
+            continue
+        if len({chi.index[a] for a in image}) == len(image):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("make", [
+    lambda: default_universe(monoid_max=2), _partial_rg_universe,
+], ids=["small", "partial-rG"])
+def test_c35_matches_essential_mono_oracle(make):
+    u = make()
+    seen = Counter()
+    for kind, (f,) in checkers._enum_c35(u):
+        essential = _essential_mono_by_quotients(f, u.con_bound)
+        assert checkers._holds_c35(u, (f,)) == (
+            essential == is_essential(rees_single(f.target, f.image_mask()))
+        ), f
+        seen[essential] += 1
+    assert seen[True] and seen[False]
+
+
+def test_d39_compares_against_definition_level_oracles(monkeypatch):
+    # a largeness test that only accepts the whole act changes the extension
+    # record, and D3.9 must see it
+    def whole_only(act, mask):
+        return mask == act.full_mask()
+
+    monkeypatch.setattr(injectivity, "is_large", whole_only)
+    monkeypatch.setattr(checkers, "is_large", whole_only)
+    assert verifier.verify("D3.9", default_universe(monoid_max=2)).status == (
+        "violated"
+    )
+
+
 def test_shared_verdicts_build_each_quotient_and_restriction_once(monkeypatch):
     # L2.11 and T7.3 build each (embedding, chi) quotient at most once between
     # them, and a whole run restricts the maps big -> Q to each subact of big
@@ -396,6 +518,11 @@ def test_shared_verdicts_build_each_quotient_and_restriction_once(monkeypatch):
     for cid in ("L2.11", "T7.3"):
         assert verifier.verify(cid, u).status == "verified"
     assert built and max(built.values()) == 1
+    # T2.12 and P2.13 ask of Rees congruences what L2.11 has decided
+    built.clear()
+    for cid in ("T2.12", "P2.13"):
+        assert verifier.verify(cid, u).status == "verified"
+    assert not built
     monkeypatch.setattr(injectivity, "_restrictions", restricting)
     doc = verifier.verify_all(default_universe(monoid_max=2))
     assert doc["summary"]["violated"] == 0
