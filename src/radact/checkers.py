@@ -24,7 +24,6 @@ from .congruence import (
     is_essential,
     is_rees,
     join,
-    maximal_complement,
     push_congruence,
     pull_congruence,
     quotient,
@@ -34,6 +33,7 @@ from .congruence import (
     smallest_extension,
 )
 from .core import (
+    ActHom,
     all_homs,
     compose,
     coproduct,
@@ -55,22 +55,24 @@ from .errors import BOUND_ERRORS, BoundExceeded
 from .injectivity import (
     DirectedChain,
     banaschewski_reduce,
+    closure_in_hull,
     collectively_large,
     collectively_large_by_homs,
     direct_limit,
     injective_hull,
     is_injective,
     is_large,
+    is_r_essential,
     is_r_injective,
     is_orthogonal_r_injective,
     is_weakly_injective,
     iso_over_source,
-    make_extension,
     minimal_r_injective_extension,
     r_injective_bounded,
     r_injective_hull,
     skornjakov_injective,
     transfer_pushouts,
+    _complement,
     _maps_extend,
 )
 from .radical import (
@@ -136,7 +138,7 @@ def _enum_closed_subacts(universe):
             yield ("inst" if closed else "filtered"), (r, act, mask)
 
 
-def _extensions(universe, base):
+def _embeddings(universe, base):
     """Embeddings of an act into universe acts, the identity first."""
     yield identity_hom(base)
     for target in universe.acts_over(base.monoid):
@@ -488,11 +490,15 @@ register(
 )
 
 
-def _enum_p26(universe):
+def _enum_dense_in_semisimple(universe, wanted):
+    """The dense subacts of semisimple acts, for each radical and monoid
+    whose semisimple class is coproduct-closed (P2.6 and P2.17); a monoid
+    on which no coproduct pair fits inside the act bound is skipped.
+    ``wanted(act, mask)`` is the condition the result puts on the subact."""
     for r in universe.radicals:
         for monoid in universe.monoids:
             try:
-                ss_closed = _class_coproduct_closed(
+                closed = _class_coproduct_closed(
                     universe, r, monoid, is_semisimple_act
                 )
             except BoundExceeded:
@@ -501,9 +507,14 @@ def _enum_p26(universe):
             for act in universe.acts_over(monoid):
                 semisimple = is_semisimple_act(r, act)
                 for mask in dense_subact_masks(r, act):
-                    proper = mask != act.full_mask()
-                    ok = ss_closed and semisimple and proper
+                    ok = closed and semisimple and wanted(act, mask)
                     yield ("inst" if ok else "filtered"), (r, act, mask)
+
+
+def _enum_p26(universe):
+    return _enum_dense_in_semisimple(
+        universe, lambda act, mask: mask != act.full_mask()
+    )
 
 
 def _holds_p26(universe, parts):
@@ -629,7 +640,7 @@ def _capture_verdicts(universe, radicals, base, chi):
     An embedding captures when all embedded points land in one radical
     class of the target modulo the smallest extension of chi along it.
     ``hull`` is the outcome on the injective hull's embedding, ``some``
-    whether an embedding of ``_extensions`` captures: each radical stops at
+    whether an embedding of ``_embeddings`` captures: each radical stops at
     its first capture or bound error, as ``any`` would.  An outcome is a
     bool, or the (error type, message) of a bound hit while deciding it
     (for ``hull``, also the hull search's BoundExceeded).  ``radicals`` is
@@ -654,16 +665,17 @@ def _capture_verdicts(universe, radicals, base, chi):
 
     everyone = range(len(radicals))
     try:
-        hull_emb = injective_hull(base, universe).embedding
+        hull_act = injective_hull(base, universe)
     except BoundExceeded as err:
         hull_emb, on_hull = None, {}
         hull = [(BoundExceeded, str(err))] * len(radicals)
     else:
+        hull_emb = ActHom(base, hull_act, tuple(base.elements))
         on_hull = captured(hull_emb, everyone)
         hull = list(on_hull.values())
     some = [False] * len(radicals)
     undecided = list(everyone)
-    for emb in _extensions(universe, base):
+    for emb in _embeddings(universe, base):
         # an injective act is its own hull: its identity is built once
         got = on_hull if emb == hull_emb else captured(emb, undecided)
         for i in undecided:
@@ -826,20 +838,9 @@ register(
 
 
 def _enum_p217(universe):
-    for r in universe.radicals:
-        for monoid in universe.monoids:
-            try:
-                closed = _class_coproduct_closed(
-                    universe, r, monoid, is_semisimple_act
-                )
-            except BoundExceeded:
-                yield "skip", (r, monoid)
-                continue
-            for act in universe.acts_over(monoid):
-                ss = is_semisimple_act(r, act)
-                for mask in dense_subact_masks(r, act):
-                    ok = closed and ss and mask.bit_count() >= 2
-                    yield ("inst" if ok else "filtered"), (r, act, mask)
+    return _enum_dense_in_semisimple(
+        universe, lambda act, mask: mask.bit_count() >= 2
+    )
 
 
 register(
@@ -915,13 +916,6 @@ register(
     _enum_c35,
     _holds_c35,
 )
-
-
-@memo_on(0)
-def _complement(universe, act, chi):
-    """``maximal_complement`` of chi, computed once per (act, chi) for T3.6,
-    L3.7 (which asks once per class) and L3.8 together."""
-    return maximal_complement(act, chi)
 
 
 def _enum_t36(universe):
@@ -1001,9 +995,7 @@ register(
 
 def _holds_d39(universe, parts):
     r, act, mask = parts
-    sub, incl = subact_act_by_mask(act, mask)
-    ext = make_extension(incl, r)
-    return ext.r_essential == (
+    return is_r_essential(r, act, mask) == (
         collectively_large_by_homs(act, (mask,), universe.con_bound)
         and density_equivalent(r, act, mask)
     )
@@ -1027,14 +1019,10 @@ def _enum_t310(universe):
 def _holds_t310(universe, parts):
     r, act, mask = parts
     _, incl = subact_act_by_mask(act, mask)
-    pi, comp = banaschewski_reduce(r, incl)
-    target = comp.target
-    image = comp.image_mask()
-    return (
-        comp.is_injective()
-        and is_large(target, image)
-        and is_r_dense(r, target, image)
-    )
+    # banaschewski_reduce raises PostconditionError, reported as a violation,
+    # when the reduced embedding is not injective, large or dense
+    banaschewski_reduce(r, incl, universe)
+    return True
 
 
 register(
@@ -1214,10 +1202,8 @@ def _holds_c47(universe, parts):
         sub, _ = subact_act_by_mask(act, cmask)
         return r_injective_bounded(r, sub, universe)
     if tag == "hull-closure":
-        emb = injective_hull(act, universe).embedding
-        cmask = closure_mask(r, emb.target, emb.image_mask())
-        sub, _ = subact_act_by_mask(emb.target, cmask)
-        return r_injective_bounded(r, sub, universe)
+        return r_injective_bounded(r, closure_in_hull(r, act, universe),
+                                   universe)
     lhs = r_injective_bounded(r, act, universe)
     rhs = True
     for mask in subact_masks(act):
@@ -1587,11 +1573,9 @@ def _holds_p71(universe, parts):
     r, act = parts
     # r_injective_hull raises PostconditionError, reported as a violation,
     # when the closure of the hull is not injective or not essential dense
-    ext = r_injective_hull(r, act, universe)
+    hull = r_injective_hull(r, act, universe)
     minimal = minimal_r_injective_extension(r, act, universe)
-    return minimal.size == ext.target.size and iso_over_source(
-        act, ext.target, minimal
-    )
+    return minimal.size == hull.size and iso_over_source(act, hull, minimal)
 
 
 register(
@@ -1606,8 +1590,7 @@ register(
 
 def _holds_c72(universe, parts):
     r, act = parts
-    emb = injective_hull(act, universe).embedding
-    closed = is_r_closed(r, emb.target, emb.image_mask())
+    closed = is_r_closed(r, injective_hull(act, universe), act.full_mask())
     return r_injective_bounded(r, act, universe) == closed
 
 
@@ -1651,14 +1634,12 @@ def _t73_conditions(universe, r):
         if not is_semisimple_act(r, act):
             continue
         try:
-            emb = injective_hull(act, universe).embedding
+            hull = injective_hull(act, universe)
         except BoundExceeded:
             continue
-        if not is_semisimple_act(r, emb.target):
+        if not is_semisimple_act(r, hull):
             c5 = False
-        cmask = closure_mask(r, emb.target, emb.image_mask())
-        sub, _ = subact_act_by_mask(emb.target, cmask)
-        if not is_semisimple_act(r, sub):
+        if not is_semisimple_act(r, closure_in_hull(r, act, universe)):
             c4 = False
     c6 = True
     for act in universe.acts:
@@ -1744,8 +1725,8 @@ def _enum_t75(universe):
 
 def _holds_t75(universe, parts):
     r, act = parts
-    emb = injective_hull(act, universe).embedding
-    return is_semisimple_act(r, act) == is_semisimple_act(r, emb.target)
+    hull = injective_hull(act, universe)
+    return is_semisimple_act(r, act) == is_semisimple_act(r, hull)
 
 
 register(
@@ -1769,8 +1750,7 @@ def _enum_t76(universe):
 def _holds_t76(universe, parts):
     r, tag, act = parts
     if tag == "hulls":
-        ext = r_injective_hull(r, act, universe)
-        return is_radical_act(r, ext.target)
+        return is_radical_act(r, r_injective_hull(r, act, universe))
     for block in class_system(r.of(act)):
         sub, _ = subact_act_by_mask(act, block)
         if not r_injective_bounded(r, sub, universe):

@@ -288,10 +288,8 @@ def _dispatch(args, out, err) -> int:
                     r.theorem_id: round(r.duration_ms, 3) for r in reports
                 },
             }
-            code = 1 if any(r.status == "violated" for r in reports) else 0
         else:
             doc = verify_all(u)
-            code = verifier.exit_code(doc)
         if args.report == "json":
             out.write(to_json(doc))
         elif "summary" in doc:
@@ -299,7 +297,7 @@ def _dispatch(args, out, err) -> int:
         else:
             for rep in doc["results"]:
                 print(verifier.report_line(rep), file=out)
-        return code
+        return verifier.exit_code(doc)
 
     # the remaining commands all need a catalog act
     catalog = _load_catalog(args)
@@ -345,15 +343,18 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "hull":
-        ext = inj.injective_hull(act, u)
-        _print_act(ext.target, out)
+        _print_act(inj.injective_hull(act, u), out)
         return 0
 
     if cmd == "r-hull":
         r = u.radical(args.radical)
-        ext = inj.r_injective_hull(r, act, u)
-        print(f"method {ext.method}", file=out)
-        _print_act(ext.target, out)
+        if rd.classify_radical(r, u).kurosh_amitsur:
+            method, hull = "closure-of-hull", inj.r_injective_hull(r, act, u)
+        else:
+            method = "essential-search-fallback"
+            hull = inj.maximal_r_essential_extension(r, act, u)
+        print(f"method {method}", file=out)
+        _print_act(hull, out)
         return 0
 
     if cmd == "pushout":

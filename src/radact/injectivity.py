@@ -19,7 +19,11 @@ the answer does not depend on a radical, so every radical, both relative
 modes, plain and weak injectivity and the orthogonality test share it.
 
 Every hull search tries the extensions of an act up to the universe's
-``hull_bound`` points and takes no bound of its own.
+``hull_bound`` points and takes no bound of its own.  A hull is a plain act
+that holds the act on its first ``act.size`` points, so the embedding is the
+inclusion of that prefix: ``injective_hull``, ``r_injective_hull`` (the
+closure of the act in its injective hull, ``closure_in_hull``) and
+``maximal_r_essential_extension`` each return such an act.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ from .core import (
     all_homs,
     compose,
     hom_extension_exists,
-    injective_homs,
-    invert,
     left_regular_act,
     mask_members,
     memo_on,
@@ -112,31 +114,11 @@ def _injective_on(chi: Congruence, mask: int) -> bool:
     return len({chi.index[a] for a in members}) == len(members)
 
 
-@dataclass(frozen=True)
-class Extension:
-    """An embedding together with its largeness/density flags."""
-
-    source: FiniteAct
-    target: FiniteAct
-    embedding: ActHom
-    large: bool
-    r_dense: bool | None = None
-    method: str = "direct"
-
-    @property
-    def r_essential(self) -> bool:
-        return bool(self.large and self.r_dense)
-
-
-def make_extension(emb: ActHom, r: Radical | None = None) -> Extension:
-    mask = emb.image_mask()
-    return Extension(
-        emb.source,
-        emb.target,
-        emb,
-        large=is_large(emb.target, mask),
-        r_dense=None if r is None else is_r_dense(r, emb.target, mask),
-    )
+def is_r_essential(r: Radical, act: FiniteAct, mask: int) -> bool:
+    """Is the subact both dense and large?  Density is asked first and
+    always, so a radical that cannot decide it raises its bound error here
+    whatever the subact's largeness."""
+    return is_r_dense(r, act, mask) and is_large(act, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +187,23 @@ def transfer_pushout(r: Radical, m: ActHom, f: ActHom):
 # reduction to an essential image
 
 
-def banaschewski_reduce(r: Radical, f: ActHom):
+@memo_on(0)
+def _complement(universe, act: FiniteAct, chi: Congruence) -> Congruence:
+    """``maximal_complement`` of chi, computed once per universe and
+    (act, chi): T3.6, L3.7 (which asks once per class), L3.8 and
+    ``banaschewski_reduce`` share it."""
+    return maximal_complement(act, chi)
+
+
+def banaschewski_reduce(r: Radical, f: ActHom, universe):
     """Given a dense mono f: B -> A, project A by a maximal congruence meeting
     the image's Rees congruence trivially.  The composite B -> A/kappa is then
-    an embedding that is both large and dense."""
+    an embedding that is both large and dense; PostconditionError says which
+    of the three fails."""
     if not is_r_mono(r, f):
         raise NotRMono(f"{f.map} is not a dense monomorphism for {r.name}")
     A = f.target
-    kappa = maximal_complement(A, rees_single(A, f.image_mask()))
+    kappa = _complement(universe, A, rees_single(A, f.image_mask()))
     X, pi = quotient(A, kappa)
     composite = compose(pi, f)
     if not composite.is_injective():
@@ -451,22 +442,6 @@ def r_injective_bounded(r: Radical, Q: FiniteAct, universe) -> bool:
     return baer_tests(r, Q, universe) and _universe_r_injective(r, Q, universe)
 
 
-def is_absolute_retract(r: Radical, Q: FiniteAct, universe) -> bool:
-    """Every dense mono out of Q splits, within the universe: for each dense
-    subact isomorphic to Q, the inverse of every isomorphism Q -> subact
-    extends to big."""
-    for big in universe.acts_over(Q.monoid):
-        for mask in dense_subact_masks(r, big):
-            sub, _ = subact_act_by_mask(big, mask)
-            if sub.size != Q.size:
-                continue
-            restrictions = set(_restrictions(Q, big, mask))
-            for iso in injective_homs(Q, sub):
-                if invert(iso).map not in restrictions:
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # hull search
 
@@ -486,13 +461,10 @@ def _extensions(act: FiniteAct, universe):
         yield from extension_acts(act, size)
 
 
-def _prefix_embedding(act: FiniteAct, ext: FiniteAct) -> ActHom:
-    return ActHom(act, ext, tuple(range(act.size)))
-
-
-def injective_hull(act: FiniteAct, universe) -> Extension:
-    """Smallest injective extension in which the act sits large; unique up to
-    isomorphism over the act, searched by size then table order."""
+def injective_hull(act: FiniteAct, universe) -> FiniteAct:
+    """Smallest injective extension in which the act sits large, with the
+    act on its first ``act.size`` points; unique up to isomorphism over the
+    act, searched by size then table order."""
     found = _hull_search(act, universe)
     if found is None:
         raise BoundExceeded(
@@ -507,54 +479,56 @@ def _hull_search(act: FiniteAct, universe):
     prefix_mask = act.full_mask()
     for ext in _extensions(act, universe):
         if is_large(ext, prefix_mask) and is_injective(ext, universe):
-            return Extension(act, ext, _prefix_embedding(act, ext),
-                             large=True, method="hull-search")
+            return ext
     return None
 
 
-def r_injective_hull(r: Radical, act: FiniteAct, universe) -> Extension:
-    """Relative hull: the closure of the act inside its injective hull.
-
-    Requires a Kurosh-Amitsur radical; otherwise falls back to a bounded
-    search for a size-maximal large-and-dense extension, and the result is
-    marked accordingly.
-    """
-    flags = classify_radical(r, universe)
-    if not flags.kurosh_amitsur:
-        return _maximal_r_essential_extension(r, act, universe)
+def closure_in_hull(r: Radical, act: FiniteAct, universe) -> FiniteAct:
+    """The closure of the act inside its injective hull, as an act that
+    holds the act on its first ``act.size`` points."""
     hull = injective_hull(act, universe)
-    cmask = closure_mask(r, hull.target, act.full_mask())
-    inner, _ = subact_act_by_mask(hull.target, cmask)
-    ext = Extension(
-        act,
-        inner,
-        _prefix_embedding(act, inner),
-        large=is_large(inner, act.full_mask()),
-        r_dense=is_r_dense(r, inner, act.full_mask()),
-        method="closure-of-hull",
+    inner, _ = subact_act_by_mask(
+        hull, closure_mask(r, hull, act.full_mask())
     )
+    return inner
+
+
+def r_injective_hull(r: Radical, act: FiniteAct, universe) -> FiniteAct:
+    """Relative hull: the closure of the act inside its injective hull,
+    which must be injective and an essential dense extension of the act.
+
+    Defined for a radical that is Kurosh-Amitsur on the universe; for any
+    other, ModeUnavailable (``maximal_r_essential_extension`` is the bounded
+    substitute).
+    """
+    if not classify_radical(r, universe).kurosh_amitsur:
+        raise ModeUnavailable(
+            f"{r.name} is not Kurosh-Amitsur on this universe"
+        )
+    inner = closure_in_hull(r, act, universe)
+    essential = is_r_essential(r, inner, act.full_mask())
     if not r_injective_bounded(r, inner, universe):
         raise PostconditionError("closure of the hull is not injective")
-    if not ext.r_essential:
+    if not essential:
         raise PostconditionError("closure of the hull is not an essential "
                                  "dense extension")
-    return ext
+    return inner
 
 
-def _r_essential(r: Radical, act: FiniteAct, ext: FiniteAct) -> bool:
+def maximal_r_essential_extension(r: Radical, act: FiniteAct,
+                                  universe) -> FiniteAct:
+    """Bounded search for a size-maximal extension in which the act is dense
+    and large: the first in table order of the largest size that has one."""
+    best = None
     mask = act.full_mask()
-    return is_r_dense(r, ext, mask) and is_large(ext, mask)
-
-
-def _maximal_r_essential_extension(r, act, universe) -> Extension:
-    best = None  # the first in table order of the largest size that has one
     for ext in _extensions(act, universe):
-        if (best is None or ext.size > best.size) and _r_essential(r, act, ext):
+        if (best is None or ext.size > best.size) and is_r_essential(
+            r, ext, mask
+        ):
             best = ext
     if best is None:
         raise BoundExceeded("no large dense extension within the bound")
-    return Extension(act, best, _prefix_embedding(act, best), large=True,
-                     r_dense=True, method="essential-search-fallback")
+    return best
 
 
 def minimal_r_injective_extension(r: Radical, act: FiniteAct, universe):
@@ -564,14 +538,6 @@ def minimal_r_injective_extension(r: Radical, act: FiniteAct, universe):
         if r_injective_bounded(r, ext, universe):
             return ext
     raise BoundExceeded("no injective extension within the bound")
-
-
-def has_proper_r_essential_extension(r: Radical, act: FiniteAct,
-                                     universe) -> bool:
-    return any(
-        ext.size > act.size and _r_essential(r, act, ext)
-        for ext in _extensions(act, universe)
-    )
 
 
 def iso_over_source(act: FiniteAct, q1: FiniteAct, q2: FiniteAct) -> bool:

@@ -321,7 +321,10 @@ def _timestamp() -> str:
 
 
 def exit_code(doc: dict) -> int:
-    return 1 if doc["summary"]["violated"] else 0
+    """1 when some checker of the doc (all of them, or the ones asked for by
+    id) is violated, else 0."""
+    reports = doc.get("axioms", []) + doc["results"]
+    return 1 if any(rep["status"] == "violated" for rep in reports) else 0
 
 
 # ---------------------------------------------------------------------------

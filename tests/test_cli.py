@@ -5,7 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from radact.catalog import print_act, print_monoid, print_radical_table
 from radact.cli import _shared, build_parser, run
+from radact.congruence import all_congruences, is_rees
+from radact.core import validate_act, validate_monoid
+from radact.radical import rg_radical
+from radact.universe import default_universe
 
 
 E2_TEXT = """monoid E2
@@ -277,6 +282,60 @@ def test_verify_all_small_universe_json():
     assert doc["schema"] == "radact-report/1"
     assert doc["summary"]["violated"] == 0
     assert {r["theorem_id"] for r in doc["axioms"]} == {"AX-H1", "AX-H2"}
+
+
+def test_verify_theorem_broken_by_radical_file_exits_1(tmp_path):
+    # the table value of S3 is not the radical of S3: R1.1 (the radical of
+    # the factor by the radical is diagonal) fails on S3
+    (tmp_path / "T1.monoid").write_text(
+        "monoid T1\nelements 1\nidentity 0\ntable\n0\n"
+    )
+    for n in (1, 2, 3):
+        row = " ".join(map(str, range(n)))
+        (tmp_path / f"S{n}.act").write_text(
+            f"act S{n} over T1\nelements {n}\naction\n{row}\n"
+        )
+    radical_file = tmp_path / "mut.radical"
+    radical_file.write_text(
+        "radical mut extensional\nact S1 partition 0\n"
+        "act S2 partition 0 1\nact S3 partition 0 1 | 2\n"
+    )
+    code, out, _ = invoke([
+        "verify", "--theorem", "R1.1", "--monoid-max", "1", "--act-max", "3",
+        "--hull-bound", "3", "--seed-catalog", str(tmp_path),
+        "--radical-file", str(radical_file),
+    ])
+    assert code == 1
+    assert out.startswith("R1.1") and "violated" in out
+
+
+def test_r_hull_with_non_kurosh_amitsur_radical_file(tmp_path):
+    # rG with one value replaced by a non-Rees congruence is not
+    # Kurosh-Amitsur, so r-hull prints the size-maximal large-and-dense
+    # extension; within 4 points that is the act itself
+    u = default_universe(monoid_max=2, act_max=4, hull_bound=4)
+    for monoid in u.monoids:
+        (tmp_path / f"{monoid.name}.monoid").write_text(print_monoid(monoid))
+    for act in u.acts:
+        (tmp_path / f"{act.name}.act").write_text(print_act(act))
+    rg = rg_radical()
+    table = {act: rg.of(act) for act in u.acts}
+    e2 = validate_monoid([[0, 1], [1, 1]], 0, "E2")
+    member = u.find_member(validate_act(e2, [[0, 1, 2, 3], [2, 3, 2, 3]]))
+    table[member] = next(
+        chi for chi in all_congruences(member) if not is_rees(chi)
+    )
+    radical_file = tmp_path / "non-ka.rad"
+    radical_file.write_text(print_radical_table("non-ka", table))
+    code, out, err = invoke([
+        "r-hull", "--seed-catalog", str(tmp_path), "--act", "M2.1.a2.0",
+        "--monoid-max", "2", "--act-max", "4", "--hull-bound", "4",
+        "--radical", "non-ka", "--radical-file", str(radical_file),
+    ])
+    assert (code, err) == (0, "")
+    assert out == (
+        "method essential-search-fallback\nelements 2\naction\n0 1\n0 0\n"
+    )
 
 
 def test_unknown_theorem_is_usage_error():

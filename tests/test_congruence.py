@@ -273,7 +273,7 @@ def _hull_candidate_sample(U):
             yield from islice(extension_acts(base, size), 4)
     for act in U.acts:
         try:
-            hull = injective_hull(act, U).target
+            hull = injective_hull(act, U)
         except BoundExceeded:
             continue
         if hull.size >= 5:

@@ -17,8 +17,6 @@ from radact.core import (
     coproduct_many,
     find_isomorphism,
     identity_hom,
-    injective_homs,
-    invert,
     is_equivariant,
     mask_members,
     subact_act_by_mask,
@@ -44,16 +42,15 @@ from radact.injectivity import (
     collectively_large_by_homs,
     direct_limit,
     extension_acts,
-    has_proper_r_essential_extension,
     injective_hull,
-    is_absolute_retract,
     is_injective,
     is_large,
     is_orthogonal_r_injective,
+    is_r_essential,
     is_r_injective,
     is_weakly_injective,
     iso_over_source,
-    make_extension,
+    maximal_r_essential_extension,
     minimal_r_injective_extension,
     r_injective_bounded,
     r_injective_hull,
@@ -235,15 +232,15 @@ def test_pushout_rejects_maps_off_the_span(R2, T1, rg):
         transfer_pushout(rg, incl, stray)
 
 
-def test_banaschewski_identity(R2, rg):
-    pi, comp = banaschewski_reduce(rg, identity_hom(R2))
+def test_banaschewski_identity(U, R2, rg):
+    pi, comp = banaschewski_reduce(rg, identity_hom(R2), U)
     assert comp.target.size == R2.size
     assert comp.is_injective()
 
 
-def test_banaschewski_point_into_regular(R2, rg):
+def test_banaschewski_point_into_regular(U, R2, rg):
     sub, incl = subact_act_by_mask(R2, 0b10)
-    pi, comp = banaschewski_reduce(rg, incl)
+    pi, comp = banaschewski_reduce(rg, incl, U)
     assert comp.is_injective()
     assert is_large(comp.target, comp.image_mask())
     assert is_r_dense(rg, comp.target, comp.image_mask())
@@ -259,7 +256,7 @@ def test_banaschewski_sweep_uncollapsed(U, rg):
             for m in injective_homs(src, tgt):
                 if not is_r_mono(rg, m):
                     continue
-                _, comp = banaschewski_reduce(rg, m)
+                _, comp = banaschewski_reduce(rg, m, U)
                 assert comp.is_injective()
                 assert is_large(comp.target, comp.image_mask())
                 assert is_r_dense(rg, comp.target, comp.image_mask())
@@ -465,7 +462,7 @@ def test_shared_extension_answers_match_per_radical_path():
     on every universe act and every injective hull."""
     u = default_universe(monoid_max=2)
     hulls = [injectivity._hull_search(a, u) for a in u.acts]
-    targets = list(u.acts) + [h.target for h in hulls if h is not None]
+    targets = list(u.acts) + [h for h in hulls if h is not None]
     seen = set()
     for r in u.radicals:
         for Q in targets:
@@ -501,33 +498,16 @@ def _orthogonal_by_search(r, Q, universe):
     return True
 
 
-def _retract_by_search(r, Q, universe):
-    """Oracle: one extension search per isomorphism onto a dense subact."""
-    for big in universe.acts_over(Q.monoid):
-        for mask in dense_subact_masks(r, big):
-            sub, _ = subact_act_by_mask(big, mask)
-            if sub.size != Q.size:
-                continue
-            for iso in injective_homs(Q, sub):
-                if not _extends_along(Q, big, mask, invert(iso)):
-                    return False
-    return True
-
-
-def test_orthogonal_and_retract_match_per_map_search(U):
-    """Deciding uniqueness and retraction from the restriction list agrees
-    with the per-map searches for every radical and universe act, and both
-    answers occur for each."""
-    orthogonal, retract = set(), set()
+def test_orthogonal_matches_per_map_search(U):
+    """Deciding uniqueness from the restriction list agrees with the per-map
+    search for every radical and universe act, and both answers occur."""
+    orthogonal = set()
     for r in U.radicals:
         for Q in U.acts:
             expected = _orthogonal_by_search(r, Q, U)
             assert is_orthogonal_r_injective(r, Q, U) == expected, (r, Q)
             orthogonal.add(expected)
-            expected = _retract_by_search(r, Q, U)
-            assert is_absolute_retract(r, Q, U) == expected, (r, Q)
-            retract.add(expected)
-    assert orthogonal == retract == {True, False}
+    assert orthogonal == {True, False}
 
 
 def _t46_by_search(parts):
@@ -613,22 +593,20 @@ def test_weakly_injective(U, T1):
 def test_hull_of_injective_act_is_itself(U):
     for act in U.acts[:30]:
         if is_injective(act, U):
-            ext = injective_hull(act, U)
-            assert ext.target == act
-            assert ext.large
+            assert injective_hull(act, U) == act
 
 
 def test_hull_over_identity_monoid(U, T1):
     for act in U.acts_over(T1):
-        assert injective_hull(act, U).target == act
+        assert injective_hull(act, U) == act
 
 
 def test_hull_of_free_orbit(U, C2):
     member = U.find_member(C2)
-    ext = injective_hull(member, U)
-    assert ext.target.size == 3
-    assert ext.large
-    assert is_injective(ext.target, U)
+    hull = injective_hull(member, U)
+    assert hull.size == 3
+    assert is_large(hull, member.full_mask())
+    assert is_injective(hull, U)
 
 
 def test_hull_bound_exceeded(C2):
@@ -652,25 +630,26 @@ def test_r_hull_constant_radicals(U):
             plain = injective_hull(act, U)
         except BoundExceeded:
             continue
-        assert r_injective_hull(delta, act, U).target == act
-        assert r_injective_hull(nabla, act, U).target == plain.target
+        assert r_injective_hull(delta, act, U) == act
+        assert r_injective_hull(nabla, act, U) == plain
 
 
 def test_r_hull_matches_minimal_search_sample(U, rg):
     for act in U.acts_over(U.monoids[2]):
         try:
-            ext = r_injective_hull(rg, act, U)
+            hull = r_injective_hull(rg, act, U)
         except BoundExceeded:
             continue
         minimal = minimal_r_injective_extension(rg, act, U)
-        assert minimal.size == ext.target.size
-        assert iso_over_source(act, ext.target, minimal)
+        assert minimal.size == hull.size
+        assert iso_over_source(act, hull, minimal)
 
 
 def test_r_hull_fallback_for_non_kurosh_amitsur(E2):
     # override one value of the zero-annihilator radical with a non-Rees
-    # congruence: the result is no longer Kurosh-Amitsur, so hull search
-    # falls back to the size-maximal large-and-dense extension
+    # congruence: the result is no longer Kurosh-Amitsur, so the relative
+    # hull is unavailable and the size-maximal large-and-dense extension
+    # stands in for it
     small = default_universe(monoid_max=2, act_max=4, hull_bound=4)
     rg = rg_radical()
     chain4 = validate_act(E2, [[0, 1, 2, 3], [2, 3, 2, 3]])
@@ -688,20 +667,10 @@ def test_r_hull_fallback_for_non_kurosh_amitsur(E2):
     assert not classify_radical(mutant, small).kurosh_amitsur
     theta = small.acts_over(small.monoids[2])[0]
     assert theta.size == 1
-    ext = r_injective_hull(mutant, theta, small)
-    assert ext.method == "essential-search-fallback"
-    assert ext.large and ext.r_dense
-
-
-def test_first_well_behaviour_sample():
-    small = default_universe(monoid_max=2, hull_bound=5)
-    small_acts = [a for a in small.acts if a.size <= 3]
-    for r in small.radicals:
-        for act in small_acts:
-            inj = r_injective_bounded(r, act, small)
-            retract = is_absolute_retract(r, act, small)
-            no_proper = not has_proper_r_essential_extension(r, act, small)
-            assert inj == retract == no_proper, (r.name, act.name)
+    with pytest.raises(ModeUnavailable):
+        r_injective_hull(mutant, theta, small)
+    # no proper extension within the bound is both dense and large
+    assert maximal_r_essential_extension(mutant, theta, small) == theta
 
 
 def test_r_injective_bounded_is_memoised(monkeypatch):
@@ -721,8 +690,8 @@ def test_r_injective_bounded_is_memoised(monkeypatch):
     assert len(calls) == 1
 
 
-def test_extension_record_flags(R2, rg):
-    sub, incl = subact_act_by_mask(R2, 0b10)
-    ext = make_extension(incl, rg)
-    assert ext.r_dense and not ext.large
-    assert not ext.r_essential
+def test_r_essential_needs_large_as_well_as_dense(R2, rg):
+    # the point 1 of R2 is dense but not large
+    assert is_r_dense(rg, R2, 0b10) and not is_large(R2, 0b10)
+    assert not is_r_essential(rg, R2, 0b10)
+    assert is_r_essential(rg, R2, 0b11)

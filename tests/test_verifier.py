@@ -282,14 +282,20 @@ def _captures(r, emb, chi):
     return len(labels) == 1
 
 
+def _hull_embedding(universe, base):
+    # the hull holds the act on its first points
+    hull = injective_hull(base, universe)
+    return ActHom(base, hull, tuple(base.elements))
+
+
 def _on_hull(universe, r, base, chi):
-    return _captures(r, injective_hull(base, universe).embedding, chi)
+    return _captures(r, _hull_embedding(universe, base), chi)
 
 
 def _in_some_extension(universe, r, base, chi):
     return any(
         _captures(r, emb, chi)
-        for emb in checkers._extensions(universe, base)
+        for emb in checkers._embeddings(universe, base)
     )
 
 
@@ -306,13 +312,11 @@ def _t73_c2_by_radical(universe, r):
             lhs = is_radical_act(r, quo)
             rhs = any(
                 _captures(r, emb, chi)
-                for emb in checkers._extensions(universe, base)
+                for emb in checkers._embeddings(universe, base)
             )
             if not rhs:
                 try:
-                    rhs = _captures(
-                        r, injective_hull(base, universe).embedding, chi
-                    )
+                    rhs = _captures(r, _hull_embedding(universe, base), chi)
                 except BoundExceeded:
                     pass
             if lhs != rhs:
@@ -383,7 +387,7 @@ def test_capture_verdicts_follow_a_radical_registered_later():
 def _captured_in_some_extension(universe, r, base, cmask):
     # T2.12 and P2.13's existential by closures, before both read the L2.11
     # verdicts on Rees congruences, kept as an oracle
-    for emb in checkers._extensions(universe, base):
+    for emb in checkers._embeddings(universe, base):
         emb_c = 0
         for x in mask_members(cmask):
             emb_c |= 1 << emb.map[x]
@@ -394,9 +398,9 @@ def _captured_in_some_extension(universe, r, base, cmask):
 
 def _t212_by_closures(universe, parts):
     r, base, cmask = parts
-    hull_emb = injective_hull(base, universe).embedding
+    hull = injective_hull(base, universe)
     base_mask = (1 << base.size) - 1
-    if base_mask & ~closure_mask(r, hull_emb.target, cmask) == 0:
+    if base_mask & ~closure_mask(r, hull, cmask) == 0:
         return True
     return not _captured_in_some_extension(universe, r, base, cmask)
 
@@ -406,9 +410,9 @@ def _detected_by_closures(universe, r, base, cmask):
     exists = _captured_in_some_extension(universe, r, base, cmask)
     if not exists:
         try:
-            hull_emb = injective_hull(base, universe).embedding
+            hull = injective_hull(base, universe)
             full = (1 << base.size) - 1
-            exists = full & ~closure_mask(r, hull_emb.target, cmask) == 0
+            exists = full & ~closure_mask(r, hull, cmask) == 0
         except BoundExceeded:
             pass
     return dense == exists
@@ -485,8 +489,8 @@ def test_c35_matches_essential_mono_oracle(make):
 
 
 def test_d39_compares_against_definition_level_oracles(monkeypatch):
-    # a largeness test that only accepts the whole act changes the extension
-    # record, and D3.9 must see it
+    # a largeness test that only accepts the whole act changes what
+    # is_r_essential says, and D3.9 must see it
     def whole_only(act, mask):
         return mask == act.full_mask()
 
