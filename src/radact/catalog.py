@@ -7,6 +7,10 @@ by parsing is the identity on canonical files.
     identity <i>            action
     table                   <n rows of m entries>
     <n rows of n entries>
+
+A seed catalog directory holds monoid and act files (``Catalog``); a radical
+table is read only by the command line's ``--radical-file``, through
+``parse_radical_table``.
 """
 
 from __future__ import annotations
@@ -16,11 +20,9 @@ import os
 from .congruence import parse_partition
 from .core import FiniteAct, FiniteMonoid, validate_act, validate_monoid
 from .errors import CatalogValidationError, ParseError, RadactError
-from .radical import Radical, extensional_radical
 
 MONOID_SUFFIX = ".monoid"
 ACT_SUFFIX = ".act"
-RADICAL_SUFFIX = ".radical"
 
 
 class _Lines:
@@ -171,12 +173,12 @@ def print_radical_table(name: str, table: dict) -> str:
 
 
 class Catalog:
-    """Named monoids and acts loaded from files."""
+    """Named monoids and acts loaded from monoid and act files; a directory
+    load ignores every other file."""
 
     def __init__(self):
         self.monoids: dict[str, FiniteMonoid] = {}
         self.acts: dict[str, FiniteAct] = {}
-        self.radical_files: list[tuple[str, dict]] = []
 
     def add_monoid(self, monoid: FiniteMonoid):
         self.monoids[monoid.name] = monoid
@@ -193,8 +195,6 @@ class Catalog:
             self.add_monoid(parse_monoid(text))
         elif kind == "act":
             self.add_act(parse_act(text, self.monoids))
-        elif kind == "radical":
-            self.radical_files.append(parse_radical_table(text, self.acts))
         else:
             raise ParseError(1, f"unrecognised catalog file {path!r}")
 
@@ -203,13 +203,6 @@ class Catalog:
         ordered = (
             [n for n in names if n.endswith(MONOID_SUFFIX)]
             + [n for n in names if n.endswith(ACT_SUFFIX)]
-            + [n for n in names if n.endswith(RADICAL_SUFFIX)]
         )
         for name in ordered:
             self.load_file(os.path.join(path, name))
-
-    def radicals(self) -> list[Radical]:
-        return [
-            extensional_radical(name, table)
-            for name, table in self.radical_files
-        ]

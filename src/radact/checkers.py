@@ -558,6 +558,10 @@ register(
 
 
 def _closure_weakly_hereditary(universe, r):
+    """Does closing each subact inside its own closure give that closure
+    back?  Deliberately a loop of its own over closures: it is the oracle
+    that checker T2.8 compares the radical's ``weakly_hereditary`` flag
+    against."""
     for act in universe.acts:
         for mask in subact_masks(act):
             outer = closure_mask(r, act, mask)

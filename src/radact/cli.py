@@ -278,25 +278,8 @@ def _dispatch(args, out, err) -> int:
 
     if cmd == "verify":
         u = _universe(args)
-        if args.theorem and not args.all:
-            reports = [verifier.verify(tid, u) for tid in args.theorem]
-            doc = {
-                "schema": verifier.SCHEMA,
-                "results": [r.payload() for r in reports],
-                "generated_at": verifier._timestamp(),
-                "timings_ms": {
-                    r.theorem_id: round(r.duration_ms, 3) for r in reports
-                },
-            }
-        else:
-            doc = verify_all(u)
-        if args.report == "json":
-            out.write(to_json(doc))
-        elif "summary" in doc:
-            out.write(to_text(doc))
-        else:
-            for rep in doc["results"]:
-                print(verifier.report_line(rep), file=out)
+        doc = verify_all(u, () if args.all else args.theorem)
+        out.write(to_json(doc) if args.report == "json" else to_text(doc))
         return verifier.exit_code(doc)
 
     # the remaining commands all need a catalog act
@@ -307,6 +290,15 @@ def _dispatch(args, out, err) -> int:
     if cmd == "congruences":
         for chi in all_congruences(act, args.con_bound):
             print(str(chi), file=out)
+        return 0
+
+    if cmd == "limit":
+        acts = [_resolve_act(name, catalog) for name in args.acts.split(",")]
+        chain = _chain_of(acts, args.maps)
+        limit, legs = inj.direct_limit(chain)
+        _print_act(limit, out)
+        for i, leg in enumerate(legs):
+            print(f"leg{i} " + " ".join(str(x) for x in leg.map), file=out)
         return 0
 
     u = _universe(args)
@@ -361,22 +353,11 @@ def _dispatch(args, out, err) -> int:
         r = u.radical(args.radical)
         inner, incl = subact_act_by_mask(act, _subact_of(act, args.members))
         f = _map_of(inner, _resolve_act(args.into, catalog), args.map)
-        d, ulab, vlab = inj.transfer_pushout(r, incl, f)
+        d, ulab, vlab = next(inj.transfer_pushouts(r, incl, (f,)))
         _print_act(d, out)
         print("u " + " ".join(str(x) for x in ulab.map), file=out)
         print("v " + " ".join(str(x) for x in vlab.map), file=out)
         return 0
-
-    if cmd == "limit":
-        acts = [_resolve_act(name, catalog) for name in args.acts.split(",")]
-        chain = _chain_of(acts, args.maps)
-        limit, legs = inj.direct_limit(chain)
-        _print_act(limit, out)
-        for i, leg in enumerate(legs):
-            print(f"leg{i} " + " ".join(str(x) for x in leg.map), file=out)
-        return 0
-
-    raise ParseError(1, f"unhandled command {cmd!r}")
 
 
 def main() -> None:

@@ -7,10 +7,10 @@ Baer-Skornjakov tests: the act must contain a zero and every homomorphism from
 a dense subact of a cyclic act must extend; it is available when the radical
 is zero-hereditary on the universe.  Universe mode quantifies over the dense
 monomorphisms whose source and target both lie in the enumerated universe.
-Hull search uses the conjunction of every decidable necessary condition
-(criterion tests, universe tests, and the zero requirement when the radical
-class is coproduct-closed); this is the sharpest bounded approximation of the
-unbounded notion available here.
+``r_injective_bounded`` is the conjunction of every decidable necessary
+condition (criterion tests, universe tests, and the zero requirement when the
+radical class is coproduct-closed); this is the sharpest bounded
+approximation of the unbounded notion available here.
 
 Every extension test along a subact inclusion, "does every map from the
 subact of big into Q extend to big, and uniquely?", is answered once per
@@ -18,12 +18,13 @@ universe and (Q, big, subact) from the restrictions of the maps big -> Q:
 the answer does not depend on a radical, so every radical, both relative
 modes, plain and weak injectivity and the orthogonality test share it.
 
-Every hull search tries the extensions of an act up to the universe's
-``hull_bound`` points and takes no bound of its own.  A hull is a plain act
-that holds the act on its first ``act.size`` points, so the embedding is the
-inclusion of that prefix: ``injective_hull``, ``r_injective_hull`` (the
-closure of the act in its injective hull, ``closure_in_hull``) and
-``maximal_r_essential_extension`` each return such an act.
+Every hull search is one walk, ``_first_extension``, over the extensions of
+an act up to the universe's ``hull_bound`` points.  ``injective_hull`` takes
+the first that is injective (``is_injective``) with the act large in it, and
+``minimal_r_injective_extension`` the first passing ``r_injective_bounded``.
+A hull is a plain act that holds the act on its first ``act.size`` points,
+so the embedding is the inclusion of that prefix: the searches and
+``r_injective_hull`` (the act's closure in its hull) return such acts.
 """
 
 from __future__ import annotations
@@ -176,11 +177,6 @@ def transfer_pushouts(r: Radical, m: ActHom, fs):
         if any(v_map[m.map[a]] != u_map[f.map[a]] for a in A.elements):
             raise PostconditionError("pushout square does not commute")
         yield D, ActHom(C, D, u_map), ActHom(B, D, v_map)
-
-
-def transfer_pushout(r: Radical, m: ActHom, f: ActHom):
-    """The square of ``transfer_pushouts`` for the one map f."""
-    return next(transfer_pushouts(r, m, (f,)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +449,17 @@ def extension_acts(act: FiniteAct, size: int):
         yield FiniteAct(act.monoid, table)
 
 
-def _extensions(act: FiniteAct, universe):
-    """Every act of at most ``universe.hull_bound`` points containing the act
-    on its first indices, by size and then in table order: the candidates of
-    every hull search."""
-    for size in range(act.size, universe.hull_bound + 1):
-        yield from extension_acts(act, size)
+def _first_extension(act: FiniteAct, universe, accept, largest=False):
+    """The first extension act up to ``universe.hull_bound`` points, by size
+    and then table order, that ``accept`` takes, or None.  With ``largest``
+    the sizes go from the bound down, so the answer is the first in table
+    order of the largest size that has one."""
+    sizes = range(act.size, universe.hull_bound + 1)
+    for size in reversed(sizes) if largest else sizes:
+        for ext in extension_acts(act, size):
+            if accept(ext):
+                return ext
+    return None
 
 
 def injective_hull(act: FiniteAct, universe) -> FiniteAct:
@@ -477,10 +478,8 @@ def injective_hull(act: FiniteAct, universe) -> FiniteAct:
 @memo_on(1)
 def _hull_search(act: FiniteAct, universe):
     prefix_mask = act.full_mask()
-    for ext in _extensions(act, universe):
-        if is_large(ext, prefix_mask) and is_injective(ext, universe):
-            return ext
-    return None
+    return _first_extension(act, universe, lambda ext: is_large(
+        ext, prefix_mask) and is_injective(ext, universe))
 
 
 def closure_in_hull(r: Radical, act: FiniteAct, universe) -> FiniteAct:
@@ -519,25 +518,25 @@ def maximal_r_essential_extension(r: Radical, act: FiniteAct,
                                   universe) -> FiniteAct:
     """Bounded search for a size-maximal extension in which the act is dense
     and large: the first in table order of the largest size that has one."""
-    best = None
     mask = act.full_mask()
-    for ext in _extensions(act, universe):
-        if (best is None or ext.size > best.size) and is_r_essential(
-            r, ext, mask
-        ):
-            best = ext
+    best = _first_extension(
+        act, universe, lambda ext: is_r_essential(r, ext, mask), largest=True
+    )
     if best is None:
         raise BoundExceeded("no large dense extension within the bound")
     return best
 
 
 def minimal_r_injective_extension(r: Radical, act: FiniteAct, universe):
-    """Exhaustive search for the smallest extension passing every decidable
-    injectivity test; independent of the closure construction."""
-    for ext in _extensions(act, universe):
-        if r_injective_bounded(r, ext, universe):
-            return ext
-    raise BoundExceeded("no injective extension within the bound")
+    """The smallest extension passing ``r_injective_bounded``; deliberately
+    independent of the closure construction, as the oracle that checker
+    P7.1 compares ``r_injective_hull`` against."""
+    found = _first_extension(
+        act, universe, lambda ext: r_injective_bounded(r, ext, universe)
+    )
+    if found is None:
+        raise BoundExceeded("no injective extension within the bound")
+    return found
 
 
 def iso_over_source(act: FiniteAct, q1: FiniteAct, q2: FiniteAct) -> bool:

@@ -264,7 +264,9 @@ def is_r_mono(r: Radical, m: ActHom) -> bool:
 
 
 def density_equivalent(r: Radical, act: FiniteAct, mask: int) -> bool:
-    """Independent density test: the Rees factor over the subact is radical."""
+    """Independent density test: the Rees factor over the subact is radical.
+    Deliberately not built on closures: it is the oracle that checker D3.9
+    compares ``is_r_dense`` against."""
     quo, _ = quotient(act, rees_single(act, mask))
     return is_radical_act(r, quo)
 

@@ -279,37 +279,42 @@ def taxonomy_section(universe) -> dict:
     }
 
 
-def verify_all(universe) -> dict:
-    """Run every registered axiom and theorem checker; deterministic apart
-    from the trailing generated_at / timings block."""
-    _ensure_registered()
-    axiom_reports = [AXIOMS[k].run(universe) for k in AXIOMS]
-    theorem_reports = [THEOREMS[k].run(universe) for k in THEOREMS]
-    everything = axiom_reports + theorem_reports
-    summary = {
-        "verified": sum(1 for r in everything if r.status == "verified"),
-        "violated": sum(1 for r in everything if r.status == "violated"),
-        "skipped_out_of_bounds": sum(
-            1 for r in everything if r.status == "skipped-out-of-bounds"
-        ),
-    }
-    doc = {
-        "schema": SCHEMA,
-        "bounds": {
-            "monoid_max": universe.monoid_max,
-            "act_max": universe.act_max,
-            "hull_bound": universe.hull_bound,
-            "con_bound": universe.con_bound,
-        },
-        "radicals": [r.name for r in universe.radicals],
-        "axioms": [r.payload() for r in axiom_reports],
-        "results": [r.payload() for r in theorem_reports],
-        "taxonomy": taxonomy_section(universe),
-        "summary": summary,
-        "generated_at": _timestamp(),
-        "timings_ms": {
-            r.theorem_id: round(r.duration_ms, 3) for r in everything
-        },
+def verify_all(universe, theorem_ids=()) -> dict:
+    """Run every registered axiom and theorem checker, or only those named
+    in ``theorem_ids`` (a doc of their results alone, in that order);
+    deterministic apart from the trailing generated_at / timings block."""
+    if theorem_ids:
+        reports = [verify(tid, universe) for tid in theorem_ids]
+        doc = {"schema": SCHEMA, "results": [r.payload() for r in reports]}
+    else:
+        _ensure_registered()
+        axiom_reports = [AXIOMS[k].run(universe) for k in AXIOMS]
+        theorem_reports = [THEOREMS[k].run(universe) for k in THEOREMS]
+        reports = axiom_reports + theorem_reports
+        summary = {
+            "verified": sum(1 for r in reports if r.status == "verified"),
+            "violated": sum(1 for r in reports if r.status == "violated"),
+            "skipped_out_of_bounds": sum(
+                1 for r in reports if r.status == "skipped-out-of-bounds"
+            ),
+        }
+        doc = {
+            "schema": SCHEMA,
+            "bounds": {
+                "monoid_max": universe.monoid_max,
+                "act_max": universe.act_max,
+                "hull_bound": universe.hull_bound,
+                "con_bound": universe.con_bound,
+            },
+            "radicals": [r.name for r in universe.radicals],
+            "axioms": [r.payload() for r in axiom_reports],
+            "results": [r.payload() for r in theorem_reports],
+            "taxonomy": taxonomy_section(universe),
+            "summary": summary,
+        }
+    doc["generated_at"] = _timestamp()
+    doc["timings_ms"] = {
+        r.theorem_id: round(r.duration_ms, 3) for r in reports
     }
     return doc
 
@@ -346,6 +351,9 @@ def report_line(rep: dict) -> str:
 
 
 def to_text(doc: dict) -> str:
+    """The text report: for checkers named by id, one line each."""
+    if "summary" not in doc:
+        return "".join(report_line(rep) + "\n" for rep in doc["results"])
     lines = []
     bounds = doc["bounds"]
     lines.append("# verification report")

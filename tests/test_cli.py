@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from radact.catalog import print_act, print_monoid, print_radical_table
+from radact import cli
 from radact.cli import _shared, build_parser, run
 from radact.congruence import all_congruences, is_rees
 from radact.core import validate_act, validate_monoid
@@ -55,6 +56,27 @@ def test_validate_ok(catalog_dir):
 def test_validate_monoid_listing(catalog_dir):
     code, out, _ = invoke(["validate", "--seed-catalog", catalog_dir])
     assert code == 0 and "ok monoid E2" in out
+
+
+def test_seed_catalog_ignores_radical_tables(catalog_dir):
+    # a seed catalog holds monoids and acts; a malformed radical table in it
+    # is never read
+    Path(catalog_dir, "bad.radical").write_text(
+        "radical demo extensional\nact R2 partition 0 | 1 2\n"
+    )
+    code, out, err = invoke(["validate", "--seed-catalog", catalog_dir])
+    assert (code, out, err) == (0, "ok monoid E2 elements=2\n", "")
+
+
+def test_monoid_flag_rejects_radical_table(catalog_dir):
+    # a well-formed table over a catalog act is still not a monoid file
+    table = Path(catalog_dir, "demo.table")
+    table.write_text("radical demo extensional\nact R2 partition 0 1\n")
+    code, out, err = invoke(
+        ["validate", "--seed-catalog", catalog_dir, "--monoid", str(table)]
+    )
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_parse_error_exits_2(tmp_path):
@@ -232,6 +254,20 @@ def test_limit_of_a_single_act(catalog_dir):
     assert "leg0 0 1" in out
 
 
+def test_limit_builds_no_universe(catalog_dir, monkeypatch):
+    def refuse(**bounds):
+        raise AssertionError("limit built a universe")
+
+    monkeypatch.setattr(cli, "default_universe", refuse)
+    code, out, err = invoke(
+        ["limit", "--seed-catalog", catalog_dir, "--acts", "R2,R2",
+         "--maps", "0 1"]
+    )
+    assert (code, out, err) == (
+        0, "elements 2\naction\n0 1\n1 1\nleg0 0 1\nleg1 0 1\n", "",
+    )
+
+
 def test_limit_command(catalog_dir):
     code, out, _ = invoke(
         ["limit", "--seed-catalog", catalog_dir, "--acts", "R2,R2",
@@ -270,6 +306,23 @@ def test_verify_single_theorem():
     assert out.splitlines() == [
         line for line in full.splitlines() if line.startswith("L1.2 ")
     ]
+
+
+def test_verify_theorem_json_keys():
+    code, out, _ = invoke(
+        ["verify", "--theorem", "L1.2", "--theorem", "R1.1", "--report",
+         "json", "--monoid-max", "1", "--act-max", "3", "--hull-bound", "3"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["schema", "results", "generated_at", "timings_ms"]
+    assert doc["schema"] == "radact-report/1"
+    assert [list(rep) for rep in doc["results"]] == [[
+        "theorem_id", "description", "status", "instances_checked",
+        "hypothesis_filtered", "instances_skipped",
+    ]] * 2
+    assert [rep["theorem_id"] for rep in doc["results"]] == ["L1.2", "R1.1"]
+    assert list(doc["timings_ms"]) == ["L1.2", "R1.1"]
 
 
 def test_verify_all_small_universe_json():

@@ -25,6 +25,9 @@ Bounds: the universe owns its bounds.  Only ``Universe.__init__`` and
 Flags: in ``checkers``, only the checkers whose statement compares taxonomy
 flags call ``classify_radical``; every other checker that assumes a flag
 declares it on ``register(...)`` and ``Checker.run`` filters on it.
+
+Command layer: ``cli`` reads only public names of the other ``radact``
+modules, whether it imports a name or reads it off an imported module.
 """
 
 import ast
@@ -350,3 +353,48 @@ def test_flag_reader_is_reported():
         "    return classify_radical\n"
     )
     assert flag_readers(source, "m") == ["m._enum"]
+
+
+def private_reads(source) -> list[str]:
+    """The private names (one leading underscore, not a dunder) that a module
+    imports from a sibling module or reads off an imported sibling."""
+    tree = ast.parse(source)
+    siblings = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_cli_reads_only_public_names():
+    assert private_reads((SRC / "cli.py").read_text()) == []
+
+
+def test_private_read_is_reported():
+    source = (
+        "from . import verifier\n"
+        "from . import catalog as cat\n"
+        "from .core import ActHom, _hom_search\n"
+        "from os import _exit\n"
+        "stamp = verifier._timestamp()\n"
+        "lines = cat._Lines(text)\n"
+        "name = verifier.__name__\n"
+        "ok = verifier.to_json(doc)\n"
+        "mine = self._private\n"
+    )
+    assert private_reads(source) == [
+        "line 3: _hom_search", "line 5: verifier._timestamp",
+        "line 6: cat._Lines",
+    ]

@@ -55,7 +55,6 @@ from radact.injectivity import (
     r_injective_bounded,
     r_injective_hull,
     skornjakov_injective,
-    transfer_pushout,
     transfer_pushouts,
     _extends_along,
     _maps_extend,
@@ -108,7 +107,7 @@ def test_collectively_large_matches_hom_definition(U):
 def test_pushout_identity_mono(R2, rg):
     m = identity_hom(R2)
     f = ActHom(R2, R2, (1, 1))
-    d, u, v = transfer_pushout(rg, m, f)
+    d, u, v = next(transfer_pushouts(rg, m, (f,)))
     assert d.size == R2.size
     assert u.is_bijective()
 
@@ -121,7 +120,7 @@ def test_pushout_into_point_is_rees_factor(U, rg):
                 continue
             sub, incl = subact_act_by_mask(act, mask)
             f = ActHom(sub, theta, (0,) * sub.size)
-            d, u, v = transfer_pushout(rg, incl, f)
+            d, u, v = next(transfer_pushouts(rg, incl, (f,)))
             collapsed, _ = quotient(act, rees_single(act, mask))
             assert find_isomorphism(d, collapsed) is not None
 
@@ -129,7 +128,7 @@ def test_pushout_into_point_is_rees_factor(U, rg):
 def test_pushout_spec_example(R2, E2, rg):
     sub, incl = subact_act_by_mask(R2, 0b10)
     f = ActHom(sub, trivial_act(E2), (0,))
-    d, u, v = transfer_pushout(rg, incl, f)
+    d, u, v = next(transfer_pushouts(rg, incl, (f,)))
     assert d.size == 2
     assert is_r_mono(rg, u)
     assert is_r_dense(rg, d, u.image_mask())
@@ -140,7 +139,7 @@ def test_pushout_requires_dense_mono(R2, U):
     sub, incl = subact_act_by_mask(R2, 0b10)
     f = ActHom(sub, trivial_act(R2.monoid), (0,))
     with pytest.raises(NotRMono):
-        transfer_pushout(delta, incl, f)
+        next(transfer_pushouts(delta, incl, (f,)))
     # the precondition is checked once per span, before any map is read
     with pytest.raises(NotRMono):
         list(transfer_pushouts(delta, incl, ()))
@@ -223,13 +222,13 @@ def test_pushout_rejects_maps_off_the_span(R2, T1, rg):
     point = ActHom(sub, trivial_act(R2.monoid), (0,))
     other = ActHom(sub, trivial_act(T1), (0,))
     with pytest.raises(ActMismatch):
-        transfer_pushout(rg, incl, other)
+        next(transfer_pushouts(rg, incl, (other,)))
     # checked for each new target, also after a good one
     with pytest.raises(ActMismatch):
         list(transfer_pushouts(rg, incl, (point, other)))
     stray = ActHom(R2, trivial_act(R2.monoid), (0, 0))
     with pytest.raises(ValueError):
-        transfer_pushout(rg, incl, stray)
+        next(transfer_pushouts(rg, incl, (stray,)))
 
 
 def test_banaschewski_identity(U, R2, rg):
@@ -671,6 +670,89 @@ def test_r_hull_fallback_for_non_kurosh_amitsur(E2):
         r_injective_hull(mutant, theta, small)
     # no proper extension within the bound is both dense and large
     assert maximal_r_essential_extension(mutant, theta, small) == theta
+
+
+def _extensions_by_size(act, universe):
+    """Every extension act up to the hull bound, by size and then table
+    order: the walk each hull search made for itself before
+    ``_first_extension``, kept for the oracles below."""
+    for size in range(act.size, universe.hull_bound + 1):
+        yield from extension_acts(act, size)
+
+
+def _hull_by_walk(act, universe):
+    for ext in _extensions_by_size(act, universe):
+        if is_large(ext, act.full_mask()) and is_injective(ext, universe):
+            return ext
+    return None
+
+
+def _minimal_by_walk(r, act, universe):
+    for ext in _extensions_by_size(act, universe):
+        if r_injective_bounded(r, ext, universe):
+            return ext
+    return BoundExceeded
+
+
+def _maximal_by_walk(r, act, universe, essential):
+    """Every size, keeping the first essential extension of a larger size
+    than the best so far."""
+    best = None
+    for ext in _extensions_by_size(act, universe):
+        if (best is None or ext.size > best.size) and essential(
+            r, ext, act.full_mask()
+        ):
+            best = ext
+    return BoundExceeded if best is None else best
+
+
+def _answer(search, *args):
+    try:
+        return search(*args)
+    except BoundExceeded:
+        return BoundExceeded
+
+
+@pytest.fixture(scope="module")
+def hull4():
+    return default_universe(monoid_max=2, hull_bound=4)
+
+
+def test_hull_and_minimal_searches_match_full_walks(hull4):
+    u = hull4
+    for act in u.acts:
+        assert injectivity._hull_search(act, u) == _hull_by_walk(act, u), act
+        for r in u.radicals:
+            assert _answer(minimal_r_injective_extension, r, act, u) == (
+                _minimal_by_walk(r, act, u)
+            ), (r, act)
+
+
+def test_maximal_search_matches_full_walk(hull4, monkeypatch):
+    """The search from the largest size down returns the walk's act and
+    asks ``is_r_essential`` no more often than the walk over every size."""
+    u = hull4
+    calls = []
+
+    def counting(r, act, mask):
+        calls.append(act)
+        return is_r_essential(r, act, mask)
+
+    monkeypatch.setattr(injectivity, "is_r_essential", counting)
+    proper = []
+    for r in u.radicals:
+        for act in u.acts:
+            calls.clear()
+            want = _maximal_by_walk(r, act, u, counting)
+            walked = len(calls)
+            calls.clear()
+            got = _answer(maximal_r_essential_extension, r, act, u)
+            assert got == want, (r, act)
+            assert len(calls) <= walked, (r, act)
+            if got.size > act.size:
+                proper.append(r.name)
+    # the search finds a proper extension, not only the act itself
+    assert "nabla" in proper
 
 
 def test_r_injective_bounded_is_memoised(monkeypatch):

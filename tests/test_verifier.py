@@ -38,7 +38,7 @@ from radact.injectivity import (
     DirectedChain,
     injective_hull,
     r_injective_bounded,
-    transfer_pushout,
+    transfer_pushouts,
 )
 from radact.radical import (
     classify_radical,
@@ -183,7 +183,7 @@ def _l51_by_pushouts(r, big, mask, c):
     # it reads checkers.is_r_mono at call time so that patches reach it
     sub, incl = subact_act_by_mask(big, mask)
     return all(
-        checkers.is_r_mono(r, transfer_pushout(r, incl, f)[1])
+        checkers.is_r_mono(r, next(transfer_pushouts(r, incl, (f,)))[1])
         for f in all_homs(sub, c)
     )
 
