@@ -5,7 +5,9 @@ instances and ("filtered", parts) otherwise; predicates may raise SizeBound
 or BoundExceeded to mark an instance skipped.  A taxonomy flag the result
 assumes of the radical is declared by ``register(..., assumes=FLAG)`` and
 filtered on by ``Checker.run``; only checkers whose statement compares flags
-call ``classify_radical``.
+call ``classify_radical``.  D2.1 yields its continuity law as one
+("group", ...) per (radical, hom) and decides a group from closure tables
+through ``holds_all``; ``_holds_d21`` stays the per-instance predicate.
 
 Sweeps over monomorphisms are collapsed along images: a mono A -> B with
 image M poses exactly the problems of the subact inclusion M -> B, composed
@@ -78,6 +80,7 @@ from .injectivity import (
 from .radical import (
     classify_radical,
     closure_mask,
+    closure_table,
     coproduct_closed_radical_class,
     dense_subact_masks,
     density_equivalent,
@@ -302,10 +305,10 @@ def _enum_d21(universe):
         for monoid in universe.monoids:
             acts = universe.acts_over(monoid)
             for a in acts:
+                masks = subact_masks(a)
                 for b in acts:
                     for f in all_homs(a, b):
-                        for m in subact_masks(a):
-                            yield "inst", (r, "c3", f, m)
+                        yield "group", ((r, "c3", f), masks)
 
 
 def _holds_d21(universe, parts):
@@ -328,12 +331,38 @@ def _holds_d21(universe, parts):
     return image & ~closure_mask(r, f.target, fm) == 0
 
 
+@memo_on(0)
+def _image_table(universe, fmap):
+    """The image under a map of every subset of its source's carrier, as a
+    tuple indexed by the subset's mask.  It depends on the map alone; the
+    universe only owns it, so each map's table is built once per run."""
+    image = [0]
+    for y in fmap:
+        image += [fm | 1 << y for fm in image]
+    return tuple(image)
+
+
+def _holds_d21_all(universe, head, tails):
+    """Continuity of one (radical, hom f: a -> b) at every subact m of a in
+    ``tails``: f(cl(m)) lies inside cl(f(m)).  Each mask is decided on its
+    own, from the closure tables of a and b and f's image table."""
+    r, _, f = head
+    cl_a = closure_table(r, f.source)
+    cl_b = closure_table(r, f.target)
+    image = _image_table(universe, f.map)
+    for m in tails:
+        if image[cl_a[m]] & ~cl_b[image[m]]:
+            return False
+    return True
+
+
 register(
     "D2.1",
     "closure operator laws: extension, idempotency, monotonicity, and "
     "continuity along homomorphisms",
     _enum_d21,
     _holds_d21,
+    holds_all=_holds_d21_all,
 )
 
 
@@ -345,15 +374,25 @@ def _enum_l22(universe):
                 yield "inst", (r, act, mask, chi)
 
 
-def _holds_l22(universe, parts):
-    r, act, mask, chi = parts
+@memo_on(0)
+def _l22_factor(universe, act, mask, chi):
+    """The factor of the act by the smallest extension of ``chi`` (a
+    congruence of the subact ``mask``) and the subact's image in it.  It
+    does not depend on the radical, so it is built once for all of them."""
     _, incl = subact_act_by_mask(act, mask)
-    ext = smallest_extension(chi, incl)
-    quo, pi = quotient(act, ext)
+    quo, pi = quotient(act, smallest_extension(chi, incl))
     image = 0
     for x in mask_members(mask):
         image |= 1 << pi.map[x]
-    return is_r_dense(r, quo, image)
+    # triples far outnumber the distinct factors: keep one copy of each
+    # factor act and of each (act, image) pair
+    outcome = (universe.memo.setdefault(quo, quo), image)
+    return universe.memo.setdefault(outcome, outcome)
+
+
+def _holds_l22(universe, parts):
+    r, act, mask, chi = parts
+    return is_r_dense(r, *_l22_factor(universe, act, mask, chi))
 
 
 register(

@@ -8,6 +8,11 @@ collapsing the union of all cyclic subacts whose every element maps into that
 zero).  Induced radicals come from a semisimple-class membership predicate via
 the meet formula; extensional radicals are tables over a fixed catalog of
 acts, evaluated on other acts through an isomorphism.
+
+A radical memoises what depends on it: its congruence on each act, the
+closure of each (act, subact), one closure table per act (every subact's
+closure, read by D2.1's continuity groups and by ``dense_subact_masks``) and
+each act's dense subacts.
 """
 
 from __future__ import annotations
@@ -272,11 +277,17 @@ def density_equivalent(r: Radical, act: FiniteAct, mask: int) -> bool:
 
 
 @memo_on(0)
+def closure_table(r: Radical, act: FiniteAct) -> dict[int, int]:
+    """The closure of every subact of the act: a dict from each mask of
+    ``subact_masks(act)`` to its ``closure_mask``, shared by every caller
+    and never mutated."""
+    return {m: closure_mask(r, act, m) for m in subact_masks(act)}
+
+
+@memo_on(0)
 def dense_subact_masks(r: Radical, act: FiniteAct) -> tuple[int, ...]:
-    return tuple(
-        m for m in subact_masks(act)
-        if closure_mask(r, act, m) == act.full_mask()
-    )
+    full = act.full_mask()
+    return tuple(m for m, c in closure_table(r, act).items() if c == full)
 
 
 def intersection_large(act: FiniteAct, mask: int) -> bool:

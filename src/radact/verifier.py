@@ -9,6 +9,18 @@ declare the taxonomy flag its result assumes of the radical (``assumes=``,
 one of ``RadicalTaxonomy.FLAG_NAMES``); an "inst" instance whose radical,
 ``parts[0]``, lacks that flag is counted as filtered too.  Bound errors raised
 by the predicate mark the instance skipped, never verified.
+
+An enumerator may also yield ("group", (head, tails)): the instances
+``head + (t,)`` for each ``t`` in ``tails``, in that order.  A checker
+registered with ``holds_all=fn`` decides a group in one call:
+``fn(universe, head, tails)`` returns True only when it has shown that every
+instance of the group holds, and the group then counts ``len(tails)``
+instances as checked.  When it returns False or raises a bound error or
+PostconditionError, or when the checker has no ``holds_all``, the group is
+expanded and each instance runs through the per-instance predicate, so
+skips, the first witness and ``recheck`` are those of the expanded
+instances.  The ``assumes=`` gate reads a group's radical from ``head[0]``
+and counts a filtered group as ``len(tails)`` filtered instances.
 """
 
 from __future__ import annotations
@@ -52,7 +64,8 @@ class TheoremReport:
 
 
 class Checker:
-    def __init__(self, cid, description, enumerate_fn, holds_fn, assumes=None):
+    def __init__(self, cid, description, enumerate_fn, holds_fn, assumes=None,
+                 holds_all=None):
         if assumes is not None and assumes not in RadicalTaxonomy.FLAG_NAMES:
             raise ValueError(f"checker {cid} assumes unknown flag {assumes!r}")
         self.id = cid
@@ -60,21 +73,50 @@ class Checker:
         self.enumerate = enumerate_fn
         self.holds = holds_fn
         self.assumes = assumes
+        self.holds_all = holds_all
+
+    def _instances(self, universe):
+        """The enumerator's items with the ``assumes=`` gate applied and
+        each group that ``holds_all`` does not settle expanded.  Filtered
+        items and settled groups come out as ("filtered", count) and
+        ("held", count)."""
+        lacking = self.assumes and {
+            r for r in universe.radicals
+            if not getattr(classify_radical(r, universe), self.assumes)
+        }
+        for kind, parts in self.enumerate(universe):
+            if kind == "group":
+                head, tails = parts
+                if lacking and head[0] in lacking:
+                    yield "filtered", len(tails)
+                    continue
+                if self.holds_all is not None:
+                    try:
+                        if self.holds_all(universe, head, tails):
+                            yield "held", len(tails)
+                            continue
+                    except (*BOUND_ERRORS, PostconditionError):
+                        pass
+                for t in tails:
+                    yield "inst", head + (t,)
+                continue
+            if kind == "filtered" or (
+                    kind == "inst" and lacking and parts[0] in lacking):
+                yield "filtered", 1
+                continue
+            yield kind, parts
 
     def run(self, universe) -> TheoremReport:
         t0 = time.perf_counter()
         checked = filtered = skipped = 0
         witness = None
         status = None
-        lacking = self.assumes and {
-            r for r in universe.radicals
-            if not getattr(classify_radical(r, universe), self.assumes)
-        }
-        for kind, parts in self.enumerate(universe):
-            if lacking and kind == "inst" and parts[0] in lacking:
-                kind = "filtered"
+        for kind, parts in self._instances(universe):
+            if kind == "held":
+                checked += parts
+                continue
             if kind == "filtered":
-                filtered += 1
+                filtered += parts
                 continue
             if kind == "skip":
                 skipped += 1
@@ -124,11 +166,12 @@ AXIOMS: dict[str, Checker] = {}
 
 
 def register(cid, description, enumerate_fn, holds_fn, axiom=False,
-             assumes=None):
+             assumes=None, holds_all=None):
     table = AXIOMS if axiom else THEOREMS
     if cid in table:
         raise ValueError(f"duplicate checker id {cid}")
-    table[cid] = Checker(cid, description, enumerate_fn, holds_fn, assumes)
+    table[cid] = Checker(cid, description, enumerate_fn, holds_fn, assumes,
+                         holds_all)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from radact.radical import (
     annihilator_union_mask,
     classify_radical,
     closure_mask,
+    closure_table,
     coproduct_closed_radical_class,
     delta_radical,
     density_equivalent,
@@ -296,6 +297,18 @@ def test_dense_masks_are_cached_and_sound(U, rg):
         assert dense_subact_masks(rg, act) is masks
         for m in masks:
             assert closure_mask(rg, act, m) == act.full_mask()
+
+
+def test_closure_table_is_the_closure_of_every_subact(U, rg):
+    for act in U.acts[:20]:
+        table = closure_table(rg, act)
+        assert closure_table(rg, act) is table
+        assert list(table) == list(subact_masks(act))
+        for m, c in table.items():
+            assert c == closure_mask(rg, act, m)
+        assert dense_subact_masks(rg, act) == tuple(
+            m for m in subact_masks(act) if is_r_dense(rg, act, m)
+        )
 
 
 def test_duplicate_radical_name_rejected(U):

@@ -77,6 +77,11 @@ def small():
 
 
 @pytest.fixture(scope="module")
+def small_two():
+    return default_universe(monoid_max=2)
+
+
+@pytest.fixture(scope="module")
 def mutant_universe():
     u = default_universe(monoid_max=1, act_max=3, hull_bound=3)
     acts = {a.size: a for a in u.acts}
@@ -559,6 +564,115 @@ def test_d21_continuity_matches_member_loop(mutant_universe):
                                 assert got == _c3_by_members(r, f, m)
                                 seen.add(got)
     assert seen == {True, False}
+
+
+def test_holds_all_matches_its_instances(small_two, mutant_universe):
+    # every registered group decider agrees with its per-instance predicate
+    # on every group it is given
+    verifier._ensure_registered()
+    grouped = [
+        c for c in {**verifier.AXIOMS, **verifier.THEOREMS}.values()
+        if c.holds_all is not None
+    ]
+    assert [c.id for c in grouped] == ["D2.1"]
+    seen = set()
+    for u in (small_two, mutant_universe):
+        for checker in grouped:
+            for kind, parts in checker.enumerate(u):
+                if kind != "group":
+                    continue
+                head, tails = parts
+                got = checker.holds_all(u, head, tails)
+                assert got == all(
+                    checker.holds(u, head + (t,)) for t in tails
+                ), head
+                seen.add(got)
+    assert seen == {True, False}
+
+
+@pytest.fixture(scope="module")
+def expanded_d21():
+    """D2.1's report outcome without a group decider, so that Checker.run
+    expands every group; one run per universe."""
+    outcomes = {}
+
+    def outcome(u):
+        if u not in outcomes:
+            oracle = verifier.Checker(
+                "D2.1", verifier.THEOREMS["D2.1"].description,
+                checkers._enum_d21, checkers._holds_d21,
+            )
+            outcomes[u] = _report_outcome(oracle.run(u))
+        return outcomes[u]
+
+    return outcome
+
+
+def _never_holds(universe, head, tails):
+    return False
+
+
+def _bound_hit(universe, head, tails):
+    raise BoundExceeded("group decider out of bounds")
+
+
+@pytest.mark.parametrize("universe_name", [
+    "small_two", "mutant_universe", "non_ka_universe",
+])
+@pytest.mark.parametrize("holds_all", [None, _never_holds, _bound_hit])
+def test_d21_groups_leave_the_report_unchanged(
+        request, monkeypatch, expanded_d21, universe_name, holds_all):
+    # the registered decider, one that never settles a group and one that
+    # always hits a bound give the report of the expanded instances
+    u = request.getfixturevalue(universe_name)
+    verifier._ensure_registered()
+    expected = expanded_d21(u)
+    checker = verifier.THEOREMS["D2.1"]
+    if holds_all is not None:
+        monkeypatch.setattr(checker, "holds_all", holds_all)
+    assert _report_outcome(checker.run(u)) == expected
+
+
+def test_assumed_flag_filters_a_group_per_tail(mutant_universe):
+    # "mut" lacks the hereditary flag: its group counts one filtered
+    # instance per tail and is never decided
+    decided = []
+
+    def holds_all(universe, head, tails):
+        decided.append(head[0].name)
+        return True
+
+    def enumerate_groups(universe):
+        for r in universe.radicals:
+            yield "group", ((r,), (1, 2, 3))
+
+    checker = verifier.Checker(
+        "X9.9", "test", enumerate_groups, lambda universe, parts: True,
+        assumes="hereditary", holds_all=holds_all,
+    )
+    rep = checker.run(mutant_universe)
+    others = len(mutant_universe.radicals) - 1
+    assert (rep.status, rep.instances_checked, rep.hypothesis_filtered) == (
+        "verified", 3 * others, 3,
+    )
+    assert "mut" not in decided and len(decided) == others
+
+
+def test_l22_builds_each_factor_once(monkeypatch):
+    # L2.2's factor by the extended congruence does not depend on the
+    # radical: each (inclusion, chi) is extended once for all radicals
+    built = Counter()
+    real_extension = checkers.smallest_extension
+
+    def extending(chi, emb):
+        built[emb, chi] += 1
+        return real_extension(chi, emb)
+
+    monkeypatch.setattr(checkers, "smallest_extension", extending)
+    rep = verifier.verify("L2.2", default_universe(monoid_max=2))
+    assert rep.status == "verified"
+    assert max(built.values()) == 1
+    assert rep.instances_checked > len(built)
 
 
 def test_mutant_leaves_a_violated_report_in_full_run(mutant_universe):
