@@ -1,8 +1,11 @@
 """Property checkers: one per certified result, registered with the verifier.
 
 Conventions.  Enumerators yield ("inst", parts) for hypothesis-satisfying
-instances and ("filtered", parts) otherwise; predicates may raise SizeBound
-or BoundExceeded to mark an instance skipped.  A taxonomy flag the result
+instances, ("filtered", parts) otherwise, and ("skip", parts) where a bound
+keeps them from deciding the hypotheses (``_enum_dense_in_semisimple`` and
+``_enum_t61`` do, when the coproduct closure of a class runs past the act
+bound); predicates may raise SizeBound, BoundExceeded or NotInUniverse
+(``BOUND_ERRORS``) to mark an instance skipped.  A taxonomy flag the result
 assumes of the radical is declared by ``register(..., assumes=FLAG)`` and
 filtered on by ``Checker.run``; only checkers whose statement compares flags
 call ``classify_radical``.  D2.1 yields its continuity law as one

@@ -14,7 +14,7 @@ from . import catalog as cat
 from . import injectivity as inj
 from . import radical as rd
 from . import verifier
-from .congruence import all_congruences
+from .congruence import CON_BOUND_DEFAULT, all_congruences
 from .core import (
     ActHom,
     is_equivariant,
@@ -27,21 +27,35 @@ from .universe import default_universe
 from .verifier import to_json, to_text, verify_all
 
 
-def _shared(parser):
-    parser.add_argument("--monoid-max", type=int, default=3)
-    parser.add_argument("--act-max", type=int, default=4)
-    parser.add_argument("--hull-bound", type=int, default=6)
-    parser.add_argument("--con-bound", type=int, default=7)
-    parser.add_argument("--radical", default="rG")
-    parser.add_argument("--report", choices=("text", "json"), default="text")
+def _catalog_flags(parser):
     parser.add_argument("--seed-catalog", default=None)
     parser.add_argument("--monoid", action="append", default=[],
                         help="extra monoid file")
+
+
+def _con_bound_flag(parser):
+    parser.add_argument("--con-bound", type=int, default=CON_BOUND_DEFAULT)
+
+
+def _universe_flags(parser):
+    parser.add_argument("--monoid-max", type=int, default=3)
+    parser.add_argument("--act-max", type=int, default=4)
+    parser.add_argument("--hull-bound", type=int, default=6)
+    _con_bound_flag(parser)
     parser.add_argument("--radical-file", action="append", default=[],
                         help="extensional radical table file to register")
 
 
+def _radical_flag(parser):
+    parser.add_argument("--radical", default="rG")
+
+
 def build_parser():
+    """One subparser per command, holding only the flags that the command
+    reads: the catalog flags always, and the universe flags, ``--radical``
+    and ``--report`` where the command uses them.  Flags are not
+    abbreviated, so that ``--radical`` never stands for ``--radical-file``
+    on a command without ``--radical``."""
     parser = argparse.ArgumentParser(
         prog="radact",
         description="finite monoid acts: radicals, closure, injectivity, "
@@ -49,49 +63,60 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        _shared(p)
+    def add(name, *groups, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for group in (_catalog_flags,) + groups:
+            group(p)
         return p
 
     p = add("validate", help="validate a monoid or act file")
     p.add_argument("--act", default=None)
 
-    p = add("congruences", help="list every congruence of an act")
+    p = add("congruences", _con_bound_flag,
+            help="list every congruence of an act")
     p.add_argument("--act", required=True)
 
-    p = add("radical", help="print the radical congruence of an act")
+    p = add("radical", _universe_flags, _radical_flag,
+            help="print the radical congruence of an act")
     p.add_argument("--act", required=True)
 
-    add("classify", help="taxonomy flags of a radical over the universe")
+    add("classify", _universe_flags, _radical_flag,
+        help="taxonomy flags of a radical over the universe")
 
-    p = add("closure", help="closure of a subact under the chosen radical")
+    p = add("closure", _universe_flags, _radical_flag,
+            help="closure of a subact under the chosen radical")
     p.add_argument("--act", required=True)
     p.add_argument("--members", required=True,
                    help="space-separated subact members")
 
-    p = add("dense", help="is the subact dense for the chosen radical")
+    p = add("dense", _universe_flags, _radical_flag,
+            help="is the subact dense for the chosen radical")
     p.add_argument("--act", required=True)
     p.add_argument("--members", required=True)
 
-    p = add("injective", help="decide plain injectivity")
+    p = add("injective", _universe_flags, help="decide plain injectivity")
     p.add_argument("--act", required=True)
 
-    p = add("r-injective", help="decide injectivity relative to the radical")
+    p = add("r-injective", _universe_flags, _radical_flag,
+            help="decide injectivity relative to the radical")
     p.add_argument("--act", required=True)
     p.add_argument("--mode", choices=("auto", "criterion", "universe"),
                    default="auto")
 
-    p = add("weakly-injective", help="decide weak injectivity")
+    p = add("weakly-injective", _universe_flags,
+            help="decide weak injectivity")
     p.add_argument("--act", required=True)
 
-    p = add("hull", help="search the injective hull up to --hull-bound")
+    p = add("hull", _universe_flags,
+            help="search the injective hull up to --hull-bound")
     p.add_argument("--act", required=True)
 
-    p = add("r-hull", help="relative injective hull via the closure operator")
+    p = add("r-hull", _universe_flags, _radical_flag,
+            help="relative injective hull via the closure operator")
     p.add_argument("--act", required=True)
 
-    p = add("pushout", help="transfer pushout of a subact inclusion and a map")
+    p = add("pushout", _universe_flags, _radical_flag,
+            help="transfer pushout of a subact inclusion and a map")
     p.add_argument("--act", required=True, help="the mono's target act")
     p.add_argument("--members", required=True,
                    help="members of the dense subact being pushed out")
@@ -104,29 +129,35 @@ def build_parser():
     p.add_argument("--maps", required=True,
                    help="semicolon-separated link maps, entries space-separated")
 
-    add("enumerate", help="universe summary")
+    add("enumerate", _universe_flags, help="universe summary")
 
-    p = add("verify", help="run property checkers")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--theorem", action="append", default=[])
+    p = add("verify", _universe_flags, help="run property checkers")
+    p.add_argument("--report", choices=("text", "json"), default="text")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--theorem", action="append", default=[])
 
     return parser
 
 
 def _load_catalog(args):
-    c = cat.Catalog()
-    if args.seed_catalog:
-        c.load_dir(args.seed_catalog)
-    for path in args.monoid:
-        c.load_file(path)
-    return c
+    """The catalog of --seed-catalog and --monoid, loaded on first use and
+    kept on ``args`` for the rest of the command."""
+    if "catalog" not in vars(args):
+        c = cat.Catalog()
+        if args.seed_catalog:
+            c.load_dir(args.seed_catalog)
+        for path in args.monoid:
+            c.load_file(path)
+        args.catalog = c
+    return args.catalog
 
 
 def _check_bounds(args):
-    """Every size bound is at least 1."""
+    """Every size bound that the command takes is at least 1."""
     for name in ("monoid_max", "act_max", "hull_bound", "con_bound"):
-        value = getattr(args, name)
-        if value < 1:
+        value = vars(args).get(name)
+        if value is not None and value < 1:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must be at least 1, got {value}")
 
@@ -138,11 +169,10 @@ def _universe(args):
         hull_bound=args.hull_bound,
         con_bound=args.con_bound,
     )
-    c = _load_catalog(args) if args.radical_file else None
     for path in args.radical_file:
         with open(path) as fh:
             text = fh.read()
-        name, table = cat.parse_radical_table(text, c.acts)
+        name, table = cat.parse_radical_table(text, _load_catalog(args).acts)
         r = rd.extensional_radical(name, table)
         _require_coverage(r, u)
         u.register_radical(r)
@@ -282,16 +312,7 @@ def _dispatch(args, out, err) -> int:
         out.write(to_json(doc) if args.report == "json" else to_text(doc))
         return verifier.exit_code(doc)
 
-    # the remaining commands all need a catalog act
     catalog = _load_catalog(args)
-    act = _resolve_act(args.act, catalog) if getattr(args, "act", None) \
-        else None
-
-    if cmd == "congruences":
-        for chi in all_congruences(act, args.con_bound):
-            print(str(chi), file=out)
-        return 0
-
     if cmd == "limit":
         acts = [_resolve_act(name, catalog) for name in args.acts.split(",")]
         chain = _chain_of(acts, args.maps)
@@ -299,6 +320,13 @@ def _dispatch(args, out, err) -> int:
         _print_act(limit, out)
         for i, leg in enumerate(legs):
             print(f"leg{i} " + " ".join(str(x) for x in leg.map), file=out)
+        return 0
+
+    # the remaining commands all need a catalog act
+    act = _resolve_act(args.act, catalog)
+    if cmd == "congruences":
+        for chi in all_congruences(act, args.con_bound):
+            print(str(chi), file=out)
         return 0
 
     u = _universe(args)

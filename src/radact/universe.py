@@ -217,7 +217,13 @@ class Universe:
                 self._members[(m, a.action)] = a
 
     def acts_over(self, monoid: FiniteMonoid) -> tuple[FiniteAct, ...]:
-        return self._acts_by_monoid[monoid]
+        try:
+            return self._acts_by_monoid[monoid]
+        except KeyError:
+            raise UsageError(
+                f"monoid {monoid.name} is not a monoid of the universe "
+                f"(monoid_max {self.monoid_max})"
+            ) from None
 
     def find_member(self, act: FiniteAct) -> FiniteAct | None:
         """The catalog act isomorphic to the given one, if within bounds."""

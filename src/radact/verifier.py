@@ -4,11 +4,15 @@ and emits deterministic machine-readable reports with re-checkable witnesses.
 Each checker pairs an instance enumerator with a pure per-instance predicate.
 The enumerator yields ("inst", parts) for instances satisfying the property's
 hypotheses and ("filtered", parts) for enumerated instances that fail them,
-so vacuous verification stays visible in the counts.  A checker may also
-declare the taxonomy flag its result assumes of the radical (``assumes=``,
-one of ``RadicalTaxonomy.FLAG_NAMES``); an "inst" instance whose radical,
-``parts[0]``, lacks that flag is counted as filtered too.  Bound errors raised
-by the predicate mark the instance skipped, never verified.
+so vacuous verification stays visible in the counts.  It yields
+("skip", parts) for instances whose hypotheses it cannot decide within the
+bounds; they count as skipped and the predicate does not run.  A checker may
+also declare the taxonomy flag its result assumes of the radical
+(``assumes=``, one of ``RadicalTaxonomy.FLAG_NAMES``); an "inst" instance
+whose radical, ``parts[0]``, lacks that flag is counted as filtered too.  A
+bound error raised by the predicate (``BOUND_ERRORS``: SizeBound,
+BoundExceeded, or NotInUniverse for an act that an extensional radical has
+no entry for) marks the instance skipped, never verified.
 
 An enumerator may also yield ("group", (head, tails)): the instances
 ``head + (t,)`` for each ``t`` in ``tails``, in that order.  A checker

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from radact.catalog import print_act, print_monoid, print_radical_table
+from radact.catalog import (
+    Catalog, print_act, print_monoid, print_radical_table,
+)
 from radact import cli
-from radact.cli import _shared, build_parser, run
+from radact.cli import build_parser, run
 from radact.congruence import all_congruences, is_rees
 from radact.core import validate_act, validate_monoid
 from radact.radical import rg_radical
@@ -237,7 +239,7 @@ def test_radical_file_missing_an_act_names_no_file_line(tmp_path):
 def test_malformed_limit_maps_is_usage_error(catalog_dir, maps):
     code, out, err = invoke(
         ["limit", "--seed-catalog", catalog_dir, "--acts", "R2,R2",
-         "--maps", maps] + SMALL
+         "--maps", maps]
     )
     assert code == 2
     assert out == ""
@@ -247,7 +249,7 @@ def test_malformed_limit_maps_is_usage_error(catalog_dir, maps):
 def test_limit_of_a_single_act(catalog_dir):
     code, out, _ = invoke(
         ["limit", "--seed-catalog", catalog_dir, "--acts", "R2",
-         "--maps", ""] + SMALL
+         "--maps", ""]
     )
     assert code == 0
     assert out.splitlines()[0] == "elements 2"
@@ -271,7 +273,7 @@ def test_limit_builds_no_universe(catalog_dir, monkeypatch):
 def test_limit_command(catalog_dir):
     code, out, _ = invoke(
         ["limit", "--seed-catalog", catalog_dir, "--acts", "R2,R2",
-         "--maps", "0 1"] + SMALL
+         "--maps", "0 1"]
     )
     assert code == 0
     assert out.splitlines()[0] == "elements 2"
@@ -414,6 +416,69 @@ def test_unknown_radical_is_usage_error(catalog_dir, argv):
     assert err == "error: no radical named 'nope' is registered\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--all", "--radical", "rG"],
+    ["verify", "--all", "--theorem", "L1.2"],
+    ["verify"],
+    ["hull", "--act", "R2", "--radical", "rG"],  # not --radical-file
+    ["validate", "--report", "json"],
+    ["limit", "--acts", "R2", "--maps", "", "--act-max", "3"],
+])
+def test_flag_the_command_does_not_read_is_refused(catalog_dir, argv):
+    code, out, _ = invoke(argv + ["--seed-catalog", catalog_dir])
+    assert (code, out) == (2, "")
+
+
+# a universe of the one-element monoid, which does not hold R2's monoid E2
+WITHOUT_E2 = ["--monoid-max", "1", "--act-max", "2", "--hull-bound", "3",
+              "--con-bound", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["r-injective", "--mode", "universe"],
+    ["r-hull"],
+])
+def test_act_over_a_monoid_outside_the_universe_is_usage_error(
+        catalog_dir, argv):
+    code, out, err = invoke(
+        argv + ["--seed-catalog", catalog_dir, "--act", "R2"] + WITHOUT_E2
+    )
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: monoid \S+ is not a monoid of the universe "
+                        r"\(monoid_max 1\)\n", err)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["r-injective", "--mode", "criterion"], "true\n"),
+    (["hull"], "elements 2\naction\n0 1\n1 1\n"),
+])
+def test_act_decisions_that_need_no_universe_acts_over_its_monoid(
+        catalog_dir, argv, expected):
+    code, out, err = invoke(
+        argv + ["--seed-catalog", catalog_dir, "--act", "R2"] + WITHOUT_E2
+    )
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_radical_file_loads_the_catalog_once(rg_copy_catalog, monkeypatch):
+    catalog, radical_file, bounds = rg_copy_catalog
+    loads = []
+    load_file = Catalog.load_file
+
+    def counting(self, path):
+        loads.append(Path(path).name)
+        return load_file(self, path)
+
+    monkeypatch.setattr(Catalog, "load_file", counting)
+    code, out, err = invoke([
+        "r-hull", "--seed-catalog", str(catalog), "--act", "R2",
+        "--radical", "copy", "--radical-file", str(radical_file),
+        *(x for flag_value in bounds.items() for x in flag_value),
+    ])
+    assert (code, err) == (0, "")
+    assert sorted(loads) == sorted(p.name for p in catalog.iterdir())
+
+
 @pytest.mark.parametrize("command", ["hull", "r-hull"])
 def test_hull_commands_take_no_bound_flag(catalog_dir, command):
     # the search bound is the universe's --hull-bound
@@ -429,20 +494,23 @@ def _readme():
     return (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
-class _FlagRecorder:
-    def __init__(self):
-        self.flags = []
-
-    def add_argument(self, *names, **kwargs):
-        self.flags += names
-
-
-def test_readme_synopsis_names_every_shared_flag():
-    synopsis = re.search(r"```\nradact <command>(.*?)```", _readme(), re.S)
-    recorder = _FlagRecorder()
-    _shared(recorder)
-    named = set(re.findall(r"--[a-z-]+", synopsis.group(1)))
-    assert set(recorder.flags) - named == set()
+def test_readme_flag_table_matches_the_parser(command_flags):
+    # the catalog flags go to every command; "yes" in the universe column
+    # stands for every universe flag, and each other flag a row names is
+    # one that the command takes
+    readme = _readme()
+    groups = {
+        name: set(re.findall(r"--[a-z-]+", flags))
+        for name, flags in re.findall(
+            r"^(catalog|universe) flags:(.*(?:\n {16}.*)*)", readme, re.M)
+    }
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M)
+    assert sorted(command for command, _ in rows) == sorted(command_flags)
+    for command, row in rows:
+        named = groups["catalog"] | set(re.findall(r"--[a-z-]+", row))
+        if row.startswith("yes "):
+            named |= groups["universe"]
+        assert named == set(command_flags[command]), command
 
 
 def test_readme_lists_exactly_the_commands():

@@ -28,14 +28,20 @@ declares it on ``register(...)`` and ``Checker.run`` filters on it.
 
 Command layer: ``cli`` reads only public names of the other ``radact``
 modules, whether it imports a name or reads it off an imported module.
+Every flag that a command accepts is read on some path of that command, so
+a flag the command would ignore is refused instead.
 """
 
+import argparse
 import ast
+import io
 import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from radact import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "radact"
@@ -398,3 +404,65 @@ def test_private_read_is_reported():
         "line 3: _hom_search", "line 5: verifier._timestamp",
         "line 6: cat._Lines",
     ]
+
+
+# the runs of each command that together take every read path, on the
+# rg_copy_catalog fixture, with its table and bounds given wherever a
+# command takes them
+READ_PATHS = {
+    "validate": [["--act", "R2"]],
+    "congruences": [["--act", "R2"]],
+    "radical": [["--act", "R2"]],
+    "classify": [[]],
+    "closure": [["--act", "R2", "--members", "1"]],
+    "dense": [["--act", "R2", "--members", "1"]],
+    "injective": [["--act", "R2"]],
+    "r-injective": [["--act", "R2", "--mode", "universe"]],
+    "weakly-injective": [["--act", "R2"]],
+    "hull": [["--act", "R2"]],
+    "r-hull": [["--act", "R2"]],
+    "pushout": [["--act", "R2", "--members", "1", "--into", "R2",
+                 "--map", "1"]],
+    "limit": [["--acts", "R2,R2", "--maps", "0 1"]],
+    "enumerate": [[]],
+    "verify": [["--all"], ["--theorem", "L1.2"]],
+}
+
+
+def namespace_reads(argv) -> set[str]:
+    """The attributes that ``cli._dispatch`` reads off the parsed arguments
+    while it runs ``argv``."""
+    reads = set()
+    dispatch = cli._dispatch
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_dispatch", lambda args, out, err: dispatch(
+            Recorder(**vars(args)), out, err))
+        code = cli.run(argv, out=io.StringIO(), err=err)
+    assert code in (0, 1) and "error" not in err.getvalue(), argv
+    return reads
+
+
+def test_every_accepted_flag_is_read(command_flags, rg_copy_catalog):
+    catalog, radical_file, bounds = rg_copy_catalog
+    assert sorted(READ_PATHS) == sorted(command_flags)
+    unread = []
+    for command, flags in command_flags.items():
+        given = [x for flag, value in bounds.items()
+                 if flag in flags for x in (flag, value)]
+        if "--radical-file" in flags:
+            given += ["--radical-file", str(radical_file)]
+        reads = set()
+        for extra in READ_PATHS[command]:
+            reads |= namespace_reads(
+                [command, "--seed-catalog", str(catalog)] + given + extra
+            )
+        unread += [f"{command} {flag}" for flag, dest in flags.items()
+                   if dest not in reads]
+    assert unread == []
