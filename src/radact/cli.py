@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from . import catalog as cat
 from . import injectivity as inj
@@ -140,15 +141,28 @@ def build_parser():
     return parser
 
 
+@contextmanager
+def _reading(flag):
+    """A file or directory named by ``flag`` that does not exist or cannot
+    be read is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot read {exc.filename!r}: "
+                         f"{exc.strerror}") from None
+
+
 def _load_catalog(args):
     """The catalog of --seed-catalog and --monoid, loaded on first use and
     kept on ``args`` for the rest of the command."""
     if "catalog" not in vars(args):
         c = cat.Catalog()
         if args.seed_catalog:
-            c.load_dir(args.seed_catalog)
+            with _reading("--seed-catalog"):
+                c.load_dir(args.seed_catalog)
         for path in args.monoid:
-            c.load_file(path)
+            with _reading("--monoid"):
+                c.load_file(path)
         args.catalog = c
     return args.catalog
 
@@ -170,7 +184,7 @@ def _universe(args):
         con_bound=args.con_bound,
     )
     for path in args.radical_file:
-        with open(path) as fh:
+        with _reading("--radical-file"), open(path) as fh:
             text = fh.read()
         name, table = cat.parse_radical_table(text, _load_catalog(args).acts)
         r = rd.extensional_radical(name, table)
@@ -190,10 +204,11 @@ def _require_coverage(radical, universe):
             )
 
 
-def _resolve_act(spec, catalog):
+def _resolve_act(spec, catalog, flag="--act"):
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return cat.parse_act(fh.read(), catalog.monoids)
+        with _reading(flag), open(spec) as fh:
+            text = fh.read()
+        return cat.parse_act(text, catalog.monoids)
     if spec in catalog.acts:
         return catalog.acts[spec]
     raise UsageError(f"cannot resolve act {spec!r}")
@@ -314,7 +329,8 @@ def _dispatch(args, out, err) -> int:
 
     catalog = _load_catalog(args)
     if cmd == "limit":
-        acts = [_resolve_act(name, catalog) for name in args.acts.split(",")]
+        acts = [_resolve_act(name, catalog, "--acts")
+                for name in args.acts.split(",")]
         chain = _chain_of(acts, args.maps)
         limit, legs = inj.direct_limit(chain)
         _print_act(limit, out)
@@ -380,7 +396,8 @@ def _dispatch(args, out, err) -> int:
     if cmd == "pushout":
         r = u.radical(args.radical)
         inner, incl = subact_act_by_mask(act, _subact_of(act, args.members))
-        f = _map_of(inner, _resolve_act(args.into, catalog), args.map)
+        into = _resolve_act(args.into, catalog, "--into")
+        f = _map_of(inner, into, args.map)
         d, ulab, vlab = next(inj.transfer_pushouts(r, incl, (f,)))
         _print_act(d, out)
         print("u " + " ".join(str(x) for x in ulab.map), file=out)

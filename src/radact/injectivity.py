@@ -19,9 +19,11 @@ the answer does not depend on a radical, so every radical, both relative
 modes, plain and weak injectivity and the orthogonality test share it.
 
 Every hull search is one walk, ``_first_extension``, over the extensions of
-an act up to the universe's ``hull_bound`` points.  ``injective_hull`` takes
-the first that is injective (``is_injective``) with the act large in it, and
-``minimal_r_injective_extension`` the first passing ``r_injective_bounded``.
+an act up to the universe's ``hull_bound`` points, one table per orbit under
+the relabellings that fix the act (``universe.act_tables``).
+``injective_hull`` takes the first that is injective (``is_injective``) with
+the act large in it, and ``minimal_r_injective_extension`` the first passing
+``r_injective_bounded``.
 A hull is a plain act that holds the act on its first ``act.size`` points,
 so the embedding is the inclusion of that prefix: the searches and
 ``r_injective_hull`` (the act's closure in its hull) return such acts.
@@ -443,8 +445,9 @@ def r_injective_bounded(r: Radical, Q: FiniteAct, universe) -> bool:
 
 
 def extension_acts(act: FiniteAct, size: int):
-    """All acts of the given size containing the act on its first indices,
-    in lexicographic table order."""
+    """The acts of the given size that hold the act on their first points,
+    one per orbit under the relabellings of the other points: the least
+    table of each orbit, in generation order (``act_tables``)."""
     for table in act_tables(act.monoid, size, prefix=act):
         yield FiniteAct(act.monoid, table)
 
@@ -453,7 +456,13 @@ def _first_extension(act: FiniteAct, universe, accept, largest=False):
     """The first extension act up to ``universe.hull_bound`` points, by size
     and then table order, that ``accept`` takes, or None.  With ``largest``
     the sizes go from the bound down, so the answer is the first in table
-    order of the largest size that has one."""
+    order of the largest size that has one.
+
+    Only the least table of each relabelling orbit over the act is walked
+    (``extension_acts``).  Every property a search accepts on (large,
+    injective, r-essential, r-injective) holds on a whole orbit, so the
+    first table accepted in the full walk is the least of its orbit, and
+    the answer is the same."""
     sizes = range(act.size, universe.hull_bound + 1)
     for size in reversed(sizes) if largest else sizes:
         for ext in extension_acts(act, size):

@@ -1,7 +1,15 @@
 """Exhaustive catalogs of small monoids and acts, deduplicated up to
-isomorphism, with the radicals registered for verification sweeps."""
+isomorphism, with the radicals registered for verification sweeps.
+
+Action tables are generated orderly (``act_tables``): one table per orbit
+under the relabellings of the points being filled in.  With no prefix that
+is one table per isomorphism class, which ``enumerate_acts`` brings to
+``canonical_form``; with an act as prefix it is one extension per class of
+extensions over the act, which every hull search walks."""
 
 from __future__ import annotations
+
+from itertools import islice, permutations
 
 from . import radical as rd
 from .congruence import CON_BOUND_DEFAULT, all_congruences, quotient
@@ -87,14 +95,24 @@ def enumerate_monoids(max_order: int) -> tuple[FiniteMonoid, ...]:
 
 
 def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None):
-    """All action tables of the given carrier size, optionally extending an
-    act placed on the first carrier indices.  Deterministic lexicographic
-    order of the free cells.
+    """The action tables of the given carrier size, optionally extending an
+    act placed on the first carrier indices, one per orbit under the
+    relabellings of the new points (the prefix points stay fixed): the least
+    table of each orbit in generation order.
 
-    Every act equation t*(u*x) = (tu)*x whose three cells are filled holds
-    before a cell is filled (a prefix must be an act), so after filling cell
-    (s, a) only the equations in which it is the inner cell u*x, the outer
-    cell t*(u*x) or the right-hand cell (tu)*x are checked."""
+    Generation order fills the free cells column by column over the new
+    points, and each column row by row; tables come out in the order of
+    their cells.  Every act equation t*(u*x) = (tu)*x whose three cells are
+    filled holds before a cell is filled (a prefix must be an act), so after
+    filling cell (s, a) only the equations in which it is the inner cell
+    u*x, the outer cell t*(u*x) or the right-hand cell (tu)*x are checked.
+
+    Orderly generation (Read and Faradzev; B. D. McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998): each time a column is
+    complete, a partial table is dropped when some relabelling of the new
+    points turns its filled columns into a smaller one.  Every completion
+    of it would then relabel below itself, so the least table of each
+    orbit is never dropped, and at the last column every other one is."""
     n = monoid.size
     m = size
     mul = monoid.mul
@@ -109,17 +127,21 @@ def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None)
         for s in range(n):
             for a in range(start):
                 table[s][a] = prefix.action[s][a]
-    cells = [
-        (s, a)
-        for a in range(start, m)
-        for s in range(n)
-        if s != monoid.identity
-    ]
+    rows = [s for s in range(n) if s != monoid.identity]
+    cells = [(s, a) for a in range(start, m) for s in rows]
     # factors[s]: the pairs (t, u) with tu = s
     factors = [[] for _ in range(n)]
     for t in range(n):
         for u in range(n):
             factors[mul[t][u]].append((t, u))
+    # every relabelling of the new points but the identity, with its inverse
+    relabellings = []
+    for moved in islice(permutations(range(start, m)), 1, None):
+        perm = tuple(range(start)) + moved
+        inv = [0] * m
+        for a, b in enumerate(perm):
+            inv[b] = a
+        relabellings.append((perm, inv))
 
     def consistent(s, a):
         v = table[s][a]
@@ -147,6 +169,8 @@ def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None)
                     return False
         return True
 
+    last_row = rows[-1] if rows else None
+
     def rec(i):
         if i == len(cells):
             yield tuple(tuple(row) for row in table)
@@ -154,25 +178,48 @@ def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None)
         s, a = cells[i]
         for v in range(m):
             table[s][a] = v
-            if consistent(s, a):
+            if consistent(s, a) and not (s == last_row and any(
+                _columns_below(table, rows, perm, inv, start, a)
+                for perm, inv in relabellings
+            )):
                 yield from rec(i + 1)
         table[s][a] = -1
 
     yield from rec(0)
 
 
+def _columns_below(table, rows, perm, inv, start, last) -> bool:
+    """Whether relabelling the filled columns start..last of ``table`` along
+    ``perm`` (with inverse ``inv``) gives a table below it in generation
+    order, decided at the first entry that differs, as in
+    ``core._relabels_below``.  Column b of the relabelled table is column
+    inv[b] relabelled, so the comparison ends undecided at the first column
+    whose preimage is not filled yet."""
+    for b in range(start, last + 1):
+        a = inv[b]
+        if a > last:
+            return False
+        for s in rows:
+            v = perm[table[s][a]]
+            w = table[s][b]
+            if v != w:
+                return v < w
+    return False
+
+
 def enumerate_acts(monoid: FiniteMonoid, max_size: int) -> tuple[FiniteAct, ...]:
-    """All acts over the monoid of size <= max_size, one per iso class."""
+    """All acts over the monoid of size <= max_size, one per iso class:
+    ``act_tables`` gives one table per class, brought to ``canonical_form``
+    and named in the order of the canonical tables."""
     out = []
     for m in range(1, max_size + 1):
-        seen = {}
-        for table in act_tables(monoid, m):
-            canon = canonical_form(FiniteAct(monoid, table))
-            seen.setdefault(canon.action, canon)
-        chosen = sorted(seen.values(), key=lambda a: a.action)
-        for k, act in enumerate(chosen):
-            named = validate_act(monoid, act.action, name=f"{monoid.name}.a{m}.{k}")
-            out.append(named)
+        chosen = sorted(
+            canonical_form(FiniteAct(monoid, table)).action
+            for table in act_tables(monoid, m)
+        )
+        for k, action in enumerate(chosen):
+            out.append(validate_act(monoid, action,
+                                    name=f"{monoid.name}.a{m}.{k}"))
     return tuple(out)
 
 

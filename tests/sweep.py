@@ -1,0 +1,100 @@
+"""The unpruned sweep of action tables, kept as the oracle for
+``universe.act_tables`` and for the hull searches that walk it."""
+
+from itertools import permutations
+
+from radact.core import FiniteAct
+
+
+def act_tables_by_sweep(monoid, size, prefix=None):
+    """Every action table of the given size that holds ``prefix`` on its
+    first points, in generation order: the same backtracking as
+    ``act_tables``, without its pruning, and after every cell it fills it
+    re-checks every act equation whose cells are filled."""
+    n = monoid.size
+    m = size
+    mul = monoid.mul
+    table = [[-1] * m for _ in range(n)]
+    for a in range(m):
+        table[monoid.identity][a] = a
+    start = 0
+    if prefix is not None:
+        start = prefix.size
+        for s in range(n):
+            for a in range(start):
+                table[s][a] = prefix.action[s][a]
+    cells = [
+        (s, a)
+        for a in range(start, m)
+        for s in range(n)
+        if s != monoid.identity
+    ]
+
+    def consistent():
+        for t in range(n):
+            for s in range(n):
+                for a in range(m):
+                    sa = table[s][a]
+                    if sa == -1:
+                        continue
+                    lhs = table[t][sa]
+                    rhs = table[mul[t][s]][a]
+                    if lhs != -1 and rhs != -1 and lhs != rhs:
+                        return False
+        return True
+
+    def rec(i):
+        if i == len(cells):
+            yield tuple(tuple(row) for row in table)
+            return
+        s, a = cells[i]
+        for v in range(m):
+            table[s][a] = v
+            if consistent():
+                yield from rec(i + 1)
+        table[s][a] = -1
+
+    yield from rec(0)
+
+
+def generation_key(monoid, table, start):
+    """The free cells of a table in generation order: column by column over
+    the points from ``start`` on, each column row by row."""
+    rows = [s for s in range(monoid.size) if s != monoid.identity]
+    return tuple(table[s][a] for a in range(start, len(table[0]))
+                 for s in rows)
+
+
+def least_in_orbit(monoid, table, start):
+    """Whether no relabelling of the points from ``start`` on, each built in
+    full, gives a table below this one in generation order."""
+    m = len(table[0])
+    key = generation_key(monoid, table, start)
+    for moved in permutations(range(start, m)):
+        perm = tuple(range(start)) + moved
+        relabelled = [[0] * m for _ in table]
+        for s, row in enumerate(table):
+            for a in range(m):
+                relabelled[s][perm[a]] = perm[row[a]]
+        if generation_key(monoid, relabelled, start) < key:
+            return False
+    return True
+
+
+def orderly_tables_by_sweep(monoid, size, prefix=None):
+    """The sweep filtered by brute force to the tables that are least
+    under every relabelling of the new points: what ``act_tables``
+    yields."""
+    start = 0 if prefix is None else prefix.size
+    for table in act_tables_by_sweep(monoid, size, prefix):
+        if least_in_orbit(monoid, table, start):
+            yield table
+
+
+def extensions_by_sweep(act, universe):
+    """Every extension act of ``act`` up to the hull bound, by size and then
+    table order, unpruned: the walk that every hull search is compared
+    against."""
+    for size in range(act.size, universe.hull_bound + 1):
+        for table in act_tables_by_sweep(act.monoid, size, prefix=act):
+            yield FiniteAct(act.monoid, table)

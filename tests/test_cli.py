@@ -416,6 +416,42 @@ def test_unknown_radical_is_usage_error(catalog_dir, argv):
     assert err == "error: no radical named 'nope' is registered\n"
 
 
+def test_missing_seed_catalog_is_usage_error(tmp_path):
+    missing = str(tmp_path / "missing")
+    code, out, err = invoke(["hull", "--act", "R2", "--seed-catalog", missing])
+    assert (code, out) == (2, "")
+    assert err == (f"error: --seed-catalog: cannot read {missing!r}: "
+                   "No such file or directory\n")
+
+
+def test_missing_monoid_file_is_usage_error(tmp_path):
+    missing = str(tmp_path / "E2.monoid")
+    code, out, err = invoke(["validate", "--monoid", missing])
+    assert (code, out) == (2, "")
+    assert err == (f"error: --monoid: cannot read {missing!r}: "
+                   "No such file or directory\n")
+
+
+def test_missing_radical_file_is_usage_error(tmp_path):
+    missing = str(tmp_path / "copy.radical")
+    code, out, err = invoke(["enumerate", "--radical-file", missing] + SMALL)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --radical-file: cannot read {missing!r}: "
+                   "No such file or directory\n")
+
+
+def test_unreadable_act_path_is_usage_error(catalog_dir, tmp_path):
+    # a directory exists but cannot be read as an act file
+    folder = tmp_path / "R2.act.d"
+    folder.mkdir()
+    code, out, err = invoke(
+        ["validate", "--seed-catalog", catalog_dir, "--act", str(folder)]
+    )
+    assert (code, out) == (2, "")
+    assert err == (f"error: --act: cannot read {str(folder)!r}: "
+                   "Is a directory\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--all", "--radical", "rG"],
     ["verify", "--all", "--theorem", "L1.2"],

@@ -31,6 +31,7 @@ from radact.congruence import (
     total,
 )
 from radact.core import (
+    FiniteAct,
     all_homs,
     find_isomorphism,
     subact_act_by_mask,
@@ -39,8 +40,9 @@ from radact.core import (
     validate_monoid,
 )
 from radact.errors import ActMismatch, BoundExceeded, NotDisjoint, SizeBound
-from radact.injectivity import extension_acts, injective_hull, is_large
+from radact.injectivity import injective_hull, is_large
 from radact.universe import default_universe
+from sweep import act_tables_by_sweep
 
 
 @pytest.fixture(scope="module")
@@ -265,12 +267,13 @@ def test_is_essential_matches_lattice_on_universe(U):
 
 def _hull_candidate_sample(U):
     """Hull search tests largeness on extensions of up to 6 points: the
-    first candidates of each monoid at sizes 5 and 6, and every hull found
-    at those sizes."""
+    first tables of each monoid at sizes 5 and 6 in the unpruned sweep,
+    and every hull found at those sizes."""
     for monoid in U.monoids:
         base = max(U.acts_over(monoid), key=lambda a: a.size)
         for size in (5, 6):
-            yield from islice(extension_acts(base, size), 4)
+            for table in islice(act_tables_by_sweep(monoid, size, base), 4):
+                yield FiniteAct(monoid, table)
     for act in U.acts:
         try:
             hull = injective_hull(act, U)

@@ -70,6 +70,7 @@ from radact.radical import (
     rg_radical,
 )
 from radact.universe import default_universe
+from sweep import extensions_by_sweep
 
 
 @pytest.fixture(scope="module")
@@ -672,38 +673,33 @@ def test_r_hull_fallback_for_non_kurosh_amitsur(E2):
     assert maximal_r_essential_extension(mutant, theta, small) == theta
 
 
-def _extensions_by_size(act, universe):
-    """Every extension act up to the hull bound, by size and then table
-    order: the walk each hull search made for itself before
-    ``_first_extension``, kept for the oracles below."""
-    for size in range(act.size, universe.hull_bound + 1):
-        yield from extension_acts(act, size)
-
-
 def _hull_by_walk(act, universe):
-    for ext in _extensions_by_size(act, universe):
+    for ext in extensions_by_sweep(act, universe):
         if is_large(ext, act.full_mask()) and is_injective(ext, universe):
             return ext
     return None
 
 
 def _minimal_by_walk(r, act, universe):
-    for ext in _extensions_by_size(act, universe):
+    for ext in extensions_by_sweep(act, universe):
         if r_injective_bounded(r, ext, universe):
             return ext
     return BoundExceeded
 
 
-def _maximal_by_walk(r, act, universe, essential):
-    """Every size, keeping the first essential extension of a larger size
-    than the best so far."""
-    best = None
-    for ext in _extensions_by_size(act, universe):
-        if (best is None or ext.size > best.size) and essential(
-            r, ext, act.full_mask()
-        ):
-            best = ext
-    return BoundExceeded if best is None else best
+def _maximal_by_walk(r, act, extensions):
+    """Every extension of every size, keeping the first of a larger size
+    than the best so far in which the act is large and dense (largeness
+    asked first: it is the cheaper test); with the number of extensions
+    tested."""
+    best, tested = None, 0
+    mask = act.full_mask()
+    for ext in extensions:
+        if best is None or ext.size > best.size:
+            tested += 1
+            if is_large(ext, mask) and is_r_dense(r, ext, mask):
+                best = ext
+    return (BoundExceeded if best is None else best), tested
 
 
 def _answer(search, *args):
@@ -714,13 +710,17 @@ def _answer(search, *args):
 
 
 @pytest.fixture(scope="module")
-def hull4():
-    return default_universe(monoid_max=2, hull_bound=4)
+def order4():
+    """The universe of every monoid of order <= 4, with a fixed sample of
+    its acts: every hundredth, 13 of 1,205."""
+    u = default_universe(monoid_max=4)
+    return u, u.acts[::100]
 
 
-def test_hull_and_minimal_searches_match_full_walks(hull4):
-    u = hull4
-    for act in u.acts:
+def _assert_hull_and_minimal_match_walks(u, acts):
+    """Both searches walk ``act_tables``, which yields one table per
+    relabelling orbit; the oracles walk every table."""
+    for act in acts:
         assert injectivity._hull_search(act, u) == _hull_by_walk(act, u), act
         for r in u.radicals:
             assert _answer(minimal_r_injective_extension, r, act, u) == (
@@ -728,10 +728,19 @@ def test_hull_and_minimal_searches_match_full_walks(hull4):
             ), (r, act)
 
 
-def test_maximal_search_matches_full_walk(hull4, monkeypatch):
-    """The search from the largest size down returns the walk's act and
-    asks ``is_r_essential`` no more often than the walk over every size."""
-    u = hull4
+def test_hull_and_minimal_searches_match_full_walks(U):
+    _assert_hull_and_minimal_match_walks(U, U.acts)
+
+
+def test_hull_and_minimal_searches_match_full_walks_at_order_four(order4):
+    _assert_hull_and_minimal_match_walks(*order4)
+
+
+def _maximal_proper_extensions(u, acts, monkeypatch):
+    """Asserts that the search from the largest size down returns the
+    walk's act and asks ``is_r_essential`` of no more extensions than the
+    walk over every table of every size tests; the radicals that extend
+    some act properly."""
     calls = []
 
     def counting(r, act, mask):
@@ -739,20 +748,30 @@ def test_maximal_search_matches_full_walk(hull4, monkeypatch):
         return is_r_essential(r, act, mask)
 
     monkeypatch.setattr(injectivity, "is_r_essential", counting)
-    proper = []
-    for r in u.radicals:
-        for act in u.acts:
-            calls.clear()
-            want = _maximal_by_walk(r, act, u, counting)
-            walked = len(calls)
+    proper = set()
+    for act in acts:
+        extensions = list(extensions_by_sweep(act, u))
+        for r in u.radicals:
+            want, tested = _maximal_by_walk(r, act, extensions)
             calls.clear()
             got = _answer(maximal_r_essential_extension, r, act, u)
             assert got == want, (r, act)
-            assert len(calls) <= walked, (r, act)
+            assert len(calls) <= tested, (r, act)
             if got.size > act.size:
-                proper.append(r.name)
+                proper.add(r.name)
+    return proper
+
+
+def test_maximal_search_matches_full_walk(monkeypatch):
+    # the acts of the default universe with extensions up to 5 points: up
+    # to 6, the walk over every table is 56,613 extensions per radical
+    u = default_universe(hull_bound=5)
     # the search finds a proper extension, not only the act itself
-    assert "nabla" in proper
+    assert "nabla" in _maximal_proper_extensions(u, u.acts, monkeypatch)
+
+
+def test_maximal_search_matches_full_walk_at_order_four(order4, monkeypatch):
+    _maximal_proper_extensions(*order4, monkeypatch)
 
 
 def test_r_injective_bounded_is_memoised(monkeypatch):

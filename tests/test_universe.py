@@ -22,6 +22,7 @@ from radact.universe import (
     enumerate_acts,
     enumerate_monoids,
 )
+from sweep import act_tables_by_sweep, orderly_tables_by_sweep
 
 # iso-class counts of acts per monoid (order: M1.0, M2.0, M2.1, M3.*),
 # frozen from the enumeration and spot-checked by orbit-type counting for
@@ -55,55 +56,6 @@ def _canonical_form_by_permutations(act):
     return FiniteAct(act.monoid, best)
 
 
-def _act_tables_by_sweep(monoid, size, prefix=None):
-    """Oracle for ``act_tables``: the same backtracking, but after every
-    cell it fills it re-checks every act equation whose cells are filled."""
-    n = monoid.size
-    m = size
-    mul = monoid.mul
-    table = [[-1] * m for _ in range(n)]
-    for a in range(m):
-        table[monoid.identity][a] = a
-    start = 0
-    if prefix is not None:
-        start = prefix.size
-        for s in range(n):
-            for a in range(start):
-                table[s][a] = prefix.action[s][a]
-    cells = [
-        (s, a)
-        for a in range(start, m)
-        for s in range(n)
-        if s != monoid.identity
-    ]
-
-    def consistent():
-        for t in range(n):
-            for s in range(n):
-                for a in range(m):
-                    sa = table[s][a]
-                    if sa == -1:
-                        continue
-                    lhs = table[t][sa]
-                    rhs = table[mul[t][s]][a]
-                    if lhs != -1 and rhs != -1 and lhs != rhs:
-                        return False
-        return True
-
-    def rec(i):
-        if i == len(cells):
-            yield tuple(tuple(row) for row in table)
-            return
-        s, a = cells[i]
-        for v in range(m):
-            table[s][a] = v
-            if consistent():
-                yield from rec(i + 1)
-        table[s][a] = -1
-
-    yield from rec(0)
-
-
 def _oracle_sizes():
     """(monoid, size): sizes 1-4 over monoids of order <= 3, and size 5
     over monoids of order <= 2."""
@@ -114,11 +66,11 @@ def _oracle_sizes():
 
 
 def test_canonical_form_matches_permutation_oracle():
-    # every table the enumeration sees, including acts with non-trivial
+    # every table of the unpruned sweep, including acts with non-trivial
     # automorphisms, where several permutations give the least table
     checked = 0
     for monoid, size in _oracle_sizes():
-        for table in act_tables(monoid, size):
+        for table in act_tables_by_sweep(monoid, size):
             act = FiniteAct(monoid, table)
             assert canonical_form(act) == _canonical_form_by_permutations(act)
             checked += 1
@@ -126,24 +78,37 @@ def test_canonical_form_matches_permutation_oracle():
 
 
 def test_act_tables_match_sweep_oracle():
+    # the sweep filtered to the tables least under every relabelling, and
+    # so one table per isomorphism class
+    yielded = 0
     for monoid, size in _oracle_sizes():
-        assert list(act_tables(monoid, size)) == list(
-            _act_tables_by_sweep(monoid, size)
-        ), (monoid.name, size)
+        got = list(act_tables(monoid, size))
+        assert got == list(orderly_tables_by_sweep(monoid, size)), (
+            monoid.name, size)
+        classes = {canonical_form(FiniteAct(monoid, t)).action for t in got}
+        assert len(classes) == len(got)
+        assert classes == {
+            canonical_form(FiniteAct(monoid, t)).action
+            for t in act_tables_by_sweep(monoid, size)
+        }, (monoid.name, size)
+        yielded += len(got)
+    assert yielded == 142 + 11
 
 
 def test_act_tables_with_prefix_match_sweep_oracle(U):
-    extensions = 0
+    swept = yielded = 0
     for act in U.acts:
         if act.size > 3:
             continue
         for size in (act.size + 1, act.size + 2):
             got = list(act_tables(act.monoid, size, prefix=act))
             assert got == list(
-                _act_tables_by_sweep(act.monoid, size, prefix=act)
+                orderly_tables_by_sweep(act.monoid, size, prefix=act)
             ), (act.name, size)
-            extensions += len(got)
-    assert extensions == 1229
+            swept += sum(1 for _ in act_tables_by_sweep(
+                act.monoid, size, prefix=act))
+            yielded += len(got)
+    assert (swept, yielded) == (1229, 825)
 
 
 def test_universe_acts_are_canonical(U):
