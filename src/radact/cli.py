@@ -23,7 +23,7 @@ from .core import (
     subact_act_by_mask,
     subact_from_members,
 )
-from .errors import ParseError, RadactError, UsageError
+from .errors import ParseError, RadactError, SizeBound, UsageError
 from .universe import default_universe
 from .verifier import to_json, to_text, verify_all
 
@@ -341,7 +341,12 @@ def _dispatch(args, out, err) -> int:
     # the remaining commands all need a catalog act
     act = _resolve_act(args.act, catalog)
     if cmd == "congruences":
-        for chi in all_congruences(act, args.con_bound):
+        try:
+            lattice = all_congruences(act, args.con_bound)
+        except SizeBound as exc:
+            # a bound below the carrier is a usage error: nothing was decided
+            raise UsageError(str(exc)) from None
+        for chi in lattice:
             print(str(chi), file=out)
         return 0
 

@@ -2,12 +2,15 @@
 systems, quotients, essentiality and maximal complements, all built from
 principal congruences theta(a, b) with no size bound; and the full lattice,
 which only ``all_congruences`` builds, under the bound ``con_bound`` (it
-alone raises ``SizeBound``).  The lattice is read only where a question
-ranges over every congruence: the checkers L1.2, L2.2, L2.11, T3.6, L3.7,
-T7.3 (condition c2) and L7.4 (quotients of radical acts); the meet formula
-of ``induced_radical``; ``verify_semisimple_class`` (quotients of
-non-members); cyclic acts; the CLI ``congruences`` command; and the oracle
-``collectively_large_by_homs``.
+alone raises ``SizeBound``).  The lattice is a walk over the set partitions
+of the carrier that keeps the action-compatible ones.  It builds no
+principal congruence and no join, so the tests that check essentiality and
+complements against it do not rest on the principal congruences they test.
+The lattice is read only where a question ranges over every congruence:
+the checkers L1.2, L2.2, L2.11, T3.6, L3.7, T7.3 (condition c2) and L7.4
+(quotients of radical acts); the meet formula of ``induced_radical``;
+``verify_semisimple_class`` (quotients of non-members); cyclic acts; the
+CLI ``congruences`` command; and the oracle ``collectively_large_by_homs``.
 
 A ``Congruence`` is its act and its canonical index vector.  Joins,
 extensions, quotients and the total/diagonal tests read the index; the
@@ -417,25 +420,32 @@ def maximal_complement(act: FiniteAct, chi: Congruence) -> Congruence:
 # full enumeration
 
 
+def _restricted_growth_strings(n):
+    """Every canonical index vector of length n, in lexicographic order:
+    each entry is at most one more than the largest before it."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings
+                   for b in range(max(s, default=-1) + 2)]
+    return strings
+
+
 @lru_cache(maxsize=None)
 def all_congruences(act: FiniteAct, bound: int = CON_BOUND_DEFAULT) -> tuple[Congruence, ...]:
-    """Full congruence lattice, built by closing principal congruences
-    under binary join.  Deterministic order (sorted index vectors)."""
+    """Full congruence lattice, sorted by index vector.
+
+    A congruence is an action-compatible partition, and the canonical index
+    vectors of the partitions of n points are the restricted-growth strings
+    of length n (Knuth, TAOCP 4A, 7.2.1.5).  So the lattice is the strings
+    that ``_compatible`` accepts, walked in lexicographic order: Bell(n)
+    strings for n points, at most 877 at the default bound.  No principal
+    congruence or join is built, so the tests that check ``is_essential``
+    and ``maximal_complement`` against this lattice do not rest on the
+    principal congruences those two build."""
     if act.size > bound:
         raise SizeBound(f"carrier {act.size} exceeds lattice bound {bound}")
-    principals = set()
-    for a in act.elements:
-        for b in range(a + 1, act.size):
-            principals.add(generated_congruence(act, [(a, b)]))
-    found = {diagonal(act)} | principals
-    frontier = list(principals)
-    while frontier:
-        fresh = []
-        for chi in frontier:
-            for p in principals:
-                j = join(chi, p)
-                if j not in found:
-                    found.add(j)
-                    fresh.append(j)
-        frontier = fresh
-    return tuple(sorted(found, key=lambda c: c.index))
+    return tuple(
+        Congruence(act, index)
+        for index in _restricted_growth_strings(act.size)
+        if _compatible(act, index)
+    )

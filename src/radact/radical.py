@@ -201,35 +201,47 @@ def verify_semisimple_class(membership, universe):
     Binary products are checked only while they stay within the universe's
     act-size bound (a finite approximation of the product condition), and
     congruence extensions only on non-members (their conclusion is membership).
+
+    ``membership`` is asked once per act value: the check keeps each verdict
+    by act, and an act's ``name`` takes no part in its equality, so the
+    predicate must depend on the act's value alone.
     """
+    verdicts = {}
+
+    def member(act):
+        got = verdicts.get(act)
+        if got is None:
+            got = verdicts[act] = membership(act)
+        return got
+
     for monoid in universe.monoids:
-        if not membership(trivial_act(monoid)):
+        if not member(trivial_act(monoid)):
             raise ClassNotClosed("contains trivial acts", monoid)
     for act in universe.acts:
-        inside = membership(act)
+        inside = member(act)
         mirrored = relabel(act, tuple(reversed(range(act.size))))
-        if membership(mirrored) != inside:
+        if member(mirrored) != inside:
             raise ClassNotClosed("closed under isomorphic copies", act)
         if inside:
             for mask in subact_masks(act):
                 sub, _ = subact_act_by_mask(act, mask)
-                if not membership(sub):
+                if not member(sub):
                     raise ClassNotClosed("closed under subacts", (act, mask))
             continue
         for chi in all_congruences(act, universe.con_bound):
-            if membership(quotient(act, chi)[0]) and all(
-                membership(subact_act_by_mask(act, block)[0])
+            if member(quotient(act, chi)[0]) and all(
+                member(subact_act_by_mask(act, block)[0])
                 for block in class_system(chi)
             ):
                 raise ClassNotClosed(
                     "closed under congruence extensions", (act, str(chi))
                 )
     for monoid in universe.monoids:
-        members = [a for a in universe.acts_over(monoid) if membership(a)]
+        members = [a for a in universe.acts_over(monoid) if member(a)]
         for a in members:
             for b in members:
                 if a.size * b.size <= universe.act_max:
-                    if not membership(product(a, b)):
+                    if not member(product(a, b)):
                         raise ClassNotClosed("closed under products", (a, b))
     return None
 

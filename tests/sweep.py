@@ -1,8 +1,11 @@
-"""The unpruned sweep of action tables, kept as the oracle for
-``universe.act_tables`` and for the hull searches that walk it."""
+"""Independent oracles for the enumerations: the unpruned sweep of action
+tables, for ``universe.act_tables`` and the hull searches that walk it; and
+the congruence lattice closed under joins of principal congruences, for
+``congruence.all_congruences``."""
 
 from itertools import permutations
 
+from radact.congruence import diagonal, generated_congruence, join
 from radact.core import FiniteAct
 
 
@@ -98,3 +101,25 @@ def extensions_by_sweep(act, universe):
     for size in range(act.size, universe.hull_bound + 1):
         for table in act_tables_by_sweep(act.monoid, size, prefix=act):
             yield FiniteAct(act.monoid, table)
+
+
+def congruences_by_join_closure(act):
+    """The congruence lattice of an act, sorted by index vector, built by
+    closing the principal congruences theta(a, b) under binary join: every
+    congruence is the join of the principal congruences it contains."""
+    principals = set()
+    for a in act.elements:
+        for b in range(a + 1, act.size):
+            principals.add(generated_congruence(act, [(a, b)]))
+    found = {diagonal(act)} | principals
+    frontier = list(principals)
+    while frontier:
+        fresh = []
+        for chi in frontier:
+            for p in principals:
+                j = join(chi, p)
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return tuple(sorted(found, key=lambda c: c.index))

@@ -203,6 +203,9 @@ def test_bound_below_one_or_below_act_max_is_usage_error(catalog_dir, argv):
      "--members takes integers, got 'x'"),
     (["closure", "--act", "R9", "--members", "1"] + SMALL,
      "cannot resolve act 'R9'"),
+    # a lattice bound below the carrier decides nothing
+    (["congruences", "--act", "R2", "--con-bound", "1"],
+     "carrier 2 exceeds lattice bound 1"),
 ])
 def test_flag_mistakes_name_no_file_line(catalog_dir, argv, message):
     # a mistake in a flag is the caller's, not a line of a file that was read

@@ -34,6 +34,7 @@ from radact.core import (
     FiniteAct,
     all_homs,
     find_isomorphism,
+    left_regular_act,
     subact_act_by_mask,
     subact_masks,
     validate_act,
@@ -41,8 +42,8 @@ from radact.core import (
 )
 from radact.errors import ActMismatch, BoundExceeded, NotDisjoint, SizeBound
 from radact.injectivity import injective_hull, is_large
-from radact.universe import default_universe
-from sweep import act_tables_by_sweep
+from radact.universe import Universe, act_tables, default_universe
+from sweep import act_tables_by_sweep, congruences_by_join_closure
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +198,31 @@ def test_size_bound(T1):
     big = validate_act(T1, [list(range(8))])
     with pytest.raises(SizeBound):
         all_congruences(big, 7)
+
+
+def _lattice_oracle_sample():
+    """Every act of the default universe, the left regular act of every
+    monoid, and a fixed handful of 5- to 7-point acts: the first orderly
+    extensions to each size of each monoid's last universe act.  The
+    universe registers no radical, so t_LrG's class check, which reads the
+    lattice, cannot stop the test before it compares."""
+    universe = Universe()
+    yield from universe.acts
+    for monoid in universe.monoids:
+        yield left_regular_act(monoid)
+    for monoid in universe.monoids:
+        base = universe.acts_over(monoid)[-1]
+        for size, count in ((5, 3), (6, 2), (7, 1)):
+            for table in islice(act_tables(monoid, size, base), count):
+                yield FiniteAct(monoid, table)
+
+
+def test_all_congruences_matches_join_closure():
+    sizes = set()
+    for act in _lattice_oracle_sample():
+        assert all_congruences(act) == congruences_by_join_closure(act), act
+        sizes.add(act.size)
+    assert sizes == set(range(1, 8))
 
 
 def test_kernels_are_congruences(U):

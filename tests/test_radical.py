@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from radact.congruence import (
@@ -208,6 +210,31 @@ def test_semisimple_class_check_matches_every_act_oracle():
     assert outcomes == {
         "t_LrG": None, "few_moving": "closed under congruence extensions",
     }
+
+
+def _counting(membership):
+    asked = Counter()
+
+    def counted(act):
+        asked[act] += 1
+        return membership(act)
+
+    return counted, asked
+
+
+def test_semisimple_class_check_asks_once_per_act():
+    small = default_universe(monoid_max=2)
+    t_lrg = small.radical("t_LrG").membership
+    for name, membership in (("t_LrG", t_lrg), ("few_moving", few_moving)):
+        counted, asked = _counting(membership)
+        got = _class_check_outcome(verify_semisimple_class, counted, small)
+        every, asked_by_oracle = _counting(membership)
+        want = _class_check_outcome(
+            _verify_semisimple_class_on_every_act, every, small
+        )
+        assert got == want, name
+        assert set(asked.values()) == {1}, name
+        assert sum(asked_by_oracle.values()) > len(asked), name
 
 
 def test_closure_constant_radicals(U):
