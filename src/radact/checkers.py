@@ -1544,10 +1544,17 @@ def _enum_t62(universe):
 
 
 def _holds_t62(universe, parts):
+    """The criterion ranges over every cyclic act, S itself among them; the
+    universe side sees acts of at most ``act_max`` points only, so its True
+    is exact only when every cyclic act fits (``act_max`` >= |S|).  An
+    instance whose sides disagree through that inexact True is skipped."""
     r, act = parts
-    return is_r_injective(r, act, universe, "criterion") == is_r_injective(
-        r, act, universe, "universe"
-    )
+    criterion = is_r_injective(r, act, universe, "criterion")
+    inside = is_r_injective(r, act, universe, "universe")
+    if inside and not criterion and universe.act_max < act.monoid.size:
+        raise BoundExceeded("a cyclic act the criterion reads exceeds the "
+                            "act bound")
+    return criterion == inside
 
 
 register(

@@ -648,21 +648,3 @@ def _relabels_below(rows, perm, inv, best) -> bool:
                 return v < w
     return False
 
-
-def canonical_monoid(monoid: FiniteMonoid) -> FiniteMonoid:
-    """Least relabeling among permutations fixing the identity."""
-    others = [x for x in monoid.elements if x != monoid.identity]
-    best = None
-    for phi in permutations(range(len(others))):
-        perm = [0] * monoid.size
-        perm[monoid.identity] = 0
-        for i, x in enumerate(others):
-            perm[x] = phi[i] + 1
-        mul = [[0] * monoid.size for _ in monoid.elements]
-        for x in monoid.elements:
-            for y in monoid.elements:
-                mul[perm[x]][perm[y]] = perm[monoid.mul[x][y]]
-        cand = tuple(tuple(row) for row in mul)
-        if best is None or cand < best:
-            best = cand
-    return FiniteMonoid(best, 0)

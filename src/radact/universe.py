@@ -1,11 +1,16 @@
 """Exhaustive catalogs of small monoids and acts, deduplicated up to
 isomorphism, with the radicals registered for verification sweeps.
 
-Action tables are generated orderly (``act_tables``): one table per orbit
-under the relabellings of the points being filled in.  With no prefix that
-is one table per isomorphism class, which ``enumerate_acts`` brings to
-``canonical_form``; with an act as prefix it is one extension per class of
-extensions over the act, which every hull search walks."""
+Monoid and action tables are generated by one orderly walk
+(``_orderly_tables``): one table per orbit under the relabellings of the
+points being filled in.  For monoids (``monoid_tables``) the points are the
+elements other than the identity 0, and a relabelling moves rows as well as
+columns; the walk yields one table per isomorphism class, which
+``enumerate_monoids`` sorts and names.  For acts (``act_tables``) the points
+are the carrier's and the rows, the monoid's elements, stay in place.  With
+no prefix that is one table per isomorphism class, which ``enumerate_acts``
+brings to ``canonical_form``; with an act as prefix it is one extension per
+class of extensions over the act, which every hull search walks."""
 
 from __future__ import annotations
 
@@ -17,7 +22,6 @@ from .core import (
     FiniteAct,
     FiniteMonoid,
     canonical_form,
-    canonical_monoid,
     left_regular_act,
     memo_on,
     validate_act,
@@ -26,71 +30,32 @@ from .core import (
 from .errors import RadactError, UsageError
 
 
-def _monoid_tables(order):
-    """All monoid tables on 0..order-1 with identity 0, via backtracking."""
-    n = order
-    mul = [[-1] * n for _ in range(n)]
-    for x in range(n):
-        mul[0][x] = x
-        mul[x][0] = x
-    cells = [(x, y) for x in range(1, n) for y in range(1, n)]
+def monoid_tables(order: int):
+    """The multiplication tables on 0..order-1 with identity 0, one per
+    isomorphism class: the least table of each orbit under the relabellings
+    that fix 0, in row-major order (lex-leader symmetry breaking, as in
+    A. Distler, "Classification and enumeration of finite semigroups", PhD
+    thesis, St Andrews, 2010).
 
-    def consistent(x, y):
-        # check associativity triples whose entries are all defined
-        v = mul[x][y]
-        for z in range(n):
-            xy_z = mul[v][z]
-            if xy_z != -1 and mul[y][z] != -1:
-                x_yz = mul[x][mul[y][z]]
-                if x_yz != -1 and xy_z != x_yz:
-                    return False
-            zx = mul[z][x]
-            if zx != -1 and mul[zx][y] != -1:
-                z_xy = mul[z][v]
-                if z_xy != -1 and mul[zx][y] != z_xy:
-                    return False
-        return True
-
-    out = []
-
-    def associative():
-        for a in range(n):
-            for b in range(n):
-                ab = mul[a][b]
-                for c in range(n):
-                    if mul[ab][c] != mul[a][mul[b][c]]:
-                        return False
-        return True
-
-    def rec(i):
-        if i == len(cells):
-            if associative():
-                out.append(tuple(tuple(row) for row in mul))
-            return
-        x, y = cells[i]
-        for v in range(n):
-            mul[x][y] = v
-            if consistent(x, y):
-                rec(i + 1)
-        mul[x][y] = -1
-
-    rec(0)
-    return out
+    ``_orderly_tables`` fills the table column by column and yields the
+    least table of each orbit in column-major order.  Its transpose is the
+    least table of the opposite monoid's orbit in row-major order, and
+    associativity is self-dual, so the transposes are one least table per
+    class."""
+    table = [[-1] * order for _ in range(order)]
+    for x in range(order):
+        table[0][x] = table[x][0] = x
+    for t in _orderly_tables(table, None, list(range(1, order)), 1):
+        yield tuple(zip(*t))
 
 
 def enumerate_monoids(max_order: int) -> tuple[FiniteMonoid, ...]:
-    """All monoids of order <= max_order, one per isomorphism class."""
+    """All monoids of order <= max_order, one per isomorphism class, named
+    in the order of their tables."""
     out = []
     for n in range(1, max_order + 1):
-        seen = {}
-        for table in _monoid_tables(n):
-            raw = FiniteMonoid(table, 0)
-            canon = canonical_monoid(raw)
-            seen.setdefault(canon.mul, canon)
-        chosen = sorted(seen.values(), key=lambda m: m.mul)
-        for k, monoid in enumerate(chosen):
-            named = validate_monoid(monoid.mul, 0, name=f"M{n}.{k}")
-            out.append(named)
+        for k, mul in enumerate(sorted(monoid_tables(n))):
+            out.append(validate_monoid(mul, 0, name=f"M{n}.{k}"))
     return tuple(out)
 
 
@@ -98,26 +63,10 @@ def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None)
     """The action tables of the given carrier size, optionally extending an
     act placed on the first carrier indices, one per orbit under the
     relabellings of the new points (the prefix points stay fixed): the least
-    table of each orbit in generation order.
-
-    Generation order fills the free cells column by column over the new
-    points, and each column row by row; tables come out in the order of
-    their cells.  Every act equation t*(u*x) = (tu)*x whose three cells are
-    filled holds before a cell is filled (a prefix must be an act), so after
-    filling cell (s, a) only the equations in which it is the inner cell
-    u*x, the outer cell t*(u*x) or the right-hand cell (tu)*x are checked.
-
-    Orderly generation (Read and Faradzev; B. D. McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998): each time a column is
-    complete, a partial table is dropped when some relabelling of the new
-    points turns its filled columns into a smaller one.  Every completion
-    of it would then relabel below itself, so the least table of each
-    orbit is never dropped, and at the last column every other one is."""
+    table of each orbit in generation order (``_orderly_tables``)."""
     n = monoid.size
-    m = size
-    mul = monoid.mul
-    table = [[-1] * m for _ in range(n)]
-    for a in range(m):
+    table = [[-1] * size for _ in range(n)]
+    for a in range(size):
         table[monoid.identity][a] = a
     start = 0
     if prefix is not None:
@@ -128,47 +77,96 @@ def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None)
             for a in range(start):
                 table[s][a] = prefix.action[s][a]
     rows = [s for s in range(n) if s != monoid.identity]
+    yield from _orderly_tables(table, monoid.mul, rows, start)
+
+
+def _orderly_tables(table, mul, rows, start):
+    """The completions of a partial table whose free cells are the given
+    rows of columns start.., one per orbit under the relabellings of the
+    points start..: the least table of each orbit in generation order.
+    ``mul`` is the monoid's multiplication when the table is an action
+    table, whose rows stay in place.  It is None when the table is a
+    monoid's own multiplication: its points are its elements, and a
+    relabelling moves rows as well as columns.
+
+    Every equation t*(u*x) = (tu)*x whose cells are filled holds before a
+    cell is filled (a prefix must be an act), so after filling cell (s, a)
+    only the equations in which it is the inner cell u*x, the outer cell
+    t*(u*x), the right-hand cell (tu)*x or, in a monoid's table, the
+    product tu are checked.  In a monoid's table these equations are
+    (tu)x = t(ux), and the four roles are every role a cell can take.
+
+    Generation order fills the free cells column by column, and each column
+    row by row; tables come out in the order of their cells.  Orderly
+    generation (Read and Faradzev; B. D. McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998): each time a column is complete, a
+    partial table is dropped when some relabelling turns its filled columns
+    into a smaller one.  Every completion of it would then relabel below
+    itself, so the least table of each orbit is never dropped, and at the
+    last column every other one is."""
+    n = len(table)
+    m = len(table[0])
+    own = mul is None
+    if own:
+        mul = table
+        factors = None
+    else:
+        # factors[s]: the pairs (t, u) with tu = s
+        factors = [[] for _ in range(n)]
+        for t in range(n):
+            for u in range(n):
+                factors[mul[t][u]].append((t, u))
+
+    def consistent(s, a):
+        v = table[s][a]
+        for t in range(n):
+            trow = table[t]
+            # inner: t*(s*a) = (ts)*a
+            ts = mul[t][s]
+            if ts != -1:
+                lhs = trow[v]
+                rhs = table[ts][a]
+                if lhs != -1 and rhs != -1 and lhs != rhs:
+                    return False
+            # outer: s*(t*x) = (st)*x wherever t*x = a
+            st = mul[s][t]
+            if st != -1:
+                strow = table[st]
+                for x in range(m):
+                    if trow[x] == a and strow[x] != -1 and strow[x] != v:
+                        return False
+        # right-hand: t*(u*a) = s*a wherever tu = s; a monoid's own
+        # products are still being filled in, so they are looked up
+        pairs = [(t, u) for t in range(n) for u in range(n)
+                 if mul[t][u] == s] if own else factors[s]
+        for t, u in pairs:
+            ua = table[u][a]
+            if ua != -1:
+                lhs = table[t][ua]
+                if lhs != -1 and lhs != v:
+                    return False
+        if own:
+            # product: (sa)*x = s*(a*x)
+            for x in range(m):
+                ax = table[a][x]
+                if ax != -1:
+                    lhs = table[v][x]
+                    rhs = table[s][ax]
+                    if lhs != -1 and rhs != -1 and lhs != rhs:
+                        return False
+        return True
+
     cells = [(s, a) for a in range(start, m) for s in rows]
-    # factors[s]: the pairs (t, u) with tu = s
-    factors = [[] for _ in range(n)]
-    for t in range(n):
-        for u in range(n):
-            factors[mul[t][u]].append((t, u))
-    # every relabelling of the new points but the identity, with its inverse
+    # every relabelling of the points but the identity, with its inverse
+    # and, for each free row, the row that its relabelled row is taken from
     relabellings = []
     for moved in islice(permutations(range(start, m)), 1, None):
         perm = tuple(range(start)) + moved
         inv = [0] * m
         for a, b in enumerate(perm):
             inv[b] = a
-        relabellings.append((perm, inv))
-
-    def consistent(s, a):
-        v = table[s][a]
-        # inner: t*(s*a) = (ts)*a
-        for t in range(n):
-            lhs = table[t][v]
-            rhs = table[mul[t][s]][a]
-            if lhs != -1 and rhs != -1 and lhs != rhs:
-                return False
-        # outer: s*(u*x) = (su)*x wherever u*x = a
-        for u in range(n):
-            urow = table[u]
-            surow = table[mul[s][u]]
-            for x in range(m):
-                if urow[x] == a:
-                    rhs = surow[x]
-                    if rhs != -1 and rhs != v:
-                        return False
-        # right-hand: t*(u*a) = s*a wherever tu = s
-        for t, u in factors[s]:
-            ua = table[u][a]
-            if ua != -1:
-                lhs = table[t][ua]
-                if lhs != -1 and lhs != v:
-                    return False
-        return True
-
+        row_map = [(table[inv[s] if own else s], table[s]) for s in rows]
+        relabellings.append((perm, inv, row_map))
     last_row = rows[-1] if rows else None
 
     def rec(i):
@@ -179,8 +177,8 @@ def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None)
         for v in range(m):
             table[s][a] = v
             if consistent(s, a) and not (s == last_row and any(
-                _columns_below(table, rows, perm, inv, start, a)
-                for perm, inv in relabellings
+                _columns_below(perm, inv, row_map, start, a)
+                for perm, inv, row_map in relabellings
             )):
                 yield from rec(i + 1)
         table[s][a] = -1
@@ -188,20 +186,22 @@ def act_tables(monoid: FiniteMonoid, size: int, prefix: FiniteAct | None = None)
     yield from rec(0)
 
 
-def _columns_below(table, rows, perm, inv, start, last) -> bool:
-    """Whether relabelling the filled columns start..last of ``table`` along
+def _columns_below(perm, inv, row_map, start, last) -> bool:
+    """Whether relabelling the filled columns start..last of a table along
     ``perm`` (with inverse ``inv``) gives a table below it in generation
     order, decided at the first entry that differs, as in
-    ``core._relabels_below``.  Column b of the relabelled table is column
-    inv[b] relabelled, so the comparison ends undecided at the first column
-    whose preimage is not filled yet."""
+    ``core._relabels_below``.  ``row_map`` pairs each free row of the table
+    with the row that its relabelled row is taken from: the row itself for
+    acts, row inv[s] for a monoid.  Column b of the relabelled table is
+    column inv[b] relabelled, so the comparison ends undecided at the first
+    column whose preimage is not filled yet."""
     for b in range(start, last + 1):
         a = inv[b]
         if a > last:
             return False
-        for s in rows:
-            v = perm[table[s][a]]
-            w = table[s][b]
+        for source, row in row_map:
+            v = perm[source[a]]
+            w = row[b]
             if v != w:
                 return v < w
     return False

@@ -1,12 +1,16 @@
 """Independent oracles for the enumerations: the unpruned sweep of action
-tables, for ``universe.act_tables`` and the hull searches that walk it; and
-the congruence lattice closed under joins of principal congruences, for
+tables, for ``universe.act_tables`` and the hull searches that walk it; the
+backtracking over every monoid table with a full associativity check at each
+leaf (``monoid_tables_by_sweep``), brought to the least relabelling that fixes
+the identity, each built in full (``canonical_monoid``), for
+``universe.monoid_tables`` and ``enumerate_monoids``; and the congruence
+lattice closed under joins of principal congruences, for
 ``congruence.all_congruences``."""
 
 from itertools import permutations
 
 from radact.congruence import diagonal, generated_congruence, join
-from radact.core import FiniteAct
+from radact.core import FiniteAct, FiniteMonoid
 
 
 def act_tables_by_sweep(monoid, size, prefix=None):
@@ -123,3 +127,84 @@ def congruences_by_join_closure(act):
                     fresh.append(j)
         frontier = fresh
     return tuple(sorted(found, key=lambda c: c.index))
+
+
+def monoid_tables_by_sweep(order):
+    """All monoid tables on 0..order-1 with identity 0, via backtracking."""
+    n = order
+    mul = [[-1] * n for _ in range(n)]
+    for x in range(n):
+        mul[0][x] = x
+        mul[x][0] = x
+    cells = [(x, y) for x in range(1, n) for y in range(1, n)]
+
+    def consistent(x, y):
+        # check associativity triples whose entries are all defined
+        v = mul[x][y]
+        for z in range(n):
+            xy_z = mul[v][z]
+            if xy_z != -1 and mul[y][z] != -1:
+                x_yz = mul[x][mul[y][z]]
+                if x_yz != -1 and xy_z != x_yz:
+                    return False
+            zx = mul[z][x]
+            if zx != -1 and mul[zx][y] != -1:
+                z_xy = mul[z][v]
+                if z_xy != -1 and mul[zx][y] != z_xy:
+                    return False
+        return True
+
+    out = []
+
+    def associative():
+        for a in range(n):
+            for b in range(n):
+                ab = mul[a][b]
+                for c in range(n):
+                    if mul[ab][c] != mul[a][mul[b][c]]:
+                        return False
+        return True
+
+    def rec(i):
+        if i == len(cells):
+            if associative():
+                out.append(tuple(tuple(row) for row in mul))
+            return
+        x, y = cells[i]
+        for v in range(n):
+            mul[x][y] = v
+            if consistent(x, y):
+                rec(i + 1)
+        mul[x][y] = -1
+
+    rec(0)
+    return out
+
+
+def canonical_monoid(monoid):
+    """Least relabeling among permutations fixing the identity."""
+    others = [x for x in monoid.elements if x != monoid.identity]
+    best = None
+    for phi in permutations(range(len(others))):
+        perm = [0] * monoid.size
+        perm[monoid.identity] = 0
+        for i, x in enumerate(others):
+            perm[x] = phi[i] + 1
+        mul = [[0] * monoid.size for _ in monoid.elements]
+        for x in monoid.elements:
+            for y in monoid.elements:
+                mul[perm[x]][perm[y]] = perm[monoid.mul[x][y]]
+        cand = tuple(tuple(row) for row in mul)
+        if best is None or cand < best:
+            best = cand
+    return FiniteMonoid(best, 0)
+
+
+def monoids_by_sweep(order):
+    """The canonical tables of the monoids of the given order, one per
+    isomorphism class, sorted: what ``enumerate_monoids`` names
+    M{order}.0, M{order}.1, ... in this order."""
+    return sorted({
+        canonical_monoid(FiniteMonoid(table, 0)).mul
+        for table in monoid_tables_by_sweep(order)
+    })

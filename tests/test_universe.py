@@ -22,7 +22,7 @@ from radact.universe import (
     enumerate_acts,
     enumerate_monoids,
 )
-from sweep import act_tables_by_sweep, orderly_tables_by_sweep
+from sweep import act_tables_by_sweep, monoids_by_sweep, orderly_tables_by_sweep
 
 # iso-class counts of acts per monoid (order: M1.0, M2.0, M2.1, M3.*),
 # frozen from the enumeration and spot-checked by orbit-type counting for
@@ -124,10 +124,21 @@ def test_monoid_counts():
 
 def test_monoid_counts_per_order_match_oeis():
     # OEIS A058129: monoids of order n up to isomorphism
-    monoids = enumerate_monoids(4)
+    monoids = enumerate_monoids(5)
     assert tuple(
-        sum(1 for m in monoids if m.size == n) for n in range(1, 5)
-    ) == (1, 2, 7, 35)
+        sum(1 for m in monoids if m.size == n) for n in range(1, 6)
+    ) == (1, 2, 7, 35, 228)
+
+
+def test_monoids_match_sweep_oracle():
+    # the orderly walk names the same tables as canonicalising every
+    # associative table and sorting the distinct ones
+    monoids = enumerate_monoids(4)
+    for n in range(1, 5):
+        got = [(m.name, m.mul) for m in monoids if m.size == n]
+        assert got == [
+            (f"M{n}.{k}", mul) for k, mul in enumerate(monoids_by_sweep(n))
+        ], n
 
 
 def test_order_two_monoids_match_brute_force():

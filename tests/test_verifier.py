@@ -716,6 +716,35 @@ def test_tiny_bounds_statuses():
     )
 
 
+def test_t62_skips_what_only_a_cyclic_act_beyond_the_bound_decides():
+    # at act_max 2 < 3 the universe side cannot see S itself, and reads True
+    # where the criterion reads False: those instances are skipped, not
+    # violated, and every other instance is decided
+    u = default_universe(monoid_max=3, act_max=2)
+    rep = verifier.verify("T6.2", u)
+    assert (rep.status, rep.instances_checked, rep.hypothesis_filtered,
+            rep.instances_skipped) == ("verified", 106, 12, 6)
+    skipped = set()
+    for kind, (r, act) in checkers._enum_t62(u):
+        if kind != "inst":
+            continue
+        try:
+            checkers._holds_t62(u, (r, act))
+        except BoundExceeded:
+            skipped.add((r.name, act.name))
+    assert skipped == {
+        (r, a) for r in ("nabla", "rG", "t_LrG")
+        for a in ("M3.1.a2.0", "M3.4.a2.1")
+    }
+
+
+def test_t62_counts_at_the_default_bounds(U):
+    # act_max 4 covers every monoid of order <= 3, so the skip never fires
+    rep = verifier.verify("T6.2", U)
+    assert (rep.status, rep.instances_checked, rep.hypothesis_filtered,
+            rep.instances_skipped) == ("verified", 520, 48, 0)
+
+
 def test_universe_and_radicals_freed_after_verify():
     # memoised results live on their universe and radicals, so nothing
     # module-level keeps them alive once the caller lets go
