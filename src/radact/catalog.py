@@ -76,6 +76,11 @@ def _rows(lines, count, width, what):
             raise ParseError(
                 lineno, f"{what} row needs {width} entries, got {len(row)}"
             )
+        for v in row:
+            if not 0 <= v < width:
+                raise ParseError(
+                    lineno, f"{what} entry {v} outside 0..{width - 1}"
+                )
         rows.append(row)
     return rows
 

@@ -5,7 +5,10 @@ instances, ("filtered", parts) otherwise, and ("skip", parts) where a bound
 keeps them from deciding the hypotheses (``_enum_dense_in_semisimple`` and
 ``_enum_t61`` do, when the coproduct closure of a class runs past the act
 bound); predicates may raise SizeBound, BoundExceeded or NotInUniverse
-(``BOUND_ERRORS``) to mark an instance skipped.  A taxonomy flag the result
+(``BOUND_ERRORS``) to mark an instance skipped.  A checker that equates
+global properties (T2.4, T2.5, T6.2) decides through ``_sides_agree``,
+which skips an instance whose sides disagree only through readings that
+an act beyond the bounds could change.  A taxonomy flag the result
 assumes of the radical is declared by ``register(..., assumes=FLAG)`` and
 filtered on by ``Checker.run``; only checkers whose statement compares flags
 call ``classify_radical``.  D2.1 yields its continuity law as one
@@ -172,6 +175,21 @@ def _class_coproduct_closed(universe, r, monoid, member):
     if evaluated == 0:
         raise BoundExceeded("no coproduct pair fits inside the act bound")
     return closed
+
+
+def _sides_agree(*sides) -> bool:
+    """Whether every side of an equivalence reads the same, from (value,
+    exact) pairs.  A side evaluated inside the bounds is exact when no act
+    beyond them could change it: a universally quantified side when it reads
+    False.  Sides that disagree are a violation when two exact sides do;
+    otherwise only an inexact reading disagrees, and the instance is
+    skipped."""
+    if len({value for value, _ in sides}) == 1:
+        return True
+    if len({value for value, exact in sides if exact}) == 2:
+        return False
+    raise BoundExceeded("the sides disagree only through readings that an "
+                        "act beyond the bounds could change")
 
 
 def _transported_class_system(r, act, mask):
@@ -428,11 +446,14 @@ register(
 
 
 def _t24_conditions(universe, r, monoid):
+    """T2.4's four conditions as (value, exact) pairs.  c1, c4 and c2's
+    "every act has at most one radical class" range over every act, so
+    each is exact when it reads False; c3 reads the doubled point alone,
+    which is built whatever the bounds."""
     c1 = _class_coproduct_closed(universe, r, monoid, is_radical_act)
     acts = universe.acts_over(monoid)
-    c2 = all(
-        len(class_system(r.of(a))) <= 1 for a in acts
-    ) and any(a.size >= 2 and is_radical_act(r, a) for a in acts)
+    one_class = all(len(class_system(r.of(a))) <= 1 for a in acts)
+    c2 = one_class and any(a.size >= 2 and is_radical_act(r, a) for a in acts)
     c3 = coproduct_closed_radical_class(r, monoid)
     c4 = True
     for a in acts:
@@ -443,12 +464,12 @@ def _t24_conditions(universe, r, monoid):
                 break
         if not c4:
             break
-    return c1, c2, c3, c4
+    return (c1, not c1), (c2, not one_class), (c3, True), (c4, not c4)
 
 
 def _holds_t24(universe, parts):
     r, monoid = parts
-    return len(set(_t24_conditions(universe, r, monoid))) == 1
+    return _sides_agree(*_t24_conditions(universe, r, monoid))
 
 
 register(
@@ -486,7 +507,9 @@ def _holds_t25(universe, parts):
                 break
         if not factor_semisimple:
             break
-    return closed == factor_semisimple
+    # both sides range over every act: each is exact when it reads False
+    return _sides_agree((closed, not closed),
+                        (factor_semisimple, not factor_semisimple))
 
 
 register(
@@ -1546,15 +1569,14 @@ def _enum_t62(universe):
 def _holds_t62(universe, parts):
     """The criterion ranges over every cyclic act, S itself among them; the
     universe side sees acts of at most ``act_max`` points only, so its True
-    is exact only when every cyclic act fits (``act_max`` >= |S|).  An
-    instance whose sides disagree through that inexact True is skipped."""
+    is exact only when every cyclic act fits (``act_max`` >= |S|)."""
     r, act = parts
     criterion = is_r_injective(r, act, universe, "criterion")
     inside = is_r_injective(r, act, universe, "universe")
-    if inside and not criterion and universe.act_max < act.monoid.size:
-        raise BoundExceeded("a cyclic act the criterion reads exceeds the "
-                            "act bound")
-    return criterion == inside
+    return _sides_agree(
+        (criterion, True),
+        (inside, not inside or universe.act_max >= act.monoid.size),
+    )
 
 
 register(

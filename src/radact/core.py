@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache, wraps
-from itertools import permutations
 
 from .errors import (
     ActMismatch,
@@ -232,6 +231,10 @@ def validate_monoid(table, identity: int, name: str = "") -> FiniteMonoid:
     n = len(mul)
     if any(len(row) != n for row in mul):
         raise ValueError("multiplication table must be square")
+    for row in mul:
+        for z in row:
+            if not 0 <= z < n:
+                raise ValueError(f"table entry {z} outside carrier")
     if not 0 <= identity < n:
         raise BadIdentity(identity)
     for x in range(n):
@@ -590,7 +593,7 @@ def invert(iso: ActHom) -> ActHom:
 
 
 # ---------------------------------------------------------------------------
-# subact materialisation and canonical forms
+# subact materialisation and relabelling
 
 
 @lru_cache(maxsize=None)
@@ -615,36 +618,4 @@ def relabel(act: FiniteAct, perm) -> FiniteAct:
         tuple(perm[row[inv[b]]] for b in act.elements) for row in act.action
     )
     return FiniteAct(act.monoid, action)
-
-
-def canonical_form(act: FiniteAct) -> FiniteAct:
-    """Lexicographically least relabeling of the action table.
-
-    Every carrier permutation is tried, but a relabeled table is compared
-    with the least one found so far entry by entry, in row-major order (the
-    order of tuple comparison), and the comparison stops at the first entry
-    that differs.  A table that is larger there, or equal throughout, cannot
-    be the least one, so only a strictly smaller table is built in full.
-    The minimum is the same as when every relabeling is built and compared.
-    """
-    rows = act.action
-    best = None
-    for perm in permutations(act.elements):
-        inv = [0] * len(perm)
-        for a, b in enumerate(perm):
-            inv[b] = a
-        if best is None or _relabels_below(rows, perm, inv, best):
-            best = tuple(tuple(perm[row[a]] for a in inv) for row in rows)
-    return FiniteAct(act.monoid, best)
-
-
-def _relabels_below(rows, perm, inv, best) -> bool:
-    """Whether relabeling ``rows`` along ``perm`` (with inverse ``inv``)
-    gives a table below ``best``, decided at the first entry that differs."""
-    for row, best_row in zip(rows, best):
-        for a, w in zip(inv, best_row):
-            v = perm[row[a]]
-            if v != w:
-                return v < w
-    return False
 

@@ -9,8 +9,9 @@ columns; the walk yields one table per isomorphism class, which
 ``enumerate_monoids`` sorts and names.  For acts (``act_tables``) the points
 are the carrier's and the rows, the monoid's elements, stay in place.  With
 no prefix that is one table per isomorphism class, which ``enumerate_acts``
-brings to ``canonical_form``; with an act as prefix it is one extension per
-class of extensions over the act, which every hull search walks."""
+names in the order the walk yields them; with an act as prefix it is one
+extension per class of extensions over the act, which every hull search
+walks."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .congruence import CON_BOUND_DEFAULT, all_congruences, quotient
 from .core import (
     FiniteAct,
     FiniteMonoid,
-    canonical_form,
+    find_isomorphism,
     left_regular_act,
     memo_on,
     validate_act,
@@ -189,12 +190,12 @@ def _orderly_tables(table, mul, rows, start):
 def _columns_below(perm, inv, row_map, start, last) -> bool:
     """Whether relabelling the filled columns start..last of a table along
     ``perm`` (with inverse ``inv``) gives a table below it in generation
-    order, decided at the first entry that differs, as in
-    ``core._relabels_below``.  ``row_map`` pairs each free row of the table
-    with the row that its relabelled row is taken from: the row itself for
-    acts, row inv[s] for a monoid.  Column b of the relabelled table is
-    column inv[b] relabelled, so the comparison ends undecided at the first
-    column whose preimage is not filled yet."""
+    order, decided at the first entry that differs: the one comparison of a
+    table with its relabelling.  ``row_map`` pairs each free row of the
+    table with the row that its relabelled row is taken from: the row
+    itself for acts, row inv[s] for a monoid.  Column b of the relabelled
+    table is column inv[b] relabelled, so the comparison ends undecided at
+    the first column whose preimage is not filled yet."""
     for b in range(start, last + 1):
         a = inv[b]
         if a > last:
@@ -209,18 +210,13 @@ def _columns_below(perm, inv, row_map, start, last) -> bool:
 
 def enumerate_acts(monoid: FiniteMonoid, max_size: int) -> tuple[FiniteAct, ...]:
     """All acts over the monoid of size <= max_size, one per iso class:
-    ``act_tables`` gives one table per class, brought to ``canonical_form``
-    and named in the order of the canonical tables."""
-    out = []
-    for m in range(1, max_size + 1):
-        chosen = sorted(
-            canonical_form(FiniteAct(monoid, table)).action
-            for table in act_tables(monoid, m)
-        )
-        for k, action in enumerate(chosen):
-            out.append(validate_act(monoid, action,
-                                    name=f"{monoid.name}.a{m}.{k}"))
-    return tuple(out)
+    the tables of ``act_tables``, each the least of its class in generation
+    order, named in the order the walk yields them."""
+    return tuple(
+        validate_act(monoid, table, name=f"{monoid.name}.a{m}.{k}")
+        for m in range(1, max_size + 1)
+        for k, table in enumerate(act_tables(monoid, m))
+    )
 
 
 class Universe:
@@ -257,11 +253,6 @@ class Universe:
         )
         self.radicals = ()
         self.memo = {}
-        # enumerated acts are already in canonical form
-        self._members = {}
-        for m in self.monoids:
-            for a in self._acts_by_monoid[m]:
-                self._members[(m, a.action)] = a
 
     def acts_over(self, monoid: FiniteMonoid) -> tuple[FiniteAct, ...]:
         try:
@@ -273,10 +264,14 @@ class Universe:
             ) from None
 
     def find_member(self, act: FiniteAct) -> FiniteAct | None:
-        """The catalog act isomorphic to the given one, if within bounds."""
+        """The catalog act isomorphic to the given one, if within bounds: an
+        isomorphism search over the universe acts of its monoid and size."""
         if act.size > self.act_max:
             return None
-        return self._members.get((act.monoid, canonical_form(act).action))
+        for member in self._acts_by_monoid.get(act.monoid, ()):
+            if find_isomorphism(act, member) is not None:
+                return member
+        return None
 
     def register_radical(self, r: rd.Radical) -> rd.Radical:
         """Add a radical; induced ones must pass the semisimple-class

@@ -89,6 +89,19 @@ def test_parse_error_exits_2(tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("name, text, line", [
+    ("R2.act", "act R2 over E2\nelements 2\naction\n0 1\n1 5\n", 5),
+    ("E2.monoid", "monoid E2\nelements 2\nidentity 0\ntable\n0 1\n1 7\n", 6),
+])
+def test_entry_outside_the_carrier_is_a_parse_error(catalog_dir, name, text,
+                                                     line):
+    Path(catalog_dir, name).write_text(text)
+    code, out, err = invoke(["validate", "--seed-catalog", catalog_dir])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: line {line}: ") and "outside" in err
+
+
 def test_axiom_violation_exits_1(tmp_path):
     bad = tmp_path / "bad.monoid"
     bad.write_text("monoid X\nelements 2\nidentity 1\ntable\n0 1\n1 0\n")

@@ -22,6 +22,11 @@ Bounds: the universe owns its bounds.  Only ``Universe.__init__`` and
 ``default_universe`` have a parameter named ``size_bound`` or
 ``hull_bound``; every hull search reads ``universe.hull_bound``.
 
+Relabellings: only ``universe._orderly_tables`` calls ``permutations``.
+It is the one place that enumerates the relabellings of a table, and
+``universe._columns_below`` the one comparison of a table with its
+relabelling.
+
 Flags: in ``checkers``, only the checkers whose statement compares taxonomy
 flags call ``classify_radical``; every other checker that assumes a flag
 declares it on ``register(...)`` and ``Checker.run`` filters on it.
@@ -322,6 +327,40 @@ def test_hull_bound_taker_is_reported():
     )
     assert hull_bound_takers(source, "m") == [
         "m.Box.__init__", "m.legacy", "m.legacy.inner",
+    ]
+
+
+def permutation_callers(source, module) -> list[str]:
+    return functions_where(
+        source, module,
+        lambda n: isinstance(n, ast.Call) and _name(n) == "permutations",
+    )
+
+
+def test_only_the_orderly_walk_enumerates_relabellings():
+    found = [
+        name for p in MODULES
+        for name in permutation_callers(p.read_text(), p.stem)
+    ]
+    assert found == ["universe._orderly_tables"]
+
+
+def test_permutation_caller_is_reported():
+    source = (
+        "import itertools\n"
+        "from itertools import islice, permutations\n"
+        "ORDERS = list(permutations(range(3)))\n"
+        "def canonical(act):\n"
+        "    return min(itertools.permutations(act.elements))\n"
+        "def walk(m):\n"
+        "    def moved():\n"
+        "        return islice(permutations(range(m)), 1, None)\n"
+        "    return moved\n"
+        "def bystander(permutations):\n"
+        "    return permutations\n"
+    )
+    assert permutation_callers(source, "m") == [
+        "m", "m.canonical", "m.walk.moved",
     ]
 
 

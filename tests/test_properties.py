@@ -14,8 +14,16 @@ from radact.congruence import (
     meet,
     relation_pairs,
 )
-from radact.core import all_homs, is_equivariant, validate_act, validate_monoid
-from radact.errors import RadactError
+from radact.catalog import parse_act, parse_monoid
+from radact.core import (
+    FiniteAct,
+    FiniteMonoid,
+    all_homs,
+    is_equivariant,
+    validate_act,
+    validate_monoid,
+)
+from radact.errors import CatalogValidationError, ParseError, RadactError
 from radact.universe import default_universe
 
 UNI = default_universe(monoid_max=2, act_max=3, hull_bound=4)
@@ -159,3 +167,66 @@ def test_catalog_round_trip_random_member(data):
     monoid = parse_monoid(monoid_text)
     assert monoid == act.monoid
     assert parse_act(print_act(act), {monoid.name: monoid}) == act
+
+
+def _drawn_rows(draw, count, width):
+    # entries mostly in the carrier, now and then one past it or below it,
+    # and now and then a row of the wrong width
+    entry = st.sampled_from([*range(width)] * 3 + [-1, width])
+    return [
+        [draw(entry) for _ in range(
+            draw(st.sampled_from([width] * 6 + [width - 1, width + 1])))]
+        for _ in range(count)
+    ]
+
+
+def _text(head, rows):
+    return head + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+@st.composite
+def monoid_texts(draw):
+    n = draw(st.integers(0, 3))
+    rows = _drawn_rows(draw, n, n)
+    if draw(st.booleans()):
+        # 0 acts as the identity, so the text reaches associativity
+        for x, row in enumerate(rows):
+            if row:
+                row[0] = x
+            if x < len(rows[0]):
+                rows[0][x] = x
+    identity = draw(st.sampled_from([0, 0, 0, -1, n]))
+    return _text(f"monoid X\nelements {n}\nidentity {identity}\ntable\n",
+                 rows)
+
+
+@st.composite
+def act_texts(draw):
+    monoid = draw(st.sampled_from(UNI.monoids))
+    m = draw(st.integers(0, 3))
+    rows = _drawn_rows(draw, monoid.size, m)
+    if draw(st.booleans()):
+        # the identity fixes every point, so the text reaches the act axiom
+        rows[monoid.identity] = list(range(m))
+    return _text(f"act A over {monoid.name}\nelements {m}\naction\n", rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monoid_texts())
+def test_monoid_parser_parses_or_reports(text):
+    # the parser fuzz: a catalog file parses, or fails with one of the two
+    # catalog errors; any other exception is a bug
+    try:
+        assert isinstance(parse_monoid(text), FiniteMonoid)
+    except (ParseError, CatalogValidationError):
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(act_texts())
+def test_act_parser_parses_or_reports(text):
+    monoids = {m.name: m for m in UNI.monoids}
+    try:
+        assert isinstance(parse_act(text, monoids), FiniteAct)
+    except (ParseError, CatalogValidationError):
+        pass

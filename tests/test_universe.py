@@ -5,7 +5,7 @@ import pytest
 from radact.congruence import all_congruences, quotient
 from radact.core import (
     FiniteAct,
-    canonical_form,
+    coproduct,
     find_isomorphism,
     left_regular_act,
     relabel,
@@ -22,7 +22,12 @@ from radact.universe import (
     enumerate_acts,
     enumerate_monoids,
 )
-from sweep import act_tables_by_sweep, monoids_by_sweep, orderly_tables_by_sweep
+from sweep import (
+    act_tables_by_sweep,
+    least_in_orbit,
+    monoids_by_sweep,
+    orderly_tables_by_sweep,
+)
 
 # iso-class counts of acts per monoid (order: M1.0, M2.0, M2.1, M3.*),
 # frozen from the enumeration and spot-checked by orbit-type counting for
@@ -46,8 +51,8 @@ def brute_monoids_of_order_2():
 
 
 def _canonical_form_by_permutations(act):
-    """Oracle for ``canonical_form``: build every relabelling in full and
-    keep the least table."""
+    """Oracle for the isomorphism class of an act: build every relabelling
+    in full and keep the least table in row-major order."""
     best = None
     for perm in permutations(act.elements):
         cand = relabel(act, perm).action
@@ -65,18 +70,6 @@ def _oracle_sizes():
             yield monoid, size
 
 
-def test_canonical_form_matches_permutation_oracle():
-    # every table of the unpruned sweep, including acts with non-trivial
-    # automorphisms, where several permutations give the least table
-    checked = 0
-    for monoid, size in _oracle_sizes():
-        for table in act_tables_by_sweep(monoid, size):
-            act = FiniteAct(monoid, table)
-            assert canonical_form(act) == _canonical_form_by_permutations(act)
-            checked += 1
-    assert checked == 1011 + 223
-
-
 def test_act_tables_match_sweep_oracle():
     # the sweep filtered to the tables least under every relabelling, and
     # so one table per isomorphism class
@@ -85,10 +78,11 @@ def test_act_tables_match_sweep_oracle():
         got = list(act_tables(monoid, size))
         assert got == list(orderly_tables_by_sweep(monoid, size)), (
             monoid.name, size)
-        classes = {canonical_form(FiniteAct(monoid, t)).action for t in got}
+        classes = {_canonical_form_by_permutations(FiniteAct(monoid, t))
+                   for t in got}
         assert len(classes) == len(got)
         assert classes == {
-            canonical_form(FiniteAct(monoid, t)).action
+            _canonical_form_by_permutations(FiniteAct(monoid, t))
             for t in act_tables_by_sweep(monoid, size)
         }, (monoid.name, size)
         yielded += len(got)
@@ -112,8 +106,19 @@ def test_act_tables_with_prefix_match_sweep_oracle(U):
 
 
 def test_universe_acts_are_canonical(U):
+    # each act is the least table of its class in generation order
     for act in U.acts:
-        assert canonical_form(act) == act
+        assert least_in_orbit(act.monoid, act.action, 0), act.name
+
+
+def test_enumerate_acts_names_the_walk_in_order(U):
+    for monoid in U.monoids:
+        got = [(a.name, a.action) for a in U.acts_over(monoid)]
+        assert got == [
+            (f"{monoid.name}.a{m}.{k}", table)
+            for m in range(1, U.act_max + 1)
+            for k, table in enumerate(act_tables(monoid, m))
+        ], monoid.name
 
 
 def test_monoid_counts():
@@ -199,15 +204,21 @@ def test_universe_closed_under_quotients_and_subacts(U):
             assert U.find_member(sub) is not None
 
 
-def test_find_member_uses_canonical_form(U, C2):
+def test_find_member_is_an_isomorphic_universe_act(U, C2):
     member = U.find_member(C2)
-    assert member is not None
-    assert canonical_form(member) == canonical_form(C2)
-    big = [a for a in U.acts if a.size == U.act_max][0]
-    from radact.core import coproduct
+    assert member in U.acts
+    assert find_isomorphism(C2, member) is not None
+    for act in U.acts:
+        assert U.find_member(relabel(act, tuple(reversed(act.elements)))) is act
 
+
+def test_find_member_is_none_outside_the_bounds(U):
+    big = [a for a in U.acts if a.size == U.act_max][0]
     too_big, _, _ = coproduct(big, big)
     assert U.find_member(too_big) is None
+    # a monoid of order 4 is outside the universe
+    order4 = enumerate_monoids(4)[-1]
+    assert U.find_member(left_regular_act(order4)) is None
 
 
 def test_cyclic_acts(U, T1, E2):

@@ -19,8 +19,10 @@ from radact.congruence import (
 )
 from radact.core import (
     ActHom,
+    FiniteAct,
     all_homs,
     mask_members,
+    relabel,
     subact_act_by_mask,
     subact_masks,
     validate_act,
@@ -40,6 +42,7 @@ from radact.injectivity import (
     r_injective_bounded,
     transfer_pushouts,
 )
+from radact import universe as universe_module
 from radact.radical import (
     classify_radical,
     closure_mask,
@@ -743,6 +746,92 @@ def test_t62_counts_at_the_default_bounds(U):
     rep = verifier.verify("T6.2", U)
     assert (rep.status, rep.instances_checked, rep.hypothesis_filtered,
             rep.instances_skipped) == ("verified", 520, 48, 0)
+
+
+# every bound with monoid_max <= 3 and act_max <= 4 but the default (3,4)
+GRID = [(mm, am) for mm in (1, 2, 3) for am in (1, 2, 3, 4)
+        if (mm, am) != (3, 4)]
+
+
+@pytest.fixture(scope="module")
+def grid_report():
+    """verify_all over default_universe(monoid_max, act_max), one run per
+    bound of the grid, shared by the tests that read it."""
+    docs = {}
+
+    def report(bounds):
+        if bounds not in docs:
+            docs[bounds] = verifier.verify_all(default_universe(*bounds))
+        return docs[bounds]
+
+    return report
+
+
+def _outcomes(doc):
+    return {
+        rep["theorem_id"]: (rep["status"], rep["instances_checked"],
+                            rep["hypothesis_filtered"],
+                            rep["instances_skipped"])
+        for rep in doc["axioms"] + doc["results"]
+    }
+
+
+@pytest.mark.parametrize("bounds", GRID)
+def test_no_checker_is_violated_below_the_default_bounds(grid_report, bounds):
+    doc = grid_report(bounds)
+    assert [cid for cid, (status, *_) in _outcomes(doc).items()
+            if status == "violated"] == []
+    assert verifier.exit_code(doc) == 0
+
+
+@pytest.mark.parametrize("bounds, skipped", [
+    # T2.4's c2 reads True until an act with two radical classes fits (4
+    # points); T2.5's factor side until a non-semisimple factor does (3)
+    ((2, 2), {"T2.4": 2, "T2.5": 2}),
+    ((2, 3), {"T2.4": 2, "T2.5": 0}),
+    ((3, 2), {"T2.4": 14, "T2.5": 14}),
+    ((3, 3), {"T2.4": 14, "T2.5": 0}),
+])
+def test_sides_that_disagree_only_inexactly_are_skipped(
+        grid_report, bounds, skipped):
+    outcomes = _outcomes(grid_report(bounds))
+    assert {cid: outcomes[cid][3] for cid in skipped} == skipped
+    assert all(outcomes[cid][0] == "verified" for cid in skipped)
+
+
+def test_sides_agree_decides_from_exact_readings():
+    agree = checkers._sides_agree
+    assert agree((True, False), (True, False), (True, True))
+    assert agree((False, True), (False, False))
+    # two exact sides disagree
+    assert not agree((False, True), (True, False), (True, True))
+    # only an inexact side disagrees
+    with pytest.raises(BoundExceeded):
+        agree((False, True), (True, False), (False, True))
+
+
+def test_reports_do_not_depend_on_the_labels_of_the_acts(
+        grid_report, monkeypatch):
+    # every act relabelled along its reversed carrier, under the same name:
+    # the verdicts and counts of a run are properties of the isomorphism
+    # classes, not of the tables that stand for them
+    enumerate_acts = universe_module.enumerate_acts
+
+    def reversed_acts(monoid, max_size):
+        return tuple(
+            FiniteAct(monoid, relabel(a, a.elements[::-1]).action, a.name)
+            for a in enumerate_acts(monoid, max_size)
+        )
+
+    monkeypatch.setattr(universe_module, "enumerate_acts", reversed_acts)
+    relabelled = default_universe(3, 3)
+    walked = {a.name: a for m in relabelled.monoids
+              for a in enumerate_acts(m, 3)}
+    assert sum(a != walked[a.name] for a in relabelled.acts) > 0
+    plain = grid_report((3, 3))
+    doc = verifier.verify_all(relabelled)
+    assert _outcomes(doc) == _outcomes(plain)
+    assert doc["taxonomy"] == plain["taxonomy"]
 
 
 def test_universe_and_radicals_freed_after_verify():
