@@ -14,6 +14,8 @@ filtered on by ``Checker.run``; only checkers whose statement compares flags
 call ``classify_radical``.  D2.1 yields its continuity law as one
 ("group", ...) per (radical, hom) and decides a group from closure tables
 through ``holds_all``; ``_holds_d21`` stays the per-instance predicate.
+L5.1 yields one group per (radical, dense subact), its targets as tails,
+and reads a group off the subact's verdict row.
 
 Sweeps over monomorphisms are collapsed along images: a mono A -> B with
 image M poses exactly the problems of the subact inclusion M -> B, composed
@@ -67,6 +69,7 @@ from .injectivity import (
     collectively_large,
     collectively_large_by_homs,
     direct_limit,
+    distinct_pushouts,
     injective_hull,
     is_injective,
     is_large,
@@ -76,10 +79,10 @@ from .injectivity import (
     is_weakly_injective,
     iso_over_source,
     minimal_r_injective_extension,
+    pushout_layout,
     r_injective_bounded,
     r_injective_hull,
     skornjakov_injective,
-    transfer_pushouts,
     _complement,
     _maps_extend,
 )
@@ -1305,29 +1308,36 @@ def _enum_l51(universe):
             acts = universe.acts_over(monoid)
             for big in acts:
                 for mask in dense_subact_masks(r, big):
-                    for c in acts:
-                        yield "inst", (r, big, mask, c)
+                    yield "group", ((r, big, mask), acts)
 
 
 @memo_on(0)
-def _l51_verdict(universe, radicals, big, mask, c):
-    """L5.1 on the span (subact ``mask`` of ``big``, target ``c``) for every
-    radical of ``radicals`` at once, as one outcome per position: True when
-    ``mask`` is dense in ``big`` and every pushout leg u: c -> D is a dense
-    mono, False when not, and (error type, message) when the density test on
-    some D hits a bound.  ``radicals`` is the universe's registered tuple and
-    part of the memo key, so a radical registered later gets fresh verdicts.
+def _l51_verdict(universe, radicals, big, mask):
+    """L5.1 on the dense subact ``mask`` of ``big`` for every radical of
+    ``radicals`` at once: one row with, for each target c of ``acts_over``
+    in that order, the outcome of the span (``mask``, c) at each position.
+    An outcome is True when ``mask`` is dense in ``big`` and every pushout
+    leg u: c -> D is a dense mono, False when not, and (error type, message)
+    when the density test on some D hits a bound.  ``radicals`` is the
+    universe's registered tuple and part of the memo key, so a radical
+    registered later gets fresh verdicts.
 
-    The pushout along a map does not depend on the radical, so each is built
-    once, and all pushouts along the span share one layout.
-    ``transfer_pushouts`` checks that each square commutes; a failure raises
-    PostconditionError, which Checker.run reports as violated."""
-    outcome = [mask in dense_subact_masks(q, big) for q in radicals]
-    alive = [i for i, dense in enumerate(outcome) if dense]
-    if alive:
-        sub, incl = subact_act_by_mask(big, mask)
-        squares = transfer_pushouts(radicals[alive[0]], incl, all_homs(sub, c))
-        for _, u, _ in squares:
+    A pushout does not depend on the radical, and the pushouts along maps
+    that agree on the boundary of the layout are one and the same, so each
+    distinct D is built and tested once (``distinct_pushouts``).
+    ``pushout_layout`` checks once that the squares commute; a failure
+    raises PostconditionError, which Checker.run reports as violated."""
+    dense = [mask in dense_subact_masks(q, big) for q in radicals]
+    targets = universe.acts_over(big.monoid)
+    if not any(dense):
+        return (tuple(dense),) * len(targets)
+    sub, incl = subact_act_by_mask(big, mask)
+    layout = pushout_layout(radicals[dense.index(True)], incl)
+    row = []
+    for c in targets:
+        outcome = list(dense)
+        alive = [i for i, d in enumerate(dense) if d]
+        for _, u in distinct_pushouts(layout, c, all_homs(sub, c)):
             still = []
             for i in alive:
                 try:
@@ -1340,17 +1350,29 @@ def _l51_verdict(universe, radicals, big, mask, c):
             alive = still
             if not alive:
                 break
-    outcome = tuple(outcome)
-    # spans far outnumber the distinct outcomes: keep one copy of each
-    return universe.memo.setdefault(outcome, outcome)
+        outcome = tuple(outcome)
+        # spans far outnumber the distinct outcomes: keep one copy of each
+        row.append(universe.memo.setdefault(outcome, outcome))
+    return tuple(row)
 
 
 def _holds_l51(universe, parts):
     r, big, mask, c = parts
     radicals = universe.radicals
+    row = _l51_verdict(universe, radicals, big, mask)
     return _decided(
-        _l51_verdict(universe, radicals, big, mask, c)[radicals.index(r)]
+        row[universe.acts_over(big.monoid).index(c)][radicals.index(r)]
     )
+
+
+def _holds_l51_all(universe, head, tails):
+    """Every target of ``tails``, which ``_enum_l51`` takes from
+    ``acts_over``, read off the dense subact's verdict row at once."""
+    r, big, mask = head
+    radicals = universe.radicals
+    i = radicals.index(r)
+    return all(outcome[i] is True
+               for outcome in _l51_verdict(universe, radicals, big, mask))
 
 
 register(
@@ -1359,33 +1381,36 @@ register(
     "new leg is again a dense mono",
     _enum_l51,
     _holds_l51,
+    holds_all=_holds_l51_all,
 )
 
 
 def _radical_member_chains(universe, r, monoid):
+    """The chains of at most three radical acts over the monoid along
+    injective links, yielded one at a time: single acts, then pairs, then
+    triples, each in the order of their links."""
     members = [
         a for a in universe.acts_over(monoid) if is_radical_act(r, a)
     ]
-    chains = []
     for a in members:
-        chains.append(DirectedChain((a,), ()))
-    links = {}
+        yield DirectedChain((a,), ())
+    # the injective links between members, and from each member onwards
+    links = []
+    onwards = {a: [] for a in members}
     for a in members:
         for b in members:
             hs = injective_homs(a, b)
             if hs:
-                links[(a, b)] = hs
-    for (a, b), hs in links.items():
+                links.append((a, b, hs))
+                onwards[a].append((b, hs))
+    for a, b, hs in links:
         for h in hs:
-            chains.append(DirectedChain((a, b), (h,)))
-    for (a, b), hs1 in links.items():
-        for (b2, c), hs2 in links.items():
-            if b2 != b:
-                continue
+            yield DirectedChain((a, b), (h,))
+    for a, b, hs1 in links:
+        for c, hs2 in onwards[b]:
             for h1 in hs1:
                 for h2 in hs2:
-                    chains.append(DirectedChain((a, b, c), (h1, h2)))
-    return chains
+                    yield DirectedChain((a, b, c), (h1, h2))
 
 
 def _enum_l53(universe):

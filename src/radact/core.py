@@ -11,7 +11,7 @@ the same object and compares the stored hashes before the tables.
 the hundred thousand, and a frozen dataclass's ``__init__`` was their
 largest cost.  Results that depend on a ``Universe`` or a ``Radical`` are
 memoised on that object (see ``memo_on``), so they are freed together with
-it: the universe keeps, among others, the L5.1 verdict of each pushout span,
+it: the universe keeps, among others, one L5.1 verdict row per dense subact,
 the L2.11/T7.3 capture verdicts, the extension answers of the injectivity
 deciders, each act's hull search, the maximal complements that T3.6 to
 T3.10 share and L2.2's factors, and a radical its closures, one closure

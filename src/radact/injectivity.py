@@ -128,25 +128,40 @@ def is_r_essential(r: Radical, act: FiniteAct, mask: int) -> bool:
 # the transfer pushout
 
 
-def transfer_pushouts(r: Radical, m: ActHom, fs):
-    """Complete the span (dense mono m: A -> B, map f: A -> C) for each map f
-    of ``fs`` to a commuting square whose new leg u: C -> D is again a dense
-    mono; yields (D, u, v) per map, where v: B -> D is the other new leg.
+@dataclass(frozen=True)
+class PushoutLayout:
+    """What every pushout of one dense mono m: A -> B shares, laid out once.
 
-    D's carrier is B minus the image of m, followed by C.  The action sends a
-    leftover element of B into C through f whenever multiplication lands in
-    the image of m.  What does not depend on f is laid out once per span: an
-    entry of a leftover row or of v is either a leftover tag or the image
-    under f of an element of A, so it is stored as an index into the vector
-    ``tags + images of f``.  The C part of the rows and u's map are laid out
-    once per target C.  D satisfies the act axioms by construction, so it is
-    built as a plain act; a test runs ``validate_act`` on every D of the
-    small universe.
-    """
+    A pushout D along a map f: A -> C has B's leftover points (those off the
+    image of m) as its first ``off`` points, followed by C.  ``rows`` holds
+    B's action on the leftover points, one row per monoid element, and
+    ``v_slots`` the other leg v: B -> D, both as slots: a slot below ``off``
+    is a leftover point of D, and slot ``off + a`` is the image under f of
+    the point a of A.  ``boundary`` is the sorted tuple of the points of A
+    whose slots the rows hold, so D reads f only there.
+
+    The square commutes for every f when v's slot of m(a) is a's slot for
+    every a: then v(m(a)) = f(a) = u(f(a)).  The layout checks this once,
+    when it is made, and raises PostconditionError otherwise."""
+
+    mono: ActHom
+    off: int
+    rows: tuple[tuple[int, ...], ...]
+    v_slots: tuple[int, ...]
+    boundary: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(self.v_slots[b] != self.off + a
+               for a, b in enumerate(self.mono.map)):
+            raise PostconditionError("pushout square does not commute")
+
+
+def pushout_layout(r: Radical, m: ActHom) -> PushoutLayout:
+    """The layout of the pushouts of the dense mono m: A -> B; NotRMono when
+    m is not a dense mono for the radical."""
     if not is_r_mono(r, m):
         raise NotRMono(f"{m.map} is not a dense monomorphism for {r.name}")
-    A, B = m.source, m.target
-    monoid = B.monoid
+    B = m.target
     image = m.image_mask()
     minv = {b: a for a, b in enumerate(m.map)}
     rest = [b for b in B.elements if not (image >> b) & 1]
@@ -156,29 +171,79 @@ def transfer_pushouts(r: Radical, m: ActHom, fs):
     def slot(b):
         return off + minv[b] if (image >> b) & 1 else tag_rest[b]
 
-    rest_rows = [[slot(row[b]) for b in rest] for row in B.action]
-    v_slots = [slot(b) for b in B.elements]
-    tags = list(range(off))
+    rows = tuple(tuple(slot(row[b]) for b in rest) for row in B.action)
+    boundary = sorted({s - off for row in rows for s in row if s >= off})
+    return PushoutLayout(m, off, rows, tuple(map(slot, B.elements)),
+                         tuple(boundary))
+
+
+def _target_part(layout: PushoutLayout, C: FiniteAct):
+    """What the pushouts into C share: C's rows shifted past the leftover
+    points, and u's map; ActMismatch when C is over another monoid."""
+    if C.monoid != layout.mono.target.monoid:
+        raise ActMismatch("pushout map lands in an act over another monoid")
+    off = layout.off
+    return ([tuple(off + y for y in row) for row in C.action],
+            tuple(range(off, off + C.size)))
+
+
+def _pushout_act(layout: PushoutLayout, c_rows, fmap):
+    """D along the map ``fmap``, and the value of each slot along it."""
+    off = layout.off
+    get = (list(range(off)) + [off + y for y in fmap]).__getitem__
+    D = FiniteAct(layout.mono.target.monoid, tuple(
+        tuple(map(get, rr)) + cr for rr, cr in zip(layout.rows, c_rows)
+    ))
+    return D, get
+
+
+def distinct_pushouts(layout: PushoutLayout, C: FiniteAct, fs):
+    """Each distinct pushout (D, u) of the layout's mono along the maps
+    fs: A -> C, once, in first-seen order.  D and u read a map only at the
+    boundary points, so the maps are keyed by their images there."""
+    A = layout.mono.source
+    c_rows, u_map = _target_part(layout, C)
+    boundary = layout.boundary
+    seen = set()
+    for f in fs:
+        # the maps of a span are usually built on these very objects
+        if (f.source is not A or f.target is not C) and (
+                f.source != A or f.target != C):
+            raise ValueError("pushout maps must run from the mono's source "
+                             "to the given act")
+        key = tuple(map(f.map.__getitem__, boundary))
+        if key not in seen:
+            seen.add(key)
+            D, _ = _pushout_act(layout, c_rows, f.map)
+            yield D, ActHom(C, D, u_map)
+
+
+def transfer_pushouts(r: Radical, m: ActHom, fs):
+    """Complete the span (dense mono m: A -> B, map f: A -> C) for each map f
+    of ``fs`` to a commuting square whose new leg u: C -> D is again a dense
+    mono; yields (D, u, v) per map, where v: B -> D is the other new leg.
+
+    D's carrier is B minus the image of m, followed by C.  The action sends a
+    leftover element of B into C through f whenever multiplication lands in
+    the image of m.  Every map reads the one ``PushoutLayout`` of m, checked
+    once to commute, and only fills in its images.  This per-map form serves
+    the ``pushout`` command and the tests' oracle; L5.1 builds each distinct
+    pushout once instead (``distinct_pushouts`` on the same layout).  D
+    satisfies the act axioms by construction, so it is built as a plain act;
+    a test runs ``validate_act`` on every D of the small universe.
+    """
+    layout = pushout_layout(r, m)
+    A = m.source
     C = None
     for f in fs:
         if f.source != A:
             raise ValueError("pushout legs must share their source")
         if f.target is not C:
             C = f.target
-            if C.monoid != monoid:
-                raise ActMismatch("pushout map lands in an act over another "
-                                  "monoid")
-            c_rows = [tuple(off + y for y in row) for row in C.action]
-            u_map = tuple(range(off, off + C.size))
-        vals = tags + [off + y for y in f.map]
-        get = vals.__getitem__
-        D = FiniteAct(monoid, tuple(
-            tuple(map(get, rr)) + cr for rr, cr in zip(rest_rows, c_rows)
-        ))
-        v_map = tuple(map(get, v_slots))
-        if any(v_map[m.map[a]] != u_map[f.map[a]] for a in A.elements):
-            raise PostconditionError("pushout square does not commute")
-        yield D, ActHom(C, D, u_map), ActHom(B, D, v_map)
+            c_rows, u_map = _target_part(layout, C)
+        D, get = _pushout_act(layout, c_rows, f.map)
+        yield (D, ActHom(C, D, u_map),
+               ActHom(m.target, D, tuple(map(get, layout.v_slots))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -41,6 +42,7 @@ from radact.injectivity import (
     collectively_large,
     collectively_large_by_homs,
     direct_limit,
+    distinct_pushouts,
     extension_acts,
     injective_hull,
     is_injective,
@@ -52,6 +54,7 @@ from radact.injectivity import (
     iso_over_source,
     maximal_r_essential_extension,
     minimal_r_injective_extension,
+    pushout_layout,
     r_injective_bounded,
     r_injective_hull,
     skornjakov_injective,
@@ -189,33 +192,84 @@ def _pushout_by_definition(r, m, f):
 def test_pushouts_match_definition_on_every_l51_span():
     # every span that some radical makes dense, every map out of its subact:
     # one layout per span gives the oracle's D, u and v, and every D passes
-    # validate_act, which transfer_pushouts no longer runs
+    # validate_act, which transfer_pushouts does not run
     u = default_universe(monoid_max=2)
     squares = 0
+    for r, incl, c in _l51_spans(u):
+        fs = all_homs(incl.source, c)
+        got = list(transfer_pushouts(r, incl, fs))
+        assert len(got) == len(fs)
+        for f, (d, uu, v) in zip(fs, got):
+            want_d, want_u, want_v = _pushout_by_definition(r, incl, f)
+            assert d.action == want_d.action
+            assert uu.map == want_u.map and v.map == want_v.map
+            assert (uu.source, uu.target) == (c, d)
+            assert (v.source, v.target) == (incl.target, d)
+            assert validate_act(d.monoid, d.action) == d
+            squares += 1
+    assert squares > 1000
+
+
+def _l51_spans(u):
+    # every (radical that makes the subact dense, inclusion, target) of the
+    # L5.1 spans, one per (big, mask, c)
     for monoid in u.monoids:
         acts = u.acts_over(monoid)
         for big in acts:
             for mask in subact_masks(big):
                 dense = [r for r in u.radicals
                          if mask in dense_subact_masks(r, big)]
-                if not dense:
-                    continue
-                sub, incl = subact_act_by_mask(big, mask)
-                for c in acts:
-                    fs = all_homs(sub, c)
-                    got = list(transfer_pushouts(dense[0], incl, fs))
-                    assert len(got) == len(fs)
-                    for f, (d, uu, v) in zip(fs, got):
-                        want_d, want_u, want_v = _pushout_by_definition(
-                            dense[0], incl, f
-                        )
-                        assert d.action == want_d.action
-                        assert uu.map == want_u.map and v.map == want_v.map
-                        assert (uu.source, uu.target) == (c, d)
-                        assert (v.source, v.target) == (big, d)
-                        assert validate_act(d.monoid, d.action) == d
-                        squares += 1
-    assert squares > 1000
+                if dense:
+                    incl = subact_act_by_mask(big, mask)[1]
+                    for c in acts:
+                        yield dense[0], incl, c
+
+
+def test_distinct_pushouts_match_definition_on_every_l51_span():
+    # every map f of every span: the square that the distinct generator gives
+    # for f's boundary key is the oracle's, and each span yields exactly its
+    # distinct oracle D values, in first-seen order
+    u = default_universe(monoid_max=2)
+    maps = built = 0
+    for r, incl, c in _l51_spans(u):
+        layout = pushout_layout(r, incl)
+        fs = all_homs(incl.source, c)
+        got = list(distinct_pushouts(layout, c, fs))
+        want = [_pushout_by_definition(r, incl, f)[:2] for f in fs]
+        assert [d.action for d, _ in got] == list(
+            dict.fromkeys(d.action for d, _ in want)
+        )
+        keys = [tuple(f.map[a] for a in layout.boundary) for f in fs]
+        square = dict(zip(dict.fromkeys(keys), got))
+        for key, (want_d, want_u) in zip(keys, want):
+            d, uu = square[key]
+            assert d.action == want_d.action and uu.map == want_u.map
+            assert (uu.source, uu.target) == (c, d)
+        maps += len(fs)
+        built += len(got)
+    assert (built, maps) == (1499, 7773)
+
+
+def test_layout_check_catches_a_square_that_does_not_commute(R2, rg):
+    sub, incl = subact_act_by_mask(R2, 0b10)
+    layout = pushout_layout(rg, incl)
+    assert replace(layout) == layout
+    bad = list(layout.v_slots)
+    bad[incl.map[0]] += 1
+    with pytest.raises(PostconditionError):
+        replace(layout, v_slots=tuple(bad))
+
+
+def test_distinct_pushouts_reject_maps_off_the_span(R2, T1, rg):
+    sub, incl = subact_act_by_mask(R2, 0b10)
+    layout = pushout_layout(rg, incl)
+    point = trivial_act(R2.monoid)
+    with pytest.raises(ActMismatch):
+        next(distinct_pushouts(layout, trivial_act(T1), ()))
+    with pytest.raises(ValueError):
+        next(distinct_pushouts(layout, point, (ActHom(R2, point, (0, 0)),)))
+    with pytest.raises(ValueError):
+        next(distinct_pushouts(layout, R2, (ActHom(sub, point, (0,)),)))
 
 
 def test_pushout_rejects_maps_off_the_span(R2, T1, rg):

@@ -171,14 +171,12 @@ def test_axiom_two_violated_by_mutant(mutant_universe):
 
 
 def test_pushout_postcondition_failure_violates_l51(monkeypatch):
-    # L5.1 leaves the commuting-square check to transfer_pushouts; a raised
+    # L5.1 leaves the commuting-square check to the pushout layout; a raised
     # PostconditionError must surface as a violation with its note
-    from radact import checkers
-
-    def broken_pushouts(r, m, fs):
+    def broken_layout(r, m):
         raise PostconditionError("pushout square does not commute")
 
-    monkeypatch.setattr(checkers, "transfer_pushouts", broken_pushouts)
+    monkeypatch.setattr(checkers, "pushout_layout", broken_layout)
     u = default_universe(monoid_max=2)
     rep = verifier.verify("L5.1", u)
     assert rep.status == "violated"
@@ -204,7 +202,9 @@ def _outcome(fn, *args):
 
 
 def _l51_instances(u):
-    return [parts for kind, parts in checkers._enum_l51(u) if kind == "inst"]
+    # L5.1 yields one group per dense subact, with every target as a tail
+    return [head + (c,) for _, (head, targets) in checkers._enum_l51(u)
+            for c in targets]
 
 
 def test_l51_verdicts_match_per_radical_pushouts():
@@ -240,27 +240,63 @@ def test_l51_verdicts_keep_radicals_apart(monkeypatch):
     assert ("nabla", False) not in seen and ("delta", False) not in seen
 
 
+@pytest.mark.parametrize("failing", [("rG", "t_LrG"), ("t_LrG",)])
+def test_l51_rows_give_the_report_of_the_expanded_instances(monkeypatch,
+                                                             failing):
+    # density failing for rG and hitting a bound for t_LrG on some pushouts:
+    # deciding groups from the verdict rows gives the report of the
+    # per-instance predicate run on every expanded instance
+    real = checkers.is_r_mono
+
+    def flaky(r, m):
+        if r.name == "rG" and "rG" in failing and m.target.size == 5:
+            return False
+        if r.name == "t_LrG" and m.target.size == 6:
+            raise NotInUniverse("pushout outside the table")
+        return real(r, m)
+
+    monkeypatch.setattr(checkers, "is_r_mono", flaky)
+    u = default_universe(monoid_max=2)
+    verifier._ensure_registered()
+    checker = verifier.THEOREMS["L5.1"]
+    expanded = verifier.Checker("L5.1", checker.description,
+                                checkers._enum_l51, checkers._holds_l51)
+    rep = checker.run(u)
+    assert rep.status == ("violated" if "rG" in failing else "verified")
+    assert "rG" in failing or rep.instances_skipped > 0
+    assert _report_outcome(rep) == _report_outcome(expanded.run(u))
+
+
 def test_l51_builds_each_pushout_once(monkeypatch):
-    real = checkers.transfer_pushouts
+    # one build per distinct pushout of each span (big, mask, c), that is per
+    # distinct boundary key, against one per map of the per-map form
+    real = checkers.distinct_pushouts
     built = []
 
-    def counting(r, m, fs):
-        fs = tuple(fs)
-        for f, square in zip(fs, real(r, m, fs)):
-            built.append((m.target, m.image_mask(), f.target, f.map))
-            yield square
+    def counting(layout, c, fs):
+        for d, uu in real(layout, c, fs):
+            built.append((layout.mono.target, layout.mono.image_mask(), c,
+                          d.action))
+            yield d, uu
 
-    monkeypatch.setattr(checkers, "transfer_pushouts", counting)
+    monkeypatch.setattr(checkers, "distinct_pushouts", counting)
     u = default_universe(monoid_max=2)
     rep = verifier.verify("L5.1", u)
     assert rep.status == "verified"
-    per_radical = [
-        (big, mask, c, f.map)
-        for _, big, mask, c in _l51_instances(u)
-        for f in all_homs(subact_act_by_mask(big, mask)[0], c)
-    ]
-    assert len(built) == len(set(built)) == len(set(per_radical))
-    assert len(built) < len(per_radical)
+    spans = set()
+    maps = 0
+    distinct = set()
+    for r, big, mask, c in _l51_instances(u):
+        if (big, mask, c) in spans:
+            continue
+        spans.add((big, mask, c))
+        incl = subact_act_by_mask(big, mask)[1]
+        for d, _, _ in transfer_pushouts(r, incl, all_homs(incl.source, c)):
+            maps += 1
+            distinct.add((big, mask, c, d.action))
+    assert len(built) == len(set(built)) == 1499
+    assert set(built) == distinct
+    assert maps == 7773
 
 
 def test_l51_verdicts_follow_a_radical_registered_later():
@@ -577,7 +613,7 @@ def test_holds_all_matches_its_instances(small_two, mutant_universe):
         c for c in {**verifier.AXIOMS, **verifier.THEOREMS}.values()
         if c.holds_all is not None
     ]
-    assert [c.id for c in grouped] == ["D2.1"]
+    assert [c.id for c in grouped] == ["D2.1", "L5.1"]
     seen = set()
     for u in (small_two, mutant_universe):
         for checker in grouped:
