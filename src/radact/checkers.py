@@ -15,7 +15,10 @@ call ``classify_radical``.  D2.1 yields its continuity law as one
 ("group", ...) per (radical, hom) and decides a group from closure tables
 through ``holds_all``; ``_holds_d21`` stays the per-instance predicate.
 L5.1 yields one group per (radical, dense subact), its targets as tails,
-and reads a group off the subact's verdict row.
+and reads a group off the subact's verdict row.  T4.6 reads every map's
+image, and the image of the dense subact, off the image tables of D2.1
+(``_hom_images``).  Every factor act is ``universe.factor``'s (or
+``rees_factor``'s), built once per universe and interned.
 
 Sweeps over monomorphisms are collapsed along images: a mono A -> B with
 image M poses exactly the problems of the subact inclusion M -> B, composed
@@ -36,7 +39,6 @@ from .congruence import (
     join,
     push_congruence,
     pull_congruence,
-    quotient,
     rees_congruence,
     rees_single,
     relation_pairs,
@@ -103,6 +105,7 @@ from .radical import (
     lr_induced_radical,
     RadicalTaxonomy,
 )
+from .universe import factor, rees_factor
 from .verifier import register
 
 
@@ -242,7 +245,7 @@ register(
 
 def _holds_h2(universe, parts):
     r, act = parts
-    quo, _ = quotient(act, r.of(act))
+    quo, _ = factor(universe, act, r.of(act))
     return r.of(quo).is_diagonal()
 
 
@@ -300,7 +303,7 @@ def _enum_l12(universe):
 
 def _holds_l12(universe, parts):
     r, act, chi = parts
-    quo, pi = quotient(act, chi)
+    quo, pi = factor(universe, act, chi)
     return r.of(quo) == push_congruence(pi, r.of(act))
 
 
@@ -402,15 +405,16 @@ def _enum_l22(universe):
 def _l22_factor(universe, act, mask, chi):
     """The factor of the act by the smallest extension of ``chi`` (a
     congruence of the subact ``mask``) and the subact's image in it.  It
-    does not depend on the radical, so it is built once for all of them."""
+    does not depend on the radical, so it is found once for all of them;
+    the factor itself is ``factor``'s interned act."""
     _, incl = subact_act_by_mask(act, mask)
-    quo, pi = quotient(act, smallest_extension(chi, incl))
+    quo, pi = factor(universe, act, smallest_extension(chi, incl))
     image = 0
     for x in mask_members(mask):
         image |= 1 << pi.map[x]
     # triples far outnumber the distinct factors: keep one copy of each
-    # factor act and of each (act, image) pair
-    outcome = (universe.memo.setdefault(quo, quo), image)
+    # (act, image) pair
+    outcome = (quo, image)
     return universe.memo.setdefault(outcome, outcome)
 
 
@@ -504,7 +508,7 @@ def _holds_t25(universe, parts):
         for mask in subact_masks(act):
             if not is_r_closed(r, act, mask):
                 continue
-            quo, _ = quotient(act, rees_single(act, mask))
+            quo, _ = rees_factor(universe, act, mask)
             if not is_semisimple_act(r, quo):
                 factor_semisimple = False
                 break
@@ -719,11 +723,13 @@ def _capture_verdicts(universe, radicals, base, chi):
     the universe's registered tuple and part of the memo key, so a radical
     registered later gets fresh verdicts.
 
-    The quotient by the extended congruence does not depend on the radical,
-    so each embedding's quotient is built once for all radicals."""
+    The factor by the extended congruence does not depend on the radical:
+    each embedding's factor is ``factor``'s, built once per universe and
+    (embedding target, extended congruence) and interned, so ``r.of`` finds
+    each distinct factor act by identity."""
 
     def captured(emb, positions):
-        quo, pi = quotient(emb.target, smallest_extension(chi, emb))
+        quo, pi = factor(universe, emb.target, smallest_extension(chi, emb))
         points = {pi.map[y] for y in emb.map}
         out = {}
         for i in positions:
@@ -770,7 +776,7 @@ def _detected(universe, r, base, chi):
     radical" agree with "the act is captured modulo chi in some extension or
     in the hull"?  A hull beyond the bound counts as no capture.  P2.13 asks
     it of Rees congruences."""
-    quo, _ = quotient(base, chi)
+    quo, _ = factor(universe, base, chi)
     lhs = is_radical_act(r, quo)
     hull, some = _capture_verdict(universe, r, base, chi)
     rhs = _decided(some)
@@ -999,7 +1005,7 @@ def _enum_t36(universe):
 def _holds_t36(universe, parts):
     act, chi = parts
     kappa = _complement(universe, act, chi)
-    quo, pi = quotient(act, kappa)
+    quo, pi = factor(universe, act, kappa)
     lifted = push_congruence(pi, join(chi, kappa))
     return is_essential(lifted)
 
@@ -1046,7 +1052,7 @@ def _holds_l38(universe, parts):
     act, mask = parts
     rho = rees_single(act, mask)
     kappa = _complement(universe, act, rho)
-    quo, pi = quotient(act, kappa)
+    quo, pi = factor(universe, act, kappa)
     image = set()
     for a in act.elements:
         for b in act.elements:
@@ -1128,7 +1134,7 @@ def _enum_t42(universe):
     for r, act in _pairs(universe):
         inj = r_injective_bounded(r, act, universe)
         for mask in subact_masks(act):
-            quo, _ = quotient(act, rees_single(act, mask))
+            quo, _ = rees_factor(universe, act, mask)
             ok = inj and is_semisimple_act(r, quo)
             yield ("inst" if ok else "filtered"), (r, act, mask)
 
@@ -1169,7 +1175,7 @@ def _holds_l43(universe, parts):
     direct = False
     for big in universe.acts_over(act.monoid):
         for mask in dense_subact_masks(r, big):
-            quo, _ = quotient(big, rees_single(big, mask))
+            quo, _ = rees_factor(universe, big, mask)
             if find_isomorphism(act, quo) is not None:
                 direct = True
                 break
@@ -1235,14 +1241,22 @@ def _enum_t46(universe):
                         yield "inst", (r, big, mask, q)
 
 
+@memo_on(0)
+def _hom_images(universe, big, q):
+    """The image table (``_image_table``) of every map big -> q, in
+    ``all_homs`` order: T4.6 reads each map's image and the image of the
+    subact off it."""
+    return tuple(_image_table(universe, h.map) for h in all_homs(big, q))
+
+
 def _holds_t46(universe, parts):
     # the (map, extension) pairs along the inclusion are exactly (h|sub, h)
     # for the maps h: big -> q
     r, big, mask, q = parts
-    members = mask_members(mask)
-    for h in all_homs(big, q):
-        fmask = members_mask(h.map[a] for a in members)
-        if h.image_mask() & ~closure_mask(r, q, fmask):
+    cl = closure_table(r, q)
+    full = big.full_mask()
+    for image in _hom_images(universe, big, q):
+        if image[full] & ~cl[image[mask]]:
             return False
     return True
 
@@ -1649,7 +1663,7 @@ def _enum_t65(universe):
 def _holds_t65(universe, parts):
     r, act = parts
     reg = left_regular_act(act.monoid)
-    target, _ = quotient(reg, r.of(reg))
+    target, _ = factor(universe, reg, r.of(reg))
     rhs = _maps_extend(act, target, subact_masks(target), universe)
     return is_weakly_injective(act, universe) == rhs
 
@@ -1754,7 +1768,7 @@ def _t73_conditions(universe, r):
                 for m in family
                 if m.bit_count() >= 2
             )
-            quo, _ = quotient(act, rho)
+            quo, _ = factor(universe, act, rho)
             if blocks_ok and is_semisimple_act(r, quo):
                 if not is_semisimple_act(r, act):
                     c6 = False
@@ -1789,7 +1803,7 @@ def _holds_l74(universe, parts):
         return False
     if radical:
         for chi in all_congruences(act, universe.con_bound):
-            if not is_radical_act(r, quotient(act, chi)[0]):
+            if not is_radical_act(r, factor(universe, act, chi)[0]):
                 return False
     if semisimple:
         for mask in subact_masks(act):
@@ -1802,7 +1816,7 @@ def _holds_l74(universe, parts):
         sub, _ = subact_act_by_mask(act, block)
         if not is_radical_act(r, sub):
             return False
-    quo, _ = quotient(act, ra)
+    quo, _ = factor(universe, act, ra)
     return is_semisimple_act(r, quo)
 
 

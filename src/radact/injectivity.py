@@ -39,7 +39,6 @@ from .congruence import (
     all_congruences,
     is_essential,
     maximal_complement,
-    quotient,
     rees_congruence,
     rees_single,
     _canonical,
@@ -74,7 +73,7 @@ from .radical import (
     is_r_dense,
     is_r_mono,
 )
-from .universe import act_tables
+from .universe import act_tables, factor
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,7 @@ def banaschewski_reduce(r: Radical, f: ActHom, universe):
         raise NotRMono(f"{f.map} is not a dense monomorphism for {r.name}")
     A = f.target
     kappa = _complement(universe, A, rees_single(A, f.image_mask()))
-    X, pi = quotient(A, kappa)
+    X, pi = factor(universe, A, kappa)
     composite = compose(pi, f)
     if not composite.is_injective():
         raise PostconditionError("reduction collapsed the embedded act")

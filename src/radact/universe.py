@@ -11,15 +11,28 @@ are the carrier's and the rows, the monoid's elements, stay in place.  With
 no prefix that is one table per isomorphism class, which ``enumerate_acts``
 names in the order the walk yields them; with an act as prefix it is one
 extension per class of extensions over the act, which every hull search
-walks."""
+walks.
+
+The universe owns its factor acts: ``factor`` builds the factor by each
+(act, congruence) once per universe and interns it by value, and
+``rees_factor`` does so for the Rees congruence of each (act, subact).
+The checkers and the injectivity deciders build every quotient through
+them."""
 
 from __future__ import annotations
 
 from itertools import islice, permutations
 
 from . import radical as rd
-from .congruence import CON_BOUND_DEFAULT, all_congruences, quotient
+from .congruence import (
+    CON_BOUND_DEFAULT,
+    Congruence,
+    all_congruences,
+    quotient,
+    rees_single,
+)
 from .core import (
+    ActHom,
     FiniteAct,
     FiniteMonoid,
     find_isomorphism,
@@ -222,9 +235,10 @@ def enumerate_acts(monoid: FiniteMonoid, max_size: int) -> tuple[FiniteAct, ...]
 class Universe:
     """Catalog of monoids and acts within bounds, plus registered radicals.
 
-    ``memo`` holds the results computed over this universe (cyclic acts,
-    taxonomy flags, injectivity decisions and the extension answers behind
-    them, hull searches, maximal complements, one L5.1 verdict row per
+    ``memo`` holds the results computed over this universe (its factor
+    acts, built once per (act, congruence) and interned by ``factor``,
+    cyclic acts, taxonomy flags, injectivity decisions and the extension
+    answers behind them, hull searches, maximal complements, one L5.1 verdict row per
     dense subact, for which each distinct pushout is built once, and the
     L2.11/T7.3 capture verdicts); see ``core.memo_on``.  ``radicals`` is a
     tuple that each registration replaces, so a memo entry keyed by it is
@@ -296,9 +310,33 @@ class Universe:
         every cyclic act, isomorphic copies included."""
         reg = left_regular_act(monoid)
         return tuple(
-            quotient(reg, chi)[0]
+            factor(self, reg, chi)[0]
             for chi in all_congruences(reg, self.con_bound)
         )
+
+
+@memo_on(0)
+def factor(universe: Universe, act: FiniteAct,
+           chi: Congruence) -> tuple[FiniteAct, ActHom]:
+    """The factor act of ``act`` by its congruence ``chi`` and the projection
+    onto it, built once per universe and (act, chi).  Factor acts are
+    interned by value in ``universe.memo``: a factor equal to one built
+    before is that same object, and it is the target of the projection, so
+    the caches keyed by it (a radical's congruence on it, ``all_homs``)
+    find it by identity first."""
+    quo, pi = quotient(act, chi)
+    kept = universe.memo.setdefault(quo, quo)
+    if kept is not quo:
+        pi = ActHom(act, kept, pi.map)
+    return kept, pi
+
+
+@memo_on(0)
+def rees_factor(universe: Universe, act: FiniteAct,
+                mask: int) -> tuple[FiniteAct, ActHom]:
+    """``factor`` by the Rees congruence of the subact ``mask``, keyed by the
+    mask, so that the congruence too is built once per universe."""
+    return factor(universe, act, rees_single(act, mask))
 
 
 def default_universe(monoid_max=3, act_max=4, hull_bound=6,

@@ -55,12 +55,13 @@ def command_flags():
     }
 
 
-@pytest.fixture()
-def rg_copy_catalog(tmp_path):
+@pytest.fixture(scope="session")
+def rg_copy_catalog(tmp_path_factory):
     """A catalog directory of E2, its left regular act R2 and every monoid
     and act of a small universe; a radical table file named ``copy`` that
     gives rG's value on each act of that universe; and the universe's
-    bounds, as flags."""
+    bounds, as flags.  Shared by the whole run, so read it only."""
+    tmp_path = tmp_path_factory.mktemp("rg_copy")
     bounds = {"--monoid-max": "2", "--act-max": "2", "--hull-bound": "3",
               "--con-bound": "3"}
     catalog = tmp_path / "catalog"

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radact.catalog import (
     Catalog, print_act, print_monoid, print_radical_table,
@@ -570,3 +571,89 @@ def test_readme_lists_exactly_the_commands():
     usage = build_parser().format_usage()
     commands = re.search(r"\{([a-z,-]+)\}", usage).group(1).split(",")
     assert sorted(re.findall(r"`([a-z-]+)`", listed)) == sorted(commands)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: any argv built from the real commands and flags ends in an
+# exit code of the README contract, never in a traceback
+
+
+def _fuzz_values(catalog, radical_file):
+    """Values to draw for each flag, by the attribute it sets: the first two
+    are well-formed, the rest plausible mistakes.  Every bound is small, so
+    that no drawn command runs long."""
+    act_file = str(catalog / "R2.act")
+    monoid_file = str(catalog / "E2.monoid")
+    missing = str(catalog / "missing")
+    bound = ["1", "2", "3", "0", "-1", "x"]
+    return {
+        "seed_catalog": [str(catalog), str(catalog), missing, act_file],
+        "monoid": [monoid_file, monoid_file, str(radical_file), missing],
+        "act": ["R2", "M2.1.a2.0", "M2.0.a1.0", act_file, "nosuch", ""],
+        "into": ["R2", "M2.1.a2.0", "M2.1.a1.0", "nosuch"],
+        "acts": ["R2,R2", "M2.1.a1.0,R2", "R2", "R2,nosuch", ""],
+        "members": ["1", "0 1", "0", "1 0", "", "x", "5", "-1"],
+        "map": ["0", "1", "0 1", "1 1", "", "x", "9"],
+        "maps": ["0 1", "1 1", "0", "", ";", "0 1;0 1", "x"],
+        "monoid_max": bound,
+        "act_max": bound,
+        "hull_bound": bound,
+        "con_bound": bound,
+        "radical": ["rG", "t_LrG", "delta", "nabla", "copy", "nosuch"],
+        "radical_file": [str(radical_file), str(radical_file), monoid_file,
+                         missing],
+        "mode": ["auto", "criterion", "universe", "bogus"],
+        "report": ["text", "json", "xml"],
+        "theorem": ["L1.2", "AX-H2", "T4.6", "nosuch"],
+        "all": [None],
+    }
+
+
+@st.composite
+def _argvs(draw, command_flags, values, bounds):
+    """A command with the catalog and, where it takes them, the small
+    universe's bounds, then some of its own flags.  A clean argv gives them
+    well-formed values; a noisy one draws any value, and now and then adds
+    a flag of another command, a flag with its value missing or a stray
+    word.  A flag given twice takes its last value."""
+    command = draw(st.sampled_from(sorted(command_flags)))
+    noisy = draw(st.booleans())
+    own = command_flags[command]
+    argv = [command, "--seed-catalog", values["seed_catalog"][0]]
+    if "--monoid-max" in own:
+        argv += [x for flag_value in bounds.items() for x in flag_value]
+    every = {flag: dest for flags in command_flags.values()
+             for flag, dest in flags.items()}
+    chosen = [flag for flag in sorted(own) if draw(st.integers(0, 3))]
+    if noisy and draw(st.booleans()):
+        chosen.append(draw(st.sampled_from(sorted(every))))
+    for flag in draw(st.permutations(chosen)):
+        argv.append(flag)
+        pool = values[every[flag]]
+        value = draw(st.sampled_from(pool if noisy else pool[:2]))
+        if value is not None:
+            argv.append(value)
+    if noisy:
+        argv += draw(st.sampled_from([[], ["--act"], ["stray"]]))
+    return argv
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_by_the_contract(command_flags, rg_copy_catalog,
+                                           data):
+    catalog, radical_file, bounds = rg_copy_catalog
+    values = _fuzz_values(catalog, radical_file)
+    argv = data.draw(_argvs(command_flags, values, bounds))
+    code, _, err = invoke(argv)
+    assert code in (0, 1, 2), argv
+    # argparse writes its own usage errors to sys.stderr; what the commands
+    # write to ``err`` is one error line
+    assert err == "" or re.fullmatch(r"error: [^\n]*\n", err), argv
+
+
+def test_fuzz_values_cover_every_flag(command_flags, rg_copy_catalog):
+    values = _fuzz_values(*rg_copy_catalog[:2])
+    dests = {dest for flags in command_flags.values()
+             for dest in flags.values()}
+    assert dests == set(values)

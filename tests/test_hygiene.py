@@ -27,6 +27,11 @@ It is the one place that enumerates the relabellings of a table, and
 ``universe._columns_below`` the one comparison of a table with its
 relabelling.
 
+Factors: in ``checkers``, ``injectivity`` and ``universe``, where a
+universe is in scope, only ``universe.factor`` calls ``quotient``; every
+other factor act is asked of it (or of ``rees_factor``), so each is built
+once per universe and interned.
+
 Flags: in ``checkers``, only the checkers whose statement compares taxonomy
 flags call ``classify_radical``; every other checker that assumes a flag
 declares it on ``register(...)`` and ``Checker.run`` filters on it.
@@ -362,6 +367,42 @@ def test_permutation_caller_is_reported():
     assert permutation_callers(source, "m") == [
         "m", "m.canonical", "m.walk.moved",
     ]
+
+
+def quotient_callers(source, module) -> list[str]:
+    return functions_where(
+        source, module,
+        lambda n: isinstance(n, ast.Call) and _name(n) == "quotient",
+    )
+
+
+def test_only_the_factor_helper_builds_quotients_under_a_universe():
+    found = [
+        name for p in MODULES
+        if p.stem in ("checkers", "injectivity", "universe")
+        for name in quotient_callers(p.read_text(), p.stem)
+    ]
+    assert found == ["universe.factor"]
+
+
+def test_quotient_caller_is_reported():
+    source = (
+        "from . import congruence as cg\n"
+        "from .congruence import quotient\n"
+        "from .universe import factor\n"
+        "TOP = quotient\n"
+        "def _holds(universe, parts):\n"
+        "    act, chi = parts\n"
+        "    return cg.quotient(act, chi)[0]\n"
+        "def _enum(universe):\n"
+        "    def inner(act, chi):\n"
+        "        quo, _ = quotient(act, chi)\n"
+        "        return quo\n"
+        "    return inner\n"
+        "def _fine(universe, act, chi):\n"
+        "    return factor(universe, act, chi), quotient\n"
+    )
+    assert quotient_callers(source, "m") == ["m._enum.inner", "m._holds"]
 
 
 def flag_readers(source, module) -> list[str]:

@@ -2,7 +2,9 @@ from itertools import permutations, product as iproduct
 
 import pytest
 
-from radact.congruence import all_congruences, quotient
+from radact import checkers, injectivity, verifier
+from radact import universe as universe_module
+from radact.congruence import all_congruences, quotient, rees_single
 from radact.core import (
     FiniteAct,
     coproduct,
@@ -21,6 +23,8 @@ from radact.universe import (
     default_universe,
     enumerate_acts,
     enumerate_monoids,
+    factor,
+    rees_factor,
 )
 from sweep import (
     act_tables_by_sweep,
@@ -261,3 +265,37 @@ def test_register_refuses_non_closed_class():
     )
     with pytest.raises(ClassNotClosed):
         u.register_radical(bad)
+
+
+def test_every_factor_of_a_run_is_its_quotient_interned(monkeypatch):
+    # every (act, chi) that a verify run asks ``factor`` for, through the
+    # checkers, the injectivity deciders and ``rees_factor``: the factor is
+    # the quotient in table and map, a repeat call gives the identical
+    # pair, equal factors are one object and the projection lands on it
+    calls = []
+
+    def recording(universe, act, chi):
+        got = factor(universe, act, chi)
+        calls.append((act, chi, got))
+        return got
+
+    for module in (checkers, injectivity, universe_module):
+        monkeypatch.setattr(module, "factor", recording)
+    u = default_universe(monoid_max=2)
+    verifier.verify_all(u)
+    monkeypatch.undo()
+    assert len({(act, chi) for act, chi, _ in calls}) > 100
+    interned = {}
+    for act, chi, got in calls:
+        quo, pi = got
+        expected, projection = quotient(act, chi)
+        assert (quo, quo.action) == (expected, expected.action)
+        assert (pi.source, pi.map) == (act, projection.map)
+        assert pi.target is quo
+        assert factor(u, act, chi) is got
+        assert interned.setdefault(quo, quo) is quo
+    for act in u.acts:
+        for mask in subact_masks(act):
+            got = rees_factor(u, act, mask)
+            assert got is factor(u, act, rees_single(act, mask))
+            assert rees_factor(u, act, mask) is got

@@ -2,6 +2,7 @@ import gc
 import json
 import weakref
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -848,26 +849,40 @@ def test_sides_agree_decides_from_exact_readings():
 
 def test_reports_do_not_depend_on_the_labels_of_the_acts(
         grid_report, monkeypatch):
-    # every act relabelled along its reversed carrier, under the same name:
-    # the verdicts and counts of a run are properties of the isomorphism
-    # classes, not of the tables that stand for them
+    # every act relabelled along its reversed carrier, and then along its
+    # carrier rotated by one, under the same name: the verdicts and counts
+    # of a run are properties of the isomorphism classes, not of the tables
+    # that stand for them, nor of which equal factor acts are interned first
     enumerate_acts = universe_module.enumerate_acts
-
-    def reversed_acts(monoid, max_size):
-        return tuple(
-            FiniteAct(monoid, relabel(a, a.elements[::-1]).action, a.name)
-            for a in enumerate_acts(monoid, max_size)
-        )
-
-    monkeypatch.setattr(universe_module, "enumerate_acts", reversed_acts)
-    relabelled = default_universe(3, 3)
-    walked = {a.name: a for m in relabelled.monoids
-              for a in enumerate_acts(m, 3)}
-    assert sum(a != walked[a.name] for a in relabelled.acts) > 0
+    relabellings = {
+        "reversal": lambda n: tuple(reversed(range(n))),
+        "rotation": lambda n: tuple((a + 1) % n for a in range(n)),
+    }
     plain = grid_report((3, 3))
-    doc = verifier.verify_all(relabelled)
-    assert _outcomes(doc) == _outcomes(plain)
-    assert doc["taxonomy"] == plain["taxonomy"]
+    moved = set()
+    for name, perm in relabellings.items():
+        def relabelled_acts(monoid, max_size, perm=perm):
+            return tuple(
+                FiniteAct(monoid, relabel(a, perm(a.size)).action, a.name)
+                for a in enumerate_acts(monoid, max_size)
+            )
+
+        monkeypatch.setattr(universe_module, "enumerate_acts",
+                            relabelled_acts)
+        relabelled = default_universe(3, 3)
+        walked = {a.name: a for m in relabelled.monoids
+                  for a in enumerate_acts(m, 3)}
+        changed = {a.name for a in relabelled.acts if a != walked[a.name]}
+        assert changed, name
+        moved |= changed
+        doc = verifier.verify_all(relabelled)
+        assert _outcomes(doc) == _outcomes(plain), name
+        assert doc["taxonomy"] == plain["taxonomy"], name
+    # the two generate every permutation of at most three points, so an act
+    # that neither moves is fixed by every relabelling of its carrier
+    for a in walked.values():
+        if a.name not in moved:
+            assert all(relabel(a, p) == a for p in permutations(a.elements))
 
 
 def test_universe_and_radicals_freed_after_verify():
