@@ -18,7 +18,9 @@ L5.1 yields one group per (radical, dense subact), its targets as tails,
 and reads a group off the subact's verdict row.  T4.6 reads every map's
 image, and the image of the dense subact, off the image tables of D2.1
 (``_hom_images``).  Every factor act is ``universe.factor``'s (or
-``rees_factor``'s), built once per universe and interned.
+``rees_factor``'s), built once per universe and interned, so L2.11, T7.3,
+T2.12 and P2.13 ask capture one radical at a time (``_on_hull``,
+``_in_some_extension``) and share each factor act across radicals.
 
 Sweeps over monomorphisms are collapsed along images: a mono A -> B with
 image M poses exactly the problems of the subact inclusion M -> B, composed
@@ -699,76 +701,33 @@ register(
 )
 
 
-def _decided(outcome) -> bool:
-    """A memoised per-radical outcome: a bool, or the (error type, message)
-    of a bound hit while deciding it, raised again here."""
-    if isinstance(outcome, bool):
-        return outcome
-    err_type, message = outcome
-    raise err_type(message)
+def _captures(universe, r, emb, chi):
+    """Does the embedding capture its source modulo chi: do all embedded
+    points land in one radical class of the target modulo the smallest
+    extension of chi along it?  The factor does not depend on the radical:
+    it is ``factor``'s, built once per universe and (embedding target,
+    extended congruence) and interned, so ``r.of`` finds each distinct
+    factor act by identity."""
+    quo, pi = factor(universe, emb.target, smallest_extension(chi, emb))
+    index = r.of(quo).index
+    return len({index[pi.map[y]] for y in emb.map}) == 1
 
 
 @memo_on(0)
-def _capture_verdicts(universe, radicals, base, chi):
-    """Capture of ``base`` modulo its congruence ``chi`` for every radical of
-    ``radicals`` at once, as one (hull, some) pair of outcomes per position.
-
-    An embedding captures when all embedded points land in one radical
-    class of the target modulo the smallest extension of chi along it.
-    ``hull`` is the outcome on the injective hull's embedding, ``some``
-    whether an embedding of ``_embeddings`` captures: each radical stops at
-    its first capture or bound error, as ``any`` would.  An outcome is a
-    bool, or the (error type, message) of a bound hit while deciding it
-    (for ``hull``, also the hull search's BoundExceeded).  ``radicals`` is
-    the universe's registered tuple and part of the memo key, so a radical
-    registered later gets fresh verdicts.
-
-    The factor by the extended congruence does not depend on the radical:
-    each embedding's factor is ``factor``'s, built once per universe and
-    (embedding target, extended congruence) and interned, so ``r.of`` finds
-    each distinct factor act by identity."""
-
-    def captured(emb, positions):
-        quo, pi = factor(universe, emb.target, smallest_extension(chi, emb))
-        points = {pi.map[y] for y in emb.map}
-        out = {}
-        for i in positions:
-            try:
-                index = radicals[i].of(quo).index
-            except BOUND_ERRORS as err:
-                out[i] = (type(err), str(err))
-            else:
-                out[i] = len({index[p] for p in points}) == 1
-        return out
-
-    everyone = range(len(radicals))
-    try:
-        hull_act = injective_hull(base, universe)
-    except BoundExceeded as err:
-        hull_emb, on_hull = None, {}
-        hull = [(BoundExceeded, str(err))] * len(radicals)
-    else:
-        hull_emb = ActHom(base, hull_act, tuple(base.elements))
-        on_hull = captured(hull_emb, everyone)
-        hull = list(on_hull.values())
-    some = [False] * len(radicals)
-    undecided = list(everyone)
-    for emb in _embeddings(universe, base):
-        # an injective act is its own hull: its identity is built once
-        got = on_hull if emb == hull_emb else captured(emb, undecided)
-        for i in undecided:
-            some[i] = got[i]
-        undecided = [i for i in undecided if some[i] is False]
-        if not undecided:
-            break
-    outcome = tuple(zip(hull, some))
-    # instances far outnumber the distinct outcomes: keep one copy of each
-    return universe.memo.setdefault(outcome, outcome)
+def _on_hull(universe, r, base, chi):
+    """Capture of ``base`` modulo chi along the injective hull's embedding;
+    the hull search's BoundExceeded when the hull is beyond the bound."""
+    hull = injective_hull(base, universe)
+    return _captures(universe, r, ActHom(base, hull, tuple(base.elements)),
+                     chi)
 
 
-def _capture_verdict(universe, r, base, chi):
-    radicals = universe.radicals
-    return _capture_verdicts(universe, radicals, base, chi)[radicals.index(r)]
+@memo_on(0)
+def _in_some_extension(universe, r, base, chi):
+    """Capture of ``base`` modulo chi along some embedding of
+    ``_embeddings``; a bound hit before the first capture is raised."""
+    return any(_captures(universe, r, emb, chi)
+               for emb in _embeddings(universe, base))
 
 
 def _detected(universe, r, base, chi):
@@ -778,11 +737,10 @@ def _detected(universe, r, base, chi):
     it of Rees congruences."""
     quo, _ = factor(universe, base, chi)
     lhs = is_radical_act(r, quo)
-    hull, some = _capture_verdict(universe, r, base, chi)
-    rhs = _decided(some)
+    rhs = _in_some_extension(universe, r, base, chi)
     if not rhs:
         try:
-            rhs = _decided(hull)
+            rhs = _on_hull(universe, r, base, chi)
         except BoundExceeded:
             pass
     return lhs == rhs
@@ -797,9 +755,8 @@ def _enum_l211(universe):
 def _holds_l211(universe, parts):
     # the hull is itself an extension, so capture there implies the
     # existential; the content is that a universe witness forces the hull
-    r, base, chi = parts
-    hull, some = _capture_verdict(universe, r, base, chi)
-    return _decided(hull) or not _decided(some)
+    return (_on_hull(universe, *parts)
+            or not _in_some_extension(universe, *parts))
 
 
 register(
@@ -1161,6 +1118,19 @@ def _enum_l43(universe):
             yield "inst", (r, "member", act)
 
 
+@memo_on(0)
+def _dense_factor_members(universe, r, monoid):
+    """The universe acts isomorphic to the Rees factor of some act over the
+    monoid by one of its dense subacts: the member side of L4.3, with one
+    ``find_member`` search per distinct (interned) factor."""
+    factors = {
+        rees_factor(universe, big, mask)[0]
+        for big in universe.acts_over(monoid)
+        for mask in dense_subact_masks(r, big)
+    }
+    return frozenset(map(universe.find_member, factors))
+
+
 def _holds_l43(universe, parts):
     r, tag = parts[0], parts[1]
     if tag == "radical-class":
@@ -1172,15 +1142,7 @@ def _holds_l43(universe, parts):
             is_radical_act(t, a) == in_Lr(r, a) for a in universe.acts
         )
     act = parts[2]
-    direct = False
-    for big in universe.acts_over(act.monoid):
-        for mask in dense_subact_masks(r, big):
-            quo, _ = rees_factor(universe, big, mask)
-            if find_isomorphism(act, quo) is not None:
-                direct = True
-                break
-        if direct:
-            break
+    direct = act in _dense_factor_members(universe, r, act.monoid)
     return direct == in_Lr(r, act)
 
 
@@ -1346,7 +1308,7 @@ def _l51_verdict(universe, radicals, big, mask):
     if not any(dense):
         return (tuple(dense),) * len(targets)
     sub, incl = subact_act_by_mask(big, mask)
-    layout = pushout_layout(radicals[dense.index(True)], incl)
+    layout = pushout_layout(incl)
     row = []
     for c in targets:
         outcome = list(dense)
@@ -1374,9 +1336,11 @@ def _holds_l51(universe, parts):
     r, big, mask, c = parts
     radicals = universe.radicals
     row = _l51_verdict(universe, radicals, big, mask)
-    return _decided(
-        row[universe.acts_over(big.monoid).index(c)][radicals.index(r)]
-    )
+    outcome = row[universe.acts_over(big.monoid).index(c)][radicals.index(r)]
+    if isinstance(outcome, bool):
+        return outcome
+    err_type, message = outcome
+    raise err_type(message)
 
 
 def _holds_l51_all(universe, head, tails):
@@ -1448,7 +1412,7 @@ register(
 )
 
 
-def _dense_chain(universe, r, act, masks):
+def _dense_chain(act, masks):
     """Chain of nested dense subacts presented by inclusion monos."""
     acts = [act]
     links = []
@@ -1475,13 +1439,13 @@ def _enum_chains(universe):
                 yield "inst", (r, act, m1, m0)
 
 
-def _chain_from_parts(universe, parts):
+def _chain_from_parts(parts):
     r, act = parts[0], parts[1]
-    return r, _dense_chain(universe, r, act, parts[2:])
+    return r, _dense_chain(act, parts[2:])
 
 
 def _holds_d54(universe, parts):
-    r, chain = _chain_from_parts(universe, parts)
+    r, chain = _chain_from_parts(parts)
     k = len(chain.acts)
     for i in range(k):
         for j in range(i, k):
@@ -1500,7 +1464,7 @@ register(
 
 
 def _holds_t55(universe, parts):
-    r, chain = _chain_from_parts(universe, parts)
+    r, chain = _chain_from_parts(parts)
     limit, legs = direct_limit(chain)
     return all(is_r_mono(r, leg) for leg in legs)
 

@@ -279,7 +279,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         return 2 if exc.code else 0
     try:
         _check_bounds(args)
-        return _dispatch(args, out, err)
+        return _dispatch(args, out)
     except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -288,7 +288,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         return 1
 
 
-def _dispatch(args, out, err) -> int:
+def _dispatch(args, out) -> int:
     cmd = args.command
 
     if cmd == "validate":

@@ -13,7 +13,8 @@ largest cost.  Results that depend on a ``Universe`` or a ``Radical`` are
 memoised on that object (see ``memo_on``), so they are freed together with
 it: the universe keeps, among others, every factor act built under it, once
 per (act, congruence) and interned by value (``universe.factor``), one
-L5.1 verdict row per dense subact, the L2.11/T7.3 capture verdicts, the
+L5.1 verdict row per dense subact, the L2.11/T7.3 captures per radical
+(on the hull and in some extension), L4.3's dense-factor members, the
 extension answers of the injectivity deciders, each act's hull search, the
 maximal complements that T3.6 to T3.10 share, L2.2's factors and the image
 tables of the maps between two acts that D2.1 and T4.6 read, and a radical

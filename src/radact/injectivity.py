@@ -155,11 +155,9 @@ class PushoutLayout:
             raise PostconditionError("pushout square does not commute")
 
 
-def pushout_layout(r: Radical, m: ActHom) -> PushoutLayout:
-    """The layout of the pushouts of the dense mono m: A -> B; NotRMono when
-    m is not a dense mono for the radical."""
-    if not is_r_mono(r, m):
-        raise NotRMono(f"{m.map} is not a dense monomorphism for {r.name}")
+def pushout_layout(m: ActHom) -> PushoutLayout:
+    """The layout of the pushouts of the mono m: A -> B.  It does not depend
+    on a radical; ``transfer_pushouts`` checks that m is a dense mono."""
     B = m.target
     image = m.image_mask()
     minv = {b: a for a, b in enumerate(m.map)}
@@ -229,9 +227,12 @@ def transfer_pushouts(r: Radical, m: ActHom, fs):
     the ``pushout`` command and the tests' oracle; L5.1 builds each distinct
     pushout once instead (``distinct_pushouts`` on the same layout).  D
     satisfies the act axioms by construction, so it is built as a plain act;
-    a test runs ``validate_act`` on every D of the small universe.
+    a test runs ``validate_act`` on every D of the small universe.  NotRMono
+    when m is not a dense mono for the radical.
     """
-    layout = pushout_layout(r, m)
+    if not is_r_mono(r, m):
+        raise NotRMono(f"{m.map} is not a dense monomorphism for {r.name}")
+    layout = pushout_layout(m)
     A = m.source
     C = None
     for f in fs:

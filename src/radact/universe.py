@@ -240,9 +240,10 @@ class Universe:
     cyclic acts, taxonomy flags, injectivity decisions and the extension
     answers behind them, hull searches, maximal complements, one L5.1 verdict row per
     dense subact, for which each distinct pushout is built once, and the
-    L2.11/T7.3 capture verdicts); see ``core.memo_on``.  ``radicals`` is a
-    tuple that each registration replaces, so a memo entry keyed by it is
-    never read for another set of radicals.
+    L2.11/T7.3 captures, per radical, on the hull and in some extension);
+    see ``core.memo_on``.  ``radicals`` is a tuple that each registration
+    replaces, so a memo entry keyed by it (an L5.1 row) is never read for
+    another set of radicals.
 
     The universe owns its bounds: hull searches read ``hull_bound``.  Every
     bound is at least 1, and ``con_bound`` covers the lattice of every act

@@ -9,6 +9,11 @@ Definitions: every function, class and method defined in the package (dunders
 excepted) is named somewhere besides its own definition, in the package or in
 the tests.
 
+Parameters: every parameter of a function defined in the package is read in
+its body.  Exempt are dunders, the checker callables passed to ``register``
+(the verifier calls them with a fixed signature) and the owner argument of a
+``memo_on`` function, which holds the memo.
+
 State: no module of the package binds a mutable container at module level,
 so that no cache outlives the universe it belongs to.  The checker registries
 ``THEOREMS`` and ``AXIOMS`` are the only exceptions.
@@ -123,6 +128,71 @@ def test_unreferenced_definition_is_reported():
         "def helper(): return Box().used()\n"
     )
     assert unreferenced_definitions([source], ["helper()"]) == ["dead"]
+
+
+def unused_parameters(source, module) -> list[str]:
+    """Qualified names (``module.function.parameter``) of the parameters
+    that their function's body never reads, dunders, registered checker
+    callables and ``memo_on`` owners excepted."""
+    tree = ast.parse(source)
+    registered = {
+        arg.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _name(node) == "register"
+        for arg in node.args + [k.value for k in node.keywords]
+        if isinstance(arg, ast.Name)
+    }
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            visit(child, path + [child.name])
+            name = child.name
+            if (isinstance(child, ast.ClassDef) or name in registered
+                    or name.startswith("__") and name.endswith("__")):
+                continue
+            a = child.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            for dec in child.decorator_list:
+                if isinstance(dec, ast.Call) and _name(dec) == "memo_on":
+                    del params[dec.args[0].value]
+            read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            found.extend(".".join(path + [name, p])
+                         for p in params if p not in read)
+
+    visit(tree, [module])
+    return sorted(found)
+
+
+def test_no_unused_parameters():
+    found = [
+        name for p in MODULES
+        for name in unused_parameters(p.read_text(), p.stem)
+    ]
+    assert found == []
+
+
+def test_unused_parameter_is_reported():
+    source = (
+        "from .core import memo_on\n"
+        "from .verifier import register\n"
+        "class Box:\n"
+        "    def __init__(self, spare): pass\n"
+        "    def size(self, unit): return self\n"
+        "@memo_on(1)\n"
+        "def cached(act, universe, extra): return act\n"
+        "def _holds(universe, parts): return parts\n"
+        "register('X', 'doc', _holds)\n"
+        "def outer(a, b):\n"
+        "    def inner(c): return a\n"
+        "    return inner\n"
+    )
+    assert unused_parameters(source, "m") == [
+        "m.Box.size.unit", "m.cached.extra", "m.outer.b", "m.outer.inner.c",
+    ]
 
 
 MUTABLE_CALLS = {
@@ -522,8 +592,8 @@ def namespace_reads(argv) -> set[str]:
 
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_dispatch", lambda args, out, err: dispatch(
-            Recorder(**vars(args)), out, err))
+        mp.setattr(cli, "_dispatch", lambda args, out: dispatch(
+            Recorder(**vars(args)), out))
         code = cli.run(argv, out=io.StringIO(), err=err)
     assert code in (0, 1) and "error" not in err.getvalue(), argv
     return reads

@@ -232,7 +232,7 @@ def test_distinct_pushouts_match_definition_on_every_l51_span():
     u = default_universe(monoid_max=2)
     maps = built = 0
     for r, incl, c in _l51_spans(u):
-        layout = pushout_layout(r, incl)
+        layout = pushout_layout(incl)
         fs = all_homs(incl.source, c)
         got = list(distinct_pushouts(layout, c, fs))
         want = [_pushout_by_definition(r, incl, f)[:2] for f in fs]
@@ -250,9 +250,9 @@ def test_distinct_pushouts_match_definition_on_every_l51_span():
     assert (built, maps) == (1499, 7773)
 
 
-def test_layout_check_catches_a_square_that_does_not_commute(R2, rg):
+def test_layout_check_catches_a_square_that_does_not_commute(R2):
     sub, incl = subact_act_by_mask(R2, 0b10)
-    layout = pushout_layout(rg, incl)
+    layout = pushout_layout(incl)
     assert replace(layout) == layout
     bad = list(layout.v_slots)
     bad[incl.map[0]] += 1
@@ -260,9 +260,9 @@ def test_layout_check_catches_a_square_that_does_not_commute(R2, rg):
         replace(layout, v_slots=tuple(bad))
 
 
-def test_distinct_pushouts_reject_maps_off_the_span(R2, T1, rg):
+def test_distinct_pushouts_reject_maps_off_the_span(R2, T1):
     sub, incl = subact_act_by_mask(R2, 0b10)
-    layout = pushout_layout(rg, incl)
+    layout = pushout_layout(incl)
     point = trivial_act(R2.monoid)
     with pytest.raises(ActMismatch):
         next(distinct_pushouts(layout, trivial_act(T1), ()))
@@ -369,7 +369,7 @@ def test_direct_limit_matches_quotient_on_every_chain():
         parts[1] for kind, parts in checkers._enum_l53(u) if kind == "inst"
     ]
     chains += [
-        checkers._chain_from_parts(u, parts)[1]
+        checkers._chain_from_parts(parts)[1]
         for kind, parts in checkers._enum_chains(u) if kind == "inst"
     ]
     assert max(len(chain.acts) for chain in chains) == 3
@@ -401,7 +401,7 @@ def small_chains():
         parts[1] for kind, parts in checkers._enum_l53(u) if kind == "inst"
     ]
     chains += [
-        checkers._chain_from_parts(u, parts)[1]
+        checkers._chain_from_parts(parts)[1]
         for kind, parts in checkers._enum_chains(u) if kind == "inst"
     ]
     return chains

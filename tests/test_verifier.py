@@ -174,7 +174,7 @@ def test_axiom_two_violated_by_mutant(mutant_universe):
 def test_pushout_postcondition_failure_violates_l51(monkeypatch):
     # L5.1 leaves the commuting-square check to the pushout layout; a raised
     # PostconditionError must surface as a violation with its note
-    def broken_layout(r, m):
+    def broken_layout(m):
         raise PostconditionError("pushout square does not commute")
 
     monkeypatch.setattr(checkers, "pushout_layout", broken_layout)
@@ -319,8 +319,8 @@ def test_l51_verdicts_follow_a_radical_registered_later():
 
 
 def _captures(r, emb, chi):
-    # capture along one embedding for one radical, as L2.11 and T7.3 decided
-    # it before the shared verdicts, kept as an oracle
+    # capture along one embedding for one radical, on a quotient built here
+    # rather than on the universe's factor acts, kept as an oracle
     quo, pi = quotient(emb.target, smallest_extension(chi, emb))
     rq = r.of(quo)
     labels = {rq.index[pi.map[emb.map[x]]] for x in emb.source.elements}
@@ -372,8 +372,8 @@ def _t73_c2_by_radical(universe, r):
 def _partial_rg_universe():
     # hull bound 4 leaves one act without a hull, and an rG table without
     # the acts of three points fails on their quotients, also between two
-    # extensions that it decides: every kind of outcome the shared verdicts
-    # keep occurs, in every order
+    # extensions that it decides: every kind of outcome of the capture memos
+    # occurs, in every order
     u = default_universe(monoid_max=2, hull_bound=4)
     rg = rg_radical()
     u.register_radical(extensional_radical(
@@ -389,9 +389,8 @@ def test_capture_verdicts_match_per_radical_captures(make):
     u = make()
     seen = set()
     for kind, parts in checkers._enum_l211(u):
-        hull, some = checkers._capture_verdict(u, *parts)
-        got = (_outcome(checkers._decided, hull),
-               _outcome(checkers._decided, some))
+        got = (_outcome(checkers._on_hull, u, *parts),
+               _outcome(checkers._in_some_extension, u, *parts))
         assert got == (_outcome(_on_hull, u, *parts),
                        _outcome(_in_some_extension, u, *parts)), parts
         assert _outcome(checkers._holds_l211, u, parts) == _outcome(
@@ -547,23 +546,23 @@ def test_d39_compares_against_definition_level_oracles(monkeypatch):
 
 
 def test_shared_verdicts_build_each_quotient_and_restriction_once(monkeypatch):
-    # L2.11 and T7.3 build each (embedding, chi) quotient at most once between
-    # them, and a whole run restricts the maps big -> Q to each subact of big
-    # at most once
+    # L2.11 and T7.3 build each (act, congruence) quotient at most once
+    # between them, whatever the number of radicals, and a whole run
+    # restricts the maps big -> Q to each subact of big at most once
     built, restricted = Counter(), Counter()
-    real_extension = checkers.smallest_extension
+    real_quotient = universe_module.quotient
     real_restrictions = injectivity._restrictions
 
-    def extending(chi, emb):
-        built[emb, chi] += 1
-        return real_extension(chi, emb)
+    def building(act, chi):
+        built[act, chi] += 1
+        return real_quotient(act, chi)
 
     def restricting(Q, big, mask):
         restricted[Q, big, mask] += 1
         return real_restrictions(Q, big, mask)
 
-    monkeypatch.setattr(checkers, "smallest_extension", extending)
     u = default_universe(monoid_max=2)
+    monkeypatch.setattr(universe_module, "quotient", building)
     for cid in ("L2.11", "T7.3"):
         assert verifier.verify(cid, u).status == "verified"
     assert built and max(built.values()) == 1
