@@ -13,14 +13,15 @@ assumes of the radical is declared by ``register(..., assumes=FLAG)`` and
 filtered on by ``Checker.run``; only checkers whose statement compares flags
 call ``classify_radical``.  D2.1 yields its continuity law as one
 ("group", ...) per (radical, hom) and decides a group from closure tables
-through ``holds_all``; ``_holds_d21`` stays the per-instance predicate.
-L5.1 yields one group per (radical, dense subact), its targets as tails,
-and reads a group off the subact's verdict row.  T4.6 reads every map's
-image, and the image of the dense subact, off the image tables of D2.1
-(``_hom_images``).  Every factor act is ``universe.factor``'s (or
-``rees_factor``'s), built once per universe and interned, so L2.11, T7.3,
-T2.12 and P2.13 ask capture one radical at a time (``_on_hull``,
-``_in_some_extension``) and share each factor act across radicals.
+through ``holds_all``.  L5.1 yields one group per (radical, dense subact),
+its targets as tails, and reads a group off the subact's verdict row.  For
+both, the per-instance predicate is the group decider on one tail.  T4.6
+reads every map's image, and the image of the dense subact, off the image
+tables of D2.1 (``_hom_images``).  Every factor act is
+``universe.factor``'s (or ``rees_factor``'s), built once per universe and
+interned, so L2.11, T7.3, T2.12 and P2.13 ask capture one radical at a time
+(``_on_hull``, ``_in_some_extension``) and share each factor act across
+radicals.
 
 Sweeps over monomorphisms are collapsed along images: a mono A -> B with
 image M poses exactly the problems of the subact inclusion M -> B, composed
@@ -349,15 +350,7 @@ def _holds_d21(universe, parts):
     if tag == "c2":
         act, m1, m2 = parts[2], parts[3], parts[4]
         return closure_mask(r, act, m1) & ~closure_mask(r, act, m2) == 0
-    f, m = parts[2], parts[3]
-    c = closure_mask(r, f.source, m)
-    image = fm = 0
-    for x, y in enumerate(f.map):
-        if c >> x & 1:
-            image |= 1 << y
-        if m >> x & 1:
-            fm |= 1 << y
-    return image & ~closure_mask(r, f.target, fm) == 0
+    return _holds_d21_all(universe, parts[:3], parts[3:])
 
 
 @memo_on(0)
@@ -1333,24 +1326,29 @@ def _l51_verdict(universe, radicals, big, mask):
 
 
 def _holds_l51(universe, parts):
-    r, big, mask, c = parts
-    radicals = universe.radicals
-    row = _l51_verdict(universe, radicals, big, mask)
-    outcome = row[universe.acts_over(big.monoid).index(c)][radicals.index(r)]
-    if isinstance(outcome, bool):
-        return outcome
-    err_type, message = outcome
-    raise err_type(message)
+    return _holds_l51_all(universe, parts[:3], parts[3:])
 
 
 def _holds_l51_all(universe, head, tails):
-    """Every target of ``tails``, which ``_enum_l51`` takes from
-    ``acts_over``, read off the dense subact's verdict row at once."""
+    """The targets of ``tails`` in turn, read off the dense subact's verdict
+    row: False at the first that fails, its bound error raised at the first
+    that hit one.  ``_enum_l51`` gives ``acts_over`` itself, the row's order;
+    any other tuple is looked up target by target."""
     r, big, mask = head
     radicals = universe.radicals
     i = radicals.index(r)
-    return all(outcome[i] is True
-               for outcome in _l51_verdict(universe, radicals, big, mask))
+    row = _l51_verdict(universe, radicals, big, mask)
+    targets = universe.acts_over(big.monoid)
+    if tails is not targets:
+        row = [row[targets.index(c)] for c in tails]
+    for outcome in row:
+        outcome = outcome[i]
+        if outcome is False:
+            return False
+        if outcome is not True:
+            err_type, message = outcome
+            raise err_type(message)
+    return True
 
 
 register(

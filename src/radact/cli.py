@@ -23,7 +23,7 @@ from .core import (
     subact_act_by_mask,
     subact_from_members,
 )
-from .errors import ParseError, RadactError, SizeBound, UsageError
+from .errors import NotRMono, ParseError, RadactError, SizeBound, UsageError
 from .universe import default_universe
 from .verifier import to_json, to_text, verify_all
 
@@ -403,7 +403,10 @@ def _dispatch(args, out) -> int:
         inner, incl = subact_act_by_mask(act, _subact_of(act, args.members))
         into = _resolve_act(args.into, catalog, "--into")
         f = _map_of(inner, into, args.map)
-        d, ulab, vlab = next(inj.transfer_pushouts(r, incl, (f,)))
+        if not rd.is_r_mono(r, incl):
+            raise NotRMono(f"{incl.map} is not a dense monomorphism for "
+                           f"{r.name}")
+        d, ulab, vlab = inj.pushout_square(inj.pushout_layout(incl), f)
         _print_act(d, out)
         print("u " + " ".join(str(x) for x in ulab.map), file=out)
         print("v " + " ".join(str(x) for x in vlab.map), file=out)

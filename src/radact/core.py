@@ -11,14 +11,8 @@ the same object and compares the stored hashes before the tables.
 the hundred thousand, and a frozen dataclass's ``__init__`` was their
 largest cost.  Results that depend on a ``Universe`` or a ``Radical`` are
 memoised on that object (see ``memo_on``), so they are freed together with
-it: the universe keeps, among others, every factor act built under it, once
-per (act, congruence) and interned by value (``universe.factor``), one
-L5.1 verdict row per dense subact, the L2.11/T7.3 captures per radical
-(on the hull and in some extension), L4.3's dense-factor members, the
-extension answers of the injectivity deciders, each act's hull search, the
-maximal complements that T3.6 to T3.10 share, L2.2's factors and the image
-tables of the maps between two acts that D2.1 and T4.6 read, and a radical
-its closures, one closure table per act and each act's dense subacts.
+it; the ``Universe`` docstring and README's "Memoisation" list what each
+keeps.
 A subact (a non-empty action-closed subset of a carrier) is always a bitmask
 over its parent's carrier: bit a is set when element a belongs to it.
 ``subact_act_by_mask`` materialises one as an act plus its inclusion.
@@ -281,13 +275,11 @@ def validate_act(monoid: FiniteMonoid, action_table, name: str = "") -> FiniteAc
     return FiniteAct(monoid, action, name)
 
 
-@lru_cache(maxsize=None)
 def left_regular_act(monoid: FiniteMonoid) -> FiniteAct:
     """The monoid acting on itself by left multiplication."""
     return FiniteAct(monoid, monoid.mul, name=(monoid.name or "S") + ".reg")
 
 
-@lru_cache(maxsize=None)
 def trivial_act(monoid: FiniteMonoid) -> FiniteAct:
     return FiniteAct(monoid, tuple((0,) for _ in monoid.elements), name="theta")
 
@@ -304,7 +296,6 @@ def zeros(act: FiniteAct) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def cyclic_mask(act: FiniteAct, a: int) -> int:
     mask = 0
     for row in act.action:

@@ -157,7 +157,7 @@ class PushoutLayout:
 
 def pushout_layout(m: ActHom) -> PushoutLayout:
     """The layout of the pushouts of the mono m: A -> B.  It does not depend
-    on a radical; ``transfer_pushouts`` checks that m is a dense mono."""
+    on a radical, so it does not check that m is a dense mono."""
     B = m.target
     image = m.image_mask()
     minv = {b: a for a, b in enumerate(m.map)}
@@ -215,35 +215,27 @@ def distinct_pushouts(layout: PushoutLayout, C: FiniteAct, fs):
             yield D, ActHom(C, D, u_map)
 
 
-def transfer_pushouts(r: Radical, m: ActHom, fs):
-    """Complete the span (dense mono m: A -> B, map f: A -> C) for each map f
-    of ``fs`` to a commuting square whose new leg u: C -> D is again a dense
-    mono; yields (D, u, v) per map, where v: B -> D is the other new leg.
+def pushout_square(layout: PushoutLayout, f: ActHom):
+    """Complete the span (the layout's mono m: A -> B, map f: A -> C) to a
+    commuting square (D, u, v), with new legs u: C -> D and v: B -> D.
 
     D's carrier is B minus the image of m, followed by C.  The action sends a
     leftover element of B into C through f whenever multiplication lands in
-    the image of m.  Every map reads the one ``PushoutLayout`` of m, checked
-    once to commute, and only fills in its images.  This per-map form serves
-    the ``pushout`` command and the tests' oracle; L5.1 builds each distinct
-    pushout once instead (``distinct_pushouts`` on the same layout).  D
-    satisfies the act axioms by construction, so it is built as a plain act;
-    a test runs ``validate_act`` on every D of the small universe.  NotRMono
-    when m is not a dense mono for the radical.
+    the image of m; only f's images are filled into the layout.  This serves
+    the ``pushout`` command; L5.1 builds each distinct pushout of a span
+    once (``distinct_pushouts``).  D satisfies the act axioms by
+    construction, so it is built as a plain act; a test runs
+    ``validate_act`` on every D of the small universe.  u is a dense mono
+    when m is one (L5.1), which the caller checks.
     """
-    if not is_r_mono(r, m):
-        raise NotRMono(f"{m.map} is not a dense monomorphism for {r.name}")
-    layout = pushout_layout(m)
-    A = m.source
-    C = None
-    for f in fs:
-        if f.source != A:
-            raise ValueError("pushout legs must share their source")
-        if f.target is not C:
-            C = f.target
-            c_rows, u_map = _target_part(layout, C)
-        D, get = _pushout_act(layout, c_rows, f.map)
-        yield (D, ActHom(C, D, u_map),
-               ActHom(m.target, D, tuple(map(get, layout.v_slots))))
+    m = layout.mono
+    if f.source != m.source:
+        raise ValueError("pushout legs must share their source")
+    C = f.target
+    c_rows, u_map = _target_part(layout, C)
+    D, get = _pushout_act(layout, c_rows, f.map)
+    return (D, ActHom(C, D, u_map),
+            ActHom(m.target, D, tuple(map(get, layout.v_slots))))
 
 
 # ---------------------------------------------------------------------------

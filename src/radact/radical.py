@@ -9,10 +9,10 @@ zero).  Induced radicals come from a semisimple-class membership predicate via
 the meet formula; extensional radicals are tables over a fixed catalog of
 acts, evaluated on other acts through an isomorphism.
 
-A radical memoises what depends on it: its congruence on each act, the
-closure of each (act, subact), one closure table per act (every subact's
-closure, read by D2.1's continuity groups and by ``dense_subact_masks``) and
-each act's dense subacts.
+A radical memoises what depends on it: its congruence on each act, one
+closure dict per act (from subact to closure: ``closure_mask`` fills it and
+``closure_table`` completes it for D2.1's continuity groups, T4.6 and
+``dense_subact_masks``) and each act's dense subacts.
 """
 
 from __future__ import annotations
@@ -50,14 +50,15 @@ class Radical:
     induced radical also carries the ``membership`` predicate of its
     semisimple class, which registration verifies.  Results that depend on
     the radical are memoised on it: congruences and closures in inline tables
-    (the hot paths), everything else in ``memo``."""
+    (the hot paths; ``_closures`` holds one closure dict per act), everything
+    else in ``memo``."""
 
     def __init__(self, name, congruence_of, *, membership=None):
         self.name = name
         self.congruence_of = congruence_of
         self.membership = membership
         self._of = {}
-        self._closure = {}
+        self._closures = {}
         self.memo = {}
 
     def __repr__(self):
@@ -252,9 +253,10 @@ def verify_semisimple_class(membership, universe):
 
 def closure_mask(r: Radical, act: FiniteAct, mask: int) -> int:
     """Preimage, under collapsing the subact, of the radical class of the
-    collapsed point."""
-    key = (act, mask)
-    got = r._closure.get(key)
+    collapsed point.  ``mask`` is a subact of the act; the answer goes into
+    the act's closure dict."""
+    table = r._closures.setdefault(act, {})
+    got = table.get(mask)
     if got is not None:
         return got
     quo, pi = quotient(act, rees_single(act, mask))
@@ -264,7 +266,7 @@ def closure_mask(r: Radical, act: FiniteAct, mask: int) -> int:
     for a in act.elements:
         if rq.index[pi.map[a]] == zclass:
             out |= 1 << a
-    r._closure[key] = out
+    table[mask] = out
     return out
 
 
@@ -288,18 +290,23 @@ def density_equivalent(r: Radical, act: FiniteAct, mask: int) -> bool:
     return is_radical_act(r, quo)
 
 
-@memo_on(0)
 def closure_table(r: Radical, act: FiniteAct) -> dict[int, int]:
-    """The closure of every subact of the act: a dict from each mask of
-    ``subact_masks(act)`` to its ``closure_mask``, shared by every caller
-    and never mutated."""
-    return {m: closure_mask(r, act, m) for m in subact_masks(act)}
+    """The closure of every subact of the act: the act's closure dict,
+    completed to every mask of ``subact_masks(act)``.  It is the dict that
+    ``closure_mask`` fills, kept in the order the masks were first asked
+    for, so callers read it by mask and never mutate it."""
+    masks = subact_masks(act)
+    if len(r._closures.get(act, ())) < len(masks):
+        for m in masks:
+            closure_mask(r, act, m)
+    return r._closures[act]
 
 
 @memo_on(0)
 def dense_subact_masks(r: Radical, act: FiniteAct) -> tuple[int, ...]:
     full = act.full_mask()
-    return tuple(m for m, c in closure_table(r, act).items() if c == full)
+    table = closure_table(r, act)
+    return tuple(m for m in subact_masks(act) if table[m] == full)
 
 
 def intersection_large(act: FiniteAct, mask: int) -> bool:

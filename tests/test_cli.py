@@ -172,6 +172,17 @@ def test_pushout_command(catalog_dir):
     assert lines[-2].startswith("u ") and lines[-1].startswith("v ")
 
 
+def test_pushout_command_requires_dense_mono(catalog_dir):
+    # the one point {1} of R2 is closed, not dense, for delta: the command
+    # decides nothing and fails, after the map has been checked
+    argv = ["pushout", "--seed-catalog", catalog_dir, "--act", "R2",
+            "--members", "1", "--into", "R2", "--radical", "delta"] + SMALL
+    code, out, err = invoke(argv + ["--map", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: (1,) is not a dense monomorphism for delta\n"
+    assert invoke(argv + ["--map", "7"])[0] == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["closure", "--members", "x"],
     ["closure", "--members", "0"],  # not action-closed in R2

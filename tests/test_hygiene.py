@@ -41,6 +41,11 @@ Flags: in ``checkers``, only the checkers whose statement compares taxonomy
 flags call ``classify_radical``; every other checker that assumes a flag
 declares it on ``register(...)`` and ``Checker.run`` filters on it.
 
+Process-wide caches: exactly the functions of ``PROCESS_CACHED`` use
+``functools.lru_cache`` (or ``functools.cache``).  Such a cache outlives
+every universe, so each one is a reviewed change to that list: it must pay
+for the memory it never frees.
+
 Command layer: ``cli`` reads only public names of the other ``radact``
 modules, whether it imports a name or reads it off an imported module.
 Every flag that a command accepts is read on some path of that command, so
@@ -509,6 +514,61 @@ def test_flag_reader_is_reported():
         "    return classify_radical\n"
     )
     assert flag_readers(source, "m") == ["m._enum"]
+
+
+def process_cache_users(source, module) -> list[str]:
+    """The functions that name ``lru_cache`` or ``cache``, as a decorator or
+    otherwise; ``module`` alone for a use at module level."""
+    return functions_where(
+        source, module,
+        lambda n: isinstance(n, (ast.Name, ast.Attribute))
+        and _name(n) in ("lru_cache", "cache"),
+    )
+
+
+# the functions memoised for the whole process, by value
+PROCESS_CACHED = (
+    "congruence.all_congruences",
+    "core._signature",
+    "core.all_homs",
+    "core.injective_homs",
+    "core.subact_act_by_mask",
+    "core.subact_masks",
+    "core.zeros",
+)
+
+
+def test_only_the_listed_functions_cache_for_the_process():
+    found = [
+        name for p in MODULES
+        for name in process_cache_users(p.read_text(), p.stem)
+    ]
+    assert sorted(found) == sorted(PROCESS_CACHED)
+
+
+def test_process_cache_user_is_reported():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def listed(act):\n"
+        "    return act\n"
+        "class Box:\n"
+        "    @functools.cache\n"
+        "    def method(self):\n"
+        "        return self\n"
+        "def plain(act):\n"
+        "    @cache\n"
+        "    def inner(a):\n"
+        "        return a\n"
+        "    return inner(act)\n"
+        "WRAPPED = lru_cache(maxsize=8)(plain)\n"
+        "def bystander(act):\n"
+        "    return act.lru\n"
+    )
+    assert process_cache_users(source, "m") == [
+        "m", "m.Box.method", "m.listed", "m.plain.inner",
+    ]
 
 
 def private_reads(source) -> list[str]:

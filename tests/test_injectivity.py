@@ -55,10 +55,10 @@ from radact.injectivity import (
     maximal_r_essential_extension,
     minimal_r_injective_extension,
     pushout_layout,
+    pushout_square,
     r_injective_bounded,
     r_injective_hull,
     skornjakov_injective,
-    transfer_pushouts,
     _extends_along,
     _maps_extend,
     _restrictions,
@@ -111,7 +111,7 @@ def test_collectively_large_matches_hom_definition(U):
 def test_pushout_identity_mono(R2, rg):
     m = identity_hom(R2)
     f = ActHom(R2, R2, (1, 1))
-    d, u, v = next(transfer_pushouts(rg, m, (f,)))
+    d, u, v = pushout_square(pushout_layout(m), f)
     assert d.size == R2.size
     assert u.is_bijective()
 
@@ -124,7 +124,7 @@ def test_pushout_into_point_is_rees_factor(U, rg):
                 continue
             sub, incl = subact_act_by_mask(act, mask)
             f = ActHom(sub, theta, (0,) * sub.size)
-            d, u, v = next(transfer_pushouts(rg, incl, (f,)))
+            d, u, v = pushout_square(pushout_layout(incl), f)
             collapsed, _ = quotient(act, rees_single(act, mask))
             assert find_isomorphism(d, collapsed) is not None
 
@@ -132,26 +132,15 @@ def test_pushout_into_point_is_rees_factor(U, rg):
 def test_pushout_spec_example(R2, E2, rg):
     sub, incl = subact_act_by_mask(R2, 0b10)
     f = ActHom(sub, trivial_act(E2), (0,))
-    d, u, v = next(transfer_pushouts(rg, incl, (f,)))
+    d, u, v = pushout_square(pushout_layout(incl), f)
     assert d.size == 2
     assert is_r_mono(rg, u)
     assert is_r_dense(rg, d, u.image_mask())
 
 
-def test_pushout_requires_dense_mono(R2, U):
-    delta = U.radical("delta")
-    sub, incl = subact_act_by_mask(R2, 0b10)
-    f = ActHom(sub, trivial_act(R2.monoid), (0,))
-    with pytest.raises(NotRMono):
-        next(transfer_pushouts(delta, incl, (f,)))
-    # the precondition is checked once per span, before any map is read
-    with pytest.raises(NotRMono):
-        list(transfer_pushouts(delta, incl, ()))
-
-
 def _pushout_by_definition(r, m, f):
-    # the one-map construction that transfer_pushouts lays out once per span,
-    # kept as an oracle; D is built through validate_act
+    # the one-map construction that pushout_square reads off a layout laid
+    # out once per span, kept as an oracle; D is built through validate_act
     if m.source != f.source:
         raise ValueError("pushout legs must share their source")
     if not is_r_mono(r, m):
@@ -192,14 +181,13 @@ def _pushout_by_definition(r, m, f):
 def test_pushouts_match_definition_on_every_l51_span():
     # every span that some radical makes dense, every map out of its subact:
     # one layout per span gives the oracle's D, u and v, and every D passes
-    # validate_act, which transfer_pushouts does not run
+    # validate_act, which pushout_square does not run
     u = default_universe(monoid_max=2)
     squares = 0
     for r, incl, c in _l51_spans(u):
-        fs = all_homs(incl.source, c)
-        got = list(transfer_pushouts(r, incl, fs))
-        assert len(got) == len(fs)
-        for f, (d, uu, v) in zip(fs, got):
+        layout = pushout_layout(incl)
+        for f in all_homs(incl.source, c):
+            d, uu, v = pushout_square(layout, f)
             want_d, want_u, want_v = _pushout_by_definition(r, incl, f)
             assert d.action == want_d.action
             assert uu.map == want_u.map and v.map == want_v.map
@@ -272,18 +260,15 @@ def test_distinct_pushouts_reject_maps_off_the_span(R2, T1):
         next(distinct_pushouts(layout, R2, (ActHom(sub, point, (0,)),)))
 
 
-def test_pushout_rejects_maps_off_the_span(R2, T1, rg):
+def test_pushout_rejects_maps_off_the_span(R2, T1):
     sub, incl = subact_act_by_mask(R2, 0b10)
-    point = ActHom(sub, trivial_act(R2.monoid), (0,))
+    layout = pushout_layout(incl)
     other = ActHom(sub, trivial_act(T1), (0,))
     with pytest.raises(ActMismatch):
-        next(transfer_pushouts(rg, incl, (other,)))
-    # checked for each new target, also after a good one
-    with pytest.raises(ActMismatch):
-        list(transfer_pushouts(rg, incl, (point, other)))
+        pushout_square(layout, other)
     stray = ActHom(R2, trivial_act(R2.monoid), (0, 0))
     with pytest.raises(ValueError):
-        next(transfer_pushouts(rg, incl, (stray,)))
+        pushout_square(layout, stray)
 
 
 def test_banaschewski_identity(U, R2, rg):

@@ -40,8 +40,9 @@ from radact.errors import (
 from radact.injectivity import (
     DirectedChain,
     injective_hull,
+    pushout_layout,
+    pushout_square,
     r_injective_bounded,
-    transfer_pushouts,
 )
 from radact import universe as universe_module
 from radact.radical import (
@@ -87,6 +88,10 @@ def small_two():
 
 @pytest.fixture(scope="module")
 def mutant_universe():
+    return _mutant_universe()
+
+
+def _mutant_universe():
     u = default_universe(monoid_max=1, act_max=3, hull_bound=3)
     acts = {a.size: a for a in u.acts}
     table = {
@@ -189,10 +194,26 @@ def _l51_by_pushouts(r, big, mask, c):
     # the per-radical loop that the span verdicts replace, kept as an oracle;
     # it reads checkers.is_r_mono at call time so that patches reach it
     sub, incl = subact_act_by_mask(big, mask)
+    layout = pushout_layout(incl)
     return all(
-        checkers.is_r_mono(r, next(transfer_pushouts(r, incl, (f,)))[1])
+        checkers.is_r_mono(r, pushout_square(layout, f)[1])
         for f in all_homs(sub, c)
     )
+
+
+def _flaky_density(monkeypatch, rg_fails=True):
+    # density fails for rG on 5-point pushouts (unless ``rg_fails`` is
+    # False) and hits a bound for t_LrG on 6-point ones
+    real = checkers.is_r_mono
+
+    def flaky(r, m):
+        if r.name == "rG" and rg_fails and m.target.size == 5:
+            return False
+        if r.name == "t_LrG" and m.target.size == 6:
+            raise NotInUniverse("pushout outside the table")
+        return real(r, m)
+
+    monkeypatch.setattr(checkers, "is_r_mono", flaky)
 
 
 def _outcome(fn, *args):
@@ -221,16 +242,7 @@ def test_l51_verdicts_match_per_radical_pushouts():
 def test_l51_verdicts_keep_radicals_apart(monkeypatch):
     # a density test that fails for rG and hits a bound for t_LrG on some
     # pushouts must change the answers of those radicals only
-    real = checkers.is_r_mono
-
-    def flaky(r, m):
-        if r.name == "rG" and m.target.size == 5:
-            return False
-        if r.name == "t_LrG" and m.target.size == 6:
-            raise NotInUniverse("pushout outside the table")
-        return real(r, m)
-
-    monkeypatch.setattr(checkers, "is_r_mono", flaky)
+    _flaky_density(monkeypatch)
     u = default_universe(monoid_max=2)
     seen = set()
     for parts in _l51_instances(u):
@@ -247,16 +259,7 @@ def test_l51_rows_give_the_report_of_the_expanded_instances(monkeypatch,
     # density failing for rG and hitting a bound for t_LrG on some pushouts:
     # deciding groups from the verdict rows gives the report of the
     # per-instance predicate run on every expanded instance
-    real = checkers.is_r_mono
-
-    def flaky(r, m):
-        if r.name == "rG" and "rG" in failing and m.target.size == 5:
-            return False
-        if r.name == "t_LrG" and m.target.size == 6:
-            raise NotInUniverse("pushout outside the table")
-        return real(r, m)
-
-    monkeypatch.setattr(checkers, "is_r_mono", flaky)
+    _flaky_density(monkeypatch, "rG" in failing)
     u = default_universe(monoid_max=2)
     verifier._ensure_registered()
     checker = verifier.THEOREMS["L5.1"]
@@ -292,9 +295,10 @@ def test_l51_builds_each_pushout_once(monkeypatch):
             continue
         spans.add((big, mask, c))
         incl = subact_act_by_mask(big, mask)[1]
-        for d, _, _ in transfer_pushouts(r, incl, all_homs(incl.source, c)):
+        layout = pushout_layout(incl)
+        for f in all_homs(incl.source, c):
             maps += 1
-            distinct.add((big, mask, c, d.action))
+            distinct.add((big, mask, c, pushout_square(layout, f)[0].action))
     assert len(built) == len(set(built)) == 1499
     assert set(built) == distinct
     assert maps == 7773
@@ -605,28 +609,59 @@ def test_d21_continuity_matches_member_loop(mutant_universe):
     assert seen == {True, False}
 
 
-def test_holds_all_matches_its_instances(small_two, mutant_universe):
+def test_holds_all_matches_its_instances(small_two, mutant_universe,
+                                        monkeypatch):
     # every registered group decider agrees with its per-instance predicate
-    # on every group it is given
+    # on every group it is given, and the per-instance predicate is the
+    # decider on one tail; then again, bound errors included, with L5.1's
+    # density flaky, on fresh universes (the verdict rows live on them)
     verifier._ensure_registered()
     grouped = [
         c for c in {**verifier.AXIOMS, **verifier.THEOREMS}.values()
         if c.holds_all is not None
     ]
     assert [c.id for c in grouped] == ["D2.1", "L5.1"]
-    seen = set()
-    for u in (small_two, mutant_universe):
-        for checker in grouped:
-            for kind, parts in checker.enumerate(u):
-                if kind != "group":
-                    continue
-                head, tails = parts
-                got = checker.holds_all(u, head, tails)
-                assert got == all(
-                    checker.holds(u, head + (t,)) for t in tails
-                ), head
-                seen.add(got)
-    assert seen == {True, False}
+
+    def outcomes(universes):
+        seen = set()
+        for u in universes:
+            for checker in grouped:
+                for kind, parts in checker.enumerate(u):
+                    if kind != "group":
+                        continue
+                    head, tails = parts
+                    each = [_outcome(checker.holds, u, head + (t,))
+                            for t in tails]
+                    for t, got in zip(tails, each):
+                        assert _outcome(checker.holds_all, u, head,
+                                        (t,)) == got
+                    whole = _outcome(checker.holds_all, u, head, tails)
+                    assert (whole is True) == all(o is True for o in each)
+                    seen.update((checker.id, o) for o in each)
+        return seen
+
+    seen = outcomes((small_two, mutant_universe))
+    assert {("D2.1", True), ("D2.1", False), ("L5.1", True)} <= seen
+    _flaky_density(monkeypatch)
+    seen = outcomes((default_universe(monoid_max=2), _mutant_universe()))
+    assert {("L5.1", False), ("L5.1", NotInUniverse)} <= seen
+
+
+def test_l51_decider_answers_the_tails_it_is_given(monkeypatch):
+    # one-target and reversed tail tuples: the decider answers for exactly
+    # those targets, at the first that fails or hits a bound in their order
+    _flaky_density(monkeypatch)
+    u = default_universe(monoid_max=2)
+    mixed = 0
+    for _, (head, targets) in checkers._enum_l51(u):
+        outcomes = [_outcome(_l51_by_pushouts, *head, c) for c in targets]
+        for c, want in zip(targets, outcomes):
+            assert _outcome(checkers._holds_l51_all, u, head, (c,)) == want
+        last = next((o for o in reversed(outcomes) if o is not True), True)
+        got = _outcome(checkers._holds_l51_all, u, head, targets[::-1])
+        assert got == last
+        mixed += len(set(outcomes)) > 1
+    assert mixed
 
 
 @pytest.fixture(scope="module")
