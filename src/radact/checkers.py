@@ -11,11 +11,13 @@ which skips an instance whose sides disagree only through readings that
 an act beyond the bounds could change.  A taxonomy flag the result
 assumes of the radical is declared by ``register(..., assumes=FLAG)`` and
 filtered on by ``Checker.run``; only checkers whose statement compares flags
-call ``classify_radical``.  D2.1 yields its continuity law as one
-("group", ...) per (radical, hom) and decides a group from closure tables
-through ``holds_all``.  L5.1 yields one group per (radical, dense subact),
-its targets as tails, and reads a group off the subact's verdict row.  For
-both, the per-instance predicate is the group decider on one tail.  T4.6
+call ``classify_radical``.  Three laws are grouped.  AX-H1 yields one
+("group", ...) per (radical, hom set), its maps as tails, and reads the two
+radical congruences once per group.  D2.1 yields its continuity law as one
+group per (radical, hom) and decides a group from closure tables through
+``holds_all``.  L5.1 yields one group per (radical, dense subact), its
+targets as tails, and reads a group off the subact's verdict row.  For
+each, the per-instance predicate is the group decider on one tail.  T4.6
 reads every map's image, and the image of the dense subact, off the image
 tables of D2.1 (``_hom_images``).  Every factor act is
 ``universe.factor``'s (or ``rees_factor``'s), built once per universe and
@@ -89,6 +91,7 @@ from .injectivity import (
     r_injective_hull,
     skornjakov_injective,
     _complement,
+    _large_masks,
     _maps_extend,
 )
 from .radical import (
@@ -156,14 +159,18 @@ def _enum_closed_subacts(universe):
             yield ("inst" if closed else "filtered"), (r, act, mask)
 
 
+@memo_on(0)
 def _embeddings(universe, base):
-    """Embeddings of an act into universe acts, the identity first."""
-    yield identity_hom(base)
+    """Embeddings of an act into universe acts, the identity first, as a
+    tuple built once per universe and act."""
+    ident = identity_hom(base)
+    out = [ident]
     for target in universe.acts_over(base.monoid):
         for emb in injective_homs(base, target):
-            if target == base and emb.map == tuple(base.elements):
+            if target == base and emb.map == ident.map:
                 continue
-            yield emb
+            out.append(emb)
+    return tuple(out)
 
 
 def _class_coproduct_closed(universe, r, monoid, member):
@@ -220,19 +227,34 @@ def _enum_h1(universe):
             acts = universe.acts_over(monoid)
             for a in acts:
                 for b in acts:
-                    for f in all_homs(a, b):
-                        yield "inst", (r, f)
+                    homs = all_homs(a, b)
+                    if homs:
+                        yield "group", ((r,), homs)
 
 
 def _holds_h1(universe, parts):
-    r, f = parts
-    ra = r.of(f.source)
-    rb = r.of(f.target)
-    for block in ra.blocks:
-        rep = rb.index[f.map[block[0]]]
-        for x in block[1:]:
-            if rb.index[f.map[x]] != rep:
-                return False
+    return _holds_h1_all(universe, parts[:1], parts[1:])
+
+
+def _holds_h1_all(universe, head, homs):
+    """Functoriality of one radical along each hom in ``homs``: every
+    radical class of the source lands inside one radical class of the
+    target.  The radical congruences are read again only where a hom's
+    source or target differs from the one before it, so a hom set reads
+    them once."""
+    r, = head
+    source = target = None
+    for f in homs:
+        if f.source is not source or f.target is not target:
+            source, target = f.source, f.target
+            blocks = r.of(source).blocks
+            index = r.of(target).index
+        fmap = f.map
+        for block in blocks:
+            rep = index[fmap[block[0]]]
+            for x in block[1:]:
+                if index[fmap[x]] != rep:
+                    return False
     return True
 
 
@@ -243,6 +265,7 @@ register(
     _enum_h1,
     _holds_h1,
     axiom=True,
+    holds_all=_holds_h1_all,
 )
 
 
@@ -1594,7 +1617,7 @@ def _large_cyclic_criterion(universe, r, q):
     return all(
         _maps_extend(q, cyc, (
             m for m in dense_subact_masks(r, cyc)
-            if is_large(cyc, m)
+            if m in _large_masks(universe, cyc)
         ), universe)
         for cyc in universe.cyclic_acts(q.monoid)
     )

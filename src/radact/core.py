@@ -424,7 +424,7 @@ def compose(g: ActHom, f: ActHom) -> ActHom:
     """g after f."""
     if f.target != g.source:
         raise ActMismatch("homs do not compose")
-    return ActHom(f.source, g.target, tuple(g.map[f.map[a]] for a in f.source.elements))
+    return ActHom(f.source, g.target, tuple(map(g.map.__getitem__, f.map)))
 
 
 def is_equivariant(source: FiniteAct, target: FiniteAct, mapping) -> bool:
@@ -453,24 +453,26 @@ def hom(source: FiniteAct, target: FiniteAct, mapping) -> ActHom:
 def _hom_search(source, target, partial, injective, limit=None):
     """Backtracking enumeration of equivariant maps extending ``partial``.
 
-    Assignments propagate through the action, candidate images are tried in
-    ascending order and elements are branched left to right, so complete maps
-    come out in lexicographic order of their tuples.
+    Assigning f(a) = b sets f(s*a) = s*b for every s in one pass over the
+    monoid: S*(S*a) = S*a, so that pass covers the whole orbit of a, in |S|
+    steps, with no stack of points to revisit.  Each step checks its point
+    on its own: a value already set must agree, and an injective search
+    refuses an image that another point holds.  Candidate images are tried
+    in ascending order and elements are branched left to right, so complete
+    maps come out in lexicographic order of their tuples.
     """
     n_src = source.size
-    s_act = source.action
-    t_act = target.action
-    srange = range(source.monoid.size)
+    # column a of an action table: s*a for every s, in monoid order
+    s_cols = tuple(zip(*source.action))
+    t_cols = tuple(zip(*target.action))
     f = [-1] * n_src
     used = 0
 
     def try_assign(a, b):
-        # returns assigned stack for undo, or None on conflict
+        # returns the points assigned, for undo, or None on conflict
         nonlocal used
-        stack = [(a, b)]
         done = []
-        while stack:
-            x, y = stack.pop()
+        for x, y in zip(s_cols[a], t_cols[b]):
             cur = f[x]
             if cur == y:
                 continue
@@ -482,8 +484,6 @@ def _hom_search(source, target, partial, injective, limit=None):
             f[x] = y
             used |= 1 << y
             done.append(x)
-            for s in srange:
-                stack.append((s_act[s][x], t_act[s][y]))
         return done
 
     def undo(done):

@@ -32,6 +32,7 @@ so the embedding is the inclusion of that prefix: the searches and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .congruence import (
     CON_BOUND_DEFAULT,
@@ -354,7 +355,11 @@ def _restrictions(Q: FiniteAct, big: FiniteAct, mask: int) -> list:
     and the number of times it occurs is its number of extensions, so every
     extension question along a subact inclusion is answered from it."""
     members = mask_members(mask)
-    return [tuple(h.map[a] for a in members) for h in all_homs(big, Q)]
+    maps = [h.map for h in all_homs(big, Q)]
+    if len(members) == 1:
+        a, = members
+        return [(fmap[a],) for fmap in maps]
+    return list(map(itemgetter(*members), maps))
 
 
 # how the maps from a subact into Q extend to big: some map does not extend,
@@ -448,15 +453,20 @@ def is_orthogonal_r_injective(r: Radical, Q: FiniteAct, universe) -> bool:
     )
 
 
+@memo_on(0)
+def _large_masks(universe, act: FiniteAct) -> tuple[int, ...]:
+    """The large subacts of an act, as masks in ``subact_masks`` order,
+    found once per universe: every injectivity test asks them of the same
+    few cyclic acts."""
+    return tuple(m for m in subact_masks(act) if is_large(act, m))
+
+
 @memo_on(1)
 def is_injective(Q: FiniteAct, universe) -> bool:
     """Baer criterion for plain injectivity: a zero must exist, and maps from
     large subacts of cyclic acts must extend."""
     return bool(zeros(Q)) and all(
-        _maps_extend(Q, cyc, (
-            m for m in subact_masks(cyc)
-            if is_large(cyc, m)
-        ), universe)
+        _maps_extend(Q, cyc, _large_masks(universe, cyc), universe)
         for cyc in universe.cyclic_acts(Q.monoid)
     )
 

@@ -24,9 +24,9 @@ PostconditionError, or when the checker has no ``holds_all``, the group is
 expanded and each instance runs through the per-instance predicate, so
 skips, the first witness and ``recheck`` are those of the expanded
 instances.  The ``assumes=`` gate reads a group's radical from ``head[0]``
-and counts a filtered group as ``len(tails)`` filtered instances.  A grouped
-law keeps one decision procedure: its per-instance predicate is its
-``holds_all`` on one tail.
+and counts a filtered group as ``len(tails)`` filtered instances.  The
+grouped laws are AX-H1, D2.1 and L5.1.  A grouped law keeps one decision
+procedure: its per-instance predicate is its ``holds_all`` on one tail.
 """
 
 from __future__ import annotations

@@ -1,0 +1,106 @@
+"""Deterministic operation counts of a cold ``verify_all``: where the work
+of a run goes, read without a clock, so two versions of the code can be
+compared on a busy machine.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tests/opcounts.py
+    PYTHONPATH=src python tests/opcounts.py --monoid-max 2
+
+The universe is built first and not counted.  Then ``verify_all`` runs once
+in this fresh process under cProfile and a trace hook, and the script prints:
+
+* total calls: cProfile's count, which counts every resume of a generator;
+* propagation steps: the points that ``core._hom_search``'s ``try_assign``
+  examines, that is the runs of its line ``cur = f[x]``;
+* one count per function of ``FUNCTIONS``: the runs of its body, so a
+  generator counts once however often it yields, and a function memoised
+  with ``memo_on`` counts its misses only.
+
+Tracing makes the run several times slower; the counts do not depend on
+it.  pytest does not collect this file.
+"""
+
+import argparse
+import cProfile
+import inspect
+import pstats
+import sys
+
+from radact import checkers, congruence, core, injectivity, radical, verifier
+from radact.universe import default_universe
+
+FUNCTIONS = (
+    ("Radical.of calls", radical.Radical.of),
+    ("quotient builds", congruence.quotient),
+    ("pushouts built", injectivity._pushout_act),
+    ("embedding walks", checkers._embeddings),
+    ("AX-H1 per-instance decisions", checkers._holds_h1),
+    ("largeness tests", injectivity.is_large),
+)
+
+STEP_LINE = "cur = f[x]"
+
+
+def _step_site():
+    """The code object of ``try_assign`` and the line number of its step."""
+    search = core._hom_search
+    [code] = [c for c in search.__code__.co_consts
+              if inspect.iscode(c) and c.co_name == "try_assign"]
+    lines, first = inspect.getsourcelines(search)
+    [offset] = [i for i, line in enumerate(lines)
+                if line.strip() == STEP_LINE]
+    return code, first + offset
+
+
+def count_run(universe) -> dict:
+    """The counts of one ``verify_all`` over the universe."""
+    step_code, step_line = _step_site()
+    codes = {inspect.unwrap(fn).__code__: label for label, fn in FUNCTIONS}
+    counts = dict.fromkeys(["propagation steps", *codes.values()], 0)
+    started = set()
+
+    def in_try_assign(frame, event, arg):
+        if event == "line" and frame.f_lineno == step_line:
+            counts["propagation steps"] += 1
+        return in_try_assign
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code is step_code:
+            return in_try_assign
+        label = codes.get(code)
+        if label is not None:
+            # a generator's frame comes back here on every resume
+            if code.co_flags & inspect.CO_GENERATOR:
+                if frame in started:
+                    return None
+                started.add(frame)
+            counts[label] += 1
+        return None
+
+    profile = cProfile.Profile()
+    sys.settrace(on_call)
+    profile.enable()
+    try:
+        doc = verifier.verify_all(universe)
+    finally:
+        profile.disable()
+        sys.settrace(None)
+    total = pstats.Stats(profile).total_calls
+    return {"total calls": total, **counts,
+            "violated": doc["summary"]["violated"]}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--monoid-max", type=int, default=3)
+    ap.add_argument("--act-max", type=int, default=4)
+    args = ap.parse_args()
+    u = default_universe(monoid_max=args.monoid_max, act_max=args.act_max)
+    for label, value in count_run(u).items():
+        print(f"{label:<30} {value:>12,}")
+
+
+if __name__ == "__main__":
+    main()

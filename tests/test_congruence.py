@@ -190,6 +190,21 @@ def test_all_congruences_counts(T1, A3):
     assert found == expected
 
 
+def test_lattice_holds_its_bounds_and_every_principal_congruence(U):
+    # a sanity check of every default act's lattice that needs no oracle:
+    # the diagonal, the total congruence and each theta(a, b) belong to it
+    principal = 0
+    for act in U.acts:
+        lattice = set(all_congruences(act, U.con_bound))
+        assert diagonal(act) in lattice and total(act) in lattice, act
+        for a in act.elements:
+            for b in range(a + 1, act.size):
+                theta = generated_congruence(act, [(a, b)])
+                assert theta in lattice, (act, a, b)
+                principal += 1
+    assert principal > len(U.acts)
+
+
 def test_all_congruences_on_regular_act(R2):
     assert [str(c) for c in all_congruences(R2)] == ["0 1", "0 | 1"]
 

@@ -15,6 +15,7 @@ from radact.core import (
     cyclic_mask,
     find_isomorphism,
     hom,
+    hom_extension_exists,
     identity_hom,
     injective_homs,
     invert,
@@ -29,6 +30,7 @@ from radact.core import (
     validate_monoid,
     zeros,
 )
+from radact.universe import default_universe
 from radact.errors import (
     AssocAxiom,
     BadIdentity,
@@ -243,6 +245,53 @@ def test_homs_regular_to_regular_brute_force(R2):
                 expected.append(f)
     assert [h.map for h in all_homs(R2, R2)] == expected
     assert expected == [(0, 1), (1, 1)]
+
+
+def _homs_by_brute_force(a, b):
+    # every candidate map, in lexicographic order, kept when it commutes
+    # with the action at every point
+    return [
+        f for f in iproduct(b.elements, repeat=a.size)
+        if all(f[sa[x]] == sb[f[x]]
+               for sa, sb in zip(a.action, b.action) for x in a.elements)
+    ]
+
+
+def _hom_search_pairs(U):
+    # every ordered pair over a common monoid: of the acts of the
+    # monoid_max=2 universe, and of the acts of at most three points over
+    # the order-3 monoids
+    small = default_universe(monoid_max=2)
+    for monoid in small.monoids:
+        acts = small.acts_over(monoid)
+        yield from ((a, b) for a in acts for b in acts)
+    for monoid in U.monoids:
+        if monoid.size == 3:
+            acts = [a for a in U.acts_over(monoid) if a.size <= 3]
+            yield from ((a, b) for a in acts for b in acts)
+
+
+def test_hom_search_matches_brute_force(U):
+    # all_homs, injective_homs, find_isomorphism and every one-point
+    # extension question against the filtered product of candidate maps
+    pairs = isos = 0
+    for a, b in _hom_search_pairs(U):
+        pairs += 1
+        want = _homs_by_brute_force(a, b)
+        assert [h.map for h in all_homs(a, b)] == want
+        injective = [f for f in want if len(set(f)) == a.size]
+        assert [h.map for h in injective_homs(a, b)] == injective
+        bijective = [f for f in injective if a.size == b.size]
+        iso = find_isomorphism(a, b)
+        assert (iso and iso.map) == (bijective[0] if bijective else None)
+        isos += iso is not None
+        for x in a.elements:
+            for y in b.elements:
+                assert hom_extension_exists(b, a, {x: y}) == any(
+                    f[x] == y for f in want)
+    # 77 acts, one per isomorphism class, so each is isomorphic to itself
+    # only
+    assert (pairs, isos) == (647, 77)
 
 
 def test_hom_constructor_rejects_non_equivariant(R2):

@@ -620,7 +620,7 @@ def test_holds_all_matches_its_instances(small_two, mutant_universe,
         c for c in {**verifier.AXIOMS, **verifier.THEOREMS}.values()
         if c.holds_all is not None
     ]
-    assert [c.id for c in grouped] == ["D2.1", "L5.1"]
+    assert [c.id for c in grouped] == ["AX-H1", "D2.1", "L5.1"]
 
     def outcomes(universes):
         seen = set()
@@ -641,7 +641,8 @@ def test_holds_all_matches_its_instances(small_two, mutant_universe,
         return seen
 
     seen = outcomes((small_two, mutant_universe))
-    assert {("D2.1", True), ("D2.1", False), ("L5.1", True)} <= seen
+    assert {("AX-H1", True), ("AX-H1", False), ("D2.1", True),
+            ("D2.1", False), ("L5.1", True)} <= seen
     _flaky_density(monkeypatch)
     seen = outcomes((default_universe(monoid_max=2), _mutant_universe()))
     assert {("L5.1", False), ("L5.1", NotInUniverse)} <= seen
