@@ -11,13 +11,14 @@ which skips an instance whose sides disagree only through readings that
 an act beyond the bounds could change.  A taxonomy flag the result
 assumes of the radical is declared by ``register(..., assumes=FLAG)`` and
 filtered on by ``Checker.run``; only checkers whose statement compares flags
-call ``classify_radical``.  Three laws are grouped.  AX-H1 yields one
-("group", ...) per (radical, hom set), its maps as tails, and reads the two
-radical congruences once per group.  D2.1 yields its continuity law as one
-group per (radical, hom) and decides a group from closure tables through
-``holds_all``.  L5.1 yields one group per (radical, dense subact), its
-targets as tails, and reads a group off the subact's verdict row.  For
-each, the per-instance predicate is the group decider on one tail.  T4.6
+call ``classify_radical``.  Three laws are grouped, and each registers
+only its group decider; the verifier derives the per-instance predicate.
+AX-H1 yields one ("group", ...) per (radical, hom set), its maps as tails,
+and reads the two radical congruences once per group.  D2.1 yields only
+groups: per (radical, act) over its subacts (c1), per (radical, act, m1)
+over the subacts that contain m1 (c2), and per (radical, hom) over the
+source's subacts (c3).  L5.1 yields one group per (radical, dense subact),
+its targets as tails, and reads a group off the subact's verdict row.  T4.6
 reads every map's image, and the image of the dense subact, off the image
 tables of D2.1 (``_hom_images``).  Every factor act is
 ``universe.factor``'s (or ``rees_factor``'s), built once per universe and
@@ -232,23 +233,15 @@ def _enum_h1(universe):
                         yield "group", ((r,), homs)
 
 
-def _holds_h1(universe, parts):
-    return _holds_h1_all(universe, parts[:1], parts[1:])
-
-
 def _holds_h1_all(universe, head, homs):
-    """Functoriality of one radical along each hom in ``homs``: every
-    radical class of the source lands inside one radical class of the
-    target.  The radical congruences are read again only where a hom's
-    source or target differs from the one before it, so a hom set reads
-    them once."""
+    """Functoriality of one radical along each hom in ``homs``, maps of one
+    hom set: every radical class of the source lands inside one radical
+    class of the target.  The two radical congruences are read once, from
+    the first hom."""
     r, = head
-    source = target = None
+    blocks = r.of(homs[0].source).blocks
+    index = r.of(homs[0].target).index
     for f in homs:
-        if f.source is not source or f.target is not target:
-            source, target = f.source, f.target
-            blocks = r.of(source).blocks
-            index = r.of(target).index
         fmap = f.map
         for block in blocks:
             rep = index[fmap[block[0]]]
@@ -263,7 +256,6 @@ register(
     "functoriality: every homomorphism carries radical-related pairs to "
     "radical-related pairs",
     _enum_h1,
-    _holds_h1,
     axiom=True,
     holds_all=_holds_h1_all,
 )
@@ -348,12 +340,10 @@ register(
 def _enum_d21(universe):
     for r, act in _pairs(universe):
         masks = subact_masks(act)
-        for m in masks:
-            yield "inst", (r, "c1-idem", act, m)
+        yield "group", ((r, "c1-idem", act), masks)
         for m1 in masks:
-            for m2 in masks:
-                if m1 & ~m2 == 0:
-                    yield "inst", (r, "c2", act, m1, m2)
+            yield "group", ((r, "c2", act, m1),
+                            tuple(m2 for m2 in masks if m1 & ~m2 == 0))
     for r in universe.radicals:
         for monoid in universe.monoids:
             acts = universe.acts_over(monoid)
@@ -362,18 +352,6 @@ def _enum_d21(universe):
                 for b in acts:
                     for f in all_homs(a, b):
                         yield "group", ((r, "c3", f), masks)
-
-
-def _holds_d21(universe, parts):
-    r, tag = parts[0], parts[1]
-    if tag == "c1-idem":
-        act, m = parts[2], parts[3]
-        c = closure_mask(r, act, m)
-        return m & ~c == 0 and closure_mask(r, act, c) == c
-    if tag == "c2":
-        act, m1, m2 = parts[2], parts[3], parts[4]
-        return closure_mask(r, act, m1) & ~closure_mask(r, act, m2) == 0
-    return _holds_d21_all(universe, parts[:3], parts[3:])
 
 
 @memo_on(0)
@@ -388,10 +366,26 @@ def _image_table(universe, fmap):
 
 
 def _holds_d21_all(universe, head, tails):
-    """Continuity of one (radical, hom f: a -> b) at every subact m of a in
-    ``tails``: f(cl(m)) lies inside cl(f(m)).  Each mask is decided on its
-    own, from the closure tables of a and b and f's image table."""
-    r, _, f = head
+    """One D2.1 group, by the tag of its head.  c1-idem: every subact m in
+    ``tails`` lies inside cl(m), and cl(m) is closed.  c2: cl(m1) lies
+    inside cl(m2) for every m2 in ``tails``.  c3: continuity of one hom
+    f: a -> b at every subact m of a in ``tails``: f(cl(m)) lies inside
+    cl(f(m)), read off the closure tables of a and b and f's image table.
+    c1-idem and c2 ask ``closure_mask`` mask by mask, so that a bound error
+    skips only the instances whose masks hit it."""
+    r, tag = head[0], head[1]
+    if tag == "c1-idem":
+        act = head[2]
+        for m in tails:
+            c = closure_mask(r, act, m)
+            if m & ~c or closure_mask(r, act, c) != c:
+                return False
+        return True
+    if tag == "c2":
+        act, m1 = head[2], head[3]
+        c1 = closure_mask(r, act, m1)
+        return all(c1 & ~closure_mask(r, act, m2) == 0 for m2 in tails)
+    f = head[2]
     cl_a = closure_table(r, f.source)
     cl_b = closure_table(r, f.target)
     image = _image_table(universe, f.map)
@@ -406,7 +400,6 @@ register(
     "closure operator laws: extension, idempotency, monotonicity, and "
     "continuity along homomorphisms",
     _enum_d21,
-    _holds_d21,
     holds_all=_holds_d21_all,
 )
 
@@ -1348,10 +1341,6 @@ def _l51_verdict(universe, radicals, big, mask):
     return tuple(row)
 
 
-def _holds_l51(universe, parts):
-    return _holds_l51_all(universe, parts[:3], parts[3:])
-
-
 def _holds_l51_all(universe, head, tails):
     """The targets of ``tails`` in turn, read off the dense subact's verdict
     row: False at the first that fails, its bound error raised at the first
@@ -1379,7 +1368,6 @@ register(
     "a span of a dense mono and a map completes to a commuting square whose "
     "new leg is again a dense mono",
     _enum_l51,
-    _holds_l51,
     holds_all=_holds_l51_all,
 )
 

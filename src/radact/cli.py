@@ -12,10 +12,10 @@ import sys
 from contextlib import contextmanager
 
 from . import catalog as cat
+from . import congruence as cg
 from . import injectivity as inj
 from . import radical as rd
 from . import verifier
-from .congruence import CON_BOUND_DEFAULT, all_congruences
 from .core import (
     ActHom,
     is_equivariant,
@@ -35,13 +35,13 @@ def _catalog_flags(parser):
 
 
 def _con_bound_flag(parser):
-    parser.add_argument("--con-bound", type=int, default=CON_BOUND_DEFAULT)
+    parser.add_argument("--con-bound", type=int, default=cg.CON_BOUND_DEFAULT)
 
 
 def _universe_flags(parser):
-    parser.add_argument("--monoid-max", type=int, default=3)
-    parser.add_argument("--act-max", type=int, default=4)
-    parser.add_argument("--hull-bound", type=int, default=6)
+    parser.add_argument("--monoid-max", type=int, default=cg.MONOID_MAX_DEFAULT)
+    parser.add_argument("--act-max", type=int, default=cg.ACT_MAX_DEFAULT)
+    parser.add_argument("--hull-bound", type=int, default=cg.HULL_BOUND_DEFAULT)
     _con_bound_flag(parser)
     parser.add_argument("--radical-file", action="append", default=[],
                         help="extensional radical table file to register")
@@ -342,7 +342,7 @@ def _dispatch(args, out) -> int:
     act = _resolve_act(args.act, catalog)
     if cmd == "congruences":
         try:
-            lattice = all_congruences(act, args.con_bound)
+            lattice = cg.all_congruences(act, args.con_bound)
         except SizeBound as exc:
             # a bound below the carrier is a usage error: nothing was decided
             raise UsageError(str(exc)) from None

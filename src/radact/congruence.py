@@ -32,6 +32,9 @@ from .core import (
 from .errors import ActMismatch, NotDisjoint, SizeBound
 
 CON_BOUND_DEFAULT = 7
+MONOID_MAX_DEFAULT = 3
+ACT_MAX_DEFAULT = 4
+HULL_BOUND_DEFAULT = 6
 
 
 def _canonical(index):

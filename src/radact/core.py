@@ -2,17 +2,17 @@
 
 Carriers are index sets 0..size-1.  Every structure is immutable and hashable,
 so results that depend only on these values are memoised in value-keyed
-``lru_cache``s, shared by every universe in the process.  ``FiniteMonoid`` and
-``FiniteAct`` are frozen dataclasses that store their size, their elements
-and their hash once, at construction; hash and equality read the table
-fields only (names take part in neither), and equality answers at once for
-the same object and compares the stored hashes before the tables.
-``ActHom`` is a slotted value with the same guarantees: maps are built by
-the hundred thousand, and a frozen dataclass's ``__init__`` was their
-largest cost.  Results that depend on a ``Universe`` or a ``Radical`` are
-memoised on that object (see ``memo_on``), so they are freed together with
-it; the ``Universe`` docstring and README's "Memoisation" list what each
-keeps.
+``lru_cache``s, shared by every universe in the process.  Monoids, acts,
+maps (``ActHom``) and congruences (``congruence.Congruence``) share one
+base, ``Frozen``: slotted values that refuse assignment and that copies and
+pickles rebuild from their fields.  ``FiniteMonoid`` and ``FiniteAct``
+store their size, their elements and their hash once, at construction;
+hash and equality read the table fields only (names take part in
+neither), and equality answers at once for the same object and compares
+the stored hashes before the tables.  Results that depend on a
+``Universe`` or a ``Radical`` are memoised on that object (see
+``memo_on``), so they are freed together with it; the ``Universe``
+docstring and README's "Memoisation" list what each keeps.
 A subact (a non-empty action-closed subset of a carrier) is always a bitmask
 over its parent's carrier: bit a is set when element a belongs to it.
 ``subact_act_by_mask`` materialises one as an act plus its inclusion.
@@ -20,7 +20,7 @@ over its parent's carrier: bit a is set when element a belongs to it.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
 from functools import lru_cache, wraps
 
 from .errors import (
@@ -57,27 +57,37 @@ def memo_on(owner: int):
     return decorate
 
 
-@dataclass(frozen=True)
-class FiniteMonoid:
+class Frozen:
+    """Base of the slotted value classes: assignment and deletion raise
+    ``FrozenInstanceError``, as on a frozen dataclass.  A subclass sets its
+    slots in ``__init__`` through ``object.__setattr__`` or, faster, through
+    the slot descriptors, and defines ``__reduce__`` so that copies and
+    pickles rebuild it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class FiniteMonoid(Frozen):
     """Multiplication table with a two-sided identity."""
 
-    mul: tuple[tuple[int, ...], ...]
-    identity: int
-    name: str = field(default="", compare=False)
-    size: int = field(init=False, compare=False, repr=False)
-    elements: range = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("mul", "identity", "name", "size", "elements", "_hash")
 
     def __init__(self, mul, identity, name=""):
-        # frozen, so fields are set through object.__setattr__, as the
-        # generated __init__ does; writing to __dict__ directly would be
-        # faster here but turn every later attribute read into a dict lookup
         _setattr(self, "mul", mul)
         _setattr(self, "identity", identity)
         _setattr(self, "name", name)
         _setattr(self, "size", len(mul))
         _setattr(self, "elements", range(len(mul)))
         _setattr(self, "_hash", hash((mul, identity)))
+
+    def __reduce__(self):
+        return FiniteMonoid, (self.mul, self.identity, self.name)
 
     def __eq__(self, other):
         if self is other:
@@ -94,26 +104,21 @@ class FiniteMonoid:
         return f"FiniteMonoid({self.name or self.mul}, identity={self.identity})"
 
 
-@dataclass(frozen=True)
-class FiniteAct:
+class FiniteAct(Frozen):
     """A carrier together with a left action table: action[s][a] = s*a."""
 
-    monoid: FiniteMonoid
-    action: tuple[tuple[int, ...], ...]
-    name: str = field(default="", compare=False)
-    size: int = field(init=False, compare=False, repr=False)
-    elements: range = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("monoid", "action", "name", "size", "elements", "_hash")
 
     def __init__(self, monoid, action, name=""):
-        # as for monoids; one call instead of the generated __init__ and a
-        # __post_init__
         _setattr(self, "monoid", monoid)
         _setattr(self, "action", action)
         _setattr(self, "name", name)
         _setattr(self, "size", len(action[0]))
         _setattr(self, "elements", range(len(action[0])))
         _setattr(self, "_hash", hash((monoid, action)))
+
+    def __reduce__(self):
+        return FiniteAct, (self.monoid, self.action, self.name)
 
     def full_mask(self) -> int:
         return (1 << self.size) - 1
@@ -131,22 +136,6 @@ class FiniteAct:
 
     def __repr__(self):
         return f"FiniteAct({self.name or self.action}, over={self.monoid.name or '?'})"
-
-
-class Frozen:
-    """Base of the slotted value classes: assignment and deletion raise
-    ``FrozenInstanceError``, as on a frozen dataclass.  A subclass sets its
-    slots in ``__init__`` through the slot descriptors, which is about twice
-    as fast as a frozen dataclass's ``__init__``, and defines ``__reduce__``
-    so that copies and pickles rebuild it."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class ActHom(Frozen):
@@ -445,6 +434,8 @@ def hom(source: FiniteAct, target: FiniteAct, mapping) -> ActHom:
         raise ActMismatch("homs need a common monoid")
     if len(mapping) != source.size:
         raise ValueError("map length must match source carrier")
+    if not all(0 <= b < target.size for b in mapping):
+        raise ValueError(f"map {mapping} has entries outside target carrier")
     if not is_equivariant(source, target, mapping):
         raise ValueError(f"map {mapping} is not equivariant")
     return ActHom(source, target, mapping)

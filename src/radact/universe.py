@@ -25,7 +25,10 @@ from itertools import islice, permutations
 
 from . import radical as rd
 from .congruence import (
+    ACT_MAX_DEFAULT,
     CON_BOUND_DEFAULT,
+    HULL_BOUND_DEFAULT,
+    MONOID_MAX_DEFAULT,
     Congruence,
     all_congruences,
     quotient,
@@ -244,10 +247,10 @@ class Universe:
     is built once, the L2.11/T7.3 captures, per radical, on the hull and in
     some extension, L4.3's dense-factor members, L2.2's factors and the
     image tables of the maps that D2.1 and T4.6 read); see
-    ``core.memo_on``.  A
-    registered radical keeps what depends on it alone: its congruence on
-    each act, one closure dict per act (filled by ``closure_mask`` and
-    completed by ``closure_table``) and each act's dense subacts.
+    ``core.memo_on``.  A registered radical keeps what depends on it alone:
+    its congruence on each act, one closure dict per act (filled by
+    ``closure_mask`` and completed by ``closure_table``) and each act's
+    dense subacts.
     ``radicals`` is a tuple that each registration replaces, so a memo entry
     keyed by it (an L5.1 row) is never read for another set of radicals.
 
@@ -255,8 +258,8 @@ class Universe:
     bound is at least 1, and ``con_bound`` covers the lattice of every act
     and of every cyclic act, a quotient of the |S|-point left regular act."""
 
-    def __init__(self, monoid_max=3, act_max=4, hull_bound=6,
-                 con_bound=CON_BOUND_DEFAULT):
+    def __init__(self, monoid_max=MONOID_MAX_DEFAULT, act_max=ACT_MAX_DEFAULT,
+                 hull_bound=HULL_BOUND_DEFAULT, con_bound=CON_BOUND_DEFAULT):
         if min(monoid_max, act_max, hull_bound, con_bound) < 1:
             raise UsageError("every bound must be at least 1")
         if con_bound < max(act_max, monoid_max):
@@ -346,7 +349,8 @@ def rees_factor(universe: Universe, act: FiniteAct,
     return factor(universe, act, rees_single(act, mask))
 
 
-def default_universe(monoid_max=3, act_max=4, hull_bound=6,
+def default_universe(monoid_max=MONOID_MAX_DEFAULT, act_max=ACT_MAX_DEFAULT,
+                     hull_bound=HULL_BOUND_DEFAULT,
                      con_bound=CON_BOUND_DEFAULT) -> Universe:
     """The standard verification universe with the stock radicals."""
     u = Universe(monoid_max, act_max, hull_bound, con_bound)

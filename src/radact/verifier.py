@@ -1,8 +1,9 @@
 """Certification engine: runs registered property checkers over a universe
 and emits deterministic machine-readable reports with re-checkable witnesses.
 
-Each checker pairs an instance enumerator with a pure per-instance predicate.
-The enumerator yields ("inst", parts) for instances satisfying the property's
+Each checker pairs an instance enumerator with one decision procedure: a
+pure per-instance predicate, or a group decider (below), never both.  The
+enumerator yields ("inst", parts) for instances satisfying the property's
 hypotheses and ("filtered", parts) for enumerated instances that fail them,
 so vacuous verification stays visible in the counts.  It yields
 ("skip", parts) for instances whose hypotheses it cannot decide within the
@@ -25,8 +26,10 @@ expanded and each instance runs through the per-instance predicate, so
 skips, the first witness and ``recheck`` are those of the expanded
 instances.  The ``assumes=`` gate reads a group's radical from ``head[0]``
 and counts a filtered group as ``len(tails)`` filtered instances.  The
-grouped laws are AX-H1, D2.1 and L5.1.  A grouped law keeps one decision
-procedure: its per-instance predicate is its ``holds_all`` on one tail.
+grouped laws are AX-H1, D2.1 and L5.1, and each registers only its decider:
+``Checker`` derives the per-instance predicate once, at registration, as
+``fn(universe, parts[:-1], parts[-1:])``, bound to the ``fn`` registered.
+D2.1 yields only groups.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ import time
 from dataclasses import dataclass, field
 
 from .congruence import Congruence, parse_partition
-from .core import ActHom, FiniteAct, FiniteMonoid, validate_act, validate_monoid
+from .core import (
+    ActHom,
+    FiniteAct,
+    FiniteMonoid,
+    hom,
+    validate_act,
+    validate_monoid,
+)
 from .errors import BOUND_ERRORS, PostconditionError, UnknownTheorem
 from .injectivity import DirectedChain
 from .radical import Radical, RadicalTaxonomy, classify_radical
@@ -70,10 +80,15 @@ class TheoremReport:
 
 
 class Checker:
-    def __init__(self, cid, description, enumerate_fn, holds_fn, assumes=None,
-                 holds_all=None):
+    def __init__(self, cid, description, enumerate_fn, holds_fn=None,
+                 assumes=None, holds_all=None):
         if assumes is not None and assumes not in RadicalTaxonomy.FLAG_NAMES:
             raise ValueError(f"checker {cid} assumes unknown flag {assumes!r}")
+        if (holds_fn is None) == (holds_all is None):
+            raise ValueError(f"checker {cid} needs one of holds_fn and holds_all")
+        if holds_fn is None:
+            def holds_fn(universe, parts):
+                return holds_all(universe, parts[:-1], parts[-1:])
         self.id = cid
         self.description = description
         self.enumerate = enumerate_fn
@@ -171,7 +186,7 @@ THEOREMS: dict[str, Checker] = {}
 AXIOMS: dict[str, Checker] = {}
 
 
-def register(cid, description, enumerate_fn, holds_fn, axiom=False,
+def register(cid, description, enumerate_fn, holds_fn=None, axiom=False,
              assumes=None, holds_all=None):
     table = AXIOMS if axiom else THEOREMS
     if cid in table:
@@ -261,13 +276,11 @@ def decode_part(universe, data):
     if tag == "hom":
         src = _decode_act(payload["source"])
         tgt = _decode_act(payload["target"])
-        return ActHom(src, tgt, tuple(payload["map"]))
+        return hom(src, tgt, payload["map"])
     if tag == "chain":
         acts = tuple(_decode_act(a) for a in payload["acts"])
-        links = tuple(
-            ActHom(acts[i], acts[i + 1], tuple(m))
-            for i, m in enumerate(payload["maps"])
-        )
+        links = tuple(hom(a, b, m) for a, b, m in
+                      zip(acts[:-1], acts[1:], payload["maps"], strict=True))
         return DirectedChain(acts, links)
     if tag in ("int", "str", "bool"):
         return payload

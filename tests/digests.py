@@ -27,6 +27,7 @@ import hashlib
 import json
 
 from radact import verifier
+from radact.congruence import ACT_MAX_DEFAULT, MONOID_MAX_DEFAULT
 
 
 def _unnamed(obj):
@@ -89,8 +90,8 @@ def main():
     from radact.universe import default_universe
 
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--monoid-max", type=int, default=3)
-    ap.add_argument("--act-max", type=int, default=4)
+    ap.add_argument("--monoid-max", type=int, default=MONOID_MAX_DEFAULT)
+    ap.add_argument("--act-max", type=int, default=ACT_MAX_DEFAULT)
     args = ap.parse_args()
     u = default_universe(monoid_max=args.monoid_max, act_max=args.act_max)
     for cid, (ordered, multiset) in instance_digests(u).items():

@@ -15,7 +15,16 @@ in this fresh process under cProfile and a trace hook, and the script prints:
   examines, that is the runs of its line ``cur = f[x]``;
 * one count per function of ``FUNCTIONS``: the runs of its body, so a
   generator counts once however often it yields, and a function memoised
-  with ``memo_on`` counts its misses only.
+  with ``memo_on`` counts its misses only.  A grouped law's decider counts
+  every group it decides and every expanded instance, since the derived
+  per-instance predicate calls it on one tail.
+
+Then it takes a census of what the run left in memory: the
+``Universe.memo`` entries of each ``memo_on`` function (read off the first
+item of each key) and the values interned there, by type; each radical's
+congruence table (``_of``), its closure dicts (``_closures``, acts and
+masks) and its ``memo``; and ``cache_info()`` of each process-wide
+``lru_cache`` (``test_hygiene.PROCESS_CACHED``).
 
 Tracing makes the run several times slower; the counts do not depend on
 it.  pytest does not collect this file.
@@ -23,19 +32,25 @@ it.  pytest does not collect this file.
 
 import argparse
 import cProfile
+import importlib
 import inspect
 import pstats
 import sys
+from collections import Counter
 
 from radact import checkers, congruence, core, injectivity, radical, verifier
+from radact.congruence import ACT_MAX_DEFAULT, MONOID_MAX_DEFAULT
 from radact.universe import default_universe
+from test_hygiene import PROCESS_CACHED
 
 FUNCTIONS = (
     ("Radical.of calls", radical.Radical.of),
     ("quotient builds", congruence.quotient),
     ("pushouts built", injectivity._pushout_act),
     ("embedding walks", checkers._embeddings),
-    ("AX-H1 per-instance decisions", checkers._holds_h1),
+    ("AX-H1 decider calls", checkers._holds_h1_all),
+    ("D2.1 decider calls", checkers._holds_d21_all),
+    ("L5.1 decider calls", checkers._holds_l51_all),
     ("largeness tests", injectivity.is_large),
 )
 
@@ -92,14 +107,44 @@ def count_run(universe) -> dict:
             "violated": doc["summary"]["violated"]}
 
 
+def memo_census(universe) -> dict:
+    """What a run left in memory, as (section, label) -> entries."""
+    out = Counter({("Universe.memo", "total"): len(universe.memo)})
+    for key in universe.memo:
+        if isinstance(key, tuple) and callable(key[0]):
+            out["Universe.memo", key[0].__qualname__] += 1
+        else:
+            out["Universe.memo", f"interned {type(key).__name__}"] += 1
+    for r in universe.radicals:
+        out["radicals", f"{r.name} _of"] = len(r._of)
+        out["radicals", f"{r.name} _closures acts"] = len(r._closures)
+        out["radicals", f"{r.name} _closures masks"] = sum(
+            map(len, r._closures.values()))
+        out["radicals", f"{r.name} memo"] = len(r.memo)
+    for name in PROCESS_CACHED:
+        module, _, fn = name.partition(".")
+        info = getattr(importlib.import_module(f"radact.{module}"),
+                       fn).cache_info()
+        out["lru_cache", f"{name} hits"] = info.hits
+        out["lru_cache", f"{name} misses"] = info.misses
+        out["lru_cache", f"{name} entries"] = info.currsize
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--monoid-max", type=int, default=3)
-    ap.add_argument("--act-max", type=int, default=4)
+    ap.add_argument("--monoid-max", type=int, default=MONOID_MAX_DEFAULT)
+    ap.add_argument("--act-max", type=int, default=ACT_MAX_DEFAULT)
     args = ap.parse_args()
     u = default_universe(monoid_max=args.monoid_max, act_max=args.act_max)
     for label, value in count_run(u).items():
         print(f"{label:<30} {value:>12,}")
+    section = None
+    for (where, label), value in sorted(memo_census(u).items()):
+        if where != section:
+            section = where
+            print(f"# {where}")
+        print(f"{label:<44} {value:>12,}")
 
 
 if __name__ == "__main__":

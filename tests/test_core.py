@@ -9,6 +9,7 @@ from radact.congruence import quotient, rees_congruence
 from radact.core import (
     ActHom,
     FiniteAct,
+    FiniteMonoid,
     all_homs,
     compose,
     coproduct,
@@ -299,6 +300,12 @@ def test_hom_constructor_rejects_non_equivariant(R2):
         hom(R2, R2, (1, 0))
 
 
+@pytest.mark.parametrize("mapping", [(2, 1), (0, -1)])
+def test_hom_constructor_rejects_entries_outside_the_target(R2, mapping):
+    with pytest.raises(ValueError, match="outside target carrier"):
+        hom(R2, R2, mapping)
+
+
 def test_hom_image_of_zero_is_zero(U):
     for monoid in U.monoids[:3]:
         acts = U.acts_over(monoid)
@@ -330,18 +337,14 @@ def test_names_stay_outside_equality_and_hash(R2):
     renamed = FiniteAct(R2.monoid, R2.action, "other")
     assert renamed == R2 and hash(renamed) == hash(R2)
     assert repr(renamed) != repr(R2)
-    monoid = dataclasses.replace(R2.monoid, name="other")
+    monoid = FiniteMonoid(R2.monoid.mul, R2.monoid.identity, "other")
     assert monoid == R2.monoid and hash(monoid) == hash(R2.monoid)
 
 
 @pytest.mark.parametrize(
     "clone",
-    [
-        dataclasses.replace,
-        copy.copy,
-        lambda x: pickle.loads(pickle.dumps(x)),
-    ],
-    ids=["replace", "copy", "pickle"],
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
 )
 def test_copies_keep_hash_and_repr(R2, clone):
     for obj in (R2, R2.monoid):
@@ -349,7 +352,7 @@ def test_copies_keep_hash_and_repr(R2, clone):
         assert twin == obj and twin is not obj
         assert hash(twin) == hash(obj)
         assert repr(twin) == repr(obj)
-    changed = dataclasses.replace(R2, action=((0, 1), (0, 0)))
+    changed = FiniteAct(R2.monoid, ((0, 1), (0, 0)))
     assert hash(changed) == hash((R2.monoid, ((0, 1), (0, 0))))
 
 
@@ -369,7 +372,7 @@ def test_stored_sizes_and_elements(U, R2):
         assert monoid.elements == range(len(monoid.mul)) == range(monoid.size)
     for act in U.acts:
         assert act.elements == range(len(act.action[0])) == range(act.size)
-    wider = dataclasses.replace(R2, action=((0, 1, 2), (1, 1, 2)))
+    wider = FiniteAct(R2.monoid, ((0, 1, 2), (1, 1, 2)))
     assert wider.size == 3 and wider.elements == range(3)
 
 

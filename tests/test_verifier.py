@@ -159,6 +159,32 @@ def test_witness_round_trip(small, E2, R2):
     del theta
 
 
+@pytest.mark.parametrize("tag", ["hom", "chain"])
+@pytest.mark.parametrize("mapping, message", [
+    ((1, 0), "not equivariant"),
+    ((2, 1), "outside target carrier"),
+])
+def test_decoding_refuses_a_map_that_is_no_hom(small, R2, tag, mapping,
+                                              message):
+    # a hom part and a chain link are decoded through core.hom
+    same = ActHom(R2, R2, (0, 1))
+    if tag == "hom":
+        part = verifier.encode_part(same)
+        part["hom"]["map"] = list(mapping)
+    else:
+        part = verifier.encode_part(DirectedChain((R2, R2), (same,)))
+        part["chain"]["maps"][0] = list(mapping)
+    with pytest.raises(ValueError, match=message):
+        verifier.decode_part(small, part)
+
+
+def test_decoding_refuses_a_chain_with_a_link_too_many(small, R2):
+    part = verifier.encode_part(DirectedChain((R2,), ()))
+    part["chain"]["maps"].append([0, 1])
+    with pytest.raises(ValueError):
+        verifier.decode_part(small, part)
+
+
 def test_single_theorem_report(small):
     rep = verifier.verify("L1.2", small)
     assert rep.status == "verified"
@@ -174,6 +200,49 @@ def test_axiom_two_violated_by_mutant(mutant_universe):
     assert rep.witness is not None
     # the witness re-checks: feeding it back reproduces the violation
     assert verifier.recheck_witness("AX-H2", mutant_universe, rep.witness)
+
+
+def test_recheck_replays_an_ax_h1_witness(mutant_universe):
+    # the witness is one expanded instance of a group, and recheck runs it
+    # through the predicate derived from AX-H1's decider
+    rep = verifier.verify("AX-H1", mutant_universe)
+    assert rep.status == "violated"
+    assert rep.witness["instance"][0] == {"radical": "mut"}
+    assert verifier.recheck_witness("AX-H1", mutant_universe, rep.witness)
+
+
+def _full_loses_its_top(real):
+    # extension fails: the top point of an act leaves the closure of the
+    # whole act
+    def faulty(r, act, m):
+        got = real(r, act, m)
+        if m == act.full_mask() and act.size > 1:
+            return got & ~(1 << (act.size - 1))
+        return got
+    return faulty
+
+
+def _point_closes_to_all(real):
+    # monotonicity fails: a one-point subact closes to the whole act, and
+    # the larger proper subacts keep their closures
+    def faulty(r, act, m):
+        return act.full_mask() if m.bit_count() == 1 else real(r, act, m)
+    return faulty
+
+
+@pytest.mark.parametrize("fault, tag", [
+    (_full_loses_its_top, "c1-idem"),
+    (_point_closes_to_all, "c2"),
+])
+def test_recheck_replays_a_planted_d21_witness(monkeypatch, small_two, fault,
+                                               tag):
+    monkeypatch.setattr(checkers, "closure_mask", fault(checkers.closure_mask))
+    rep = verifier.verify("D2.1", small_two)
+    assert rep.status == "violated"
+    assert rep.witness["instance"][1] == {"str": tag}
+    assert verifier.recheck_witness("D2.1", small_two, rep.witness)
+    monkeypatch.undo()
+    assert not verifier.recheck_witness("D2.1", small_two, rep.witness)
 
 
 def test_pushout_postcondition_failure_violates_l51(monkeypatch):
@@ -223,6 +292,12 @@ def _outcome(fn, *args):
         return type(err)
 
 
+def _derived(cid):
+    # the per-instance predicate that the verifier derives from a grouped
+    # law's registered decider
+    return {**verifier.AXIOMS, **verifier.THEOREMS}[cid].holds
+
+
 def _l51_instances(u):
     # L5.1 yields one group per dense subact, with every target as a tail
     return [head + (c,) for _, (head, targets) in checkers._enum_l51(u)
@@ -236,7 +311,7 @@ def test_l51_verdicts_match_per_radical_pushouts():
         r.name for r in u.radicals
     }
     for parts in instances:
-        assert checkers._holds_l51(u, parts) == _l51_by_pushouts(*parts)
+        assert _derived("L5.1")(u, parts) == _l51_by_pushouts(*parts)
 
 
 def test_l51_verdicts_keep_radicals_apart(monkeypatch):
@@ -246,7 +321,7 @@ def test_l51_verdicts_keep_radicals_apart(monkeypatch):
     u = default_universe(monoid_max=2)
     seen = set()
     for parts in _l51_instances(u):
-        got = _outcome(checkers._holds_l51, u, parts)
+        got = _outcome(_derived("L5.1"), u, parts)
         assert got == _outcome(_l51_by_pushouts, *parts)
         seen.add((parts[0].name, got))
     assert {("rG", False), ("t_LrG", NotInUniverse), ("nabla", True)} <= seen
@@ -264,7 +339,7 @@ def test_l51_rows_give_the_report_of_the_expanded_instances(monkeypatch,
     verifier._ensure_registered()
     checker = verifier.THEOREMS["L5.1"]
     expanded = verifier.Checker("L5.1", checker.description,
-                                checkers._enum_l51, checkers._holds_l51)
+                                checkers._enum_l51, checker.holds)
     rep = checker.run(u)
     assert rep.status == ("violated" if "rG" in failing else "verified")
     assert "rG" in failing or rep.instances_skipped > 0
@@ -318,7 +393,7 @@ def test_l51_verdicts_follow_a_radical_registered_later():
     assert rep.instances_checked > first.instances_checked
     for parts in _l51_instances(u):
         if parts[0] is late:
-            got = _outcome(checkers._holds_l51, u, parts)
+            got = _outcome(_derived("L5.1"), u, parts)
             assert got == _outcome(_l51_by_pushouts, *parts)
 
 
@@ -603,7 +678,7 @@ def test_d21_continuity_matches_member_loop(mutant_universe):
                     for b in acts:
                         for f in all_homs(a, b):
                             for m in subact_masks(a):
-                                got = checkers._holds_d21(u, (r, "c3", f, m))
+                                got = _derived("D2.1")(u, (r, "c3", f, m))
                                 assert got == _c3_by_members(r, f, m)
                                 seen.add(got)
     assert seen == {True, False}
@@ -668,14 +743,15 @@ def test_l51_decider_answers_the_tails_it_is_given(monkeypatch):
 @pytest.fixture(scope="module")
 def expanded_d21():
     """D2.1's report outcome without a group decider, so that Checker.run
-    expands every group; one run per universe."""
+    expands every group and decides each instance through the registered
+    D2.1's derived predicate; one run per universe."""
     outcomes = {}
 
     def outcome(u):
         if u not in outcomes:
             oracle = verifier.Checker(
                 "D2.1", verifier.THEOREMS["D2.1"].description,
-                checkers._enum_d21, checkers._holds_d21,
+                checkers._enum_d21, _derived("D2.1"),
             )
             outcomes[u] = _report_outcome(oracle.run(u))
         return outcomes[u]
@@ -722,8 +798,8 @@ def test_assumed_flag_filters_a_group_per_tail(mutant_universe):
             yield "group", ((r,), (1, 2, 3))
 
     checker = verifier.Checker(
-        "X9.9", "test", enumerate_groups, lambda universe, parts: True,
-        assumes="hereditary", holds_all=holds_all,
+        "X9.9", "test", enumerate_groups, assumes="hereditary",
+        holds_all=holds_all,
     )
     rep = checker.run(mutant_universe)
     others = len(mutant_universe.radicals) - 1
@@ -1130,6 +1206,22 @@ def test_gate_matches_flag_reading_enumerators(request, universe_name, cid):
         cid, checker.description, GATED[cid][1], checker.holds
     )
     assert _report_outcome(checker.run(u)) == _report_outcome(oracle.run(u))
+
+
+@pytest.mark.parametrize("procedures", [
+    {"holds_fn": lambda universe, parts: True,
+     "holds_all": lambda universe, head, tails: True},
+    {},
+], ids=["both", "neither"])
+def test_checker_takes_exactly_one_decision_procedure(procedures):
+    verifier._ensure_registered()
+    with pytest.raises(ValueError, match="needs one of"):
+        verifier.Checker("X9.9", "never built", checkers._enum_radicals,
+                         **procedures)
+    with pytest.raises(ValueError, match="needs one of"):
+        verifier.register("X9.9", "never registered",
+                          checkers._enum_radicals, **procedures)
+    assert "X9.9" not in verifier.THEOREMS
 
 
 def test_register_rejects_unknown_flag():
