@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 for violations or failed decision commands asked to
 assert, 2 for usage and parse errors.
+
+A map, subact or chain named by flags is parsed into integers here and
+checked by the constructor that also decodes report witnesses
+(``core.hom``, ``core.subact_from_members``, ``DirectedChain.from_maps``);
+a value it refuses is a usage error that names the flag.
 """
 
 from __future__ import annotations
@@ -16,14 +21,9 @@ from . import congruence as cg
 from . import injectivity as inj
 from . import radical as rd
 from . import verifier
-from .core import (
-    ActHom,
-    is_equivariant,
-    mask_members,
-    subact_act_by_mask,
-    subact_from_members,
-)
-from .errors import NotRMono, ParseError, RadactError, SizeBound, UsageError
+from .core import hom, mask_members, subact_act_by_mask, subact_from_members
+from .errors import (ActMismatch, NotRMono, ParseError, RadactError,
+                     SizeBound, UsageError)
 from .universe import default_universe
 from .verifier import to_json, to_text, verify_all
 
@@ -152,6 +152,16 @@ def _reading(flag):
                          f"{exc.strerror}") from None
 
 
+@contextmanager
+def _checked(flag, text):
+    """A value that its checked constructor refuses is a usage error that
+    names the flag and its text, followed by the constructor's message."""
+    try:
+        yield
+    except (ValueError, ActMismatch) as exc:
+        raise UsageError(f"{flag} {text!r} {exc}") from None
+
+
 def _load_catalog(args):
     """The catalog of --seed-catalog and --monoid, loaded on first use and
     kept on ``args`` for the rest of the command."""
@@ -229,46 +239,10 @@ def _ints(flag, text):
 
 
 def _subact_of(act, members_text):
-    """The mask of the subact named by --members: in-range, non-empty,
-    action-closed."""
+    """The mask of the subact named by --members."""
     members = _ints("--members", members_text)
-    if not all(0 <= a < act.size for a in members):
-        raise UsageError(f"--members {members_text!r} is outside the "
-                         f"{act.size}-point act")
-    try:
+    with _checked("--members", members_text):
         return subact_from_members(act, members)
-    except ValueError as exc:  # empty or not action-closed
-        raise UsageError(f"--members {members_text!r}: {exc}") from None
-
-
-def _map_of(source, target, map_text, flag="--map"):
-    """The homomorphism named by a map flag: one image per source element."""
-    images = tuple(_ints(flag, map_text))
-    if len(images) != source.size:
-        raise UsageError(f"{flag} needs {source.size} images, got "
-                         f"{len(images)}")
-    if not all(0 <= b < target.size for b in images):
-        raise UsageError(f"{flag} {map_text!r} is outside the "
-                         f"{target.size}-point act")
-    if not is_equivariant(source, target, images):
-        raise UsageError(f"{flag} {map_text!r} is not a homomorphism")
-    return ActHom(source, target, images)
-
-
-def _chain_of(acts, maps_text):
-    """The chain named by --maps: one injective link between consecutive
-    acts."""
-    chunks = maps_text.split(";") if maps_text.strip() else []
-    if len(chunks) != len(acts) - 1:
-        raise UsageError(f"--maps needs {len(acts) - 1} links for "
-                         f"{len(acts)} acts, got {len(chunks)}")
-    links = []
-    for i, chunk in enumerate(chunks):
-        link = _map_of(acts[i], acts[i + 1], chunk, "--maps")
-        if not link.is_injective():
-            raise UsageError(f"--maps link {chunk!r} is not injective")
-        links.append(link)
-    return inj.DirectedChain(tuple(acts), tuple(links))
 
 
 def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
@@ -331,7 +305,10 @@ def _dispatch(args, out) -> int:
     if cmd == "limit":
         acts = [_resolve_act(name, catalog, "--acts")
                 for name in args.acts.split(",")]
-        chain = _chain_of(acts, args.maps)
+        chunks = args.maps.split(";") if args.maps.strip() else []
+        maps = [_ints("--maps", chunk) for chunk in chunks]
+        with _checked("--maps", args.maps):
+            chain = inj.DirectedChain.from_maps(acts, maps)
         limit, legs = inj.direct_limit(chain)
         _print_act(limit, out)
         for i, leg in enumerate(legs):
@@ -402,7 +379,9 @@ def _dispatch(args, out) -> int:
         r = u.radical(args.radical)
         inner, incl = subact_act_by_mask(act, _subact_of(act, args.members))
         into = _resolve_act(args.into, catalog, "--into")
-        f = _map_of(inner, into, args.map)
+        images = _ints("--map", args.map)
+        with _checked("--map", args.map):
+            f = hom(inner, into, images)
         if not rd.is_r_mono(r, incl):
             raise NotRMono(f"{incl.map} is not a dense monomorphism for "
                            f"{r.name}")

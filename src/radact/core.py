@@ -327,12 +327,15 @@ def subact_masks(act: FiniteAct) -> tuple[int, ...]:
 
 def subact_from_members(act: FiniteAct, members) -> int:
     """The mask of the subact with the given members, checked to be a
-    non-empty action-closed subset."""
+    non-empty action-closed subset of the carrier: the checked constructor
+    of subacts (see ``hom``)."""
+    if not all(0 <= a < act.size for a in members):
+        raise ValueError(f"is outside the {act.size}-point act")
     mask = members_mask(members)
     if not mask:
-        raise ValueError("subacts are non-empty")
+        raise ValueError("is empty")
     if not is_closed_mask(act, mask):
-        raise ValueError(f"{mask_members(mask)} is not action-closed")
+        raise ValueError("is not action-closed")
     return mask
 
 
@@ -429,15 +432,21 @@ def is_equivariant(source: FiniteAct, target: FiniteAct, mapping) -> bool:
 
 
 def hom(source: FiniteAct, target: FiniteAct, mapping) -> ActHom:
+    """The map source -> target with images ``mapping``, checked to be a
+    homomorphism.  ``hom``, ``subact_from_members`` and
+    ``DirectedChain.from_maps`` build every map, subact and chain read from
+    a flag or a report witness.  Each refuses a value with ``ActMismatch``
+    or ``ValueError``, in a message that reads after the value ("is not
+    equivariant")."""
     mapping = tuple(mapping)
     if source.monoid != target.monoid:
-        raise ActMismatch("homs need a common monoid")
+        raise ActMismatch("joins acts over different monoids")
     if len(mapping) != source.size:
-        raise ValueError("map length must match source carrier")
+        raise ValueError(f"needs {source.size} images, got {len(mapping)}")
     if not all(0 <= b < target.size for b in mapping):
-        raise ValueError(f"map {mapping} has entries outside target carrier")
+        raise ValueError("has entries outside target carrier")
     if not is_equivariant(source, target, mapping):
-        raise ValueError(f"map {mapping} is not equivariant")
+        raise ValueError("is not equivariant")
     return ActHom(source, target, mapping)
 
 
@@ -524,15 +533,9 @@ def all_homs(source: FiniteAct, target: FiniteAct) -> tuple[ActHom, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def injective_homs(source: FiniteAct, target: FiniteAct) -> tuple[ActHom, ...]:
-    if source.monoid != target.monoid:
-        raise ActMismatch("homs need a common monoid")
-    if source.size > target.size:
-        return ()
-    return tuple(
-        ActHom(source, target, m) for m in _hom_search(source, target, {}, True)
-    )
+    """The injective maps of ``all_homs(source, target)``, in its order."""
+    return tuple(h for h in all_homs(source, target) if h.is_injective())
 
 
 def hom_extension_exists(target_act, big, partial) -> bool:

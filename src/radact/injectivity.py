@@ -49,6 +49,7 @@ from .core import (
     FiniteAct,
     all_homs,
     compose,
+    hom,
     hom_extension_exists,
     left_regular_act,
     mask_members,
@@ -285,16 +286,24 @@ class DirectedChain:
     links: tuple[ActHom, ...]
 
     def __post_init__(self):
-        if len(self.links) != len(self.acts) - 1:
-            raise ValueError("need one link between consecutive acts")
+        _require_links(self.acts, self.links)
         monoid = self.acts[0].monoid
         if any(x.monoid != monoid for x in self.acts):
-            raise ActMismatch("a chain's acts must share their monoid")
+            raise ActMismatch("has acts over different monoids")
         for i, ln in enumerate(self.links):
             if ln.source != self.acts[i] or ln.target != self.acts[i + 1]:
-                raise ValueError(f"link {i} does not connect the chain")
+                raise ValueError(f"has a link {i} off the chain")
             if not ln.is_injective():
-                raise ValueError(f"link {i} is not injective")
+                raise ValueError(f"has a non-injective link {i}")
+
+    @classmethod
+    def from_maps(cls, acts, maps) -> DirectedChain:
+        """The chain of ``acts`` whose link i has the images ``maps[i]``:
+        the checked constructor of chains (see ``core.hom``).  The link
+        count is checked first, then each link is built with ``hom``."""
+        acts, maps = tuple(acts), tuple(maps)
+        _require_links(acts, maps)
+        return cls(acts, tuple(map(hom, acts, acts[1:], maps)))
 
     def link(self, i: int, j: int) -> ActHom:
         """The composite of the links from act i to act j."""
@@ -302,6 +311,14 @@ class DirectedChain:
         for ln in self.links[i:j]:
             images = tuple(map(ln.map.__getitem__, images))
         return ActHom(self.acts[i], self.acts[j], images)
+
+
+def _require_links(acts, links):
+    if not acts:
+        raise ValueError("has no acts")
+    if len(links) != len(acts) - 1:
+        raise ValueError(f"needs {len(acts) - 1} links for {len(acts)} acts, "
+                         f"got {len(links)}")
 
 
 def direct_limit(chain: DirectedChain):

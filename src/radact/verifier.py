@@ -278,10 +278,8 @@ def decode_part(universe, data):
         tgt = _decode_act(payload["target"])
         return hom(src, tgt, payload["map"])
     if tag == "chain":
-        acts = tuple(_decode_act(a) for a in payload["acts"])
-        links = tuple(hom(a, b, m) for a, b, m in
-                      zip(acts[:-1], acts[1:], payload["maps"], strict=True))
-        return DirectedChain(acts, links)
+        return DirectedChain.from_maps(map(_decode_act, payload["acts"]),
+                                       payload["maps"])
     if tag in ("int", "str", "bool"):
         return payload
     raise ValueError(f"unknown witness component {tag!r}")

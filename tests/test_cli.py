@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from radact.catalog import (
     Catalog, print_act, print_monoid, print_radical_table,
 )
-from radact import cli
+from radact import cli, verifier
 from radact.cli import build_parser, run
 from radact.congruence import all_congruences, is_rees
-from radact.core import validate_act, validate_monoid
+from radact.core import subact_act_by_mask, validate_act, validate_monoid
+from radact.errors import ActMismatch
 from radact.radical import rg_radical
 from radact.universe import default_universe
 
@@ -272,6 +273,51 @@ def test_malformed_limit_maps_is_usage_error(catalog_dir, maps):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+T1_TEXT = "monoid T1\nelements 1\nidentity 0\ntable\n0\n"
+P1_TEXT = "act P1 over T1\nelements 1\naction\n0\n"
+
+
+# bad values, each named once as a report witness part and once by flags: a
+# map from the subact {1} of R2 into the named act (pushout's --into and
+# --map), or a chain of the named acts (limit's --acts and --maps)
+@pytest.mark.parametrize("kind, acts, text", [
+    ("hom", "R2", "0"),  # not equivariant: 1 is a zero of R2, 0 is not
+    ("hom", "R2", "7"),  # an entry outside the carrier
+    ("hom", "R2", ""),  # too few images
+    ("hom", "P1", "0"),  # into an act over another monoid
+    ("chain", "R2,R2", "0 1;0 1"),  # a link too many
+    ("chain", "R2,R2", "1 1"),  # a homomorphism, but not injective
+    ("chain", "P1,R2", "1"),  # acts over two monoids
+])
+def test_bad_value_is_refused_as_a_witness_and_as_flags(catalog_dir, kind,
+                                                        acts, text):
+    (Path(catalog_dir) / "T1.monoid").write_text(T1_TEXT)
+    (Path(catalog_dir) / "P1.act").write_text(P1_TEXT)
+    named = Catalog()
+    named.load_dir(catalog_dir)
+
+    def encoded(name):
+        return verifier.encode_part(named.acts[name])["act"]
+
+    if kind == "hom":
+        inner, _ = subact_act_by_mask(named.acts["R2"], 0b10)
+        part = {"hom": {"source": verifier.encode_part(inner)["act"],
+                        "target": encoded(acts),
+                        "map": [int(x) for x in text.split()]}}
+        argv = ["pushout", "--act", "R2", "--members", "1", "--into", acts,
+                "--map", text] + SMALL
+    else:
+        maps = [[int(x) for x in chunk.split()] for chunk in text.split(";")]
+        part = {"chain": {"acts": [encoded(a) for a in acts.split(",")],
+                          "maps": maps}}
+        argv = ["limit", "--acts", acts, "--maps", text]
+    with pytest.raises((ValueError, ActMismatch)):
+        verifier.decode_part(None, part)
+    code, out, err = invoke(argv + ["--seed-catalog", catalog_dir])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: [^\n]*\n", err)
 
 
 def test_limit_of_a_single_act(catalog_dir):

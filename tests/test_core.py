@@ -125,6 +125,12 @@ def test_subact_from_members_rejects_open_sets(R2):
         subact_from_members(R2, [])
 
 
+@pytest.mark.parametrize("members", [[5], [-1], [1, 2]])
+def test_subact_from_members_rejects_members_outside_the_carrier(R2, members):
+    with pytest.raises(ValueError, match="outside the 2-point act"):
+        subact_from_members(R2, members)
+
+
 def _rees_factor(act, masks):
     return quotient(act, rees_congruence(act, masks))
 

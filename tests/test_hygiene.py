@@ -41,6 +41,11 @@ Flags: in ``checkers``, only the checkers whose statement compares taxonomy
 flags call ``classify_radical``; every other checker that assumes a flag
 declares it on ``register(...)`` and ``Checker.run`` filters on it.
 
+Checked values: only ``core.hom`` calls ``is_equivariant``.  Every map
+read from outside the program, from a flag or a report witness, is built by
+that one checked constructor, so no second copy of its checks grows beside
+it.
+
 Process-wide caches: exactly the functions of ``PROCESS_CACHED`` use
 ``functools.lru_cache`` (or ``functools.cache``).  Such a cache outlives
 every universe, so each one is a reviewed change to that list: it must pay
@@ -516,6 +521,41 @@ def test_flag_reader_is_reported():
     assert flag_readers(source, "m") == ["m._enum"]
 
 
+def equivariance_checkers(source, module) -> list[str]:
+    return functions_where(
+        source, module,
+        lambda n: isinstance(n, ast.Call) and _name(n) == "is_equivariant",
+    )
+
+
+def test_only_the_map_constructor_checks_equivariance():
+    found = [
+        name for p in MODULES
+        for name in equivariance_checkers(p.read_text(), p.stem)
+    ]
+    assert found == ["core.hom"]
+
+
+def test_equivariance_checker_is_reported():
+    source = (
+        "from . import core\n"
+        "from .core import is_equivariant\n"
+        "OK = is_equivariant(a, b, (0,))\n"
+        "def _map_of(source, target, images):\n"
+        "    if not core.is_equivariant(source, target, images):\n"
+        "        raise ValueError(images)\n"
+        "def decode(data):\n"
+        "    def link(a, b, m):\n"
+        "        return is_equivariant(a, b, m) and m\n"
+        "    return link\n"
+        "def bystander(is_equivariant):\n"
+        "    return is_equivariant\n"
+    )
+    assert equivariance_checkers(source, "m") == [
+        "m", "m._map_of", "m.decode.link",
+    ]
+
+
 def process_cache_users(source, module) -> list[str]:
     """The functions that name ``lru_cache`` or ``cache``, as a decorator or
     otherwise; ``module`` alone for a use at module level."""
@@ -531,7 +571,6 @@ PROCESS_CACHED = (
     "congruence.all_congruences",
     "core._signature",
     "core.all_homs",
-    "core.injective_homs",
     "core.subact_act_by_mask",
     "core.subact_masks",
     "core.zeros",

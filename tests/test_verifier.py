@@ -185,6 +185,11 @@ def test_decoding_refuses_a_chain_with_a_link_too_many(small, R2):
         verifier.decode_part(small, part)
 
 
+def test_decoding_refuses_a_chain_of_no_acts(small):
+    with pytest.raises(ValueError, match="has no acts"):
+        verifier.decode_part(small, {"chain": {"acts": [], "maps": []}})
+
+
 def test_single_theorem_report(small):
     rep = verifier.verify("L1.2", small)
     assert rep.status == "verified"
