@@ -24,7 +24,7 @@ from . import verifier
 from .core import hom, mask_members, subact_act_by_mask, subact_from_members
 from .errors import (ActMismatch, NotRMono, ParseError, RadactError,
                      SizeBound, UsageError)
-from .universe import default_universe
+from .universe import Universe, default_universe, register_stock
 from .verifier import to_json, to_text, verify_all
 
 
@@ -187,6 +187,9 @@ def _check_bounds(args):
 
 
 def _universe(args):
+    """The universe at the command's bounds with every stock radical, as in
+    ``default_universe``, and then each --radical-file's radical: one
+    universe that serves every command at these bounds."""
     u = default_universe(
         monoid_max=args.monoid_max,
         act_max=args.act_max,
@@ -200,6 +203,19 @@ def _universe(args):
         r = rd.extensional_radical(name, table)
         _require_coverage(r, u)
         u.register_radical(r)
+    return u
+
+
+def _universe_reading(args, radicals):
+    """The universe for a command that reads only the stock radicals named
+    in ``radicals``: those, with their bases, registered at the command's
+    bounds.  A --radical-file gives ``_universe``'s, so that a file radical
+    named like a stock one is still refused."""
+    if args.radical_file:
+        return _universe(args)
+    u = Universe(args.monoid_max, args.act_max, args.hull_bound,
+                 args.con_bound)
+    register_stock(u, radicals)
     return u
 
 
@@ -288,7 +304,7 @@ def _dispatch(args, out) -> int:
         return 0
 
     if cmd == "classify":
-        u = _universe(args)
+        u = _universe_reading(args, (args.radical,))
         r = u.radical(args.radical)
         flags = rd.classify_radical(r, u).flags()
         for k, v in flags.items():
@@ -327,7 +343,8 @@ def _dispatch(args, out) -> int:
             print(str(chi), file=out)
         return 0
 
-    u = _universe(args)
+    u = _universe_reading(
+        args, (args.radical,) if "radical" in vars(args) else ())
 
     if cmd == "radical":
         r = u.radical(args.radical)

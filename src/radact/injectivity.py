@@ -300,10 +300,19 @@ class DirectedChain:
     def from_maps(cls, acts, maps) -> DirectedChain:
         """The chain of ``acts`` whose link i has the images ``maps[i]``:
         the checked constructor of chains (see ``core.hom``).  The link
-        count is checked first, then each link is built with ``hom``."""
+        count is checked first, then each link is built with ``hom``; a link
+        that ``hom`` refuses is named in front of its message ("has a link 1
+        that is not equivariant")."""
         acts, maps = tuple(acts), tuple(maps)
         _require_links(acts, maps)
-        return cls(acts, tuple(map(hom, acts, acts[1:], maps)))
+        links = []
+        for i, (source, target, images) in enumerate(zip(acts, acts[1:],
+                                                         maps)):
+            try:
+                links.append(hom(source, target, images))
+            except (ValueError, ActMismatch) as exc:
+                raise type(exc)(f"has a link {i} that {exc}") from None
+        return cls(acts, tuple(links))
 
     def link(self, i: int, j: int) -> ActHom:
         """The composite of the links from act i to act j."""

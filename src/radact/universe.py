@@ -349,13 +349,32 @@ def rees_factor(universe: Universe, act: FiniteAct,
     return factor(universe, act, rees_single(act, mask))
 
 
+STOCK_RADICALS = ("delta", "nabla", "rG", "t_LrG")
+
+
+def register_stock(universe: Universe, names=STOCK_RADICALS) -> None:
+    """Register the stock radicals among ``names``, each after the one it is
+    built from, in the order of ``STOCK_RADICALS``: the diagonal and total
+    radicals delta and nabla, the zero-annihilator radical rG, and t_LrG,
+    the Kurosh-Amitsur radical induced by rG's dense-factor class, which
+    brings rG as its base.  Registering t_LrG checks its semisimple class on
+    every act of the universe, the one costly step.  A name that is not a
+    stock radical registers nothing."""
+    if "delta" in names:
+        universe.register_radical(rd.delta_radical())
+    if "nabla" in names:
+        universe.register_radical(rd.nabla_radical())
+    if "rG" in names or "t_LrG" in names:
+        rg = universe.register_radical(rd.rg_radical())
+    if "t_LrG" in names:
+        universe.register_radical(
+            rd.lr_induced_radical(rg, universe.con_bound))
+
+
 def default_universe(monoid_max=MONOID_MAX_DEFAULT, act_max=ACT_MAX_DEFAULT,
                      hull_bound=HULL_BOUND_DEFAULT,
                      con_bound=CON_BOUND_DEFAULT) -> Universe:
-    """The standard verification universe with the stock radicals."""
+    """The standard verification universe with every stock radical."""
     u = Universe(monoid_max, act_max, hull_bound, con_bound)
-    u.register_radical(rd.delta_radical())
-    u.register_radical(rd.nabla_radical())
-    rg = u.register_radical(rd.rg_radical())
-    u.register_radical(rd.lr_induced_radical(rg, con_bound))
+    register_stock(u)
     return u

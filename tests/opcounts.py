@@ -23,8 +23,9 @@ Then it takes a census of what the run left in memory: the
 ``Universe.memo`` entries of each ``memo_on`` function (read off the first
 item of each key) and the values interned there, by type; each radical's
 congruence table (``_of``), its closure dicts (``_closures``, acts and
-masks) and its ``memo``; and ``cache_info()`` of each process-wide
-``lru_cache`` (``test_hygiene.PROCESS_CACHED``).
+masks) and its ``memo``; ``cache_info()`` of each process-wide
+``lru_cache`` (``test_hygiene.PROCESS_CACHED``); and the ``ActHom`` objects
+still alive, against the distinct map tuples among them.
 
 Tracing makes the run several times slower; the counts do not depend on
 it.  pytest does not collect this file.
@@ -32,6 +33,7 @@ it.  pytest does not collect this file.
 
 import argparse
 import cProfile
+import gc
 import importlib
 import inspect
 import pstats
@@ -128,6 +130,9 @@ def memo_census(universe) -> dict:
         out["lru_cache", f"{name} hits"] = info.hits
         out["lru_cache", f"{name} misses"] = info.misses
         out["lru_cache", f"{name} entries"] = info.currsize
+    homs = [x for x in gc.get_objects() if x.__class__ is core.ActHom]
+    out["objects", "live ActHom"] = len(homs)
+    out["objects", "distinct ActHom maps"] = len({h.map for h in homs})
     return out
 
 

@@ -10,12 +10,16 @@ from radact.catalog import (
     Catalog, print_act, print_monoid, print_radical_table,
 )
 from radact import cli, verifier
+from radact import radical as rd
 from radact.cli import build_parser, run
 from radact.congruence import all_congruences, is_rees
-from radact.core import subact_act_by_mask, validate_act, validate_monoid
+from radact.core import (
+    cyclic_mask, mask_members, subact_act_by_mask, validate_act,
+    validate_monoid,
+)
 from radact.errors import ActMismatch
 from radact.radical import rg_radical
-from radact.universe import default_universe
+from radact.universe import STOCK_RADICALS, default_universe
 
 
 E2_TEXT = """monoid E2
@@ -318,6 +322,22 @@ def test_bad_value_is_refused_as_a_witness_and_as_flags(catalog_dir, kind,
     code, out, err = invoke(argv + ["--seed-catalog", catalog_dir])
     assert (code, out) == (2, "")
     assert re.fullmatch(r"error: [^\n]*\n", err)
+
+
+def test_chain_names_the_link_that_is_no_hom(catalog_dir):
+    # link 0 is the identity, link 1 the swap, which moves R2's zero 1
+    named = Catalog()
+    named.load_dir(catalog_dir)
+    r2 = verifier.encode_part(named.acts["R2"])["act"]
+    part = {"chain": {"acts": [r2] * 3, "maps": [[0, 1], [1, 0]]}}
+    message = "has a link 1 that is not equivariant"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verifier.decode_part(None, part)
+    code, out, err = invoke(
+        ["limit", "--seed-catalog", catalog_dir, "--acts", "R2,R2,R2",
+         "--maps", "0 1;1 0"]
+    )
+    assert (code, out, err) == (2, "", f"error: --maps '0 1;1 0' {message}\n")
 
 
 def test_limit_of_a_single_act(catalog_dir):
@@ -714,3 +734,92 @@ def test_fuzz_values_cover_every_flag(command_flags, rg_copy_catalog):
     dests = {dest for flags in command_flags.values()
              for dest in flags.values()}
     assert dests == set(values)
+
+
+@pytest.fixture(scope="module")
+def m2_catalog(tmp_path_factory):
+    """A catalog of every monoid and act of ``default_universe(monoid_max=2)``
+    and a radical table file ``copy`` with rG's value on each act."""
+    tmp_path = tmp_path_factory.mktemp("m2")
+    u = default_universe(monoid_max=2)
+    for monoid in u.monoids:
+        (tmp_path / f"{monoid.name}.monoid").write_text(print_monoid(monoid))
+    for act in u.acts:
+        (tmp_path / f"{act.name}.act").write_text(print_act(act))
+    rg = u.radical("rG")
+    radical_file = tmp_path.parent / "m2_copy.radical"
+    radical_file.write_text(
+        print_radical_table("copy", {act: rg.of(act) for act in u.acts})
+    )
+    return str(tmp_path), str(radical_file), u.acts
+
+
+def universe_commands(acts, radical_file):
+    """Every universe-building command kind: the act commands on each act,
+    those that take --radical with each stock radical in turn, and classify,
+    enumerate, verify and a --radical-file run."""
+    out = []
+    for i, act in enumerate(acts):
+        members = " ".join(map(str, mask_members(
+            cyclic_mask(act, act.size - 1))))
+        mode = ("auto", "criterion", "universe")[i % 3]
+        base = ["--act", act.name]
+        out += [[kind] + base for kind in ("injective", "weakly-injective",
+                                           "hull")]
+        for k, (kind, *extra) in enumerate([
+            ("radical",),
+            ("closure", "--members", members),
+            ("dense", "--members", members),
+            ("r-injective", "--mode", mode),
+            ("r-hull",),
+            ("pushout", "--members", members, "--into", act.name,
+             "--map", members),
+        ]):
+            radical = STOCK_RADICALS[(i + k) % 4]
+            out.append([kind] + base + ["--radical", radical] + extra)
+    out += [["classify", "--radical", r] for r in STOCK_RADICALS]
+    out += [["enumerate"], ["verify", "--theorem", "L1.2"],
+            ["radical", "--act", acts[-1].name, "--radical", "copy",
+             "--radical-file", radical_file]]
+    return out
+
+
+def reads_t_lrg(argv):
+    return ("t_LrG" in argv or argv[0] in ("enumerate", "verify")
+            or "--radical-file" in argv)
+
+
+def test_commands_register_only_the_radicals_they_read(m2_catalog,
+                                                       monkeypatch):
+    # each command's output equals a run on every stock radical, and only
+    # the commands that read t_LrG check its semisimple class
+    catalog, radical_file, acts = m2_catalog
+    checks = []
+    check = rd.verify_semisimple_class
+    monkeypatch.setattr(rd, "verify_semisimple_class",
+                        lambda *a: checks.append(a) or check(*a))
+    def on_every_stock_radical(args, radicals):
+        u = cli._universe(args)
+        assert [r.name for r in u.radicals][:4] == list(STOCK_RADICALS)
+        return u
+
+    commands = universe_commands(acts, radical_file)
+    assert {argv[0] for argv in commands} == {
+        "radical", "classify", "closure", "dense", "injective",
+        "r-injective", "weakly-injective", "hull", "r-hull", "pushout",
+        "enumerate", "verify",
+    }
+    for argv in commands:
+        argv = argv + ["--seed-catalog", catalog, "--monoid-max", "2"]
+        checks.clear()
+        got = invoke(argv)
+        assert len(checks) == reads_t_lrg(argv), argv
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_universe_reading", on_every_stock_radical)
+            checks.clear()
+            want = invoke(argv)
+            assert len(checks) == 1
+        assert got == want, argv
+        # a pushout along a subact that is not dense exits 1; nothing is
+        # a usage error
+        assert got[0] in (0, 1), (argv, got)

@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
@@ -72,7 +72,7 @@ from radact.radical import (
     is_r_mono,
     rg_radical,
 )
-from radact.universe import default_universe
+from radact.universe import Universe, default_universe
 from sweep import extensions_by_sweep
 
 
@@ -413,6 +413,34 @@ def test_direct_limit_legs_commute_with_links(small_chains):
             for a in chain.acts[i].elements:
                 assert legs[i + 1].map[ln.map[a]] == legs[i].map[a]
         assert legs[-1].is_bijective()
+
+
+def test_every_cocone_factors_through_the_limit_once(small_chains):
+    # the universal property, counted through all_homs: a cocone into T is a
+    # map from each chain act into T, each the next one's composed with the
+    # link between them, and exactly one map from the limit into T composes
+    # with the legs to it.  The targets have at most two points, since the
+    # cocones into a 4-point set from a chain of 4-point sets number 4**4.
+    u = Universe(monoid_max=2, act_max=2)
+    checked = 0
+    for chain in small_chains:
+        limit, legs = direct_limit(chain)
+        for target in u.acts_over(chain.acts[0].monoid):
+            cocones = [(g.map,) for g in all_homs(chain.acts[0], target)]
+            for ln in chain.links:
+                # the maps out of the link's target, by their composite
+                # with the link
+                after = defaultdict(list)
+                for g in all_homs(ln.target, target):
+                    after[tuple(map(g.map.__getitem__, ln.map))].append(g.map)
+                cocones = [c + (g,) for c in cocones for g in after[c[-1]]]
+            through = Counter(
+                tuple(tuple(map(h.map.__getitem__, leg.map)) for leg in legs)
+                for h in all_homs(limit, target)
+            )
+            assert all(through[c] == 1 for c in cocones), (chain, target)
+            checked += len(cocones)
+    assert checked > len(small_chains)
 
 
 def test_direct_limit_rejects_mixed_monoids(T1, E2):
