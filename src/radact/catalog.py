@@ -141,9 +141,8 @@ def parse_radical_table(text: str, acts: dict) -> tuple[str, dict]:
         act = acts.get(parts[1])
         if act is None:
             raise ParseError(lineno, f"unknown act {parts[1]!r}")
-        partition_text = line.split("partition", 1)[1].strip()
         try:
-            table[act] = parse_partition(act, partition_text)
+            table[act] = parse_partition(act, line.split(maxsplit=3)[3])
         except (ValueError, RadactError) as err:
             raise ParseError(lineno, f"bad partition: {err}")
     return name, table

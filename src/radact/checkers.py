@@ -92,6 +92,7 @@ from .injectivity import (
     r_injective_hull,
     skornjakov_injective,
     _complement,
+    _injective_on,
     _large_masks,
     _maps_extend,
 )
@@ -222,15 +223,23 @@ def _transported_class_system(r, act, mask):
 # Hoehnke axioms (radical type invariants)
 
 
+def _hom_sets(universe):
+    """Every non-empty hom set between universe acts over one monoid, as
+    ``all_homs`` gives it: by monoid, then source, then target.  AX-H1,
+    D2.1's continuity groups and C3.5 walk it."""
+    for monoid in universe.monoids:
+        acts = universe.acts_over(monoid)
+        for a in acts:
+            for b in acts:
+                homs = all_homs(a, b)
+                if homs:
+                    yield homs
+
+
 def _enum_h1(universe):
     for r in universe.radicals:
-        for monoid in universe.monoids:
-            acts = universe.acts_over(monoid)
-            for a in acts:
-                for b in acts:
-                    homs = all_homs(a, b)
-                    if homs:
-                        yield "group", ((r,), homs)
+        for homs in _hom_sets(universe):
+            yield "group", ((r,), homs)
 
 
 def _holds_h1_all(universe, head, homs):
@@ -290,10 +299,7 @@ def _holds_r11(universe, parts):
             if not any(mask & ~s == 0 for s in sigma_masks):
                 return False
         # a class containing a subact is itself action-closed
-        block = ra.block_of(mask_members(mask)[0])
-        bmask = 0
-        for x in block:
-            bmask |= 1 << x
+        bmask = members_mask(ra.block_of(mask_members(mask)[0]))
         if mask & ~bmask == 0:
             if not is_closed_mask(act, bmask):
                 return False
@@ -345,13 +351,10 @@ def _enum_d21(universe):
             yield "group", ((r, "c2", act, m1),
                             tuple(m2 for m2 in masks if m1 & ~m2 == 0))
     for r in universe.radicals:
-        for monoid in universe.monoids:
-            acts = universe.acts_over(monoid)
-            for a in acts:
-                masks = subact_masks(a)
-                for b in acts:
-                    for f in all_homs(a, b):
-                        yield "group", ((r, "c3", f), masks)
+        for homs in _hom_sets(universe):
+            masks = subact_masks(homs[0].source)
+            for f in homs:
+                yield "group", ((r, "c3", f), masks)
 
 
 @memo_on(0)
@@ -420,9 +423,7 @@ def _l22_factor(universe, act, mask, chi):
     the factor itself is ``factor``'s interned act."""
     _, incl = subact_act_by_mask(act, mask)
     quo, pi = factor(universe, act, smallest_extension(chi, incl))
-    image = 0
-    for x in mask_members(mask):
-        image |= 1 << pi.map[x]
+    image = members_mask(pi.map[x] for x in mask_members(mask))
     # triples far outnumber the distinct factors: keep one copy of each
     # (act, image) pair
     outcome = (quo, image)
@@ -939,12 +940,10 @@ register(
 
 
 def _enum_c35(universe):
-    for monoid in universe.monoids:
-        acts = universe.acts_over(monoid)
-        for a in acts:
-            for b in acts:
-                for f in injective_homs(a, b):
-                    yield "inst", (f,)
+    for homs in _hom_sets(universe):
+        for f in homs:
+            if f.is_injective():
+                yield "inst", (f,)
 
 
 def _holds_c35(universe, parts):
@@ -994,9 +993,7 @@ def _enum_l37(universe):
 
 def _holds_l37(universe, parts):
     act, chi, block = parts
-    kappa = _complement(universe, act, chi)
-    members = mask_members(block)
-    return len({kappa.index[x] for x in members}) == len(members)
+    return _injective_on(_complement(universe, act, chi), block)
 
 
 register(
@@ -1314,8 +1311,6 @@ def _l51_verdict(universe, radicals, big, mask):
     raises PostconditionError, which Checker.run reports as violated."""
     dense = [mask in dense_subact_masks(q, big) for q in radicals]
     targets = universe.acts_over(big.monoid)
-    if not any(dense):
-        return (tuple(dense),) * len(targets)
     sub, incl = subact_act_by_mask(big, mask)
     layout = pushout_layout(incl)
     row = []

@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 for violations or failed decision commands asked to
-assert, 2 for usage and parse errors.
+Exit codes: 0 success, 1 when a decision fails or any checker reports
+``violated``, 2 for usage and parse errors.
 
 A map, subact or chain named by flags is parsed into integers here and
 checked by the constructor that also decodes report witnesses
@@ -240,11 +240,17 @@ def _resolve_act(spec, catalog, flag="--act"):
     raise UsageError(f"cannot resolve act {spec!r}")
 
 
-def _print_act(act, out):
-    print(f"elements {act.size}", file=out)
-    print("action", file=out)
-    for row in act.action:
-        print(" ".join(str(v) for v in row), file=out)
+def _act_text(act):
+    """The act's catalog text without its header line or final newline."""
+    return cat.print_act(act).split("\n", 1)[1][:-1]
+
+
+def _spaced(ints):
+    return " ".join(map(str, ints))
+
+
+def _yes(value):
+    return "true" if value else "false"
 
 
 def _ints(flag, text):
@@ -307,8 +313,8 @@ def _dispatch(args, out) -> int:
         u = _universe_reading(args, (args.radical,))
         r = u.radical(args.radical)
         flags = rd.classify_radical(r, u).flags()
-        for k, v in flags.items():
-            print(f"{k} {'true' if v else 'false'}", file=out)
+        print("\n".join(f"{k} {_yes(v)}" for k, v in flags.items()),
+              file=out)
         return 0
 
     if cmd == "verify":
@@ -326,9 +332,9 @@ def _dispatch(args, out) -> int:
         with _checked("--maps", args.maps):
             chain = inj.DirectedChain.from_maps(acts, maps)
         limit, legs = inj.direct_limit(chain)
-        _print_act(limit, out)
-        for i, leg in enumerate(legs):
-            print(f"leg{i} " + " ".join(str(x) for x in leg.map), file=out)
+        print("\n".join([_act_text(limit)] + [
+            f"leg{i} " + _spaced(leg.map) for i, leg in enumerate(legs)]),
+            file=out)
         return 0
 
     # the remaining commands all need a catalog act
@@ -339,61 +345,35 @@ def _dispatch(args, out) -> int:
         except SizeBound as exc:
             # a bound below the carrier is a usage error: nothing was decided
             raise UsageError(str(exc)) from None
-        for chi in lattice:
-            print(str(chi), file=out)
+        print("\n".join(map(str, lattice)), file=out)
         return 0
 
-    u = _universe_reading(
-        args, (args.radical,) if "radical" in vars(args) else ())
-
+    reads_radical = "radical" in vars(args)
+    u = _universe_reading(args, (args.radical,) if reads_radical else ())
+    r = u.radical(args.radical) if reads_radical else None
     if cmd == "radical":
-        r = u.radical(args.radical)
-        print(str(r.of(act)), file=out)
-        return 0
-
-    if cmd == "closure":
-        r = u.radical(args.radical)
-        closed = rd.closure_mask(r, act, _subact_of(act, args.members))
-        print(" ".join(str(x) for x in mask_members(closed)), file=out)
-        return 0
-
-    if cmd == "dense":
-        r = u.radical(args.radical)
-        mask = _subact_of(act, args.members)
-        print("true" if rd.is_r_dense(r, act, mask) else "false", file=out)
-        return 0
-
-    if cmd == "injective":
-        print("true" if inj.is_injective(act, u) else "false", file=out)
-        return 0
-
-    if cmd == "r-injective":
-        r = u.radical(args.radical)
-        value = inj.is_r_injective(r, act, u, args.mode)
-        print("true" if value else "false", file=out)
-        return 0
-
-    if cmd == "weakly-injective":
-        print("true" if inj.is_weakly_injective(act, u) else "false", file=out)
-        return 0
-
-    if cmd == "hull":
-        _print_act(inj.injective_hull(act, u), out)
-        return 0
-
-    if cmd == "r-hull":
-        r = u.radical(args.radical)
+        text = str(r.of(act))
+    elif cmd == "closure":
+        text = _spaced(mask_members(
+            rd.closure_mask(r, act, _subact_of(act, args.members))))
+    elif cmd == "dense":
+        text = _yes(rd.is_r_dense(r, act, _subact_of(act, args.members)))
+    elif cmd == "injective":
+        text = _yes(inj.is_injective(act, u))
+    elif cmd == "r-injective":
+        text = _yes(inj.is_r_injective(r, act, u, args.mode))
+    elif cmd == "weakly-injective":
+        text = _yes(inj.is_weakly_injective(act, u))
+    elif cmd == "hull":
+        text = _act_text(inj.injective_hull(act, u))
+    elif cmd == "r-hull":
         if rd.classify_radical(r, u).kurosh_amitsur:
             method, hull = "closure-of-hull", inj.r_injective_hull(r, act, u)
         else:
             method = "essential-search-fallback"
             hull = inj.maximal_r_essential_extension(r, act, u)
-        print(f"method {method}", file=out)
-        _print_act(hull, out)
-        return 0
-
-    if cmd == "pushout":
-        r = u.radical(args.radical)
+        text = f"method {method}\n" + _act_text(hull)
+    else:  # pushout
         inner, incl = subact_act_by_mask(act, _subact_of(act, args.members))
         into = _resolve_act(args.into, catalog, "--into")
         images = _ints("--map", args.map)
@@ -403,10 +383,10 @@ def _dispatch(args, out) -> int:
             raise NotRMono(f"{incl.map} is not a dense monomorphism for "
                            f"{r.name}")
         d, ulab, vlab = inj.pushout_square(inj.pushout_layout(incl), f)
-        _print_act(d, out)
-        print("u " + " ".join(str(x) for x in ulab.map), file=out)
-        print("v " + " ".join(str(x) for x in vlab.map), file=out)
-        return 0
+        text = "\n".join((_act_text(d), "u " + _spaced(ulab.map),
+                          "v " + _spaced(vlab.map)))
+    print(text, file=out)
+    return 0
 
 
 def main() -> None:

@@ -11,8 +11,8 @@ hash and equality read the table fields only (names take part in
 neither), and equality answers at once for the same object and compares
 the stored hashes before the tables.  Results that depend on a
 ``Universe`` or a ``Radical`` are memoised on that object (see
-``memo_on``), so they are freed together with it; the ``Universe``
-docstring and README's "Memoisation" list what each keeps.
+``memo_on``), so they are freed together with it; README's
+"Memoisation" lists what each keeps.
 A subact (a non-empty action-closed subset of a carrier) is always a bitmask
 over its parent's carrier: bit a is set when element a belongs to it.
 ``subact_act_by_mask`` materialises one as an act plus its inclusion.
@@ -178,10 +178,7 @@ class ActHom(Frozen):
         return self.is_injective() and self.source.size == self.target.size
 
     def image_mask(self) -> int:
-        mask = 0
-        for b in self.map:
-            mask |= 1 << b
-        return mask
+        return members_mask(self.map)
 
 
 _set_source = ActHom.source.__set__

@@ -34,6 +34,7 @@ from .core import (
     cyclic_mask,
     find_isomorphism,
     mask_members,
+    members_mask,
     memo_on,
     product,
     relabel,
@@ -262,10 +263,8 @@ def closure_mask(r: Radical, act: FiniteAct, mask: int) -> int:
     quo, pi = quotient(act, rees_single(act, mask))
     rq = r.of(quo)
     zclass = rq.index[pi.map[mask_members(mask)[0]]]
-    out = 0
-    for a in act.elements:
-        if rq.index[pi.map[a]] == zclass:
-            out |= 1 << a
+    out = members_mask(
+        a for a in act.elements if rq.index[pi.map[a]] == zclass)
     table[mask] = out
     return out
 
@@ -385,10 +384,8 @@ def classify_radical(r: Radical, universe) -> RadicalTaxonomy:
                     weakly_hereditary = False
             if pre_hereditary or zero_hereditary:
                 # zeros of the act inside this class, in the class's own labels
-                local_zeros = 0
-                for i, a in enumerate(mask_members(bmask)):
-                    if a in zs:
-                        local_zeros |= 1 << i
+                local_zeros = members_mask(
+                    i for i, a in enumerate(mask_members(bmask)) if a in zs)
                 for ymask in subact_masks(sub):
                     ysub, _ = subact_act_by_mask(sub, ymask)
                     if not is_radical_act(r, ysub):

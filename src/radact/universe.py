@@ -238,19 +238,9 @@ def enumerate_acts(monoid: FiniteMonoid, max_size: int) -> tuple[FiniteAct, ...]
 class Universe:
     """Catalog of monoids and acts within bounds, plus registered radicals.
 
-    ``memo`` holds the results computed over this universe (its factor
-    acts, built once per (act, congruence) and interned by ``factor``,
-    cyclic acts, taxonomy flags, injectivity decisions and the extension
-    answers behind them, the large subacts of each cyclic act, hull
-    searches, each act's embeddings into the universe, maximal complements,
-    one L5.1 verdict row per dense subact, for which each distinct pushout
-    is built once, the L2.11/T7.3 captures, per radical, on the hull and in
-    some extension, L4.3's dense-factor members, L2.2's factors and the
-    image tables of the maps that D2.1 and T4.6 read); see
-    ``core.memo_on``.  A registered radical keeps what depends on it alone:
-    its congruence on each act, one closure dict per act (filled by
-    ``closure_mask`` and completed by ``closure_table``) and each act's
-    dense subacts.
+    ``memo`` holds the results computed over this universe (see
+    ``core.memo_on``), and a registered radical keeps what depends on it
+    alone; README's "Memoisation" lists every entry.
     ``radicals`` is a tuple that each registration replaces, so a memo entry
     keyed by it (an L5.1 row) is never read for another set of radicals.
 

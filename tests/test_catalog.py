@@ -9,6 +9,7 @@ from radact.catalog import (
     print_monoid,
     print_radical_table,
 )
+from radact.congruence import parse_partition
 from radact.errors import CatalogValidationError, ParseError
 
 
@@ -102,6 +103,17 @@ def test_radical_table_round_trip():
     assert print_radical_table(name, table) == text
     again = parse_radical_table(print_radical_table(name, table), {"R2": a})
     assert again == (name, table)
+
+
+def test_radical_table_round_trip_with_partition_in_act_name():
+    # the blocks are read after the keyword, not after the first
+    # "partition" in the line
+    m = parse_monoid(E2_TEXT)
+    a = parse_act(R2_TEXT.replace("R2", "Rpartition"), {"E2": m})
+    table = {a: parse_partition(a, "0 1")}
+    text = print_radical_table("demo", table)
+    assert text == "radical demo extensional\nact Rpartition partition 0 1\n"
+    assert parse_radical_table(text, {"Rpartition": a}) == ("demo", table)
 
 
 def test_radical_table_bad_partition():

@@ -75,6 +75,27 @@ def test_not_associative_witness():
     assert table[table[x][y]][z] != table[x][table[y][z]]
 
 
+@pytest.mark.parametrize("table, identity, error, message", [
+    ([[0, 1], [1]], 0, ValueError, "must be square"),
+    ([[0, 1], [1, 2]], 0, ValueError, "table entry 2 outside carrier"),
+    ([[0, 1], [1, 1]], 2, BadIdentity, "fails on element 2"),
+])
+def test_validate_monoid_refusals(table, identity, error, message):
+    with pytest.raises(error, match=message):
+        validate_monoid(table, identity)
+
+
+@pytest.mark.parametrize("action, message", [
+    ([[0, 1]], "needs 2 rows, got 1"),
+    ([[], []], "carriers are non-empty"),
+    ([[0, 1], [0]], "rows must have equal length"),
+    ([[0, 1], [1, 2]], "action value 2 outside carrier"),
+])
+def test_validate_act_refusals(E2, action, message):
+    with pytest.raises(ValueError, match=message):
+        validate_act(E2, action)
+
+
 def test_validate_act_identity_only(T1):
     act = validate_act(T1, [[0, 1, 2]])
     assert act.size == 3

@@ -301,6 +301,56 @@ def test_banaschewski_sweep_uncollapsed(U, rg):
                 assert is_r_dense(rg, comp.target, comp.image_mask())
 
 
+def test_banaschewski_refuses_a_map_that_is_no_dense_mono(U, R2, rg):
+    collapse = next(f for f in all_homs(R2, R2) if not f.is_injective())
+    with pytest.raises(NotRMono, match="not a dense monomorphism for rG"):
+        banaschewski_reduce(rg, collapse, U)
+
+
+@pytest.mark.parametrize("name, broken, message", [
+    ("_complement", lambda universe, act, chi: total(act),
+     "reduction collapsed the embedded act"),
+    ("is_large", lambda act, mask: False, "reduced image is not large"),
+    ("is_r_dense", lambda r, act, mask: False, "reduced image is not dense"),
+])
+def test_banaschewski_names_the_postcondition_that_fails(
+        U, R2, rg, monkeypatch, name, broken, message):
+    # no input breaks these postconditions, so each is broken by hand
+    monkeypatch.setattr(injectivity, name, broken)
+    with pytest.raises(PostconditionError, match=message):
+        banaschewski_reduce(rg, identity_hom(R2), U)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("r_injective_bounded", "closure of the hull is not injective"),
+    ("is_r_essential", "not an essential dense extension"),
+])
+def test_r_hull_names_the_postcondition_that_fails(U, R2, rg, monkeypatch,
+                                                   name, message):
+    monkeypatch.setattr(injectivity, name, lambda *args: False)
+    with pytest.raises(PostconditionError, match=message):
+        r_injective_hull(rg, U.find_member(R2), U)
+
+
+def test_maximal_search_refuses_an_act_above_the_hull_bound(E2):
+    tight = Universe(monoid_max=2, act_max=3, hull_bound=2)
+    three = validate_act(E2, [[0, 1, 2], [0, 0, 0]])
+    with pytest.raises(BoundExceeded, match="no large dense extension"):
+        maximal_r_essential_extension(rg_radical(), three, tight)
+
+
+def test_iso_over_source_false(E2):
+    # both two-point acts hold the one-point act on point 0
+    theta = trivial_act(E2)
+    onto_zero = validate_act(E2, [[0, 1], [0, 0]])
+    fixed = validate_act(E2, [[0, 1], [0, 1]])
+    three = validate_act(E2, [[0, 1, 2], [0, 0, 0]])
+    assert not iso_over_source(theta, onto_zero, three)
+    # the same size, but not isomorphic at all
+    assert not iso_over_source(theta, onto_zero, fixed)
+    assert iso_over_source(theta, fixed, fixed)
+
+
 def test_directed_chain_validation(R2):
     sub, incl = subact_act_by_mask(R2, 0b10)
     with pytest.raises(ValueError):

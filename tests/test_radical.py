@@ -43,7 +43,7 @@ from radact.radical import (
     rg_radical,
     verify_semisimple_class,
 )
-from radact.universe import default_universe
+from radact.universe import Universe, default_universe
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,64 @@ def few_moving(act):
     fixed = [a for a in act.elements
              if all(row[a] == a for row in act.action)]
     return act.size - len(fixed) <= 1
+
+
+@pytest.fixture(scope="module")
+def U24():
+    return Universe(monoid_max=2, act_max=4)
+
+
+def _mirror(act):
+    return relabel(act, tuple(reversed(range(act.size))))
+
+
+def _refusal(membership, universe):
+    with pytest.raises(ClassNotClosed) as info:
+        verify_semisimple_class(membership, universe)
+    return info.value.condition, info.value.witness
+
+
+def test_class_without_trivial_acts_is_refused(U24):
+    condition, monoid = _refusal(lambda act: act.size > 1, U24)
+    assert condition == "contains trivial acts"
+    assert monoid == U24.monoids[0]
+
+
+def test_class_that_reads_labels_is_refused(U24):
+    def zero_at_0(act):
+        return all(row[0] == 0 for row in act.action)
+
+    condition, act = _refusal(zero_at_0, U24)
+    assert condition == "closed under isomorphic copies"
+    assert act in U24.acts
+    assert zero_at_0(act) != zero_at_0(_mirror(act))
+
+
+def test_class_without_its_subacts_is_refused(U24):
+    def not_two_points(act):
+        return act.size != 2
+
+    condition, (act, mask) = _refusal(not_two_points, U24)
+    assert condition == "closed under subacts"
+    assert act in U24.acts and not_two_points(act)
+    assert mask in subact_masks(act)
+    assert not not_two_points(subact_act_by_mask(act, mask)[0])
+
+
+def test_class_without_its_products_is_refused(U24):
+    # membership read off the table: a four-point act belongs only as a
+    # universe act or its mirror image, so every check before the products
+    # passes, and a product laid out otherwise does not belong
+    listed = set(U24.acts) | {_mirror(act) for act in U24.acts}
+
+    def listed_tables(act):
+        return act.size < 4 or act in listed
+
+    condition, (a, b) = _refusal(listed_tables, U24)
+    assert condition == "closed under products"
+    assert a in U24.acts and b in U24.acts and a.monoid == b.monoid
+    assert a.size * b.size <= U24.act_max
+    assert not listed_tables(product(a, b))
 
 
 def test_class_oracle_rejection(U):
