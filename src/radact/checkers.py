@@ -52,6 +52,7 @@ from .congruence import (
 )
 from .core import (
     ActHom,
+    HomSet,
     all_homs,
     compose,
     coproduct,
@@ -244,14 +245,14 @@ def _enum_h1(universe):
 
 def _holds_h1_all(universe, head, homs):
     """Functoriality of one radical along each hom in ``homs``, maps of one
-    hom set: every radical class of the source lands inside one radical
-    class of the target.  The two radical congruences are read once, from
-    the first hom."""
+    hom set (``HomSet.of``): every radical class of the source lands inside
+    one radical class of the target.  The two radical congruences are read
+    once per group, and the maps as tuples."""
     r, = head
-    blocks = r.of(homs[0].source).blocks
-    index = r.of(homs[0].target).index
-    for f in homs:
-        fmap = f.map
+    homs = HomSet.of(homs)
+    blocks = r.of(homs.source).blocks
+    index = r.of(homs.target).index
+    for fmap in homs.maps:
         for block in blocks:
             rep = index[fmap[block[0]]]
             for x in block[1:]:
@@ -350,10 +351,12 @@ def _enum_d21(universe):
         for m1 in masks:
             yield "group", ((r, "c2", act, m1),
                             tuple(m2 for m2 in masks if m1 & ~m2 == 0))
+    # each map leaves its hom set as an ActHom once, for every radical
+    c3 = [(tuple(homs), subact_masks(homs.source))
+          for homs in _hom_sets(universe)]
     for r in universe.radicals:
-        for homs in _hom_sets(universe):
-            masks = subact_masks(homs[0].source)
-            for f in homs:
+        for fs, masks in c3:
+            for f in fs:
                 yield "group", ((r, "c3", f), masks)
 
 
@@ -941,9 +944,8 @@ register(
 
 def _enum_c35(universe):
     for homs in _hom_sets(universe):
-        for f in homs:
-            if f.is_injective():
-                yield "inst", (f,)
+        for f in homs.injective():
+            yield "inst", (f,)
 
 
 def _holds_c35(universe, parts):
@@ -1214,7 +1216,8 @@ def _hom_images(universe, big, q):
     """The image table (``_image_table``) of every map big -> q, in
     ``all_homs`` order: T4.6 reads each map's image and the image of the
     subact off it."""
-    return tuple(_image_table(universe, h.map) for h in all_homs(big, q))
+    return tuple(_image_table(universe, fmap)
+                 for fmap in all_homs(big, q).maps)
 
 
 def _holds_t46(universe, parts):

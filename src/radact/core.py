@@ -3,9 +3,13 @@
 Carriers are index sets 0..size-1.  Every structure is immutable and hashable,
 so results that depend only on these values are memoised in value-keyed
 ``lru_cache``s, shared by every universe in the process.  Monoids, acts,
-maps (``ActHom``) and congruences (``congruence.Congruence``) share one
-base, ``Frozen``: slotted values that refuse assignment and that copies and
-pickles rebuild from their fields.  ``FiniteMonoid`` and ``FiniteAct``
+maps (``ActHom``), hom sets (``HomSet``) and congruences
+(``congruence.Congruence``) share one base, ``Frozen``: slotted values that
+refuse assignment and that copies and pickles rebuild from their fields.
+``all_homs`` holds each hom set once, as its two acts and a tuple of map
+tuples, with each distinct map tuple held once for the process
+(``_shared_map``); a hom set reads as a sequence of ``ActHom`` and builds
+one only for a map that leaves it.  ``FiniteMonoid`` and ``FiniteAct``
 store their size, their elements and their hash once, at construction;
 hash and equality read the table fields only (names take part in
 neither), and equality answers at once for the same object and compares
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from functools import lru_cache, wraps
+from itertools import repeat
 
 from .errors import (
     ActMismatch,
@@ -184,6 +189,70 @@ class ActHom(Frozen):
 _set_source = ActHom.source.__set__
 _set_target = ActHom.target.__set__
 _set_map = ActHom.map.__set__
+
+
+class HomSet(Frozen):
+    """The maps source -> target of one hom set, held once: the two acts and
+    ``maps``, a tuple of map tuples, each the process's one copy of its
+    images (``_shared_map``).  A sequence of ``ActHom``: ``len``, truth,
+    indexing and iteration read as on a tuple of maps, and build an
+    ``ActHom`` only for a map that leaves the set.  Readers that need
+    only the images read ``maps``."""
+
+    __slots__ = ("source", "target", "maps")
+
+    def __init__(self, source: FiniteAct, target: FiniteAct,
+                 maps: tuple[tuple[int, ...], ...]):
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "maps", maps)
+
+    @classmethod
+    def of(cls, homs) -> HomSet:
+        """``homs`` as a hom set: itself when it is one, else the maps of a
+        non-empty sequence of ``ActHom`` that share their source and target
+        (ValueError when they do not).  A grouped law's derived
+        per-instance predicate hands its decider such a 1-tuple."""
+        if homs.__class__ is cls:
+            return homs
+        source, target = homs[0].source, homs[0].target
+        if any(h.source != source or h.target != target for h in homs):
+            raise ValueError("maps of one hom set share their source and "
+                             "target")
+        return cls(source, target, tuple(h.map for h in homs))
+
+    def __reduce__(self):
+        return HomSet, (self.source, self.target, self.maps)
+
+    def __eq__(self, other):
+        if other.__class__ is not HomSet:
+            return NotImplemented
+        return (self.maps == other.maps and self.source == other.source
+                and self.target == other.target)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.maps))
+
+    def __repr__(self):
+        return (f"HomSet(source={self.source!r}, target={self.target!r}, "
+                f"maps={self.maps!r})")
+
+    def __len__(self):
+        return len(self.maps)
+
+    def __getitem__(self, i):
+        return ActHom(self.source, self.target, self.maps[i])
+
+    def __iter__(self):
+        return map(ActHom, repeat(self.source), repeat(self.target),
+                   self.maps)
+
+    def injective(self) -> tuple[ActHom, ...]:
+        """The injective maps, in order; an ``ActHom`` is built for these
+        alone."""
+        source, target = self.source, self.target
+        return tuple(ActHom(source, target, m) for m in self.maps
+                     if len(set(m)) == len(m))
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
@@ -521,18 +590,27 @@ def _hom_search(source, target, partial, injective, limit=None):
 
 
 @lru_cache(maxsize=None)
-def all_homs(source: FiniteAct, target: FiniteAct) -> tuple[ActHom, ...]:
-    """Every equivariant map source -> target, lexicographically ordered."""
+def _shared_map(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The process's one copy of a map tuple.  The hom sets of a universe
+    hold a few hundred distinct maps tens of thousands of times over, and
+    every entry here is held by an ``all_homs`` entry, which is never freed
+    either, so the table costs only its own slots."""
+    return images
+
+
+@lru_cache(maxsize=None)
+def all_homs(source: FiniteAct, target: FiniteAct) -> HomSet:
+    """Every equivariant map source -> target, lexicographically ordered,
+    as one ``HomSet``."""
     if source.monoid != target.monoid:
         raise ActMismatch("homs need a common monoid")
-    return tuple(
-        ActHom(source, target, m) for m in _hom_search(source, target, {}, False)
-    )
+    return HomSet(source, target, tuple(
+        map(_shared_map, _hom_search(source, target, {}, False))))
 
 
 def injective_homs(source: FiniteAct, target: FiniteAct) -> tuple[ActHom, ...]:
     """The injective maps of ``all_homs(source, target)``, in its order."""
-    return tuple(h for h in all_homs(source, target) if h.is_injective())
+    return all_homs(source, target).injective()
 
 
 def hom_extension_exists(target_act, big, partial) -> bool:

@@ -47,6 +47,7 @@ from .congruence import (
 from .core import (
     ActHom,
     FiniteAct,
+    HomSet,
     all_homs,
     compose,
     hom,
@@ -198,22 +199,26 @@ def _pushout_act(layout: PushoutLayout, c_rows, fmap):
 
 def distinct_pushouts(layout: PushoutLayout, C: FiniteAct, fs):
     """Each distinct pushout (D, u) of the layout's mono along the maps
-    fs: A -> C, once, in first-seen order.  D and u read a map only at the
-    boundary points, so the maps are keyed by their images there."""
+    fs: A -> C, a hom set or a sequence of maps of one, once, in first-seen
+    order.  D and u read a map only at the boundary points, so the maps are
+    keyed by their images there."""
     A = layout.mono.source
     c_rows, u_map = _target_part(layout, C)
+    if not fs:
+        return
+    homs = HomSet.of(fs)
+    # the maps of a span are usually built on these very objects
+    if (homs.source is not A or homs.target is not C) and (
+            homs.source != A or homs.target != C):
+        raise ValueError("pushout maps must run from the mono's source "
+                         "to the given act")
     boundary = layout.boundary
     seen = set()
-    for f in fs:
-        # the maps of a span are usually built on these very objects
-        if (f.source is not A or f.target is not C) and (
-                f.source != A or f.target != C):
-            raise ValueError("pushout maps must run from the mono's source "
-                             "to the given act")
-        key = tuple(map(f.map.__getitem__, boundary))
+    for fmap in homs.maps:
+        key = tuple(map(fmap.__getitem__, boundary))
         if key not in seen:
             seen.add(key)
-            D, _ = _pushout_act(layout, c_rows, f.map)
+            D, _ = _pushout_act(layout, c_rows, fmap)
             yield D, ActHom(C, D, u_map)
 
 
@@ -381,7 +386,7 @@ def _restrictions(Q: FiniteAct, big: FiniteAct, mask: int) -> list:
     and the number of times it occurs is its number of extensions, so every
     extension question along a subact inclusion is answered from it."""
     members = mask_members(mask)
-    maps = [h.map for h in all_homs(big, Q)]
+    maps = all_homs(big, Q).maps
     if len(members) == 1:
         a, = members
         return [(fmap[a],) for fmap in maps]
@@ -405,9 +410,9 @@ def _extension_kind(Q: FiniteAct, big: FiniteAct, mask: int, universe) -> int:
     uniquely when, moreover, there are no more restrictions than maps."""
     restrictions = _restrictions(Q, big, mask)
     sub, _ = subact_act_by_mask(big, mask)
-    maps = all_homs(sub, Q)
+    maps = all_homs(sub, Q).maps
     present = set(restrictions)
-    if any(f.map not in present for f in maps):
+    if any(fmap not in present for fmap in maps):
         return SOME_FAIL
     return ALL_UNIQUE if len(restrictions) == len(maps) else ALL_EXTEND
 

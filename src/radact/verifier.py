@@ -400,20 +400,25 @@ def to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def report_line(rep: dict) -> str:
-    """One checker's line of the text report, from its payload."""
-    return (
+def report_lines(rep: dict) -> list[str]:
+    """One checker's lines of the text report, from its payload: its
+    counts, then its witness when it has one."""
+    lines = [
         f"{rep['theorem_id']:<10} {rep['status']:<22}"
         f" checked={rep['instances_checked']}"
         f" filtered={rep['hypothesis_filtered']}"
         f" skipped={rep['instances_skipped']}"
-    )
+    ]
+    if "witness" in rep:
+        lines.append("    witness: " + json.dumps(rep["witness"]))
+    return lines
 
 
 def to_text(doc: dict) -> str:
-    """The text report: for checkers named by id, one line each."""
+    """The text report: for checkers named by id, only their lines."""
     if "summary" not in doc:
-        return "".join(report_line(rep) + "\n" for rep in doc["results"])
+        return "".join(line + "\n" for rep in doc["results"]
+                       for line in report_lines(rep))
     lines = []
     bounds = doc["bounds"]
     lines.append("# verification report")
@@ -425,9 +430,7 @@ def to_text(doc: dict) -> str:
     for section, key in (("axioms", "axioms"), ("theorems", "results")):
         lines.append(f"# {section}")
         for rep in doc[key]:
-            lines.append(report_line(rep))
-            if "witness" in rep:
-                lines.append("    witness: " + json.dumps(rep["witness"]))
+            lines += report_lines(rep)
     lines.append("# taxonomy")
     for name, flags in doc["taxonomy"]["flags"].items():
         flagtext = " ".join(f"{k}={'y' if v else 'n'}" for k, v in flags.items())

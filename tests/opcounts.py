@@ -24,8 +24,12 @@ Then it takes a census of what the run left in memory: the
 item of each key) and the values interned there, by type; each radical's
 congruence table (``_of``), its closure dicts (``_closures``, acts and
 masks) and its ``memo``; ``cache_info()`` of each process-wide
-``lru_cache`` (``test_hygiene.PROCESS_CACHED``); and the ``ActHom`` objects
-still alive, against the distinct map tuples among them.
+``lru_cache`` (``test_hygiene.PROCESS_CACHED``); the ``ActHom`` objects
+still alive, against the distinct map tuples among them; and the hom sets
+that ``core.all_homs`` holds, the maps held in them, and the map tuple
+objects and distinct maps among those.  The hom sets are read off the
+``all_homs`` cache as sequences of ``ActHom``, so the census reads the
+same way whatever type a hom set is.
 
 Tracing makes the run several times slower; the counts do not depend on
 it.  pytest does not collect this file.
@@ -133,7 +137,22 @@ def memo_census(universe) -> dict:
     homs = [x for x in gc.get_objects() if x.__class__ is core.ActHom]
     out["objects", "live ActHom"] = len(homs)
     out["objects", "distinct ActHom maps"] = len({h.map for h in homs})
+    del homs
+    held = [h.map for homs in _cached_values(core.all_homs) for h in homs]
+    out["objects", "hom sets held"] = core.all_homs.cache_info().currsize
+    out["objects", "maps held in hom sets"] = len(held)
+    out["objects", "map tuple objects in hom sets"] = len(set(map(id, held)))
+    out["objects", "distinct maps in hom sets"] = len(set(held))
     return out
+
+
+def _cached_values(fn) -> list:
+    """The results held by an unbounded ``lru_cache``: CPython's wrapper
+    reports its cache dict, besides its own ``__dict__``, to the garbage
+    collector."""
+    [cache] = [x for x in gc.get_referents(fn)
+               if isinstance(x, dict) and x is not fn.__dict__]
+    return list(cache.values())
 
 
 def main():

@@ -145,3 +145,33 @@ def test_catalog_rejects_unknown_file(tmp_path):
     c = Catalog()
     with pytest.raises(ParseError):
         c.load_file(str(path))
+
+
+@pytest.mark.parametrize("kind, text, line, message", [
+    ("monoid", "monoid E2\nelements 2 3\n", 2, "elements takes one value"),
+    ("monoid", "monoid E2\nelements two\n", 2,
+     "elements needs an integer, got 'two'"),
+    ("monoid", "monoid E2\nelements 2\nidentity 0\ntable\n0 x\n1 1\n", 5,
+     "non-integer entry in table row"),
+    ("monoid", "monoid E 2\n", 1, "monoid takes one name"),
+    ("monoid", E2_TEXT + "# the end\n1 1\n", 8, "trailing content"),
+    ("act", "act R2 of E2\n", 1, "expected: act <name> over <monoid>"),
+    ("act", R2_TEXT + "\n0 0\n", 7, "trailing content"),
+    ("radical", "radical demo\n", 1, "expected: radical <name> extensional"),
+    ("radical", "radical demo extensional\nact R2 blocks 0 1\n", 2,
+     "expected: act <name> partition <blocks>"),
+    ("radical", "radical demo extensional\nact R3 partition 0 1\n", 2,
+     "unknown act 'R3'"),
+])
+def test_catalog_refusals(kind, text, line, message):
+    e2 = parse_monoid(E2_TEXT)
+    r2 = parse_act(R2_TEXT, {"E2": e2})
+    parse = {
+        "monoid": parse_monoid,
+        "act": lambda t: parse_act(t, {"E2": e2}),
+        "radical": lambda t: parse_radical_table(t, {"R2": r2}),
+    }[kind]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"

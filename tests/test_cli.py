@@ -823,3 +823,69 @@ def test_commands_register_only_the_radicals_they_read(m2_catalog,
         # a pushout along a subact that is not dense exits 1; nothing is
         # a usage error
         assert got[0] in (0, 1), (argv, got)
+
+
+def test_act_read_from_a_file_matches_the_catalog_act(rg_copy_catalog,
+                                                      tmp_path):
+    # E2's regular act, relabelled with its zero first: each flag that names
+    # an act reads the file print_act wrote as it reads the catalog's act
+    catalog, _, bounds = rg_copy_catalog
+    u = default_universe(*map(int, bounds.values()))
+    [act] = [a for a in u.acts
+             if a.monoid.mul == ((0, 1), (1, 1)) and a.action[1] == (0, 0)]
+    path = tmp_path / "regular.act"
+    path.write_text(print_act(act))
+    flags = ["--seed-catalog", str(catalog)]
+    sized = flags + [x for pair in bounds.items() for x in pair]
+    for argv in (
+        ["radical", "--act", "{}"] + sized,
+        ["pushout", "--act", "{}", "--members", "0", "--into", act.name,
+         "--map", "0"] + sized,
+        ["pushout", "--act", act.name, "--members", "0", "--into", "{}",
+         "--map", "0"] + sized,
+        ["limit", "--acts", "{0},{0}", "--maps", "0 1"] + flags,
+    ):
+        by_name = invoke([x.format(act.name) for x in argv])
+        by_file = invoke([x.format(path) for x in argv])
+        assert by_file == by_name and by_name[0] == 0, argv
+
+
+def _r11_broken_by_radical_file(tmp_path):
+    """The argv of a ``verify --theorem R1.1`` run whose radical file gives
+    S3 a value that is not its radical, so that R1.1 is violated."""
+    (tmp_path / "T1.monoid").write_text(
+        "monoid T1\nelements 1\nidentity 0\ntable\n0\n"
+    )
+    for n in (1, 2, 3):
+        row = " ".join(map(str, range(n)))
+        (tmp_path / f"S{n}.act").write_text(
+            f"act S{n} over T1\nelements {n}\naction\n{row}\n"
+        )
+    radical_file = tmp_path / "mut.radical"
+    radical_file.write_text(
+        "radical mut extensional\nact S1 partition 0\n"
+        "act S2 partition 0 1\nact S3 partition 0 1 | 2\n"
+    )
+    return [
+        "verify", "--theorem", "R1.1", "--monoid-max", "1", "--act-max", "3",
+        "--hull-bound", "3", "--seed-catalog", str(tmp_path),
+        "--radical-file", str(radical_file),
+    ]
+
+
+def test_verify_theorem_text_prints_the_witness_that_rechecks(tmp_path):
+    # the text report of named checkers prints a witness line as --all does,
+    # and the witness is the one that the JSON report gives and that rechecks
+    argv = _r11_broken_by_radical_file(tmp_path)
+    code, text, _ = invoke(argv)
+    json_code, out, _ = invoke(argv + ["--report", "json"])
+    assert code == json_code == 1
+    [rep] = json.loads(out)["results"]
+    assert text.splitlines() == [
+        f"R1.1       violated               checked={rep['instances_checked']}"
+        f" filtered={rep['hypothesis_filtered']}"
+        f" skipped={rep['instances_skipped']}",
+        "    witness: " + json.dumps(rep["witness"]),
+    ]
+    u = cli._universe(build_parser().parse_args(argv))
+    assert verifier.THEOREMS["R1.1"].recheck(u, rep["witness"])

@@ -37,6 +37,7 @@ from radact.core import (
     left_regular_act,
     subact_act_by_mask,
     subact_masks,
+    trivial_act,
     validate_act,
     validate_monoid,
 )
@@ -467,3 +468,31 @@ def test_congruence_refuses_assignment(A3):
     with pytest.raises(FrozenInstanceError):
         del chi.index
     assert chi.index == (0, 1, 2)
+
+
+
+# each call gets E2's regular act R2, Z2's free orbit C2 and R2's map to
+# the point
+@pytest.mark.parametrize("call, error, message", [
+    (lambda R2, C2, f: congruence_from_blocks(R2, [[0, 1], [1]]),
+     ValueError, "blocks overlap"),
+    (lambda R2, C2, f: congruence_from_blocks(R2, [[0]]),
+     ValueError, "blocks do not cover the carrier"),
+    (lambda R2, C2, f: parse_partition(R2, "0 1 |"),
+     ValueError, "empty block in partition '0 1 |'"),
+    (lambda R2, C2, f: join(diagonal(R2), diagonal(C2)),
+     ActMismatch, "congruences live on different acts"),
+    (lambda R2, C2, f: quotient(R2, diagonal(C2)),
+     ActMismatch, "congruence is not on this act"),
+    (lambda R2, C2, f: push_congruence(f, diagonal(C2)),
+     ActMismatch, "congruence is not on the map's source"),
+    (lambda R2, C2, f: push_congruence(f, diagonal(R2)),
+     ValueError, "kernel of the map does not refine the congruence"),
+    (lambda R2, C2, f: pull_congruence(f, diagonal(R2)),
+     ActMismatch, "congruence is not on the map's target"),
+])
+def test_congruence_refusals(R2, C2, call, error, message):
+    to_point = all_homs(R2, trivial_act(R2.monoid))[0]
+    with pytest.raises(error) as err:
+        call(R2, C2, to_point)
+    assert str(err.value) == message

@@ -10,6 +10,7 @@ from radact.core import (
     ActHom,
     FiniteAct,
     FiniteMonoid,
+    HomSet,
     all_homs,
     compose,
     coproduct,
@@ -258,6 +259,28 @@ def test_homs_from_point_are_zeros(U, E2):
 
 def test_hom_to_point_unique(R2, E2):
     assert len(all_homs(R2, trivial_act(E2))) == 1
+
+
+def test_hom_set_reads_as_a_tuple_of_maps(R2, E2, C2):
+    homs = all_homs(R2, R2)
+    maps = tuple(ActHom(R2, R2, m) for m in homs.maps)
+    assert tuple(homs) == maps
+    assert (len(homs), bool(homs), homs[-1]) == (2, True, maps[-1])
+    # a point maps to C2's zeros, and C2 has none
+    assert not all_homs(trivial_act(C2.monoid), C2)
+    assert copy.copy(homs) == homs == pickle.loads(pickle.dumps(homs))
+    # a derived per-instance predicate hands a decider a tuple of maps
+    assert HomSet.of(homs) is homs and HomSet.of(maps[1:]).maps == ((1, 1),)
+    with pytest.raises(ValueError):
+        HomSet.of((maps[0], identity_hom(trivial_act(E2))))
+    # every hom set holds the one copy of each map tuple
+    flat = validate_act(E2, [[0, 1], [0, 1]], "A2")
+    point = trivial_act(E2)
+    assert all_homs(flat, point).maps[0] is all_homs(R2, point).maps[0]
+    # names take part in no equality, so the acts are the first ones asked
+    to_point = all_homs(R2, point)
+    assert repr(to_point) == (f"HomSet(source={to_point.source!r}, "
+                              f"target={to_point.target!r}, maps=((0, 0),))")
 
 
 def test_homs_regular_to_regular_brute_force(R2):

@@ -569,6 +569,7 @@ def process_cache_users(source, module) -> list[str]:
 # the functions memoised for the whole process, by value
 PROCESS_CACHED = (
     "congruence.all_congruences",
+    "core._shared_map",
     "core._signature",
     "core.all_homs",
     "core.subact_act_by_mask",
