@@ -351,12 +351,10 @@ def _enum_d21(universe):
         for m1 in masks:
             yield "group", ((r, "c2", act, m1),
                             tuple(m2 for m2 in masks if m1 & ~m2 == 0))
-    # each map leaves its hom set as an ActHom once, for every radical
-    c3 = [(tuple(homs), subact_masks(homs.source))
-          for homs in _hom_sets(universe)]
     for r in universe.radicals:
-        for fs, masks in c3:
-            for f in fs:
+        for homs in _hom_sets(universe):
+            masks = subact_masks(homs.source)
+            for f in homs:
                 yield "group", ((r, "c3", f), masks)
 
 

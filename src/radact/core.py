@@ -285,9 +285,11 @@ def validate_monoid(table, identity: int, name: str = "") -> FiniteMonoid:
         raise ValueError("multiplication table must be square")
     for row in mul:
         for z in row:
+            if type(z) is not int:
+                raise ValueError(f"table entry {z!r} is not an integer")
             if not 0 <= z < n:
                 raise ValueError(f"table entry {z} outside carrier")
-    if not 0 <= identity < n:
+    if type(identity) is not int or not 0 <= identity < n:
         raise BadIdentity(identity)
     for x in range(n):
         if mul[identity][x] != x or mul[x][identity] != x:
@@ -314,6 +316,8 @@ def validate_act(monoid: FiniteMonoid, action_table, name: str = "") -> FiniteAc
         raise ValueError("action table rows must have equal length")
     for row in action:
         for b in row:
+            if type(b) is not int:
+                raise ValueError(f"action value {b!r} is not an integer")
             if not 0 <= b < m:
                 raise ValueError(f"action value {b} outside carrier")
     e = monoid.identity
@@ -395,6 +399,8 @@ def subact_from_members(act: FiniteAct, members) -> int:
     """The mask of the subact with the given members, checked to be a
     non-empty action-closed subset of the carrier: the checked constructor
     of subacts (see ``hom``)."""
+    if not all(type(a) is int for a in members):
+        raise ValueError("has a non-integer member")
     if not all(0 <= a < act.size for a in members):
         raise ValueError(f"is outside the {act.size}-point act")
     mask = members_mask(members)
@@ -509,6 +515,8 @@ def hom(source: FiniteAct, target: FiniteAct, mapping) -> ActHom:
         raise ActMismatch("joins acts over different monoids")
     if len(mapping) != source.size:
         raise ValueError(f"needs {source.size} images, got {len(mapping)}")
+    if not all(type(b) is int for b in mapping):
+        raise ValueError("has a non-integer entry")
     if not all(0 <= b < target.size for b in mapping):
         raise ValueError("has entries outside target carrier")
     if not is_equivariant(source, target, mapping):

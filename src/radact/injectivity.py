@@ -285,31 +285,26 @@ def banaschewski_reduce(r: Radical, f: ActHom, universe):
 @dataclass(frozen=True)
 class DirectedChain:
     """Finite chain of acts over one monoid with injective links; composites
-    are derived."""
+    are derived.  A plain value, like ``ActHom``: the chains the program
+    builds are correct by construction and are not checked again, and
+    ``from_maps`` alone checks a chain read from outside the program."""
 
     acts: tuple[FiniteAct, ...]
     links: tuple[ActHom, ...]
 
-    def __post_init__(self):
-        _require_links(self.acts, self.links)
-        monoid = self.acts[0].monoid
-        if any(x.monoid != monoid for x in self.acts):
-            raise ActMismatch("has acts over different monoids")
-        for i, ln in enumerate(self.links):
-            if ln.source != self.acts[i] or ln.target != self.acts[i + 1]:
-                raise ValueError(f"has a link {i} off the chain")
-            if not ln.is_injective():
-                raise ValueError(f"has a non-injective link {i}")
-
     @classmethod
     def from_maps(cls, acts, maps) -> DirectedChain:
         """The chain of ``acts`` whose link i has the images ``maps[i]``:
-        the checked constructor of chains (see ``core.hom``).  The link
-        count is checked first, then each link is built with ``hom``; a link
-        that ``hom`` refuses is named in front of its message ("has a link 1
-        that is not equivariant")."""
+        the checked constructor of chains (see ``core.hom``).  It checks the
+        link count, builds each link with ``hom``, and then checks that each
+        link is injective.  A link that ``hom`` refuses is named in front of
+        its message ("has a link 1 that is not equivariant")."""
         acts, maps = tuple(acts), tuple(maps)
-        _require_links(acts, maps)
+        if not acts:
+            raise ValueError("has no acts")
+        if len(maps) != len(acts) - 1:
+            raise ValueError(f"needs {len(acts) - 1} links for {len(acts)} "
+                             f"acts, got {len(maps)}")
         links = []
         for i, (source, target, images) in enumerate(zip(acts, acts[1:],
                                                          maps)):
@@ -317,6 +312,9 @@ class DirectedChain:
                 links.append(hom(source, target, images))
             except (ValueError, ActMismatch) as exc:
                 raise type(exc)(f"has a link {i} that {exc}") from None
+        for i, ln in enumerate(links):
+            if not ln.is_injective():
+                raise ValueError(f"has a non-injective link {i}")
         return cls(acts, tuple(links))
 
     def link(self, i: int, j: int) -> ActHom:
@@ -325,14 +323,6 @@ class DirectedChain:
         for ln in self.links[i:j]:
             images = tuple(map(ln.map.__getitem__, images))
         return ActHom(self.acts[i], self.acts[j], images)
-
-
-def _require_links(acts, links):
-    if not acts:
-        raise ValueError("has no acts")
-    if len(links) != len(acts) - 1:
-        raise ValueError(f"needs {len(acts) - 1} links for {len(acts)} acts, "
-                         f"got {len(links)}")
 
 
 def direct_limit(chain: DirectedChain):

@@ -281,6 +281,9 @@ def decode_part(universe, data):
         return DirectedChain.from_maps(map(_decode_act, payload["acts"]),
                                        payload["maps"])
     if tag in ("int", "str", "bool"):
+        # a scalar part's tag names the type of its payload
+        if type(payload).__name__ != tag:
+            raise ValueError(f"witness component {tag!r} holds {payload!r}")
         return payload
     raise ValueError(f"unknown witness component {tag!r}")
 

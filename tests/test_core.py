@@ -80,6 +80,8 @@ def test_not_associative_witness():
     ([[0, 1], [1]], 0, ValueError, "must be square"),
     ([[0, 1], [1, 2]], 0, ValueError, "table entry 2 outside carrier"),
     ([[0, 1], [1, 1]], 2, BadIdentity, "fails on element 2"),
+    ([[0, 1], [1, 1.5]], 0, ValueError, "table entry 1.5 is not an integer"),
+    ([[0, 1], [1, 1]], 0.0, BadIdentity, "fails on element 0.0"),
 ])
 def test_validate_monoid_refusals(table, identity, error, message):
     with pytest.raises(error, match=message):
@@ -91,6 +93,8 @@ def test_validate_monoid_refusals(table, identity, error, message):
     ([[], []], "carriers are non-empty"),
     ([[0, 1], [0]], "rows must have equal length"),
     ([[0, 1], [1, 2]], "action value 2 outside carrier"),
+    ([[0, 1], [1, 1.0]], "action value 1.0 is not an integer"),
+    ([[0, 1], ["1", 1]], "action value '1' is not an integer"),
 ])
 def test_validate_act_refusals(E2, action, message):
     with pytest.raises(ValueError, match=message):
@@ -145,6 +149,11 @@ def test_subact_from_members_rejects_open_sets(R2):
         subact_from_members(R2, [0])
     with pytest.raises(ValueError):
         subact_from_members(R2, [])
+
+
+def test_subact_from_members_rejects_non_integer_members(R2):
+    with pytest.raises(ValueError, match="^has a non-integer member$"):
+        subact_from_members(R2, [1.0])
 
 
 @pytest.mark.parametrize("members", [[5], [-1], [1, 2]])
@@ -353,6 +362,12 @@ def test_hom_constructor_rejects_non_equivariant(R2):
 @pytest.mark.parametrize("mapping", [(2, 1), (0, -1)])
 def test_hom_constructor_rejects_entries_outside_the_target(R2, mapping):
     with pytest.raises(ValueError, match="outside target carrier"):
+        hom(R2, R2, mapping)
+
+
+@pytest.mark.parametrize("mapping", [(0.5, 1), ("0", 1), (0, 1.0), (0, True)])
+def test_hom_constructor_rejects_non_integer_entries(R2, mapping):
+    with pytest.raises(ValueError, match="^has a non-integer entry$"):
         hom(R2, R2, mapping)
 
 

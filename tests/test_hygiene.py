@@ -46,6 +46,11 @@ read from outside the program, from a flag or a report witness, is built by
 that one checked constructor, so no second copy of its checks grows beside
 it.
 
+Chains: ``DirectedChain`` is a plain value with no ``__post_init__``, and
+``cli`` and ``verifier`` build a chain only through
+``DirectedChain.from_maps``, the one place a chain is checked; the chains
+that the checkers build are correct by construction.
+
 Process-wide caches: exactly the functions of ``PROCESS_CACHED`` use
 ``functools.lru_cache`` (or ``functools.cache``).  Such a cache outlives
 every universe, so each one is a reviewed change to that list: it must pay
@@ -553,6 +558,53 @@ def test_equivariance_checker_is_reported():
     )
     assert equivariance_checkers(source, "m") == [
         "m", "m._map_of", "m.decode.link",
+    ]
+
+
+def unchecked_chain_builds(source, module) -> list[str]:
+    """A ``__post_init__`` of ``DirectedChain``, which would check again
+    every chain the program builds, and the functions that call
+    ``DirectedChain`` itself rather than its checked constructor
+    ``from_maps``."""
+    post_inits = [
+        f"{module}.DirectedChain.__post_init__"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == "DirectedChain"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+    ]
+    return post_inits + functions_where(
+        source, module,
+        lambda n: isinstance(n, ast.Call) and _name(n) == "DirectedChain",
+    )
+
+
+def test_only_from_maps_checks_a_chain():
+    found = [
+        name for p in MODULES if p.stem in ("cli", "injectivity", "verifier")
+        for name in unchecked_chain_builds(p.read_text(), p.stem)
+    ]
+    assert found == []
+
+
+def test_unchecked_chain_build_is_reported():
+    source = (
+        "from . import injectivity as inj\n"
+        "from .injectivity import DirectedChain\n"
+        "class DirectedChain:\n"
+        "    def __post_init__(self):\n"
+        "        check(self)\n"
+        "def _limit(acts, links):\n"
+        "    return inj.DirectedChain(acts, links)\n"
+        "def decode(payload):\n"
+        "    def chain(acts):\n"
+        "        return DirectedChain(acts, ())\n"
+        "    return chain\n"
+        "def checked(acts, maps):\n"
+        "    return inj.DirectedChain.from_maps(acts, maps)\n"
+    )
+    assert unchecked_chain_builds(source, "m") == [
+        "m.DirectedChain.__post_init__", "m._limit", "m.decode.chain",
     ]
 
 

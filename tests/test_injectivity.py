@@ -352,12 +352,20 @@ def test_iso_over_source_false(E2):
 
 
 def test_directed_chain_validation(R2):
+    # from_maps is the one place a chain is checked
     sub, incl = subact_act_by_mask(R2, 0b10)
-    with pytest.raises(ValueError):
-        DirectedChain((sub, R2), ())
-    with pytest.raises(ValueError):
-        DirectedChain((R2, R2), (ActHom(R2, R2, (1, 1)),))
-    chain = DirectedChain((sub, R2), (incl,))
+    with pytest.raises(ValueError, match="^has no acts$"):
+        DirectedChain.from_maps((), ())
+    with pytest.raises(ValueError,
+                       match="^needs 1 links for 2 acts, got 0$"):
+        DirectedChain.from_maps((sub, R2), ())
+    with pytest.raises(ValueError, match="^has a non-injective link 0$"):
+        DirectedChain.from_maps((R2, R2), [(1, 1)])
+    with pytest.raises(ValueError,
+                       match="^has a link 0 that has a non-integer entry$"):
+        DirectedChain.from_maps((R2, R2), [(0.0, 1)])
+    chain = DirectedChain.from_maps((sub, R2), [incl.map])
+    assert chain == DirectedChain((sub, R2), (incl,))
     assert chain.link(0, 1).map == incl.map
     assert chain.link(1, 1).map == identity_hom(R2).map
 
@@ -398,7 +406,9 @@ def _direct_limit_by_quotient(chain):
     return limit, [compose(pi, inj) for inj in injections]
 
 
-def test_direct_limit_matches_quotient_on_every_chain():
+@pytest.fixture(scope="module")
+def small_chains():
+    """Every chain that L5.3, D5.4 and T5.5 build at ``monoid_max=2``."""
     u = default_universe(monoid_max=2)
     chains = [
         parts[1] for kind, parts in checkers._enum_l53(u) if kind == "inst"
@@ -407,8 +417,21 @@ def test_direct_limit_matches_quotient_on_every_chain():
         checkers._chain_from_parts(parts)[1]
         for kind, parts in checkers._enum_chains(u) if kind == "inst"
     ]
-    assert max(len(chain.acts) for chain in chains) == 3
-    for chain in chains:
+    return chains
+
+
+def test_program_built_chains_pass_the_checked_constructor(small_chains):
+    # the checkers build their chains as plain values, unchecked; from_maps,
+    # the one place a chain is checked, accepts each of them unchanged
+    assert {len(chain.links) for chain in small_chains} == {0, 1, 2}
+    for chain in small_chains:
+        maps = [ln.map for ln in chain.links]
+        assert DirectedChain.from_maps(chain.acts, maps) == chain
+
+
+def test_direct_limit_matches_quotient_on_every_chain(small_chains):
+    assert max(len(chain.acts) for chain in small_chains) == 3
+    for chain in small_chains:
         limit, legs = direct_limit(chain)
         want, want_legs = _direct_limit_by_quotient(chain)
         assert limit.monoid == want.monoid
@@ -427,19 +450,6 @@ def _link_by_compose(chain, i, j):
     for k in range(i, j):
         h = compose(chain.links[k], h)
     return h
-
-
-@pytest.fixture(scope="module")
-def small_chains():
-    u = default_universe(monoid_max=2)
-    chains = [
-        parts[1] for kind, parts in checkers._enum_l53(u) if kind == "inst"
-    ]
-    chains += [
-        checkers._chain_from_parts(parts)[1]
-        for kind, parts in checkers._enum_chains(u) if kind == "inst"
-    ]
-    return chains
 
 
 def test_link_matches_composite_on_every_chain(small_chains):
@@ -494,9 +504,9 @@ def test_every_cocone_factors_through_the_limit_once(small_chains):
 
 
 def test_direct_limit_rejects_mixed_monoids(T1, E2):
-    link = ActHom(trivial_act(T1), trivial_act(E2), (0,))
-    with pytest.raises(ActMismatch):
-        DirectedChain((link.source, link.target), (link,))
+    with pytest.raises(ActMismatch, match="^has a link 0 that joins acts "
+                                          "over different monoids$"):
+        DirectedChain.from_maps((trivial_act(T1), trivial_act(E2)), [(0,)])
 
 
 def test_direct_limit_is_top_of_injective_chain(U):

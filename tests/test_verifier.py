@@ -216,6 +216,36 @@ def test_recheck_replays_an_ax_h1_witness(mutant_universe):
     assert verifier.recheck_witness("AX-H1", mutant_universe, rep.witness)
 
 
+def test_recheck_refuses_a_witness_map_with_a_float(mutant_universe):
+    rep = verifier.verify("AX-H1", mutant_universe)
+    witness = json.loads(json.dumps(rep.witness))
+    fmap = witness["instance"][1]["hom"]["map"]
+    fmap[0] = float(fmap[0])
+    with pytest.raises(ValueError, match="^has a non-integer entry$"):
+        verifier.recheck_witness("AX-H1", mutant_universe, witness)
+
+
+def test_recheck_refuses_a_witness_int_that_is_a_string(small_two):
+    act = small_two.acts[-1]
+    instance = verifier.encode_parts(
+        (small_two.radicals[0], "c1-idem", act, act.full_mask()))
+    assert not verifier.recheck_witness("D2.1", small_two,
+                                        {"instance": instance})
+    instance[3] = {"int": str(act.full_mask())}
+    with pytest.raises(ValueError, match="^witness component 'int' holds"):
+        verifier.recheck_witness("D2.1", small_two, {"instance": instance})
+
+
+@pytest.mark.parametrize("part", [
+    {"int": "1"}, {"int": 1.0}, {"int": True}, {"str": 1}, {"bool": 0},
+])
+def test_decoding_refuses_a_scalar_of_another_type(small, part):
+    (tag, payload), = part.items()
+    message = f"^witness component '{tag}' holds {payload!r}$"
+    with pytest.raises(ValueError, match=message):
+        verifier.decode_part(small, part)
+
+
 def _full_loses_its_top(real):
     # extension fails: the top point of an act leaves the closure of the
     # whole act
