@@ -651,15 +651,10 @@ def _closure_weakly_hereditary(universe, r):
         for mask in subact_masks(act):
             outer = closure_mask(r, act, mask)
             inner_act, incl = subact_act_by_mask(act, outer)
-            inner_mask = 0
             pos = {x: i for i, x in enumerate(incl.map)}
-            for x in mask_members(mask):
-                inner_mask |= 1 << pos[x]
-            again = closure_mask(r, inner_act, inner_mask)
-            back = 0
-            for i in mask_members(again):
-                back |= 1 << incl.map[i]
-            if back != outer:
+            again = closure_mask(r, inner_act, members_mask(
+                pos[x] for x in mask_members(mask)))
+            if members_mask(incl.map[i] for i in mask_members(again)) != outer:
                 return False
     return True
 
@@ -942,7 +937,7 @@ register(
 
 def _enum_c35(universe):
     for homs in _hom_sets(universe):
-        for f in homs.injective():
+        for f in injective_homs(homs.source, homs.target):
             yield "inst", (f,)
 
 
@@ -1312,13 +1307,12 @@ def _l51_verdict(universe, radicals, big, mask):
     raises PostconditionError, which Checker.run reports as violated."""
     dense = [mask in dense_subact_masks(q, big) for q in radicals]
     targets = universe.acts_over(big.monoid)
-    sub, incl = subact_act_by_mask(big, mask)
-    layout = pushout_layout(incl)
+    layout = pushout_layout(subact_act_by_mask(big, mask)[1])
     row = []
     for c in targets:
         outcome = list(dense)
         alive = [i for i, d in enumerate(dense) if d]
-        for _, u in distinct_pushouts(layout, c, all_homs(sub, c)):
+        for _, u in distinct_pushouts(layout, c):
             still = []
             for i in alive:
                 try:
@@ -1851,6 +1845,13 @@ register(
 )
 
 
+def _enum_t78(universe):
+    # every act, filtered when no radical named rG, the subject, is registered
+    rg = any(r.name == "rG" for r in universe.radicals)
+    for act in universe.acts:
+        yield ("inst" if rg else "filtered"), (act,)
+
+
 def _holds_t78(universe, parts):
     (act,) = parts
     rg = universe.radical("rG")
@@ -1863,7 +1864,7 @@ register(
     "T7.8",
     "injectivity relative to the zero-annihilator radical coincides with "
     "plain injectivity",
-    _enum_acts,
+    _enum_t78,
     _holds_t78,
 )
 

@@ -12,9 +12,10 @@ the checkers L1.2, L2.2, L2.11, T3.6, L3.7, T7.3 (condition c2) and L7.4
 ``verify_semisimple_class`` (quotients of non-members); cyclic acts; the
 CLI ``congruences`` command; and the oracle ``collectively_large_by_homs``.
 
-A ``Congruence`` is its act and its canonical index vector.  Joins,
-extensions, quotients and the total/diagonal tests read the index; the
-block tuples are built only when something asks for ``blocks``.
+A ``Congruence`` is its act and its canonical index vector.  Extensions,
+quotients and the total/diagonal tests read the index, and a join is the
+congruence generated by both (``generated_congruence``); the block tuples
+are built only when something asks for ``blocks``.
 """
 
 from __future__ import annotations
@@ -250,13 +251,11 @@ def meet(chi1: Congruence, chi2: Congruence) -> Congruence:
 def join(chi1: Congruence, chi2: Congruence) -> Congruence:
     if chi1.act != chi2.act:
         raise ActMismatch("congruences live on different acts")
-    # the equivalence join of two congruences is already action-compatible
-    uf = _UnionFind(chi1.act.size)
+    pairs = []
     for chi in (chi1, chi2):
         reps = _representatives(chi.index)
-        for a, b in enumerate(chi.index):
-            uf.union(reps[b], a)
-    return _make(chi1.act, tuple(uf.find(a) for a in chi1.act.elements))
+        pairs.extend((reps[b], a) for a, b in enumerate(chi.index))
+    return generated_congruence(chi1.act, pairs)
 
 
 def meets_nontrivially(chi1: Congruence, chi2: Congruence) -> bool:

@@ -8,18 +8,21 @@ maps (``ActHom``), hom sets (``HomSet``) and congruences
 refuse assignment and that copies and pickles rebuild from their fields.
 ``all_homs`` holds each hom set once, as its two acts and a tuple of map
 tuples, with each distinct map tuple held once for the process
-(``_shared_map``); a hom set reads as a sequence of ``ActHom`` and builds
-one only for a map that leaves it.  ``FiniteMonoid`` and ``FiniteAct``
-store their size, their elements and their hash once, at construction;
-hash and equality read the table fields only (names take part in
-neither), and equality answers at once for the same object and compares
-the stored hashes before the tables.  Results that depend on a
-``Universe`` or a ``Radical`` are memoised on that object (see
-``memo_on``), so they are freed together with it; README's
+(``_shared_map``); a hom set iterates as ``ActHom``, building one only for a
+map that leaves it, and ``injective_homs`` alone builds the injective ones.
+``FiniteMonoid`` and ``FiniteAct`` store their size, their elements and
+their hash once, at construction; hash and equality read the table fields
+only (names take part in neither), and equality answers at once for the
+same object and compares the stored hashes before the tables.  Results
+that depend on a ``Universe`` or a ``Radical`` are memoised on that object
+(see ``memo_on``), so they are freed together with it; README's
 "Memoisation" lists what each keeps.
 A subact (a non-empty action-closed subset of a carrier) is always a bitmask
 over its parent's carrier: bit a is set when element a belongs to it.
-``subact_act_by_mask`` materialises one as an act plus its inclusion.
+``members_mask`` builds every mask of a member list, ``mask_members`` walks
+every mask's members, and ``is_closed_mask`` is the one closure test.
+``subact_act_by_mask`` materialises a subact as an act plus its inclusion,
+and ``relabel`` builds every relabelled copy of an act.
 """
 
 from __future__ import annotations
@@ -173,9 +176,6 @@ class ActHom(Frozen):
         return (f"ActHom(source={self.source!r}, target={self.target!r}, "
                 f"map={self.map!r})")
 
-    def __call__(self, a: int) -> int:
-        return self.map[a]
-
     def is_injective(self) -> bool:
         return len(set(self.map)) == len(self.map)
 
@@ -194,10 +194,9 @@ _set_map = ActHom.map.__set__
 class HomSet(Frozen):
     """The maps source -> target of one hom set, held once: the two acts and
     ``maps``, a tuple of map tuples, each the process's one copy of its
-    images (``_shared_map``).  A sequence of ``ActHom``: ``len``, truth,
-    indexing and iteration read as on a tuple of maps, and build an
-    ``ActHom`` only for a map that leaves the set.  Readers that need
-    only the images read ``maps``."""
+    images (``_shared_map``).  ``len`` and truth read as on ``maps``, and
+    iteration yields each map as an ``ActHom``; a hom set is not indexable.
+    Readers that need only the images read ``maps``."""
 
     __slots__ = ("source", "target", "maps")
 
@@ -240,19 +239,9 @@ class HomSet(Frozen):
     def __len__(self):
         return len(self.maps)
 
-    def __getitem__(self, i):
-        return ActHom(self.source, self.target, self.maps[i])
-
     def __iter__(self):
         return map(ActHom, repeat(self.source), repeat(self.target),
                    self.maps)
-
-    def injective(self) -> tuple[ActHom, ...]:
-        """The injective maps, in order; an ``ActHom`` is built for these
-        alone."""
-        source, target = self.source, self.target
-        return tuple(ActHom(source, target, m) for m in self.maps
-                     if len(set(m)) == len(m))
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
@@ -356,13 +345,11 @@ def zeros(act: FiniteAct) -> tuple[int, ...]:
 
 
 def cyclic_mask(act: FiniteAct, a: int) -> int:
-    mask = 0
-    for row in act.action:
-        mask |= 1 << row[a]
-    return mask
+    return members_mask(row[a] for row in act.action)
 
 
 def is_closed_mask(act: FiniteAct, mask: int) -> bool:
+    # its own bit walk, not ``mask_members``: it is the hottest mask reader
     probe = mask
     a = 0
     while probe:
@@ -378,21 +365,8 @@ def is_closed_mask(act: FiniteAct, mask: int) -> bool:
 @lru_cache(maxsize=None)
 def subact_masks(act: FiniteAct) -> tuple[int, ...]:
     """All non-empty action-closed subsets, in increasing bitmask order."""
-    gens = [cyclic_mask(act, a) for a in act.elements]
-    out = []
-    for mask in range(1, 1 << act.size):
-        closed = True
-        probe = mask
-        a = 0
-        while probe:
-            if probe & 1 and gens[a] & ~mask:
-                closed = False
-                break
-            probe >>= 1
-            a += 1
-        if closed:
-            out.append(mask)
-    return tuple(out)
+    return tuple(mask for mask in range(1, 1 << act.size)
+                 if is_closed_mask(act, mask))
 
 
 def subact_from_members(act: FiniteAct, members) -> int:
@@ -617,8 +591,11 @@ def all_homs(source: FiniteAct, target: FiniteAct) -> HomSet:
 
 
 def injective_homs(source: FiniteAct, target: FiniteAct) -> tuple[ActHom, ...]:
-    """The injective maps of ``all_homs(source, target)``, in its order."""
-    return all_homs(source, target).injective()
+    """The injective maps of ``all_homs(source, target)``, in its order, as
+    ``ActHom`` between the hom set's own acts."""
+    homs = all_homs(source, target)
+    return tuple(ActHom(homs.source, homs.target, m) for m in homs.maps
+                 if len(set(m)) == len(m))
 
 
 def hom_extension_exists(target_act, big, partial) -> bool:
@@ -682,11 +659,11 @@ def subact_act_by_mask(parent: FiniteAct, mask: int) -> tuple[FiniteAct, ActHom]
 
 def relabel(act: FiniteAct, perm) -> FiniteAct:
     """The isomorphic copy along carrier permutation a -> perm[a]."""
-    inv = [0] * act.size
-    for a, b in enumerate(perm):
-        inv[b] = a
-    action = tuple(
-        tuple(perm[row[inv[b]]] for b in act.elements) for row in act.action
-    )
-    return FiniteAct(act.monoid, action)
+    action = []
+    for row in act.action:
+        out = [0] * act.size
+        for p, q in zip(perm, row):
+            out[p] = perm[q]
+        action.append(tuple(out))
+    return FiniteAct(act.monoid, tuple(action))
 

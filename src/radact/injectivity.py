@@ -27,6 +27,8 @@ the act large in it, and ``minimal_r_injective_extension`` the first passing
 A hull is a plain act that holds the act on its first ``act.size`` points,
 so the embedding is the inclusion of that prefix: the searches and
 ``r_injective_hull`` (the act's closure in its hull) return such acts.
+``distinct_pushouts`` reads the maps of a span off ``all_homs`` itself, and
+a direct limit is the chain's last act relabelled (``core.relabel``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .congruence import (
 from .core import (
     ActHom,
     FiniteAct,
-    HomSet,
     all_homs,
     compose,
     hom,
@@ -55,6 +56,7 @@ from .core import (
     left_regular_act,
     mask_members,
     memo_on,
+    relabel,
     subact_act_by_mask,
     subact_masks,
     zeros,
@@ -197,24 +199,15 @@ def _pushout_act(layout: PushoutLayout, c_rows, fmap):
     return D, get
 
 
-def distinct_pushouts(layout: PushoutLayout, C: FiniteAct, fs):
-    """Each distinct pushout (D, u) of the layout's mono along the maps
-    fs: A -> C, a hom set or a sequence of maps of one, once, in first-seen
-    order.  D and u read a map only at the boundary points, so the maps are
-    keyed by their images there."""
-    A = layout.mono.source
+def distinct_pushouts(layout: PushoutLayout, C: FiniteAct):
+    """Each distinct pushout (D, u) of the layout's mono m: A -> B along the
+    maps of ``all_homs(A, C)``, once, in first-seen order.  D and u read a
+    map only at the boundary points, so the maps are keyed by their images
+    there."""
     c_rows, u_map = _target_part(layout, C)
-    if not fs:
-        return
-    homs = HomSet.of(fs)
-    # the maps of a span are usually built on these very objects
-    if (homs.source is not A or homs.target is not C) and (
-            homs.source != A or homs.target != C):
-        raise ValueError("pushout maps must run from the mono's source "
-                         "to the given act")
     boundary = layout.boundary
     seen = set()
-    for fmap in homs.maps:
+    for fmap in all_homs(layout.mono.source, C).maps:
         key = tuple(map(fmap.__getitem__, boundary))
         if key not in seen:
             seen.add(key)
@@ -331,8 +324,9 @@ def direct_limit(chain: DirectedChain):
     A finite chain ends in its last act An, so the limit is An: two elements
     of the chain are identified exactly when the links carry them to the same
     point of An.  Every element is labelled by that point, labels numbered in
-    first-use order as the quotient of the coproduct numbers its classes, and
-    each leg is a slice of the label vector."""
+    first-use order as the quotient of the coproduct numbers its classes;
+    the limit is An relabelled along the labels of its own points
+    (``relabel``), and each leg is a slice of the label vector."""
     acts = chain.acts
     top = len(acts) - 1
     # the image of chain member i in An is its link into i + 1 followed by
@@ -341,14 +335,7 @@ def direct_limit(chain: DirectedChain):
     for ln in reversed(chain.links):
         images.append(tuple(map(images[-1].__getitem__, ln.map)))
     index = _canonical([y for img in reversed(images) for y in img])
-    labels = index[len(index) - acts[top].size:]
-    action = []
-    for row in acts[top].action:
-        out = [0] * len(labels)
-        for p, q in zip(labels, row):
-            out[p] = labels[q]
-        action.append(tuple(out))
-    limit = FiniteAct(acts[top].monoid, tuple(action))
+    limit = relabel(acts[top], index[len(index) - acts[top].size:])
     legs = []
     off = 0
     for x in acts:

@@ -125,18 +125,9 @@ def annihilator_union_mask(act: FiniteAct, theta: int) -> int:
     out = 0
     for x in act.elements:
         mask = cyclic_mask(act, x)
-        if out | mask == out:
-            continue
-        ok = True
-        probe = mask
-        c = 0
-        while probe:
-            if probe & 1 and all(row[c] != theta for row in act.action):
-                ok = False
-                break
-            probe >>= 1
-            c += 1
-        if ok:
+        if out | mask != out and all(
+                any(row[c] == theta for row in act.action)
+                for c in mask_members(mask)):
             out |= mask
     return out
 
@@ -324,7 +315,6 @@ def intersection_large(act: FiniteAct, mask: int) -> bool:
 
 @dataclass(frozen=True)
 class RadicalTaxonomy:
-    radical: str
     hereditary: bool
     pre_hereditary: bool
     weakly_hereditary: bool
@@ -393,7 +383,6 @@ def classify_radical(r: Radical, universe) -> RadicalTaxonomy:
                         if ymask & local_zeros:
                             zero_hereditary = False
     return RadicalTaxonomy(
-        r.name,
         hereditary,
         pre_hereditary,
         weakly_hereditary,

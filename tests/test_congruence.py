@@ -256,7 +256,7 @@ def test_kernel_of_identity_and_collapse(R2, E2):
     from radact.core import identity_hom, trivial_act
 
     assert kernel(identity_hom(R2)) == diagonal(R2)
-    to_point = all_homs(R2, trivial_act(E2))[0]
+    to_point, = all_homs(R2, trivial_act(E2))
     assert kernel(to_point) == total(R2)
 
 
@@ -492,7 +492,7 @@ def test_congruence_refuses_assignment(A3):
      ActMismatch, "congruence is not on the map's target"),
 ])
 def test_congruence_refusals(R2, C2, call, error, message):
-    to_point = all_homs(R2, trivial_act(R2.monoid))[0]
+    to_point, = all_homs(R2, trivial_act(R2.monoid))
     with pytest.raises(error) as err:
         call(R2, C2, to_point)
     assert str(err.value) == message

@@ -14,6 +14,7 @@ from radact.core import (
     all_homs,
     compose,
     coproduct,
+    coproduct_many,
     cyclic_mask,
     find_isomorphism,
     hom,
@@ -34,6 +35,7 @@ from radact.core import (
 )
 from radact.universe import default_universe
 from radact.errors import (
+    ActMismatch,
     AssocAxiom,
     BadIdentity,
     IdentityAxiom,
@@ -99,6 +101,26 @@ def test_validate_monoid_refusals(table, identity, error, message):
 def test_validate_act_refusals(E2, action, message):
     with pytest.raises(ValueError, match=message):
         validate_act(E2, action)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda R2, C2: coproduct_many([]), ValueError, "coproduct of no acts"),
+    (lambda R2, C2: coproduct_many([R2, C2]),
+     ActMismatch, "coproduct requires a common monoid"),
+    (lambda R2, C2: product(), ValueError, "product of no acts"),
+    (lambda R2, C2: product(R2, C2),
+     ActMismatch, "product requires a common monoid"),
+    (lambda R2, C2: compose(identity_hom(C2), identity_hom(R2)),
+     ActMismatch, "homs do not compose"),
+    (lambda R2, C2: all_homs(R2, C2),
+     ActMismatch, "homs need a common monoid"),
+    (lambda R2, C2: invert(ActHom(R2, R2, (1, 1))),
+     ValueError, "only bijections invert"),
+])
+def test_core_refusals(R2, C2, call, error, message):
+    with pytest.raises(error) as err:
+        call(R2, C2)
+    assert str(err.value) == message
 
 
 def test_validate_act_identity_only(T1):
@@ -274,7 +296,7 @@ def test_hom_set_reads_as_a_tuple_of_maps(R2, E2, C2):
     homs = all_homs(R2, R2)
     maps = tuple(ActHom(R2, R2, m) for m in homs.maps)
     assert tuple(homs) == maps
-    assert (len(homs), bool(homs), homs[-1]) == (2, True, maps[-1])
+    assert (len(homs), bool(homs)) == (2, True)
     # a point maps to C2's zeros, and C2 has none
     assert not all_homs(trivial_act(C2.monoid), C2)
     assert copy.copy(homs) == homs == pickle.loads(pickle.dumps(homs))
@@ -290,6 +312,14 @@ def test_hom_set_reads_as_a_tuple_of_maps(R2, E2, C2):
     to_point = all_homs(R2, point)
     assert repr(to_point) == (f"HomSet(source={to_point.source!r}, "
                               f"target={to_point.target!r}, maps=((0, 0),))")
+
+
+def test_hom_set_is_not_indexable(R2):
+    # a hom set iterates as ActHom and takes neither an index nor a slice
+    homs = all_homs(R2, R2)
+    for key in (0, -1, slice(0, 2)):
+        with pytest.raises(TypeError):
+            homs[key]
 
 
 def test_homs_regular_to_regular_brute_force(R2):

@@ -51,6 +51,13 @@ Chains: ``DirectedChain`` is a plain value with no ``__post_init__``, and
 ``DirectedChain.from_maps``, the one place a chain is checked; the chains
 that the checkers build are correct by construction.
 
+Masks: only ``core.mask_members`` and ``core.is_closed_mask`` walk a mask
+bit by bit (``>>= 1``), and only ``core.members_mask`` and ``_hom_search``'s
+``try_assign`` OR a bit into a mask (``|= 1 << ...``).  Every other mask of
+a member list and walk over a mask's members goes through them, so no
+second copy grows beside them.  ``is_closed_mask`` keeps a walk of its own
+because it is the hottest mask reader of a run.
+
 Process-wide caches: exactly the functions of ``PROCESS_CACHED`` use
 ``functools.lru_cache`` (or ``functools.cache``).  Such a cache outlives
 every universe, so each one is a reviewed change to that list: it must pay
@@ -606,6 +613,85 @@ def test_unchecked_chain_build_is_reported():
     assert unchecked_chain_builds(source, "m") == [
         "m.DirectedChain.__post_init__", "m._limit", "m.decode.chain",
     ]
+
+
+def mask_walkers(source, module) -> list[str]:
+    """The functions that shift a value right by one in place (``>>= 1``),
+    walking a mask bit by bit."""
+    return functions_where(
+        source, module,
+        lambda n: isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
+        and isinstance(n.value, ast.Constant) and n.value.value == 1,
+    )
+
+
+def mask_builders(source, module) -> list[str]:
+    """The functions that OR one bit into a value in place
+    (``|= 1 << ...``), building a mask point by point."""
+    return functions_where(
+        source, module,
+        lambda n: isinstance(n, ast.AugAssign) and isinstance(n.op, ast.BitOr)
+        and isinstance(n.value, ast.BinOp)
+        and isinstance(n.value.op, ast.LShift)
+        and isinstance(n.value.left, ast.Constant)
+        and n.value.left.value == 1,
+    )
+
+
+def test_only_the_mask_primitives_walk_a_mask():
+    found = [
+        name for p in MODULES
+        for name in mask_walkers(p.read_text(), p.stem)
+    ]
+    assert sorted(found) == ["core.is_closed_mask", "core.mask_members"]
+
+
+def test_mask_walker_is_reported():
+    source = (
+        "def members(mask):\n"
+        "    while mask:\n"
+        "        mask >>= 1\n"
+        "def outer(act, mask):\n"
+        "    def closed(probe):\n"
+        "        probe >>= 1\n"
+        "    return closed\n"
+        "def bystander(mask):\n"
+        "    mask >>= 2\n"
+        "    return mask >> 1, mask // 2\n"
+    )
+    assert mask_walkers(source, "m") == ["m.members", "m.outer.closed"]
+
+
+def test_only_the_mask_primitives_build_a_mask():
+    found = [
+        name for p in MODULES
+        for name in mask_builders(p.read_text(), p.stem)
+    ]
+    assert sorted(found) == ["core._hom_search.try_assign",
+                             "core.members_mask"]
+
+
+def test_mask_builder_is_reported():
+    source = (
+        "MASK = 0\n"
+        "MASK |= 1 << 3\n"
+        "def cyclic(act, a):\n"
+        "    mask = 0\n"
+        "    for row in act.action:\n"
+        "        mask |= 1 << row[a]\n"
+        "    return mask\n"
+        "def oracle(r):\n"
+        "    def back(members):\n"
+        "        out = 0\n"
+        "        for i in members:\n"
+        "            out |= (1 << i)\n"
+        "        return out\n"
+        "    return back\n"
+        "def bystander(mask, other):\n"
+        "    mask |= other\n"
+        "    return mask | 1 << 2, mask & ~(1 << 3)\n"
+    )
+    assert mask_builders(source, "m") == ["m", "m.cyclic", "m.oracle.back"]
 
 
 def process_cache_users(source, module) -> list[str]:

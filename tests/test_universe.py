@@ -254,6 +254,19 @@ def test_inconsistent_bounds_are_refused(bounds):
         default_universe(**bounds)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    # a prefix over another monoid, and a prefix larger than the carrier
+    (lambda R2, C2: next(act_tables(C2.monoid, 2, prefix=R2)),
+     ValueError, "prefix act does not fit"),
+    (lambda R2, C2: next(act_tables(R2.monoid, 1, prefix=R2)),
+     ValueError, "prefix act does not fit"),
+])
+def test_universe_refusals(R2, C2, call, error, message):
+    with pytest.raises(error) as err:
+        call(R2, C2)
+    assert str(err.value) == message
+
+
 def test_register_refuses_non_closed_class():
     u = Universe(monoid_max=2, act_max=3)
     bad = induced_radical(

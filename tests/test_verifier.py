@@ -190,6 +190,21 @@ def test_decoding_refuses_a_chain_of_no_acts(small):
         verifier.decode_part(small, {"chain": {"acts": [], "maps": []}})
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda small: verifier.register("T7.8", "again", None, None),
+     ValueError, "duplicate checker id T7.8"),
+    (lambda small: verifier.encode_part(1.5),
+     TypeError, "cannot encode 1.5 into a witness"),
+    (lambda small: verifier.decode_part(small, {"nosuch": 1}),
+     ValueError, "unknown witness component 'nosuch'"),
+])
+def test_verifier_refusals(small, call, error, message):
+    verifier._ensure_registered()
+    with pytest.raises(error) as err:
+        call(small)
+    assert str(err.value) == message
+
+
 def test_single_theorem_report(small):
     rep = verifier.verify("L1.2", small)
     assert rep.status == "verified"
@@ -387,8 +402,8 @@ def test_l51_builds_each_pushout_once(monkeypatch):
     real = checkers.distinct_pushouts
     built = []
 
-    def counting(layout, c, fs):
-        for d, uu in real(layout, c, fs):
+    def counting(layout, c):
+        for d, uu in real(layout, c):
             built.append((layout.mono.target, layout.mono.image_mask(), c,
                           d.action))
             yield d, uu
@@ -995,40 +1010,46 @@ def test_sides_agree_decides_from_exact_readings():
 
 def test_reports_do_not_depend_on_the_labels_of_the_acts(
         grid_report, monkeypatch):
-    # every act relabelled along its reversed carrier, and then along its
-    # carrier rotated by one, under the same name: the verdicts and counts
-    # of a run are properties of the isomorphism classes, not of the tables
-    # that stand for them, nor of which equal factor acts are interned first
+    # every act relabelled along its reversed carrier, along its carrier
+    # rotated by one, and along the swap of its first two points, under the
+    # same name: the verdicts and counts of a run are properties of the
+    # isomorphism classes, not of the tables that stand for them, nor of
+    # which equal factor acts are interned first
     enumerate_acts = universe_module.enumerate_acts
     relabellings = {
         "reversal": lambda n: tuple(reversed(range(n))),
         "rotation": lambda n: tuple((a + 1) % n for a in range(n)),
+        "transposition": lambda n: (1, 0, *range(2, n)) if n > 1 else (0,),
     }
-    plain = grid_report((3, 3))
-    moved = set()
-    for name, perm in relabellings.items():
-        def relabelled_acts(monoid, max_size, perm=perm):
-            return tuple(
-                FiniteAct(monoid, relabel(a, perm(a.size)).action, a.name)
-                for a in enumerate_acts(monoid, max_size)
-            )
+    # the plain reports are read before any act is relabelled
+    plains = {bounds: grid_report(bounds) for bounds in ((3, 3), (2, 4))}
+    for bounds, plain in plains.items():
+        moved = set()
+        for name, perm in relabellings.items():
+            def relabelled_acts(monoid, max_size, perm=perm):
+                return tuple(
+                    FiniteAct(monoid, relabel(a, perm(a.size)).action, a.name)
+                    for a in enumerate_acts(monoid, max_size)
+                )
 
-        monkeypatch.setattr(universe_module, "enumerate_acts",
-                            relabelled_acts)
-        relabelled = default_universe(3, 3)
-        walked = {a.name: a for m in relabelled.monoids
-                  for a in enumerate_acts(m, 3)}
-        changed = {a.name for a in relabelled.acts if a != walked[a.name]}
-        assert changed, name
-        moved |= changed
-        doc = verifier.verify_all(relabelled)
-        assert _outcomes(doc) == _outcomes(plain), name
-        assert doc["taxonomy"] == plain["taxonomy"], name
-    # the two generate every permutation of at most three points, so an act
-    # that neither moves is fixed by every relabelling of its carrier
-    for a in walked.values():
-        if a.name not in moved:
-            assert all(relabel(a, p) == a for p in permutations(a.elements))
+            monkeypatch.setattr(universe_module, "enumerate_acts",
+                                relabelled_acts)
+            relabelled = default_universe(*bounds)
+            walked = {a.name: a for m in relabelled.monoids
+                      for a in enumerate_acts(m, bounds[1])}
+            changed = {a.name for a in relabelled.acts
+                       if a != walked[a.name]}
+            assert changed, (bounds, name)
+            moved |= changed
+            doc = verifier.verify_all(relabelled)
+            assert _outcomes(doc) == _outcomes(plain), (bounds, name)
+            assert doc["taxonomy"] == plain["taxonomy"], (bounds, name)
+        # the rotation and the transposition generate every permutation of
+        # the carrier, so an act that none moves is fixed by every one
+        for a in walked.values():
+            if a.name not in moved:
+                assert all(relabel(a, p) == a
+                           for p in permutations(a.elements))
 
 
 def test_universe_and_radicals_freed_after_verify():
@@ -1041,6 +1062,16 @@ def test_universe_and_radicals_freed_after_verify():
     del u, doc
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_t78_filters_every_act_without_rg():
+    # T7.8 is a statement about rG: a universe that does not register it
+    # reports every act as filtered, and the rest of the run goes on
+    u = universe_module.Universe(monoid_max=2, act_max=3)
+    universe_module.register_stock(u, ("delta",))
+    doc = verifier.verify_all(u)
+    assert doc["summary"]["verified"] == len(REQUIRED + REQUIRED_AXIOMS)
+    assert _outcomes(doc)["T7.8"] == ("verified", 0, len(u.acts), 0)
 
 
 def test_radical_table_parsing_feeds_verifier(small, tmp_path):
