@@ -16,11 +16,12 @@ only its group decider; the verifier derives the per-instance predicate.
 AX-H1 yields one ("group", ...) per (radical, hom set), its maps as tails,
 and reads the two radical congruences once per group.  D2.1 yields only
 groups: per (radical, act) over its subacts (c1), per (radical, act, m1)
-over the subacts that contain m1 (c2), and per (radical, hom) over the
-source's subacts (c3).  L5.1 yields one group per (radical, dense subact),
-its targets as tails, and reads a group off the subact's verdict row.  T4.6
-reads every map's image, and the image of the dense subact, off the image
-tables of D2.1 (``_hom_images``).  Every factor act is
+over the subacts that contain m1 (c2), and per (radical, hom set) over the
+source's subacts (c3), a group that stands for one group per map.  L5.1
+yields one group per (radical, dense subact), its targets as tails, and
+reads a group off the subact's verdict row.  T4.6 reads every map's image,
+and the image of the dense subact, off the image tables of D2.1
+(``_hom_images``).  Every factor act is
 ``universe.factor``'s (or ``rees_factor``'s), built once per universe and
 interned, so L2.11, T7.3, T2.12 and P2.13 ask capture one radical at a time
 (``_on_hull``, ``_in_some_extension``) and share each factor act across
@@ -52,7 +53,6 @@ from .congruence import (
 )
 from .core import (
     ActHom,
-    HomSet,
     all_homs,
     compose,
     coproduct,
@@ -87,6 +87,7 @@ from .injectivity import (
     is_orthogonal_r_injective,
     is_weakly_injective,
     iso_over_source,
+    limit_labels,
     minimal_r_injective_extension,
     pushout_layout,
     r_injective_bounded,
@@ -244,12 +245,11 @@ def _enum_h1(universe):
 
 
 def _holds_h1_all(universe, head, homs):
-    """Functoriality of one radical along each hom in ``homs``, maps of one
-    hom set (``HomSet.of``): every radical class of the source lands inside
-    one radical class of the target.  The two radical congruences are read
-    once per group, and the maps as tuples."""
+    """Functoriality of one radical along each map of the hom set ``homs``
+    (a one-map ``HomSet`` for one instance): every radical class of the
+    source lands inside one radical class of the target.  The two radical
+    congruences are read once per group, and the maps as tuples."""
     r, = head
-    homs = HomSet.of(homs)
     blocks = r.of(homs.source).blocks
     index = r.of(homs.target).index
     for fmap in homs.maps:
@@ -345,6 +345,10 @@ register(
 
 
 def _enum_d21(universe):
+    """D2.1's groups: c1-idem per (radical, act) and c2 per (radical, act,
+    m1), then c3 per (radical, hom set), the hom set ending the head and
+    the source's subacts as tails.  A c3 group's instances are (r, "c3", f,
+    m), map by map (``verifier.group_instances``)."""
     for r, act in _pairs(universe):
         masks = subact_masks(act)
         yield "group", ((r, "c1-idem", act), masks)
@@ -353,9 +357,7 @@ def _enum_d21(universe):
                             tuple(m2 for m2 in masks if m1 & ~m2 == 0))
     for r in universe.radicals:
         for homs in _hom_sets(universe):
-            masks = subact_masks(homs.source)
-            for f in homs:
-                yield "group", ((r, "c3", f), masks)
+            yield "group", ((r, "c3", homs), subact_masks(homs.source))
 
 
 @memo_on(0)
@@ -372,9 +374,11 @@ def _image_table(universe, fmap):
 def _holds_d21_all(universe, head, tails):
     """One D2.1 group, by the tag of its head.  c1-idem: every subact m in
     ``tails`` lies inside cl(m), and cl(m) is closed.  c2: cl(m1) lies
-    inside cl(m2) for every m2 in ``tails``.  c3: continuity of one hom
-    f: a -> b at every subact m of a in ``tails``: f(cl(m)) lies inside
-    cl(f(m)), read off the closure tables of a and b and f's image table.
+    inside cl(m2) for every m2 in ``tails``.  c3: continuity of every map
+    f: a -> b of the hom set ending the head (a one-map ``HomSet`` for one
+    instance) at every subact m of a in ``tails``: f(cl(m)) lies inside
+    cl(f(m)).  The closure tables of a and b are read once per group, and
+    each map is checked at every mask through its own image table.
     c1-idem and c2 ask ``closure_mask`` mask by mask, so that a bound error
     skips only the instances whose masks hit it."""
     r, tag = head[0], head[1]
@@ -389,13 +393,14 @@ def _holds_d21_all(universe, head, tails):
         act, m1 = head[2], head[3]
         c1 = closure_mask(r, act, m1)
         return all(c1 & ~closure_mask(r, act, m2) == 0 for m2 in tails)
-    f = head[2]
-    cl_a = closure_table(r, f.source)
-    cl_b = closure_table(r, f.target)
-    image = _image_table(universe, f.map)
-    for m in tails:
-        if image[cl_a[m]] & ~cl_b[image[m]]:
-            return False
+    homs = head[2]
+    cl_a = closure_table(r, homs.source)
+    cl_b = closure_table(r, homs.target)
+    for fmap in homs.maps:
+        image = _image_table(universe, fmap)
+        for m in tails:
+            if image[cl_a[m]] & ~cl_b[image[m]]:
+                return False
     return True
 
 
@@ -1397,10 +1402,26 @@ def _enum_l53(universe):
                 yield "inst", (r, chain)
 
 
+@memo_on(0)
+def _limit_act(universe, top, labels):
+    """The direct limit of a chain that ends in ``top``, whose points carry
+    ``labels`` (``limit_labels``): ``top`` relabelled, as ``direct_limit``
+    builds it.  Tens of thousands of chains share a few hundred limits, so
+    each is built once per universe, top act and labels.  Most limits equal
+    their top act, which the universe holds already: then it is returned,
+    and the copy is not kept."""
+    limit = relabel(top, labels)
+    return top if limit == top else limit
+
+
 def _holds_l53(universe, parts):
+    """Whether the chain's direct limit is radical.  Only the limit act is
+    read, so no leg is built: each chain computes its own labels, and its
+    limit is ``_limit_act``'s."""
     r, chain = parts
-    limit, _ = direct_limit(chain)
-    return is_radical_act(r, limit)
+    top = chain.acts[-1]
+    labels = limit_labels(chain)[-top.size:]
+    return is_radical_act(r, _limit_act(universe, top, labels))
 
 
 register(

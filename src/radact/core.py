@@ -206,20 +206,6 @@ class HomSet(Frozen):
         _setattr(self, "target", target)
         _setattr(self, "maps", maps)
 
-    @classmethod
-    def of(cls, homs) -> HomSet:
-        """``homs`` as a hom set: itself when it is one, else the maps of a
-        non-empty sequence of ``ActHom`` that share their source and target
-        (ValueError when they do not).  A grouped law's derived
-        per-instance predicate hands its decider such a 1-tuple."""
-        if homs.__class__ is cls:
-            return homs
-        source, target = homs[0].source, homs[0].target
-        if any(h.source != source or h.target != target for h in homs):
-            raise ValueError("maps of one hom set share their source and "
-                             "target")
-        return cls(source, target, tuple(h.map for h in homs))
-
     def __reduce__(self):
         return HomSet, (self.source, self.target, self.maps)
 
@@ -567,6 +553,9 @@ def _hom_search(source, target, partial, injective, limit=None):
         return True
 
     rec(0)
+    # rec holds itself through its closure cell: break the cycle, so the
+    # search's state is freed at once rather than by the cyclic collector
+    del rec
     undo(seed)
     yield from out
 

@@ -28,7 +28,8 @@ A hull is a plain act that holds the act on its first ``act.size`` points,
 so the embedding is the inclusion of that prefix: the searches and
 ``r_injective_hull`` (the act's closure in its hull) return such acts.
 ``distinct_pushouts`` reads the maps of a span off ``all_homs`` itself, and
-a direct limit is the chain's last act relabelled (``core.relabel``).
+a direct limit is the chain's last act relabelled (``core.relabel``) along
+the labels of ``limit_labels``.
 """
 
 from __future__ import annotations
@@ -318,24 +319,33 @@ class DirectedChain:
         return ActHom(self.acts[i], self.acts[j], images)
 
 
-def direct_limit(chain: DirectedChain):
-    """The limit of the chain together with the legs from each chain member.
+def limit_labels(chain: DirectedChain) -> tuple[int, ...]:
+    """The label of every element of the chain in its direct limit, member
+    by member (the carriers side by side, as in their coproduct).
 
     A finite chain ends in its last act An, so the limit is An: two elements
     of the chain are identified exactly when the links carry them to the same
     point of An.  Every element is labelled by that point, labels numbered in
-    first-use order as the quotient of the coproduct numbers its classes;
-    the limit is An relabelled along the labels of its own points
-    (``relabel``), and each leg is a slice of the label vector."""
+    first-use order as the quotient of the coproduct numbers its classes.
+    The last ``An.size`` labels are An's own, a permutation of its points."""
     acts = chain.acts
-    top = len(acts) - 1
     # the image of chain member i in An is its link into i + 1 followed by
     # the image of member i + 1, built from the top down
-    images = [tuple(acts[top].elements)]
+    images = [tuple(acts[-1].elements)]
     for ln in reversed(chain.links):
         images.append(tuple(map(images[-1].__getitem__, ln.map)))
-    index = _canonical([y for img in reversed(images) for y in img])
-    limit = relabel(acts[top], index[len(index) - acts[top].size:])
+    return _canonical([y for img in reversed(images) for y in img])
+
+
+def direct_limit(chain: DirectedChain):
+    """The limit of the chain together with the legs from each chain member:
+    the last act An relabelled along the labels of its own points
+    (``limit_labels``, ``relabel``), and each leg a slice of the label
+    vector.  L5.3 reads the limit alone and builds it from the same labels
+    without the legs (``checkers._limit_act``)."""
+    acts = chain.acts
+    index = limit_labels(chain)
+    limit = relabel(acts[-1], index[-acts[-1].size:])
     legs = []
     off = 0
     for x in acts:

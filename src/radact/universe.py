@@ -200,7 +200,12 @@ def _orderly_tables(table, mul, rows, start):
                 yield from rec(i + 1)
         table[s][a] = -1
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        # rec holds itself through its closure cell: break the cycle, also
+        # when the walk is left early
+        del rec
 
 
 def _columns_below(perm, inv, row_map, start, last) -> bool:

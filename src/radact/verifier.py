@@ -16,20 +16,23 @@ BoundExceeded, or NotInUniverse for an act that an extensional radical has
 no entry for) marks the instance skipped, never verified.
 
 An enumerator may also yield ("group", (head, tails)): the instances
-``head + (t,)`` for each ``t`` in ``tails``, in that order.  A checker
-registered with ``holds_all=fn`` decides a group in one call:
+``head + (t,)`` for each ``t`` in ``tails``, in that order.  A head that
+ends in a ``HomSet`` stands for one group per map f of it, in order: the
+instances ``head[:-1] + (f, t)``, map by map (``group_instances``).  A
+checker registered with ``holds_all=fn`` decides a group in one call:
 ``fn(universe, head, tails)`` returns True only when it has shown that every
-instance of the group holds, and the group then counts ``len(tails)``
-instances as checked.  When it returns False or raises a bound error or
-PostconditionError, or when the checker has no ``holds_all``, the group is
-expanded and each instance runs through the per-instance predicate, so
+instance of the group holds, and the group then counts all of them
+(``group_size``) as checked.  When it returns False or raises a bound error
+or PostconditionError, or when the checker has no ``holds_all``, the group
+is expanded and each instance runs through the per-instance predicate, so
 skips, the first witness and ``recheck`` are those of the expanded
 instances.  The ``assumes=`` gate reads a group's radical from ``head[0]``
-and counts a filtered group as ``len(tails)`` filtered instances.  The
-grouped laws are AX-H1, D2.1 and L5.1, and each registers only its decider:
+and counts a filtered group as that many filtered instances.  The grouped
+laws are AX-H1, D2.1 and L5.1, and each registers only its decider:
 ``Checker`` derives the per-instance predicate once, at registration, as
-``fn(universe, parts[:-1], parts[-1:])``, bound to the ``fn`` registered.
-D2.1 yields only groups.
+``fn(universe, parts[:-1], parts[-1:])``, bound to the ``fn`` registered,
+with every map part handed over as its one-map ``HomSet`` and a last part
+that is a map as the tails themselves.  D2.1 yields only groups.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .core import (
     ActHom,
     FiniteAct,
     FiniteMonoid,
+    HomSet,
     hom,
     validate_act,
     validate_monoid,
@@ -88,7 +92,10 @@ class Checker:
             raise ValueError(f"checker {cid} needs one of holds_fn and holds_all")
         if holds_fn is None:
             def holds_fn(universe, parts):
-                return holds_all(universe, parts[:-1], parts[-1:])
+                *head, last = map(_one_map, parts)
+                if last.__class__ is not HomSet:
+                    last = (last,)
+                return holds_all(universe, tuple(head), last)
         self.id = cid
         self.description = description
         self.enumerate = enumerate_fn
@@ -98,9 +105,10 @@ class Checker:
 
     def _instances(self, universe):
         """The enumerator's items with the ``assumes=`` gate applied and
-        each group that ``holds_all`` does not settle expanded.  Filtered
-        items and settled groups come out as ("filtered", count) and
-        ("held", count)."""
+        each group that ``holds_all`` does not settle expanded into
+        ``group_instances``, a hom-set head into its maps.  Filtered items
+        and settled groups come out as ("filtered", count) and ("held",
+        count), a group counting ``group_size`` instances."""
         lacking = self.assumes and {
             r for r in universe.radicals
             if not getattr(classify_radical(r, universe), self.assumes)
@@ -109,17 +117,17 @@ class Checker:
             if kind == "group":
                 head, tails = parts
                 if lacking and head[0] in lacking:
-                    yield "filtered", len(tails)
+                    yield "filtered", group_size(head, tails)
                     continue
                 if self.holds_all is not None:
                     try:
                         if self.holds_all(universe, head, tails):
-                            yield "held", len(tails)
+                            yield "held", group_size(head, tails)
                             continue
                     except (*BOUND_ERRORS, PostconditionError):
                         pass
-                for t in tails:
-                    yield "inst", head + (t,)
+                for inst in group_instances(head, tails):
+                    yield "inst", inst
                 continue
             if kind == "filtered" or (
                     kind == "inst" and lacking and parts[0] in lacking):
@@ -180,6 +188,32 @@ class Checker:
             return not self.holds(universe, parts)
         except PostconditionError:
             return True
+
+
+def _one_map(part):
+    """A map part as the one-map hom set that a group decider reads; any
+    other part as it is."""
+    if part.__class__ is ActHom:
+        return HomSet(part.source, part.target, (part.map,))
+    return part
+
+
+def group_size(head, tails) -> int:
+    """The number of instances of one group (``group_instances``)."""
+    if head[-1].__class__ is HomSet:
+        return len(head[-1]) * len(tails)
+    return len(tails)
+
+
+def group_instances(head, tails):
+    """The instances of one group, in order: ``head + (t,)`` for each tail,
+    or, when the head ends in a ``HomSet``, ``head[:-1] + (f, t)`` for each
+    map f of it, as an ``ActHom``, and each tail."""
+    homs = head[-1]
+    if homs.__class__ is HomSet:
+        head = head[:-1]
+        return (head + (f, t) for f in homs for t in tails)
+    return (head + (t,) for t in tails)
 
 
 THEOREMS: dict[str, Checker] = {}

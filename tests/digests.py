@@ -7,7 +7,8 @@ Each instance is written as one line: its kind ("inst", "filtered" or
 field dropped, so acts and monoids are encoded by their tables and a
 change that only moves names leaves the digests as they are.  Radicals keep
 their names, which identify them.  A ("group", (head, tails)) item is read
-as the "inst" instances ``head + (t,)``, one per tail in order, so a law
+as the "inst" instances of ``verifier.group_instances`` in order (``head +
+(t,)`` for each tail, map by map when the head ends in a hom set), so a law
 that moves to groups keeps its digest.  The enumerator is read directly:
 ``Checker._instances`` turns a group that ``holds_all`` settles into one
 count and would hide its instances.
@@ -55,8 +56,8 @@ def instance_lines(checker, universe):
 
     for kind, parts in checker.enumerate(universe):
         if kind == "group":
-            head, tails = parts
-            expanded = [("inst", head + (t,)) for t in tails]
+            expanded = [("inst", p)
+                        for p in verifier.group_instances(*parts)]
         else:
             expanded = [(kind, parts)]
         for k, p in expanded:

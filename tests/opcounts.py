@@ -19,6 +19,13 @@ in this fresh process under cProfile and a trace hook, and the script prints:
   every group it decides and every expanded instance, since the derived
   per-instance predicate calls it on one tail.
 
+It also prints whether ``src/radact/__pycache__`` was present before the
+script imported the package, since earlier versions read different total
+calls in the two states: compare total calls only between runs in the same
+state.  "limit acts built" counts the limits of direct limits, through
+``injectivity.direct_limit`` (with legs) or ``checkers._limit_act``'s
+misses (L5.3, the limit alone).
+
 Then it takes a census of what the run left in memory: the
 ``Universe.memo`` entries of each ``memo_on`` function (read off the first
 item of each key) and the values interned there, by type; each radical's
@@ -39,10 +46,17 @@ import argparse
 import cProfile
 import gc
 import importlib
+import importlib.util
 import inspect
+import os
 import pstats
 import sys
 from collections import Counter
+
+# read before the package is imported, which may write the cache
+BYTECODE_CACHED = os.path.isdir(os.path.join(
+    importlib.util.find_spec("radact").submodule_search_locations[0],
+    "__pycache__"))
 
 from radact import checkers, congruence, core, injectivity, radical, verifier
 from radact.congruence import ACT_MAX_DEFAULT, MONOID_MAX_DEFAULT
@@ -57,6 +71,8 @@ FUNCTIONS = (
     ("AX-H1 decider calls", checkers._holds_h1_all),
     ("D2.1 decider calls", checkers._holds_d21_all),
     ("L5.1 decider calls", checkers._holds_l51_all),
+    ("limit acts built", injectivity.direct_limit),
+    ("limit acts built", checkers._limit_act),
     ("largeness tests", injectivity.is_large),
 )
 
@@ -161,6 +177,8 @@ def main():
     ap.add_argument("--act-max", type=int, default=ACT_MAX_DEFAULT)
     args = ap.parse_args()
     u = default_universe(monoid_max=args.monoid_max, act_max=args.act_max)
+    print(f"{'bytecode cache present':<30} "
+          f"{'yes' if BYTECODE_CACHED else 'no':>12}")
     for label, value in count_run(u).items():
         print(f"{label:<30} {value:>12,}")
     section = None

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import pickle
 from itertools import product as iproduct
 
@@ -33,7 +34,7 @@ from radact.core import (
     validate_monoid,
     zeros,
 )
-from radact.universe import default_universe
+from radact.universe import act_tables, default_universe
 from radact.errors import (
     ActMismatch,
     AssocAxiom,
@@ -300,10 +301,11 @@ def test_hom_set_reads_as_a_tuple_of_maps(R2, E2, C2):
     # a point maps to C2's zeros, and C2 has none
     assert not all_homs(trivial_act(C2.monoid), C2)
     assert copy.copy(homs) == homs == pickle.loads(pickle.dumps(homs))
-    # a derived per-instance predicate hands a decider a tuple of maps
-    assert HomSet.of(homs) is homs and HomSet.of(maps[1:]).maps == ((1, 1),)
-    with pytest.raises(ValueError):
-        HomSet.of((maps[0], identity_hom(trivial_act(E2))))
+    # the one-map hom set that a derived per-instance predicate hands a
+    # grouped law's decider reads as that map
+    one = HomSet(R2, R2, (maps[1].map,))
+    assert tuple(one) == maps[1:] and one.maps == ((1, 1),) and len(one) == 1
+    assert one != homs
     # every hom set holds the one copy of each map tuple
     flat = validate_act(E2, [[0, 1], [0, 1]], "A2")
     point = trivial_act(E2)
@@ -312,6 +314,39 @@ def test_hom_set_reads_as_a_tuple_of_maps(R2, E2, C2):
     to_point = all_homs(R2, point)
     assert repr(to_point) == (f"HomSet(source={to_point.source!r}, "
                               f"target={to_point.target!r}, maps=((0, 0),))")
+
+
+def _garbage_of(run, owner):
+    """The functions local to ``owner`` that the cyclic collector finds
+    unreachable after ``run()``: under DEBUG_SAVEALL it keeps them in
+    ``gc.garbage``.  The gc flags are restored."""
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        run()
+        gc.collect()
+        return [x for x in gc.garbage if callable(x) and getattr(
+            x, "__qualname__", "").startswith(owner + ".<locals>.")]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("owner, run", [
+    # all_homs's search, past its cache, and a search stopped at its
+    # first extension
+    ("_hom_search", lambda R2: all_homs.__wrapped__(R2, R2)),
+    ("_hom_search", lambda R2: hom_extension_exists(R2, R2, {0: 1})),
+    # the orderly walk, run to its end and left after its first table
+    ("_orderly_tables", lambda R2: list(act_tables(R2.monoid, 3))),
+    ("_orderly_tables", lambda R2: next(act_tables(R2.monoid, 3))),
+])
+def test_searches_leave_no_reference_cycle(R2, owner, run):
+    # each search frees its closures when it ends, rather than leaving
+    # them to the cyclic collector
+    assert _garbage_of(lambda: run(R2), owner) == []
 
 
 def test_hom_set_is_not_indexable(R2):

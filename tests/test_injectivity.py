@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter, defaultdict
 from dataclasses import replace
 
@@ -42,6 +43,7 @@ from radact.injectivity import (
     collectively_large,
     collectively_large_by_homs,
     direct_limit,
+    limit_labels,
     distinct_pushouts,
     extension_acts,
     injective_hull,
@@ -447,6 +449,40 @@ def test_direct_limit_matches_quotient_on_every_chain(small_chains):
             assert leg.source == want_leg.source
             assert leg.target == limit
             assert leg.map == want_leg.map
+
+
+def test_l53_decides_the_direct_limit_of_each_chain(monkeypatch):
+    # L5.3 builds each chain's limit from the chain's labels alone, once per
+    # (top act, labels): the act it decides is direct_limit's limit and the
+    # quotient oracle's
+    u = default_universe(monoid_max=2)
+    decided = []
+    real = checkers.is_radical_act
+
+    def deciding(r, act):
+        decided.append(act)
+        return real(r, act)
+
+    monkeypatch.setattr(checkers, "is_radical_act", deciding)
+    keys = set()
+    chains = 0
+    for _, (r, chain) in checkers._enum_l53(u):
+        decided.clear()
+        verdict = checkers._holds_l53(u, (r, chain))
+        limit, = decided
+        want = direct_limit(chain)[0]
+        oracle = _direct_limit_by_quotient(chain)[0]
+        assert limit == want and limit.action == want.action
+        assert (limit.monoid, limit.action) == (oracle.monoid, oracle.action)
+        assert verdict == real(r, want)
+        top = chain.acts[-1]
+        keys.add((top, limit_labels(chain)[-top.size:]))
+        chains += 1
+    built = inspect.unwrap(checkers._limit_act)
+    entries = [key for key in u.memo
+               if isinstance(key, tuple) and key[0] is built]
+    assert {key[1:] for key in entries} == keys
+    assert len(entries) == 163 and chains > 10 * len(entries)
 
 
 def _link_by_compose(chain, i, j):

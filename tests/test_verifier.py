@@ -21,6 +21,7 @@ from radact.congruence import (
 from radact.core import (
     ActHom,
     FiniteAct,
+    HomSet,
     all_homs,
     mask_members,
     relabel,
@@ -734,12 +735,78 @@ def test_d21_continuity_matches_member_loop(mutant_universe):
     assert seen == {True, False}
 
 
+def test_d21_continuity_witness(mutant_universe, monkeypatch):
+    # D2.1's c3 groups alone, one per (radical, hom set): the report names
+    # the first (radical, "c3", map, subact) that fails, in enumeration
+    # order, after the instances counted before it, as when each group
+    # held one map
+    verifier._ensure_registered()
+    checker = verifier.THEOREMS["D2.1"]
+    monkeypatch.setattr(checker, "enumerate", lambda u: (
+        item for item in checkers._enum_d21(u) if item[1][0][1] == "c3"))
+    rep = checker.run(mutant_universe)
+    assert (rep.status, rep.instances_checked, rep.hypothesis_filtered,
+            rep.instances_skipped) == ("violated", 1228, 0, 0)
+    r, tag, f, m = verifier.decode_parts(mutant_universe,
+                                         rep.witness["instance"])
+    assert (r.name, tag, f.source.action, f.target.action, f.map, m) == (
+        "mut", "c3", ((0, 1),), ((0, 1, 2),), (0, 2), 1)
+    assert checker.recheck(mutant_universe, rep.witness)
+
+
+def test_d21_decider_reads_every_map_at_every_subact(mutant_universe):
+    # a hom set whose first map is continuous, and whose second map is
+    # continuous at the first subact and breaks only at a later one
+    u = mutant_universe
+    mut = u.radical("mut")
+    a3, = (a for a in u.acts if a.size == 3)
+    homs = HomSet(a3, a3, ((0, 0, 0), (0, 0, 2)))
+    masks = subact_masks(a3)
+    table = [[_c3_by_members(mut, f, m) for m in masks] for f in homs]
+    assert all(table[0]) and table[1][0] and not all(table[1])
+    assert checkers._holds_d21_all(u, (mut, "c3", homs), masks) is False
+    first = HomSet(a3, a3, homs.maps[:1])
+    assert checkers._holds_d21_all(u, (mut, "c3", first), masks) is True
+
+
+def test_derived_predicate_hands_a_one_map_hom_set(R2):
+    # a map part reaches the decider as its one-map hom set: as the tails
+    # when it is the last part (AX-H1), inside the head otherwise (D2.1)
+    seen = []
+
+    def holds_all(universe, head, tails):
+        seen.append((head, tails))
+        return True
+
+    checker = verifier.Checker("X9.9", "test", None, holds_all=holds_all)
+    f, g = all_homs(R2, R2)
+    one = HomSet(R2, R2, (g.map,))
+    assert checker.holds(None, ("r", g))
+    assert checker.holds(None, ("r", "c3", g, 3))
+    assert seen == [(("r",), one), (("r", "c3", one), (3,))]
+    assert list(verifier.group_instances(("r", "c3", HomSet(
+        R2, R2, (f.map, g.map))), (1, 3))) == [
+        ("r", "c3", f, 1), ("r", "c3", f, 3),
+        ("r", "c3", g, 1), ("r", "c3", g, 3)]
+    assert verifier.group_size(("r", "c3", one), (1, 3)) == 2
+
+
+def _map_groups(head, tails):
+    """A group as the groups it stands for: one per map, as a one-map hom
+    set, when its head ends in a hom set, else itself."""
+    homs = head[-1]
+    if homs.__class__ is not HomSet:
+        return [(head, tails)]
+    return [(head[:-1] + (verifier._one_map(f),), tails) for f in homs]
+
+
 def test_holds_all_matches_its_instances(small_two, mutant_universe,
                                         monkeypatch):
     # every registered group decider agrees with its per-instance predicate
-    # on every group it is given, and the per-instance predicate is the
-    # decider on one tail; then again, bound errors included, with L5.1's
-    # density flaky, on fresh universes (the verdict rows live on them)
+    # on every group it is given and on each map of a hom-set head, and the
+    # per-instance predicate is the decider on one tail; then again, bound
+    # errors included, with L5.1's density flaky, on fresh universes (the
+    # verdict rows live on them)
     verifier._ensure_registered()
     grouped = [
         c for c in {**verifier.AXIOMS, **verifier.THEOREMS}.values()
@@ -755,11 +822,20 @@ def test_holds_all_matches_its_instances(small_two, mutant_universe,
                     if kind != "group":
                         continue
                     head, tails = parts
-                    each = [_outcome(checker.holds, u, head + (t,))
-                            for t in tails]
-                    for t, got in zip(tails, each):
-                        assert _outcome(checker.holds_all, u, head,
-                                        (t,)) == got
+                    each = [_outcome(checker.holds, u, inst)
+                            for inst in verifier.group_instances(*parts)]
+                    left = iter(each)
+                    for one_head, one_tails in _map_groups(head, tails):
+                        mine = [next(left) for _ in one_tails]
+                        for t, got in zip(one_tails, mine):
+                            tail = verifier._one_map(t)
+                            if tail is t:
+                                tail = (t,)
+                            assert _outcome(checker.holds_all, u, one_head,
+                                            tail) == got
+                        assert (_outcome(checker.holds_all, u, one_head,
+                                         one_tails) is True) == all(
+                            o is True for o in mine)
                     whole = _outcome(checker.holds_all, u, head, tails)
                     assert (whole is True) == all(o is True for o in each)
                     seen.update((checker.id, o) for o in each)
