@@ -914,6 +914,7 @@ def _disjoint_families(act):
             families.append(cur + (m,))
             rec(i + 1, used | m, cur + (m,))
     rec(0, 0, ())
+    del rec  # it holds itself through its closure cell
     return families
 
 
@@ -1307,29 +1308,27 @@ def _l51_verdict(universe, radicals, big, mask):
 
     A pushout does not depend on the radical, and the pushouts along maps
     that agree on the boundary of the layout are one and the same, so each
-    distinct D is built and tested once (``distinct_pushouts``).
-    ``pushout_layout`` checks once that the squares commute; a failure
-    raises PostconditionError, which Checker.run reports as violated."""
+    distinct D is built once (``distinct_pushouts``).  A target's outcome
+    list is its set of live radicals: D is tested for a radical only while
+    its entry is still True, so a radical is not asked again once it has
+    failed or hit a bound.  ``pushout_layout`` checks once that the
+    squares commute; a failure raises PostconditionError, which
+    Checker.run reports as violated."""
     dense = [mask in dense_subact_masks(q, big) for q in radicals]
     targets = universe.acts_over(big.monoid)
     layout = pushout_layout(subact_act_by_mask(big, mask)[1])
     row = []
     for c in targets:
         outcome = list(dense)
-        alive = [i for i, d in enumerate(dense) if d]
         for _, u in distinct_pushouts(layout, c):
-            still = []
-            for i in alive:
+            for i, entry in enumerate(outcome):
+                if entry is not True:
+                    continue
                 try:
-                    if is_r_mono(radicals[i], u):
-                        still.append(i)
-                    else:
+                    if not is_r_mono(radicals[i], u):
                         outcome[i] = False
                 except BOUND_ERRORS as err:
                     outcome[i] = (type(err), str(err))
-            alive = still
-            if not alive:
-                break
         outcome = tuple(outcome)
         # spans far outnumber the distinct outcomes: keep one copy of each
         row.append(universe.memo.setdefault(outcome, outcome))

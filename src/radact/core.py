@@ -492,8 +492,9 @@ def _hom_search(source, target, partial, injective, limit=None):
     steps, with no stack of points to revisit.  Each step checks its point
     on its own: a value already set must agree, and an injective search
     refuses an image that another point holds.  Candidate images are tried
-    in ascending order and elements are branched left to right, so complete
-    maps come out in lexicographic order of their tuples.
+    in ascending order and elements are branched left to right, so the
+    maps come in lexicographic order of their tuples: a tuple of the first
+    ``limit`` of them, or of all when ``limit`` is None.
     """
     n_src = source.size
     # column a of an action table: s*a for every s, in monoid order
@@ -526,13 +527,9 @@ def _hom_search(source, target, partial, injective, limit=None):
             used &= ~(1 << f[z])
             f[z] = -1
 
-    seed = []
     for a, b in partial.items():
-        done = try_assign(a, b)
-        if done is None:
-            undo(seed)
-            return
-        seed.extend(done)
+        if try_assign(a, b) is None:
+            return ()
 
     out = []
 
@@ -547,8 +544,7 @@ def _hom_search(source, target, partial, injective, limit=None):
             if done is None:
                 continue
             if not rec(a + 1):
-                undo(done)
-                return False
+                return False  # the search stops: f is not read again
             undo(done)
         return True
 
@@ -556,8 +552,7 @@ def _hom_search(source, target, partial, injective, limit=None):
     # rec holds itself through its closure cell: break the cycle, so the
     # search's state is freed at once rather than by the cyclic collector
     del rec
-    undo(seed)
-    yield from out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -592,21 +587,20 @@ def hom_extension_exists(target_act, big, partial) -> bool:
 
     One backtracking search per partial map.  Kept only for the per-map
     oracles (``skornjakov_injective`` and the tests): the deciders answer
-    extension questions from the restrictions of ``all_homs(big, Q)``."""
-    for _ in _hom_search(big, target_act, partial, False, limit=1):
-        return True
-    return False
+    extension questions from the restrictions of ``all_homs(big, Q)``.
+    The search stops at the first extension."""
+    return bool(_hom_search(big, target_act, partial, False, limit=1))
 
 
 def find_isomorphism(a: FiniteAct, b: FiniteAct) -> ActHom | None:
-    """First equivariant bijection in lexicographic order, if any."""
+    """First equivariant bijection in lexicographic order, if any: an
+    injective search that stops at its first map."""
     if a.monoid != b.monoid or a.size != b.size:
         return None
     if sorted(_signature(a)) != sorted(_signature(b)):
         return None
-    for m in _hom_search(a, b, {}, True, limit=1):
-        return ActHom(a, b, m)
-    return None
+    found = _hom_search(a, b, {}, True, limit=1)
+    return ActHom(a, b, found[0]) if found else None
 
 
 @lru_cache(maxsize=None)

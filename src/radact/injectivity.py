@@ -639,6 +639,4 @@ def iso_over_source(act: FiniteAct, q1: FiniteAct, q2: FiniteAct) -> bool:
     if q1.size != q2.size:
         return False
     partial = {a: a for a in act.elements}
-    for _ in _hom_search(q1, q2, partial, True, limit=1):
-        return True
-    return False
+    return bool(_hom_search(q1, q2, partial, True, limit=1))

@@ -222,9 +222,9 @@ AXIOMS: dict[str, Checker] = {}
 
 def register(cid, description, enumerate_fn, holds_fn=None, axiom=False,
              assumes=None, holds_all=None):
-    table = AXIOMS if axiom else THEOREMS
-    if cid in table:
+    if cid in AXIOMS or cid in THEOREMS:
         raise ValueError(f"duplicate checker id {cid}")
+    table = AXIOMS if axiom else THEOREMS
     table[cid] = Checker(cid, description, enumerate_fn, holds_fn, assumes,
                          holds_all)
 

@@ -10,7 +10,12 @@ Run from the repository root::
 The universe is built first and not counted.  Then ``verify_all`` runs once
 in this fresh process under cProfile and a trace hook, and the script prints:
 
-* total calls: cProfile's count, which counts every resume of a generator;
+* total calls: the sum of cProfile's call counts over every code object
+  it saw, which counts every resume of a generator.  The sum is read off
+  the raw entries, one per code object: ``pstats`` keys its entries by
+  (file, line, name), under which distinct code objects can meet (the
+  dataclass ``__init__``s compiled from ``<string>``, two generator
+  expressions on one line) and all but one of them be dropped;
 * propagation steps: the points that ``core._hom_search``'s ``try_assign``
   examines, that is the runs of its line ``cur = f[x]``;
 * one count per function of ``FUNCTIONS``: the runs of its body, so a
@@ -19,10 +24,7 @@ in this fresh process under cProfile and a trace hook, and the script prints:
   every group it decides and every expanded instance, since the derived
   per-instance predicate calls it on one tail.
 
-It also prints whether ``src/radact/__pycache__`` was present before the
-script imported the package, since earlier versions read different total
-calls in the two states: compare total calls only between runs in the same
-state.  "limit acts built" counts the limits of direct limits, through
+"limit acts built" counts the limits of direct limits, through
 ``injectivity.direct_limit`` (with legs) or ``checkers._limit_act``'s
 misses (L5.3, the limit alone).
 
@@ -46,17 +48,9 @@ import argparse
 import cProfile
 import gc
 import importlib
-import importlib.util
 import inspect
-import os
-import pstats
 import sys
 from collections import Counter
-
-# read before the package is imported, which may write the cache
-BYTECODE_CACHED = os.path.isdir(os.path.join(
-    importlib.util.find_spec("radact").submodule_search_locations[0],
-    "__pycache__"))
 
 from radact import checkers, congruence, core, injectivity, radical, verifier
 from radact.congruence import ACT_MAX_DEFAULT, MONOID_MAX_DEFAULT
@@ -124,7 +118,7 @@ def count_run(universe) -> dict:
     finally:
         profile.disable()
         sys.settrace(None)
-    total = pstats.Stats(profile).total_calls
+    total = sum(entry.callcount for entry in profile.getstats())
     return {"total calls": total, **counts,
             "violated": doc["summary"]["violated"]}
 
@@ -177,8 +171,6 @@ def main():
     ap.add_argument("--act-max", type=int, default=ACT_MAX_DEFAULT)
     args = ap.parse_args()
     u = default_universe(monoid_max=args.monoid_max, act_max=args.act_max)
-    print(f"{'bytecode cache present':<30} "
-          f"{'yes' if BYTECODE_CACHED else 'no':>12}")
     for label, value in count_run(u).items():
         print(f"{label:<30} {value:>12,}")
     section = None

@@ -6,6 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from radact.checkers import _disjoint_families
 from radact.congruence import quotient, rees_congruence
 from radact.core import (
     ActHom,
@@ -342,6 +343,8 @@ def _garbage_of(run, owner):
     # the orderly walk, run to its end and left after its first table
     ("_orderly_tables", lambda R2: list(act_tables(R2.monoid, 3))),
     ("_orderly_tables", lambda R2: next(act_tables(R2.monoid, 3))),
+    # the walk over the families of disjoint subacts (T3.4, T7.3)
+    ("_disjoint_families", _disjoint_families),
 ])
 def test_searches_leave_no_reference_cycle(R2, owner, run):
     # each search frees its closures when it ends, rather than leaving

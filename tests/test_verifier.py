@@ -194,6 +194,11 @@ def test_decoding_refuses_a_chain_of_no_acts(small):
 @pytest.mark.parametrize("call, error, message", [
     (lambda small: verifier.register("T7.8", "again", None, None),
      ValueError, "duplicate checker id T7.8"),
+    # an id names one checker, axiom or theorem
+    (lambda small: verifier.register("AX-H1", "again", None, None),
+     ValueError, "duplicate checker id AX-H1"),
+    (lambda small: verifier.register("T7.8", "again", None, None, axiom=True),
+     ValueError, "duplicate checker id T7.8"),
     (lambda small: verifier.encode_part(1.5),
      TypeError, "cannot encode 1.5 into a witness"),
     (lambda small: verifier.decode_part(small, {"nosuch": 1}),
@@ -395,6 +400,51 @@ def test_l51_rows_give_the_report_of_the_expanded_instances(monkeypatch,
     assert rep.status == ("violated" if "rG" in failing else "verified")
     assert "rG" in failing or rep.instances_skipped > 0
     assert _report_outcome(rep) == _report_outcome(expanded.run(u))
+
+
+def test_l51_does_not_ask_a_radical_again_after_it_fails(monkeypatch):
+    # once density fails or hits a bound for a radical on one pushout of a
+    # span, no later pushout of that span is tested for that radical
+    _flaky_density(monkeypatch)
+    flaky = checkers.is_r_mono
+    real_pushouts = checkers.distinct_pushouts
+    events = []
+
+    def recording(r, m):
+        try:
+            ok = flaky(r, m)
+        except BOUND_ERRORS:
+            events.append((r, None))
+            raise
+        events.append((r, ok))
+        return ok
+
+    def spans(layout, c):
+        events.append(None)  # a new span: (layout, c)
+        yield from real_pushouts(layout, c)
+
+    monkeypatch.setattr(checkers, "is_r_mono", recording)
+    monkeypatch.setattr(checkers, "distinct_pushouts", spans)
+    u = default_universe(monoid_max=2)
+    assert verifier.verify("L5.1", u).status == "violated"
+    failed = set()
+    ever_failed = set()
+    asked_after = set()
+    for event in events:
+        if event is None:
+            failed = set()
+            continue
+        r, ok = event
+        assert r not in failed
+        if failed:
+            asked_after.add(r.name)
+        if not ok:
+            failed.add(r)
+            ever_failed.add((r.name, ok))
+    # both kinds of failure happened, and other radicals went on being
+    # asked after them in the same span
+    assert ever_failed == {("rG", False), ("t_LrG", None)}
+    assert "nabla" in asked_after
 
 
 def test_l51_builds_each_pushout_once(monkeypatch):
