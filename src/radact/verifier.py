@@ -2,10 +2,12 @@
 and emits deterministic machine-readable reports with re-checkable witnesses.
 
 Each checker pairs an instance enumerator with one decision procedure: a
-pure per-instance predicate, or a group decider (below), never both.  The
-enumerator yields ("inst", parts) for instances satisfying the property's
-hypotheses and ("filtered", parts) for enumerated instances that fail them,
-so vacuous verification stays visible in the counts.  It yields
+pure per-instance predicate, or a group decider (below), never both.
+``Checker.run`` reads the enumerator's items once, in order, in one loop
+that gates, settles or expands and decides them.  The enumerator yields
+("inst", parts) for instances satisfying the property's hypotheses and
+("filtered", parts) for enumerated instances that fail them, so vacuous
+verification stays visible in the counts.  It yields
 ("skip", parts) for instances whose hypotheses it cannot decide within the
 bounds; they count as skipped and the predicate does not run.  A checker may
 also declare the taxonomy flag its result assumes of the radical
@@ -103,82 +105,69 @@ class Checker:
         self.assumes = assumes
         self.holds_all = holds_all
 
-    def _instances(self, universe):
-        """The enumerator's items with the ``assumes=`` gate applied and
-        each group that ``holds_all`` does not settle expanded into
-        ``group_instances``, a hom-set head into its maps.  Filtered items
-        and settled groups come out as ("filtered", count) and ("held",
-        count), a group counting ``group_size`` instances."""
+    def run(self, universe) -> TheoremReport:
+        """Read the enumerator's items once, in order, and decide them.  An
+        item whose radical lacks the ``assumes=`` flag counts as filtered,
+        a group as ``group_size`` filtered instances.  A group that
+        ``holds_all`` settles counts ``group_size`` instances as checked;
+        any other group is expanded into ``group_instances``, a hom-set
+        head into its maps, and each instance is decided as an "inst"
+        item is.  The first violated instance is the witness and stops the
+        enumeration."""
+        t0 = time.perf_counter()
         lacking = self.assumes and {
             r for r in universe.radicals
             if not getattr(classify_radical(r, universe), self.assumes)
         }
+        checked = filtered = skipped = 0
+        witness = None
         for kind, parts in self.enumerate(universe):
             if kind == "group":
                 head, tails = parts
                 if lacking and head[0] in lacking:
-                    yield "filtered", group_size(head, tails)
+                    filtered += group_size(head, tails)
                     continue
                 if self.holds_all is not None:
                     try:
                         if self.holds_all(universe, head, tails):
-                            yield "held", group_size(head, tails)
+                            checked += group_size(head, tails)
                             continue
                     except (*BOUND_ERRORS, PostconditionError):
                         pass
-                for inst in group_instances(head, tails):
-                    yield "inst", inst
-                continue
-            if kind == "filtered" or (
-                    kind == "inst" and lacking and parts[0] in lacking):
-                yield "filtered", 1
-                continue
-            yield kind, parts
-
-    def run(self, universe) -> TheoremReport:
-        t0 = time.perf_counter()
-        checked = filtered = skipped = 0
-        witness = None
-        status = None
-        for kind, parts in self._instances(universe):
-            if kind == "held":
-                checked += parts
-                continue
-            if kind == "filtered":
-                filtered += parts
-                continue
-            if kind == "skip":
+                instances = group_instances(head, tails)
+            elif kind == "skip":
                 skipped += 1
                 continue
-            try:
-                ok = self.holds(universe, parts)
-            except BOUND_ERRORS:
-                skipped += 1
+            elif kind == "filtered" or (lacking and parts[0] in lacking):
+                filtered += 1
                 continue
-            except PostconditionError as err:
-                witness = {"instance": encode_parts(parts), "note": str(err)}
-                status = "violated"
-                break
-            checked += 1
-            if not ok:
-                witness = {"instance": encode_parts(parts)}
-                status = "violated"
-                break
-        if status is None:
-            if checked == 0 and skipped > 0:
-                status = "skipped-out-of-bounds"
             else:
-                status = "verified"
-        return TheoremReport(
-            self.id,
-            self.description,
-            status,
-            checked,
-            filtered,
-            skipped,
-            witness,
-            duration_ms=(time.perf_counter() - t0) * 1000.0,
-        )
+                instances = (parts,)
+            for inst in instances:
+                try:
+                    ok = self.holds(universe, inst)
+                except BOUND_ERRORS:
+                    skipped += 1
+                    continue
+                except PostconditionError as err:
+                    witness = {"instance": encode_parts(inst),
+                               "note": str(err)}
+                    break
+                checked += 1
+                if not ok:
+                    witness = {"instance": encode_parts(inst)}
+                    break
+            if witness is not None:
+                break
+        if witness is not None:
+            status = "violated"
+        elif checked == 0 and skipped > 0:
+            status = "skipped-out-of-bounds"
+        else:
+            status = "verified"
+        return TheoremReport(self.id, self.description, status, checked,
+                             filtered, skipped, witness,
+                             duration_ms=(time.perf_counter() - t0) * 1000.0)
 
     def recheck(self, universe, witness) -> bool:
         """Re-run the predicate on a decoded witness; True means the witness
@@ -378,10 +367,11 @@ def taxonomy_section(universe) -> dict:
 
 def verify_all(universe, theorem_ids=()) -> dict:
     """Run every registered axiom and theorem checker, or only those named
-    in ``theorem_ids`` (a doc of their results alone, in that order);
-    deterministic apart from the trailing generated_at / timings block."""
+    in ``theorem_ids`` (a doc of their results alone, each id once, in the
+    order first named); deterministic apart from the trailing generated_at
+    / timings block."""
     if theorem_ids:
-        reports = [verify(tid, universe) for tid in theorem_ids]
+        reports = [verify(tid, universe) for tid in dict.fromkeys(theorem_ids)]
         doc = {"schema": SCHEMA, "results": [r.payload() for r in reports]}
     else:
         _ensure_registered()

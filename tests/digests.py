@@ -10,8 +10,8 @@ their names, which identify them.  A ("group", (head, tails)) item is read
 as the "inst" instances of ``verifier.group_instances`` in order (``head +
 (t,)`` for each tail, map by map when the head ends in a hom set), so a law
 that moves to groups keeps its digest.  The enumerator is read directly:
-``Checker._instances`` turns a group that ``holds_all`` settles into one
-count and would hide its instances.
+``Checker.run`` counts a group that ``holds_all`` settles without
+expanding it, and the report would hide its instances.
 
 ``checker_digests(checker, universe)`` gives two hex digests: over the
 lines in enumeration order, and over the sorted lines (the multiset, which

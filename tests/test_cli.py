@@ -421,6 +421,20 @@ def test_verify_theorem_json_keys():
     assert list(doc["timings_ms"]) == ["L1.2", "R1.1"]
 
 
+def test_verify_runs_a_repeated_theorem_once():
+    # each id asked for is run and reported once, in the order first named,
+    # so the results, the timings and the text report name the same checkers
+    argv = ["verify", "--theorem", "R1.1", "--theorem", "L1.2", "--theorem",
+            "R1.1", "--monoid-max", "1", "--act-max", "3", "--hull-bound", "3"]
+    code, out, _ = invoke(argv + ["--report", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert [rep["theorem_id"] for rep in doc["results"]] == ["R1.1", "L1.2"]
+    assert list(doc["timings_ms"]) == ["R1.1", "L1.2"]
+    _, text, _ = invoke(argv)
+    assert [line.split()[0] for line in text.splitlines()] == ["R1.1", "L1.2"]
+
+
 def test_verify_all_small_universe_json():
     code, out, _ = invoke(
         ["verify", "--all", "--report", "json", "--monoid-max", "1",

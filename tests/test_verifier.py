@@ -2,6 +2,7 @@ import gc
 import json
 import weakref
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -23,6 +24,7 @@ from radact.core import (
     FiniteAct,
     HomSet,
     all_homs,
+    coproduct,
     mask_members,
     relabel,
     subact_act_by_mask,
@@ -302,6 +304,77 @@ def test_recheck_replays_a_planted_d21_witness(monkeypatch, small_two, fault,
     assert verifier.recheck_witness("D2.1", small_two, rep.witness)
     monkeypatch.undo()
     assert not verifier.recheck_witness("D2.1", small_two, rep.witness)
+
+
+def _discrete_subact(real):
+    # the subact keeps its points but loses its action
+    def faulty(act, mask):
+        inner, incl = real(act, mask)
+        rows = (tuple(range(inner.size)),) * len(act.action)
+        return FiniteAct(act.monoid, rows), incl
+    return faulty
+
+
+def _subact_twice(real):
+    # the subact is materialised as two disjoint copies of itself
+    def faulty(act, mask):
+        inner, incl = real(act, mask)
+        return coproduct(inner, inner)[0], incl
+    return faulty
+
+
+# one planted kernel fault per violation branch of a checker that no other
+# test reaches: (checker, name in the ``checkers`` namespace, fault of the
+# real function, the branch it reaches)
+PLANTED = [
+    ("R1.1", "is_closed_mask", lambda real: lambda act, mask: False,
+     "class holding a subact not closed"),
+    ("P2.3", "class_system", lambda real: lambda chi: (chi.act.full_mask(),),
+     "classes not nested"),
+    ("P2.6", "dense_subact_masks",
+     lambda real: lambda r, act: subact_masks(act),
+     "dense subact attracts nothing"),
+    ("T2.8", "closure_mask",
+     lambda real: lambda r, act, m: real(r, act, m) if act.size == 4 else m,
+     "oracle not weakly hereditary"),
+    ("D2.14", "intersection_large", lambda real: lambda act, mask: True,
+     "largeness disagrees"),
+    ("L4.3", "classify_radical",
+     lambda real: lambda r, u: replace(real(r, u), kurosh_amitsur=False),
+     "induced radical not Kurosh-Amitsur"),
+    ("T7.3", "subact_act_by_mask", _discrete_subact, "c3"),
+    ("T7.3", "closure_in_hull",
+     lambda real: lambda r, act, u: coproduct(act, act)[0], "c4"),
+    ("T7.3", "injective_hull",
+     lambda real: lambda act, u: coproduct(act, act)[0], "c5"),
+    ("T7.3", "rees_congruence", lambda real: lambda act, family: total(act),
+     "c6"),
+    ("L7.4", "is_radical_act", lambda real: lambda r, act: True,
+     "radical and semisimple"),
+    ("L7.4", "is_radical_act",
+     lambda real: lambda r, act: real(r, act) and act.size >= 2,
+     "factor not radical"),
+    ("L7.4", "subact_act_by_mask", _subact_twice, "subact not semisimple"),
+    ("L7.4", "is_rees", lambda real: lambda chi: False, "not Rees"),
+    ("L7.4", "class_system", lambda real: lambda chi: (chi.act.full_mask(),),
+     "class not radical"),
+    ("T7.6", "class_system", lambda real: lambda chi: subact_masks(chi.act),
+     "class not injective"),
+]
+
+
+@pytest.mark.parametrize("cid, name, fault, branch", PLANTED,
+                         ids=[f"{row[0]}-{row[3]}" for row in PLANTED])
+def test_planted_fault_violates_its_checker(monkeypatch, small_two, cid, name,
+                                            fault, branch):
+    # a fresh universe, since a fault's results land in its memo
+    u = default_universe(monoid_max=2)
+    monkeypatch.setattr(checkers, name, fault(getattr(checkers, name)))
+    rep = verifier.verify(cid, u)
+    assert rep.status == "violated"
+    assert verifier.recheck_witness(cid, u, rep.witness)
+    monkeypatch.undo()
+    assert verifier.verify(cid, small_two).status == "verified"
 
 
 def test_pushout_postcondition_failure_violates_l51(monkeypatch):
