@@ -593,25 +593,13 @@ def hom_extension_exists(target_act, big, partial) -> bool:
 
 
 def find_isomorphism(a: FiniteAct, b: FiniteAct) -> ActHom | None:
-    """First equivariant bijection in lexicographic order, if any: an
-    injective search that stops at its first map."""
+    """First equivariant bijection in lexicographic order, if any: for acts
+    over one monoid and of one size, an injective search that stops at its
+    first map."""
     if a.monoid != b.monoid or a.size != b.size:
-        return None
-    if sorted(_signature(a)) != sorted(_signature(b)):
         return None
     found = _hom_search(a, b, {}, True, limit=1)
     return ActHom(a, b, found[0]) if found else None
-
-
-@lru_cache(maxsize=None)
-def _signature(act: FiniteAct):
-    # cheap per-element iso invariant: orbit size, zero flag, in-degrees
-    sig = []
-    for a in act.elements:
-        indeg = tuple(sorted(row.count(a) for row in act.action))
-        orbit = bin(cyclic_mask(act, a)).count("1")
-        sig.append((orbit, indeg))
-    return tuple(sig)
 
 
 def invert(iso: ActHom) -> ActHom:

@@ -4,7 +4,8 @@ and emits deterministic machine-readable reports with re-checkable witnesses.
 Each checker pairs an instance enumerator with one decision procedure: a
 pure per-instance predicate, or a group decider (below), never both.
 ``Checker.run`` reads the enumerator's items once, in order, in one loop
-that gates, settles or expands and decides them.  The enumerator yields
+that gates, settles or expands and decides them, for a report and for a
+``recheck`` of its witness alike.  The enumerator yields
 ("inst", parts) for instances satisfying the property's hypotheses and
 ("filtered", parts) for enumerated instances that fail them, so vacuous
 verification stays visible in the counts.  It yields
@@ -170,13 +171,16 @@ class Checker:
                              duration_ms=(time.perf_counter() - t0) * 1000.0)
 
     def recheck(self, universe, witness) -> bool:
-        """Re-run the predicate on a decoded witness; True means the witness
-        still violates the property."""
+        """Whether the decoded witness still violates the property: a
+        ``run`` of this enumerator and ``assumes=`` gate whose predicate
+        passes every instance but the witness's reads violated, so a witness
+        outside the hypothesis or the gate, or beyond a bound, does not."""
         parts = decode_parts(universe, witness["instance"])
-        try:
-            return not self.holds(universe, parts)
-        except PostconditionError:
-            return True
+        holds = self.holds
+        return Checker(
+            self.id, self.description, self.enumerate,
+            lambda u, inst: inst != parts or holds(u, inst), self.assumes,
+        ).run(universe).status == "violated"
 
 
 def _one_map(part):
@@ -263,9 +267,7 @@ def encode_part(obj):
                 "maps": [list(h.map) for h in obj.links],
             }
         }
-    if isinstance(obj, bool):
-        return {"bool": obj}
-    if isinstance(obj, int):
+    if type(obj) is int:
         return {"int": obj}
     if isinstance(obj, str):
         return {"str": obj}
@@ -286,24 +288,30 @@ def _decode_act(data) -> FiniteAct:
 
 
 def decode_part(universe, data):
+    """The part a witness component encodes.  A witness is input from
+    outside the program: a component missing a field or holding one of the
+    wrong shape is refused with a ``ValueError`` that names it."""
     (tag, payload), = data.items()
-    if tag == "radical":
-        return universe.radical(payload)
-    if tag == "monoid":
-        return _decode_monoid(payload)
-    if tag == "act":
-        return _decode_act(payload)
-    if tag == "congruence":
-        act = _decode_act(payload["act"])
-        return parse_partition(act, payload["partition"])
-    if tag == "hom":
-        src = _decode_act(payload["source"])
-        tgt = _decode_act(payload["target"])
-        return hom(src, tgt, payload["map"])
-    if tag == "chain":
-        return DirectedChain.from_maps(map(_decode_act, payload["acts"]),
-                                       payload["maps"])
-    if tag in ("int", "str", "bool"):
+    try:
+        if tag == "radical":
+            return universe.radical(payload)
+        if tag == "monoid":
+            return _decode_monoid(payload)
+        if tag == "act":
+            return _decode_act(payload)
+        if tag == "congruence":
+            act = _decode_act(payload["act"])
+            return parse_partition(act, payload["partition"])
+        if tag == "hom":
+            src = _decode_act(payload["source"])
+            tgt = _decode_act(payload["target"])
+            return hom(src, tgt, payload["map"])
+        if tag == "chain":
+            return DirectedChain.from_maps(map(_decode_act, payload["acts"]),
+                                           payload["maps"])
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"witness component {tag!r} is malformed") from err
+    if tag in ("int", "str"):
         # a scalar part's tag names the type of its payload
         if type(payload).__name__ != tag:
             raise ValueError(f"witness component {tag!r} holds {payload!r}")

@@ -24,6 +24,9 @@ in this fresh process under cProfile and a trace hook, and the script prints:
   every group it decides and every expanded instance, since the derived
   per-instance predicate calls it on one tail.
 
+"isomorphism searches" counts the runs of ``core.find_isomorphism``, each
+one injective hom search of acts over one monoid and of one size.
+
 "limit acts built" counts the limits of direct limits, through
 ``injectivity.direct_limit`` (with legs) or ``checkers._limit_act``'s
 misses (L5.3, the limit alone).
@@ -62,6 +65,7 @@ FUNCTIONS = (
     ("quotient builds", congruence.quotient),
     ("pushouts built", injectivity._pushout_act),
     ("embedding walks", checkers._embeddings),
+    ("isomorphism searches", core.find_isomorphism),
     ("AX-H1 decider calls", checkers._holds_h1_all),
     ("D2.1 decider calls", checkers._holds_d21_all),
     ("L5.1 decider calls", checkers._holds_l51_all),

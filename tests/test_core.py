@@ -2,7 +2,7 @@ import copy
 import dataclasses
 import gc
 import pickle
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -281,6 +281,23 @@ def test_iso_is_equivalence_on_sample(U):
             else:
                 back = invert(iso)
                 assert compose(back, iso).map == identity_hom(a).map
+
+
+def test_iso_finds_every_relabelling_and_no_other_member():
+    # every relabelled copy of an act is found isomorphic through a checked
+    # bijection, and no two members of the universe, which are pairwise
+    # non-isomorphic, are
+    u = default_universe(monoid_max=2)
+    for act in u.acts:
+        for perm in permutations(act.elements):
+            twin = relabel(act, perm)
+            iso = find_isomorphism(act, twin)
+            assert iso is not None and iso.is_bijective()
+            assert hom(act, twin, iso.map) == iso
+    for a in u.acts:
+        for b in u.acts:
+            if a is not b and a.monoid == b.monoid and a.size == b.size:
+                assert find_isomorphism(a, b) is None
 
 
 def test_homs_from_point_are_zeros(U, E2):

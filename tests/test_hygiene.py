@@ -708,7 +708,6 @@ def process_cache_users(source, module) -> list[str]:
 PROCESS_CACHED = (
     "congruence.all_congruences",
     "core._shared_map",
-    "core._signature",
     "core.all_homs",
     "core.subact_act_by_mask",
     "core.subact_masks",

@@ -147,7 +147,7 @@ def test_witness_round_trip(small, E2, R2):
     hom = ActHom(R2, R2, (0, 1))
     chain = DirectedChain((R2,), ())
     parts = (
-        small.radical("rG"), E2, R2, chi, hom, chain, 3, "tag", True,
+        small.radical("rG"), E2, R2, chi, hom, chain, 3, "tag",
     )
     encoded = verifier.encode_parts(parts)
     json.dumps(encoded)  # must be serialisable
@@ -158,7 +158,7 @@ def test_witness_round_trip(small, E2, R2):
     assert decoded[3] == chi
     assert decoded[4] == hom
     assert decoded[5].acts == chain.acts
-    assert decoded[6:] == (3, "tag", True)
+    assert decoded[6:] == (3, "tag")
     del theta
 
 
@@ -206,8 +206,29 @@ def test_decoding_refuses_a_chain_of_no_acts(small):
         id="axiom-ValueError-duplicate checker id T7.8"),
     (lambda small: verifier.encode_part(1.5),
      TypeError, "cannot encode 1.5 into a witness"),
+    # no instance part is a bool
+    (lambda small: verifier.encode_part(True),
+     TypeError, "cannot encode True into a witness"),
     (lambda small: verifier.decode_part(small, {"nosuch": 1}),
      ValueError, "unknown witness component 'nosuch'"),
+    # a witness is read from outside the program: a component missing a
+    # field, or holding one of the wrong shape, is refused by name
+    pytest.param(
+        lambda small: verifier.decode_part(small, {"act": {"action": [[0]]}}),
+        ValueError, "witness component 'act' is malformed",
+        id="act without its monoid"),
+    pytest.param(
+        lambda small: verifier.decode_part(small, {"chain": {"acts": []}}),
+        ValueError, "witness component 'chain' is malformed",
+        id="chain without its maps"),
+    pytest.param(
+        lambda small: verifier.decode_part(small, {"act": []}),
+        ValueError, "witness component 'act' is malformed",
+        id="act that is a list"),
+    pytest.param(
+        lambda small: verifier.decode_part(small, {"hom": {"source": 1}}),
+        ValueError, "witness component 'hom' is malformed",
+        id="hom whose source is an int"),
 ])
 def test_verifier_refusals(small, call, error, message):
     verifier._ensure_registered()
@@ -268,8 +289,46 @@ def test_recheck_refuses_a_witness_int_that_is_a_string(small_two):
 def test_decoding_refuses_a_scalar_of_another_type(small, part):
     (tag, payload), = part.items()
     message = f"^witness component '{tag}' holds {payload!r}$"
+    if tag == "bool":
+        # no instance part is a bool, so no component carries that tag
+        message = "^unknown witness component 'bool'$"
     with pytest.raises(ValueError, match=message):
         verifier.decode_part(small, part)
+
+
+def test_recheck_refuses_a_witness_outside_the_hypothesis(small_two):
+    # mask {0} of M1.0.a2.0 is not dense for delta, so P2.6's enumerator
+    # filters the instance: the witness does not recheck, although the
+    # predicate alone fails on it
+    act, = (a for a in small_two.acts if a.name == "M1.0.a2.0")
+    instance = (small_two.radical("delta"), act, 1)
+    assert not verifier._checker("P2.6").holds(small_two, instance)
+    assert not verifier.recheck_witness(
+        "P2.6", small_two, {"instance": verifier.encode_parts(instance)})
+    assert verifier.verify("P2.6", small_two).status == "verified"
+
+
+def test_recheck_refuses_a_witness_outside_the_gate(non_ka_universe):
+    # C2.10 assumes Kurosh-Amitsur radicals, which non-ka is not: the gate
+    # filters the instance, although the predicate alone fails on it
+    u = non_ka_universe
+    act, = (a for a in u.acts if a.name == "M2.1.a4.2")
+    instance = (u.radical("non-ka"), act, 3)
+    assert not verifier._checker("C2.10").holds(u, instance)
+    assert not verifier.recheck_witness(
+        "C2.10", u, {"instance": verifier.encode_parts(instance)})
+
+
+def test_recheck_of_an_instance_beyond_the_bounds_is_false():
+    # T6.2 skips (nabla, M3.1.a2.0) at act_max 2: its predicate raises
+    # BoundExceeded, and the recheck reads skipped, not violated
+    u = default_universe(monoid_max=3, act_max=2)
+    act, = (a for a in u.acts if a.name == "M3.1.a2.0")
+    instance = (u.radical("nabla"), act)
+    with pytest.raises(BoundExceeded):
+        verifier._checker("T6.2").holds(u, instance)
+    assert not verifier.recheck_witness(
+        "T6.2", u, {"instance": verifier.encode_parts(instance)})
 
 
 def _full_loses_its_top(real):
