@@ -176,10 +176,9 @@ class Checker:
         passes every instance but the witness's reads violated, so a witness
         outside the hypothesis or the gate, or beyond a bound, does not."""
         parts = decode_parts(universe, witness["instance"])
-        holds = self.holds
         return Checker(
             self.id, self.description, self.enumerate,
-            lambda u, inst: inst != parts or holds(u, inst), self.assumes,
+            lambda u, inst: inst != parts or self.holds(u, inst), self.assumes,
         ).run(universe).status == "violated"
 
 
@@ -291,6 +290,8 @@ def decode_part(universe, data):
     """The part a witness component encodes.  A witness is input from
     outside the program: a component missing a field or holding one of the
     wrong shape is refused with a ``ValueError`` that names it."""
+    if not isinstance(data, dict) or len(data) != 1:
+        raise ValueError(f"witness component {data!r} is not one tagged part")
     (tag, payload), = data.items()
     try:
         if tag == "radical":

@@ -24,8 +24,7 @@ in this fresh process under cProfile and a trace hook, and the script prints:
   every group it decides and every expanded instance, since the derived
   per-instance predicate calls it on one tail.
 
-"isomorphism searches" counts the runs of ``core.find_isomorphism``, each
-one injective hom search of acts over one monoid and of one size.
+"isomorphism searches" counts the runs of ``core.find_isomorphism``.
 
 "limit acts built" counts the limits of direct limits, through
 ``injectivity.direct_limit`` (with legs) or ``checkers._limit_act``'s

@@ -229,6 +229,15 @@ def test_decoding_refuses_a_chain_of_no_acts(small):
         lambda small: verifier.decode_part(small, {"hom": {"source": 1}}),
         ValueError, "witness component 'hom' is malformed",
         id="hom whose source is an int"),
+    pytest.param(
+        lambda small: verifier.decode_part(small, [{"int": 1}]),
+        ValueError, "witness component [{'int': 1}] is not one tagged part",
+        id="component that is a list"),
+    pytest.param(
+        lambda small: verifier.decode_part(small, {"int": 1, "str": "a"}),
+        ValueError,
+        "witness component {'int': 1, 'str': 'a'} is not one tagged part",
+        id="component of two tags"),
 ])
 def test_verifier_refusals(small, call, error, message):
     verifier._ensure_registered()
