@@ -124,7 +124,9 @@ def parse_act(text: str, monoids: dict) -> FiniteAct:
 
 
 def parse_radical_table(text: str, acts: dict) -> tuple[str, dict]:
-    """Returns the radical name and a table {act: congruence}."""
+    """Returns the radical name and a table {act: congruence}.  The table
+    is keyed by act value, so an act has one entry, whatever catalog names
+    its lines use: a second is refused at its line."""
     lines = _Lines(text)
     lineno, rest = _keyword(lines, "radical")
     if len(rest) != 2 or rest[1] != "extensional":
@@ -141,6 +143,8 @@ def parse_radical_table(text: str, acts: dict) -> tuple[str, dict]:
         act = acts.get(parts[1])
         if act is None:
             raise ParseError(lineno, f"unknown act {parts[1]!r}")
+        if act in table:
+            raise ParseError(lineno, f"act {parts[1]!r} already has an entry")
         try:
             table[act] = parse_partition(act, line.split(maxsplit=3)[3])
         except (ValueError, RadactError) as err:

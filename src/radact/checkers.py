@@ -77,13 +77,13 @@ from .injectivity import (
     closure_in_hull,
     collectively_large,
     collectively_large_by_homs,
+    criterion_r_injective,
     direct_limit,
     distinct_pushouts,
     injective_hull,
     is_injective,
     is_large,
     is_r_essential,
-    is_r_injective,
     is_orthogonal_r_injective,
     is_weakly_injective,
     iso_over_source,
@@ -93,6 +93,7 @@ from .injectivity import (
     r_injective_bounded,
     r_injective_hull,
     skornjakov_injective,
+    universe_r_injective,
     _complement,
     _injective_on,
     _large_masks,
@@ -1082,7 +1083,7 @@ register(
 def _holds_d41(universe, parts):
     r, act = parts
     if is_orthogonal_r_injective(r, act, universe):
-        return is_r_injective(r, act, universe, "universe")
+        return universe_r_injective(r, act, universe)
     return True
 
 
@@ -1165,8 +1166,8 @@ register(
 def _holds_t44(universe, parts):
     r, act = parts
     t = lr_induced_radical(r, universe.con_bound)
-    return is_r_injective(r, act, universe, "universe") == is_r_injective(
-        t, act, universe, "universe"
+    return universe_r_injective(r, act, universe) == universe_r_injective(
+        t, act, universe
     )
 
 
@@ -1593,8 +1594,8 @@ def _holds_t62(universe, parts):
     universe side sees acts of at most ``act_max`` points only, so its True
     is exact only when every cyclic act fits (``act_max`` >= |S|)."""
     r, act = parts
-    criterion = is_r_injective(r, act, universe, "criterion")
-    inside = is_r_injective(r, act, universe, "universe")
+    criterion = criterion_r_injective(r, act, universe)
+    inside = universe_r_injective(r, act, universe)
     return _sides_agree(
         (criterion, True),
         (inside, not inside or universe.act_max >= act.monoid.size),
@@ -1623,7 +1624,7 @@ def _large_cyclic_criterion(universe, r, q):
 
 def _holds_c63(universe, parts):
     r, act = parts
-    return is_r_injective(r, act, universe, "criterion") == _large_cyclic_criterion(
+    return criterion_r_injective(r, act, universe) == _large_cyclic_criterion(
         universe, r, act
     )
 
@@ -1875,7 +1876,7 @@ def _enum_t78(universe):
 def _holds_t78(universe, parts):
     (act,) = parts
     rg = universe.radical("rG")
-    return is_r_injective(rg, act, universe, "criterion") == is_injective(
+    return criterion_r_injective(rg, act, universe) == is_injective(
         act, universe
     )
 

@@ -361,7 +361,13 @@ def _dispatch(args, out) -> int:
     elif cmd == "injective":
         text = _yes(inj.is_injective(act, u))
     elif cmd == "r-injective":
-        text = _yes(inj.is_r_injective(r, act, u, args.mode))
+        mode = args.mode
+        if mode == "auto":
+            zero_hereditary = rd.classify_radical(r, u).zero_hereditary
+            mode = "criterion" if zero_hereditary else "universe"
+        decide = (inj.criterion_r_injective if mode == "criterion"
+                  else inj.universe_r_injective)
+        text = _yes(decide(r, act, u))
     elif cmd == "weakly-injective":
         text = _yes(inj.is_weakly_injective(act, u))
     elif cmd == "hull":

@@ -333,11 +333,6 @@ def quotient(act: FiniteAct, chi: Congruence) -> tuple[FiniteAct, ActHom]:
     return quo, ActHom(act, quo, chi.index)
 
 
-def kernel(f: ActHom) -> Congruence:
-    """Partition of the source into fibres of f."""
-    return _make(f.source, f.map)
-
-
 def push_congruence(pi: ActHom, chi: Congruence) -> Congruence:
     """Image partition pi(chi) for a surjection whose kernel refines chi."""
     if chi.act != pi.source:

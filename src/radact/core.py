@@ -452,8 +452,6 @@ def compose(g: ActHom, f: ActHom) -> ActHom:
 
 
 def is_equivariant(source: FiniteAct, target: FiniteAct, mapping) -> bool:
-    if source.monoid != target.monoid:
-        return False
     for s in source.monoid.elements:
         src_row = source.action[s]
         tgt_row = target.action[s]
@@ -600,15 +598,6 @@ def find_isomorphism(a: FiniteAct, b: FiniteAct) -> ActHom | None:
         return None
     found = _hom_search(a, b, {}, True, limit=1)
     return ActHom(a, b, found[0]) if found else None
-
-
-def invert(iso: ActHom) -> ActHom:
-    if not iso.is_bijective():
-        raise ValueError("only bijections invert")
-    inv = [0] * iso.target.size
-    for a, b in enumerate(iso.map):
-        inv[b] = a
-    return ActHom(iso.target, iso.source, tuple(inv))
 
 
 # ---------------------------------------------------------------------------

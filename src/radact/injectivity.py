@@ -2,11 +2,14 @@
 reduction, direct limits of chains, injectivity deciders (absolute and relative
 to a radical), and bounded injective-hull search.
 
-Relative injectivity comes in two decidable modes.  Criterion mode runs the
-Baer-Skornjakov tests: the act must contain a zero and every homomorphism from
-a dense subact of a cyclic act must extend; it is available when the radical
-is zero-hereditary on the universe.  Universe mode quantifies over the dense
-monomorphisms whose source and target both lie in the enumerated universe.
+Relative injectivity has two decidable notions, one decider each.
+``criterion_r_injective`` runs the Baer-Skornjakov tests: the act must
+contain a zero and every homomorphism from a dense subact of a cyclic act
+must extend; it is defined when the radical is zero-hereditary on the
+universe.  ``universe_r_injective`` quantifies over the dense monomorphisms
+whose source and target both lie in the enumerated universe.  The library
+does not choose between them: a caller names the notion it asks, and the
+CLI's ``r-injective --mode auto`` picks one from the radical's flags.
 ``r_injective_bounded`` is the conjunction of every decidable necessary
 condition (criterion tests, universe tests, and the zero requirement when the
 radical class is coproduct-closed); this is the sharpest bounded
@@ -16,7 +19,7 @@ Every extension test along a subact inclusion, "does every map from the
 subact of big into Q extend to big, and uniquely?", is answered once per
 universe and (Q, big, subact) from the restrictions of the maps big -> Q:
 the answer does not depend on a radical, so every radical, both relative
-modes, plain and weak injectivity and the orthogonality test share it.
+deciders, plain and weak injectivity and the orthogonality test share it.
 
 Every hull search is one walk, ``_first_extension``, over the extensions of
 an act up to the universe's ``hull_bound`` points, one table per orbit under
@@ -391,7 +394,7 @@ def _extension_kind(Q: FiniteAct, big: FiniteAct, mask: int, universe) -> int:
     ``mask`` of big into Q, decided once per universe from the restrictions.
 
     The answer does not depend on a radical, so every radical and both
-    relative modes (criterion and universe), plain injectivity and the
+    relative deciders (criterion and universe), plain injectivity and the
     orthogonality test share it.  Every restriction is a map from the
     subact, so all maps extend when each occurs among the restrictions, and
     uniquely when, moreover, there are no more restrictions than maps."""
@@ -419,44 +422,28 @@ def baer_tests(r: Radical, Q: FiniteAct, universe) -> bool:
 
 
 @memo_on(2)
-def _criterion_r_injective(r: Radical, Q: FiniteAct, universe) -> bool:
+def criterion_r_injective(r: Radical, Q: FiniteAct, universe) -> bool:
+    """Injectivity relative to the radical by the Baer-Skornjakov criterion:
+    Q has a zero and passes ``baer_tests``.  The criterion holds for a
+    zero-hereditary radical only, so any other raises ModeUnavailable."""
+    if not classify_radical(r, universe).zero_hereditary:
+        raise ModeUnavailable(
+            f"{r.name} is not zero-hereditary on this universe"
+        )
     return bool(zeros(Q)) and baer_tests(r, Q, universe)
 
 
 @memo_on(2)
-def _universe_r_injective(r: Radical, Q: FiniteAct, universe) -> bool:
-    """Extension tests along every dense mono between universe acts.  A mono
-    A -> B with image M poses exactly the extension problems of the inclusion
-    M -> B against the homomorphisms M -> Q, so images are enumerated
-    directly."""
+def universe_r_injective(r: Radical, Q: FiniteAct, universe) -> bool:
+    """Injectivity relative to the radical by the definition, inside the
+    universe: extension tests along every dense mono between universe acts.
+    A mono A -> B with image M poses exactly the extension problems of the
+    inclusion M -> B against the homomorphisms M -> Q, so images are
+    enumerated directly."""
     return all(
         _maps_extend(Q, big, dense_subact_masks(r, big), universe)
         for big in universe.acts_over(Q.monoid)
     )
-
-
-def is_r_injective(r: Radical, Q: FiniteAct, universe, mode: str = "auto") -> bool:
-    """Injectivity relative to the dense monomorphisms of the radical.
-
-    mode="criterion" demands a zero-hereditary radical (Baer-Skornjakov);
-    mode="universe" quantifies inside the universe; "auto" picks the
-    criterion when it is available.
-    """
-    if mode == "auto":
-        mode = (
-            "criterion"
-            if classify_radical(r, universe).zero_hereditary
-            else "universe"
-        )
-    if mode == "criterion":
-        if not classify_radical(r, universe).zero_hereditary:
-            raise ModeUnavailable(
-                f"{r.name} is not zero-hereditary on this universe"
-            )
-        return _criterion_r_injective(r, Q, universe)
-    if mode == "universe":
-        return _universe_r_injective(r, Q, universe)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 @memo_on(2)
@@ -522,7 +509,7 @@ def r_injective_bounded(r: Radical, Q: FiniteAct, universe) -> bool:
     coproducts (otherwise a zero genuinely need not exist)."""
     if coproduct_closed_radical_class(r, Q.monoid) and not zeros(Q):
         return False
-    return baer_tests(r, Q, universe) and _universe_r_injective(r, Q, universe)
+    return baer_tests(r, Q, universe) and universe_r_injective(r, Q, universe)
 
 
 # ---------------------------------------------------------------------------

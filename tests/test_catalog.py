@@ -162,6 +162,11 @@ def test_catalog_rejects_unknown_file(tmp_path):
      "expected: act <name> partition <blocks>"),
     ("radical", "radical demo extensional\nact R3 partition 0 1\n", 2,
      "unknown act 'R3'"),
+    ("radical", "radical demo extensional\nact R2 partition 0 | 1\n"
+     "act R2 partition 0 1\n", 3, "act 'R2' already has an entry"),
+    # R2b is R2 under another catalog name: one act, so one entry
+    ("radical", "radical demo extensional\nact R2 partition 0 | 1\n"
+     "act R2b partition 0 1\n", 3, "act 'R2b' already has an entry"),
 ])
 def test_catalog_refusals(kind, text, line, message):
     e2 = parse_monoid(E2_TEXT)
@@ -169,7 +174,9 @@ def test_catalog_refusals(kind, text, line, message):
     parse = {
         "monoid": parse_monoid,
         "act": lambda t: parse_act(t, {"E2": e2}),
-        "radical": lambda t: parse_radical_table(t, {"R2": r2}),
+        "radical": lambda t: parse_radical_table(t, {
+            "R2": r2, "R2b": parse_act(R2_TEXT.replace("R2", "R2b"), {"E2": e2}),
+        }),
     }[kind]
     with pytest.raises(ParseError) as err:
         parse(text)

@@ -12,7 +12,7 @@ from radact.catalog import (
 from radact import cli, verifier
 from radact import radical as rd
 from radact.cli import build_parser, run
-from radact.congruence import all_congruences, is_rees
+from radact.congruence import all_congruences, is_rees, parse_partition
 from radact.core import (
     cyclic_mask, mask_members, subact_act_by_mask, validate_act,
     validate_monoid,
@@ -499,6 +499,39 @@ def test_r_hull_with_non_kurosh_amitsur_radical_file(tmp_path):
     assert out == (
         "method essential-search-fallback\nelements 2\naction\n0 1\n0 0\n"
     )
+
+
+def test_r_injective_auto_mode_on_a_radical_that_is_not_zero_hereditary(
+        tmp_path):
+    # the radical of test_injectivity's criterion refusal: on a radical that
+    # is not zero-hereditary, --mode auto asks the universe decider, and
+    # --mode criterion is refused
+    u = default_universe(monoid_max=1, act_max=4, hull_bound=4)
+    for monoid in u.monoids:
+        (tmp_path / f"{monoid.name}.monoid").write_text(print_monoid(monoid))
+    for act in u.acts:
+        (tmp_path / f"{act.name}.act").write_text(print_act(act))
+    acts = {a.size: a for a in u.acts}
+    table = {act: parse_partition(act, blocks) for act, blocks in (
+        (acts[1], "0"), (acts[2], "0 | 1"), (acts[3], "0 1 | 2"),
+        (acts[4], "0 | 1 | 2 | 3"))}
+    radical_file = tmp_path / "not-zh.rad"
+    radical_file.write_text(print_radical_table("not-zh", table))
+
+    def r_injective(act, mode):
+        return invoke([
+            "r-injective", "--seed-catalog", str(tmp_path), "--act", act.name,
+            "--monoid-max", "1", "--act-max", "4", "--hull-bound", "4",
+            "--radical", "not-zh", "--radical-file", str(radical_file),
+            "--mode", mode,
+        ])
+
+    for act in u.acts:
+        code, out, err = r_injective(act, "universe")
+        assert (code, err) == (0, "")
+        assert r_injective(act, "auto") == (0, out, "")
+        assert r_injective(act, "criterion") == (
+            1, "", "error: not-zh is not zero-hereditary on this universe\n")
 
 
 def test_unknown_theorem_is_usage_error():

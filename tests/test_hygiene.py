@@ -9,6 +9,16 @@ Definitions: every function, class and method defined in the package (dunders
 excepted) is named somewhere besides its own definition, in the package or in
 the tests.
 
+Program readers: every function, class and method defined in the package
+(dunders excepted) is read, as an AST ``Name`` or ``Attribute``, by the
+program itself: somewhere in the package or in ``perfbench/*.py`` (the
+benchmark child reads ``strip_volatile``).  A word in a docstring or a call
+from a test is no reader.  The exceptions are the public names of
+``ENTRY_POINTS``, which users and tests call and the program does not: the
+catalog writers, the report consumer's entry point and
+``ActHom.is_bijective``.  The pin asks for exactly that list, so a name
+that gains a reader leaves it.
+
 Parameters: every parameter of a function defined in the package is read in
 its body.  Exempt are dunders, the checker callables passed to ``register``
 (the verifier calls them with a fixed signature) and the owner argument of a
@@ -150,6 +160,56 @@ def test_unreferenced_definition_is_reported():
         "def helper(): return Box().used()\n"
     )
     assert unreferenced_definitions([source], ["helper()"]) == ["dead"]
+
+
+# public names that users and tests call and no program path reads
+ENTRY_POINTS = ("is_bijective", "print_monoid", "print_radical_table",
+                "recheck_witness")
+
+
+def definitions_without_reader(sources, readers) -> list[str]:
+    """Names defined in ``sources`` (dunders excepted) that no ``Name`` or
+    ``Attribute`` of ``sources`` or ``readers`` loads."""
+    trees = [ast.parse(source) for source in sources]
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees + [ast.parse(source) for source in readers]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+    }
+    return sorted({
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    })
+
+
+def test_every_definition_has_a_program_reader():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert definitions_without_reader(sources, bench) == list(ENTRY_POINTS)
+
+
+def test_definition_without_reader_is_reported():
+    source = (
+        "class Box:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def dead(self): pass\n"
+        "    def stored(self): pass\n"
+        "def helper():\n"
+        "    box = Box()\n"
+        "    box.stored = None\n"
+        "    return box.used()\n"
+        '"""dead, in a docstring"""\n'
+    )
+    # a store is no read, and a word in a docstring is none either
+    assert definitions_without_reader([source], ["helper()"]) == [
+        "dead", "stored"]
 
 
 def unused_parameters(source, module) -> list[str]:

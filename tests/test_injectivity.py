@@ -42,6 +42,7 @@ from radact.injectivity import (
     banaschewski_reduce,
     collectively_large,
     collectively_large_by_homs,
+    criterion_r_injective,
     direct_limit,
     limit_labels,
     distinct_pushouts,
@@ -51,7 +52,6 @@ from radact.injectivity import (
     is_large,
     is_orthogonal_r_injective,
     is_r_essential,
-    is_r_injective,
     is_weakly_injective,
     iso_over_source,
     maximal_r_essential_extension,
@@ -61,6 +61,7 @@ from radact.injectivity import (
     r_injective_bounded,
     r_injective_hull,
     skornjakov_injective,
+    universe_r_injective,
     _extends_along,
     _maps_extend,
     _restrictions,
@@ -337,16 +338,6 @@ def test_maximal_search_refuses_an_act_above_the_hull_bound(E2):
         maximal_r_essential_extension(rg_radical(), three, tight)
 
 
-@pytest.mark.parametrize("call, error, message", [
-    (lambda U, R2, rg: is_r_injective(rg, R2, U, "nosuch"),
-     ValueError, "unknown mode 'nosuch'"),
-])
-def test_injectivity_refusals(U, R2, rg, call, error, message):
-    with pytest.raises(error) as err:
-        call(U, R2, rg)
-    assert str(err.value) == message
-
-
 def test_iso_over_source_false(E2):
     # both two-point acts hold the one-point act on point 0
     theta = trivial_act(E2)
@@ -579,7 +570,7 @@ def test_injectivity_cross_checks(U):
         for act in U.acts_over(monoid):
             expected = is_injective(act, U)
             assert skornjakov_injective(act, U) == expected
-            assert is_r_injective(nabla, act, U, "universe") == expected
+            assert universe_r_injective(nabla, act, U) == expected
 
 
 def _partial(mask, f):
@@ -616,7 +607,7 @@ def test_maps_extend_matches_per_map_search(U):
 
 def _maps_extend_alone(Q, big, masks):
     """The extension test of one radical's call, before the answers were
-    shared across radicals and modes, kept as an oracle."""
+    shared across radicals and deciders, kept as an oracle."""
     for mask in masks:
         restrictions = set(_restrictions(Q, big, mask))
         sub, _ = subact_act_by_mask(big, mask)
@@ -626,9 +617,9 @@ def _maps_extend_alone(Q, big, masks):
 
 
 def test_shared_extension_answers_match_per_radical_path():
-    """Criterion mode, universe mode and the bounded conjunction read the
-    shared extension answers and agree with one test per radical and call,
-    on every universe act and every injective hull."""
+    """The criterion and universe deciders and the bounded conjunction read
+    the shared extension answers and agree with one test per radical and
+    call, on every universe act and every injective hull."""
     u = default_universe(monoid_max=2)
     hulls = [injectivity._hull_search(a, u) for a in u.acts]
     targets = list(u.acts) + [h for h in hulls if h is not None]
@@ -644,14 +635,14 @@ def test_shared_extension_answers_match_per_radical_path():
                 for big in u.acts_over(Q.monoid)
             )
             zero_needed = coproduct_closed_radical_class(r, Q.monoid)
-            assert injectivity._criterion_r_injective(r, Q, u) == (
+            assert criterion_r_injective(r, Q, u) == (
                 bool(zeros(Q)) and baer
             ), (r, Q)
-            assert injectivity._universe_r_injective(r, Q, u) == inside, (r, Q)
+            assert universe_r_injective(r, Q, u) == inside, (r, Q)
             assert r_injective_bounded(r, Q, u) == (
                 (bool(zeros(Q)) or not zero_needed) and baer and inside
             ), (r, Q)
-            seen.add((injectivity._criterion_r_injective(r, Q, u), inside,
+            seen.add((criterion_r_injective(r, Q, u), inside,
                       r_injective_bounded(r, Q, u)))
     assert all({row[i] for row in seen} == {True, False} for i in range(3))
 
@@ -715,13 +706,13 @@ def test_t46_matches_per_map_search():
 def test_delta_injectivity_universe_mode(U):
     delta = U.radical("delta")
     for act in U.acts:
-        assert is_r_injective(delta, act, U, "universe")
+        assert universe_r_injective(delta, act, U)
 
 
 def test_nabla_criterion_equals_injectivity(U):
     nabla = U.radical("nabla")
     for act in U.acts[:40]:
-        assert is_r_injective(nabla, act, U, "criterion") == is_injective(
+        assert criterion_r_injective(nabla, act, U) == is_injective(
             act, U
         )
 
@@ -739,7 +730,7 @@ def test_criterion_mode_unavailable(U, T1):
     r = extensional_radical("not-zero-hereditary", table)
     small = default_universe(monoid_max=1, act_max=4, hull_bound=4)
     with pytest.raises(ModeUnavailable):
-        is_r_injective(r, acts[2], small, "criterion")
+        criterion_r_injective(r, acts[2], small)
 
 
 def test_orthogonal_injectivity(U, E2):
@@ -812,6 +803,27 @@ def test_r_hull_matches_minimal_search_sample(U, rg):
         minimal = minimal_r_injective_extension(rg, act, U)
         assert minimal.size == hull.size
         assert iso_over_source(act, hull, minimal)
+
+
+def test_maximal_search_finds_the_relative_hull(U):
+    """For a Kurosh-Amitsur radical the relative hull is the maximal dense
+    and large extension, so the size-maximal search, the r-hull fallback,
+    finds it up to isomorphism over the act wherever the hull extends the
+    act properly.  Acts whose hull lies beyond the bound are passed over."""
+    cases = Counter()
+    for r in U.radicals:
+        for act in U.acts:
+            try:
+                hull = r_injective_hull(r, act, U)
+            except BoundExceeded:
+                continue
+            if hull.size == act.size:
+                continue
+            found = maximal_r_essential_extension(r, act, U)
+            assert found.size == hull.size, (r, act)
+            assert iso_over_source(act, hull, found), (r, act)
+            cases[r.name] += 1
+    assert cases == {"rG": 15, "t_LrG": 15, "nabla": 27}
 
 
 def test_r_hull_fallback_for_non_kurosh_amitsur(E2):
