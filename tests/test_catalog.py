@@ -171,12 +171,11 @@ def test_catalog_rejects_unknown_file(tmp_path):
 def test_catalog_refusals(kind, text, line, message):
     e2 = parse_monoid(E2_TEXT)
     r2 = parse_act(R2_TEXT, {"E2": e2})
+    r2b = parse_act(R2_TEXT.replace("R2", "R2b"), {"E2": e2})
     parse = {
         "monoid": parse_monoid,
         "act": lambda t: parse_act(t, {"E2": e2}),
-        "radical": lambda t: parse_radical_table(t, {
-            "R2": r2, "R2b": parse_act(R2_TEXT.replace("R2", "R2b"), {"E2": e2}),
-        }),
+        "radical": lambda t: parse_radical_table(t, {"R2": r2, "R2b": r2b}),
     }[kind]
     with pytest.raises(ParseError) as err:
         parse(text)
